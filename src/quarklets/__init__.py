@@ -32,7 +32,6 @@ from .modulation import (
     verify_perfect_reconstruction,
 )
 from .piecewise import PiecewisePoly, inner_product
-from .rational import GaussianRational
 from .splines import (
     QuarkFamily,
     RefinementMasks,
@@ -62,7 +61,7 @@ from .transform import (
     reconstruct,
     to_orthogonal_frames,
 )
-from .trig import TrigPoly, is_positive_on_circle, shift_gram_symbol
+from .trig import is_positive_on_circle, shift_gram_symbol
 
 __version__ = "0.1.0"
 
@@ -71,7 +70,6 @@ __all__ = [
     "CoefficientFrame",
     "DecompositionFilters",
     "DualApproximation",
-    "GaussianRational",
     "LaurentMatrix",
     "LaurentPoly",
     "MaskSequence",
@@ -82,7 +80,6 @@ __all__ = [
     "QuarkletFamily",
     "RefinementMasks",
     "StabilityReport",
-    "TrigPoly",
     "bspline",
     "build_modulation",
     "cdf_masks",

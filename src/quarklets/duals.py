@@ -65,35 +65,35 @@ def dual_tail_slope(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     ``tail="first-order"`` of :func:`dual_quark_ft` keeps.
     """
     bundle = build_modulation(m, mt, p)
-    return _tail_slope(bundle.dual_scaling_symbol, p, dual_eigenvector(m, mt, p))
+    return _tail_slope(
+        bundle.dual_scaling_symbol, dual_symbol_at_one(m, mt, p), p, dual_eigenvector(m, mt, p)
+    )
 
 
-def _tail_slope(symbol: LaurentMatrix, p: int, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _tail_slope(
+    symbol: LaurentMatrix, at_one: linalg.Mat, p: int, v: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
     """Solve (2I - M(1)) w = M'(1) v exactly, M = 2^{-p} St.
 
     Differentiating G(2 eta) = M(exp(-i eta)) G(eta) at eta = 0, with G(0) = v,
     gives 2 G'(0) = -i M'(1) v + M(1) G'(0).  M(1) is upper triangular with
-    diagonal 2^{q-p} <= 1, so 2I - M(1) is solved by back-substitution.  M(1)
-    and M'(1) = sum_k k M_k are read off each entry's integer numerators over
-    their common denominator in one pass.
+    diagonal 2^{q-p} <= 1, so 2I - M(1) is solved by back-substitution.
+    ``at_one`` is St(1) from :func:`dual_symbol_at_one`; M'(1) = sum_k k M_k
+    is read off each entry's integer numerators over their common denominator.
     """
     scale = Fraction(1, 2**p)
-    at_one = []
     rhs = []
     for row in symbol.entries:
-        vals = []
         acc = Fraction(0)
         for e, vj in zip(row, v):
             nums, den = _int_core(e.coeffs)
-            vals.append(Fraction(sum(nums.values()), den) * scale)
             acc += Fraction(sum(k * n for k, n in nums.items()), den) * vj
-        at_one.append(vals)
         rhs.append(acc * scale)
     n = len(rhs)
     w = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        acc = rhs[i] + sum((at_one[i][j] * w[j] for j in range(i + 1, n)), Fraction(0))
-        w[i] = acc / (2 - at_one[i][i])
+        acc = rhs[i] + scale * sum((at_one[i][j] * w[j] for j in range(i + 1, n)), Fraction(0))
+        w[i] = acc / (2 - scale * at_one[i][i])
     return tuple(w)
 
 
@@ -141,7 +141,8 @@ def dual_quark_ft(
     symbol = bundle.dual_scaling_symbol
     w_arr = None
     if tail == "first-order":
-        w_arr = np.array([float(x) for x in _tail_slope(symbol, p, v)], dtype=complex)
+        w = _tail_slope(symbol, dual_symbol_at_one(m, mt, p), p, v)
+        w_arr = np.array([float(x) for x in w], dtype=complex)
     scale = 2.0**-p
     values: dict[Fraction, np.ndarray] = {}
     pts = tuple(Fraction(t) for t in grid)

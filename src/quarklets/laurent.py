@@ -1,13 +1,15 @@
-"""Laurent polynomials over the (Gaussian) rationals, and matrices of them.
+"""Laurent polynomials over the rationals, and matrices of them.
 
 A Laurent polynomial sum_k c_k z^k with finitely many nonzero c_k is stored as
 a sparse map ``{exponent: coefficient}`` with no zero entries.  On the unit
-circle |z| = 1 conjugation acts by conj(c_k) z^{-k}, which is what
-:meth:`LaurentPoly.conj_on_circle` implements.
+circle |z| = 1 conjugation acts by c_k z^{-k} (the coefficients are real),
+which is what :meth:`LaurentPoly.conj_on_circle` implements.  Evaluated at
+z = exp(-i t), the same object is the trigonometric polynomial
+sum_k c_k exp(-i k t).
 
-All arithmetic is exact.  Multiplication of rational-only polynomials runs on
-an integer core (one common denominator per operand) because coefficient
-convolution dominates the cost of the perfect-reconstruction checks.
+All arithmetic is exact.  Multiplication runs on an integer core (one common
+denominator per operand) because coefficient convolution dominates the cost
+of the perfect-reconstruction checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Sequence
 
-from .rational import Coeff, GaussianRational, coeff, coeff_to_complex, conj
+from .rational import as_rational
 
 
 class LaurentPoly:
@@ -25,10 +27,10 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
-        clean: dict[int, Coeff] = {}
+        clean: dict[int, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = coeff(c)
+                c = as_rational(c)
                 if c != 0:
                     clean[int(k)] = c
         self.coeffs = clean
@@ -69,20 +71,14 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no support")
         return max(self.coeffs)
 
-    def support_length(self) -> int:
-        return 0 if not self.coeffs else self.max_exp() - self.min_exp() + 1
-
-    def __getitem__(self, k: int) -> Coeff:
+    def __getitem__(self, k: int) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
 
-    def items(self) -> Iterator[tuple[int, Coeff]]:
+    def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self.coeffs.items()))
 
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
-
-    def is_real(self) -> bool:
-        return all(not isinstance(c, GaussianRational) for c in self.coeffs.values())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -121,8 +117,8 @@ class LaurentPoly:
         return res
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = coeff(other)
+        if isinstance(other, (int, Fraction)):
+            c = as_rational(other)
             if c == 0:
                 return LaurentPoly.zero()
             res = LaurentPoly.__new__(LaurentPoly)
@@ -132,24 +128,6 @@ class LaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero()
-        if self.is_real() and other.is_real():
-            return self._mul_rational(other)
-        out: dict[int, Coeff] = {}
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
-                k = ka + kb
-                s = out.get(k, 0) + ca * cb
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def _mul_rational(self, other: "LaurentPoly") -> "LaurentPoly":
         # Integer-core convolution: scale both operands to integer coefficients,
         # convolve with machine/long ints, divide by the product denominator once.
         na, da = _int_core(self.coeffs)
@@ -164,12 +142,12 @@ class LaurentPoly:
         res.coeffs = {k: Fraction(n, den) for k, n in acc.items() if n}
         return res
 
+    __rmul__ = __mul__
+
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             if self.is_monomial():
                 k, c = next(iter(self.coeffs.items()))
-                if isinstance(c, GaussianRational):
-                    raise ValueError("negative powers only for rational monomials")
                 return LaurentPoly({-k: Fraction(1) / c}) ** (-n)
             raise ValueError("negative powers require a monomial")
         out = LaurentPoly.one()
@@ -190,24 +168,24 @@ class LaurentPoly:
         return res
 
     def conj_on_circle(self) -> "LaurentPoly":
-        """Pointwise conjugate on |z| = 1, i.e. c_k z^k -> conj(c_k) z^{-k}."""
+        """Pointwise conjugate on |z| = 1, i.e. the reflection c_k z^k -> c_k z^{-k}."""
         res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {-k: conj(c) for k, c in self.coeffs.items()}
+        res.coeffs = {-k: c for k, c in self.coeffs.items()}
         return res
 
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
-        return sum(coeff_to_complex(c) * z**k for k, c in self.coeffs.items())
+        return sum(float(c) * z**k for k, c in self.coeffs.items())
 
-    def eval_rational(self, x: Fraction | int) -> Coeff:
+    def eval_rational(self, x: Fraction | int) -> Fraction:
         """Exact evaluation at a nonzero rational point."""
         x = Fraction(x)
         if x == 0:
             if any(k < 0 for k in self.coeffs):
                 raise ZeroDivisionError("negative exponent at x = 0")
             return self.coeffs.get(0, Fraction(0))
-        total: Coeff = Fraction(0)
+        total = Fraction(0)
         for k, c in self.coeffs.items():
             total = total + c * x**k
         return total
@@ -233,7 +211,7 @@ class LaurentPoly:
 def _as_poly(value):
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
+    if isinstance(value, (int, Fraction)):
         return LaurentPoly({0: value})
     return NotImplemented
 
@@ -310,17 +288,8 @@ class LaurentMatrix:
         return all(self.entries[i][j].is_zero() for i in range(self.rows) for j in range(i))
 
     def coefficient_matrix(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational matrix of z^k coefficients (entries must be real)."""
-        out = []
-        for row in self.entries:
-            vals = []
-            for e in row:
-                c = e[k]
-                if isinstance(c, GaussianRational):
-                    raise ValueError("complex coefficient where a rational was expected")
-                vals.append(c)
-            out.append(tuple(vals))
-        return tuple(out)
+        """The rational matrix of z^k coefficients."""
+        return tuple(tuple(e[k] for e in row) for row in self.entries)
 
     def exponent_range(self) -> tuple[int, int]:
         lo, hi = None, None
@@ -374,7 +343,7 @@ class LaurentMatrix:
         return LaurentMatrix(out)
 
     def __mul__(self, other) -> "LaurentMatrix":
-        if isinstance(other, (int, Fraction, GaussianRational, LaurentPoly)):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
             return LaurentMatrix([[e * other for e in row] for row in self.entries])
         return NotImplemented
 
@@ -414,13 +383,7 @@ class LaurentMatrix:
                 raise ValueError(f"diagonal entry ({i},{i}) is not a monomial; "
                                  "matrix is not invertible over Laurent polynomials")
             k, c = next(iter(d.coeffs.items()))
-            if isinstance(c, GaussianRational):
-                inv_c = GaussianRational(
-                    c.real / (c.real**2 + c.imag**2), -c.imag / (c.real**2 + c.imag**2)
-                )
-            else:
-                inv_c = Fraction(1) / c
-            diag_inv.append(LaurentPoly.monomial(inv_c, -k))
+            diag_inv.append(LaurentPoly.monomial(1 / c, -k))
         zero = LaurentPoly.zero()
         inv: list[list[LaurentPoly]] = [[zero] * n for _ in range(n)]
         for i in range(n):
@@ -446,7 +409,7 @@ class LaurentMatrix:
                 out[i, j] = e(z)
         return out
 
-    def eval_rational(self, x: Fraction | int) -> tuple[tuple[Coeff, ...], ...]:
+    def eval_rational(self, x: Fraction | int) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(e.eval_rational(x) for e in row) for row in self.entries)
 
     # -- comparisons -----------------------------------------------------------------------
@@ -472,6 +435,6 @@ class LaurentMatrix:
 def _coerce_entry(e) -> LaurentPoly:
     if isinstance(e, LaurentPoly):
         return e
-    if isinstance(e, (int, Fraction, GaussianRational)):
+    if isinstance(e, (int, Fraction)):
         return LaurentPoly({0: e})
     raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")

@@ -19,7 +19,7 @@ residual entries instead of asserting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -294,18 +294,3 @@ def splitting_identity_defect(
                     if c:
                         rhs[i] = rhs[i] + translated[j] * c
     return tuple(l - r for l, r in zip(lhs, rhs))
-
-
-def perturb_detail_block(bundle: ModulationBundle, i: int = 0, j: int = 0) -> ModulationBundle:
-    """A copy of the bundle with W(z)[i][j] nudged by z/100 (negative control)."""
-    n = bundle.size
-    bad = [[bundle.detail_symbol[r, c] for c in range(n)] for r in range(n)]
-    bad[i][j] = bad[i][j] + LaurentPoly.monomial(Fraction(1, 100), 1)
-    bad_sym = LaurentMatrix(bad)
-    bad_x = LaurentMatrix.block(
-        [
-            [bundle.scaling_symbol, bundle.scaling_symbol.substitute_neg()],
-            [bad_sym, bad_sym.substitute_neg()],
-        ]
-    )
-    return replace(bundle, detail_symbol=bad_sym, modulation=bad_x)

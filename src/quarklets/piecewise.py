@@ -14,21 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import realroots
 from .rational import as_rational, is_dyadic
-
-Poly = tuple[Fraction, ...]  # dense univariate polynomial, index = power
-
-
-def _poly_trim(c: Sequence[Fraction]) -> Poly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+from .realroots import Poly, evaluate, trim
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
-    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -39,24 +32,17 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _poly_trim(out)
+    return trim(out)
 
 
 def _poly_scale(a: Poly, s: Fraction) -> Poly:
-    return () if s == 0 else _poly_trim([c * s for c in a])
-
-
-def _poly_eval(a: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    return () if s == 0 else trim([c * s for c in a])
 
 
 def _poly_compose_linear(p: Poly, a: Fraction, b: Fraction) -> Poly:
     """Coefficients of x -> p(a*x + b)."""
     out: Poly = ()
-    lin: Poly = _poly_trim((b, a))
+    lin: Poly = trim((b, a))
     power: Poly = (Fraction(1),)
     for c in p:
         if c:
@@ -66,11 +52,7 @@ def _poly_compose_linear(p: Poly, a: Fraction, b: Fraction) -> Poly:
 
 
 def _poly_antiderivative(a: Poly) -> Poly:
-    return _poly_trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)])
-
-
-def _poly_derivative(a: Poly) -> Poly:
-    return _poly_trim([c * i for i, c in enumerate(a)][1:])
+    return trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)])
 
 
 class PiecewisePoly:
@@ -91,7 +73,7 @@ class PiecewisePoly:
         for b in bps:
             if not is_dyadic(b):
                 raise ValueError(f"breakpoint {b} is not dyadic")
-        polys = [_poly_trim([as_rational(c) for c in p]) for p in pieces]
+        polys = [trim([as_rational(c) for c in p]) for p in pieces]
         # canonical form: drop identically-zero end pieces, merge equal neighbours
         while polys and not polys[0]:
             polys.pop(0)
@@ -140,7 +122,7 @@ class PiecewisePoly:
                 lo = mid
             else:
                 hi = mid - 1
-        return _poly_eval(self.pieces[lo], x)
+        return evaluate(self.pieces[lo], x)
 
     # -- algebra -------------------------------------------------------------
 
@@ -208,7 +190,7 @@ class PiecewisePoly:
 
     def mul_poly(self, poly: Sequence) -> "PiecewisePoly":
         """Multiply by a global polynomial (given as a coefficient sequence)."""
-        q = _poly_trim([as_rational(c) for c in poly])
+        q = trim([as_rational(c) for c in poly])
         return PiecewisePoly(self.breakpoints, [_poly_mul(p, q) for p in self.pieces])
 
     def compose_linear(self, a, b) -> "PiecewisePoly":
@@ -229,7 +211,7 @@ class PiecewisePoly:
 
     def derivative(self) -> "PiecewisePoly":
         """Piecewise derivative (taken piece by piece)."""
-        return PiecewisePoly(self.breakpoints, [_poly_derivative(p) for p in self.pieces])
+        return PiecewisePoly(self.breakpoints, [realroots.derivative(p) for p in self.pieces])
 
     # -- integrals -------------------------------------------------------------
 
@@ -237,7 +219,7 @@ class PiecewisePoly:
         total = Fraction(0)
         for i, p in enumerate(self.pieces):
             anti = _poly_antiderivative(p)
-            total += _poly_eval(anti, self.breakpoints[i + 1]) - _poly_eval(anti, self.breakpoints[i])
+            total += evaluate(anti, self.breakpoints[i + 1]) - evaluate(anti, self.breakpoints[i])
         return total
 
     def moment(self, n: int) -> Fraction:

@@ -1,16 +1,12 @@
-"""Exact scalar coefficients: rationals and Gaussian rationals.
+"""Exact scalar coefficients.
 
-Plain rationals are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  Complex coefficients are pairs of rationals, which is enough
-here: every Fourier coefficient handled by this package is Gaussian rational.
+Every coefficient in this package is a ``fractions.Fraction`` (always in
+lowest terms, positive denominator); floats never enter the exact core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-Rat = Fraction
 
 
 def as_rational(value) -> Fraction:
@@ -20,113 +16,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number a + b*i with exact rational a, b."""
-
-    real: Fraction
-    imag: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "real", as_rational(self.real))
-        object.__setattr__(self, "imag", as_rational(self.imag))
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
-    def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.imag)
-
-    def __add__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _normalize(GaussianRational(self.real + other.real, self.imag + other.imag))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _normalize(GaussianRational(self.real - other.real, self.imag - other.imag))
-
-    def __rsub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _normalize(
-            GaussianRational(
-                self.real * other.real - self.imag * other.imag,
-                self.real * other.imag + self.imag * other.real,
-            )
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.real, -self.imag)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.real == other.real and self.imag == other.imag
-        if isinstance(other, (int, Fraction)):
-            return self.imag == 0 and self.real == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.imag == 0:
-            return hash(self.real)
-        return hash((self.real, self.imag))
-
-    def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
-
-    def __repr__(self):
-        return f"GaussianRational({self.real!r}, {self.imag!r})"
-
-
-I = GaussianRational(Fraction(0), Fraction(1))
-
-# A coefficient is a Fraction or (only where genuinely complex) a GaussianRational.
-Coeff = Fraction | GaussianRational
-
-
-def _lift(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    return NotImplemented
-
-
-def _normalize(value: GaussianRational) -> Coeff:
-    # Real results collapse back to Fraction so the common case stays fast.
-    return value.real if value.imag == 0 else value
-
-
-def coeff(value) -> Coeff:
-    """Canonicalize an int / Fraction / GaussianRational coefficient."""
-    if isinstance(value, GaussianRational):
-        return _normalize(value)
-    return as_rational(value)
-
-
-def conj(value: Coeff) -> Coeff:
-    """Complex conjugate (identity on rationals)."""
-    return value.conjugate() if isinstance(value, GaussianRational) else value
-
-
-def coeff_to_complex(value: Coeff) -> complex:
-    return complex(value) if isinstance(value, GaussianRational) else float(value)
 
 
 def is_dyadic(x: Fraction) -> bool:

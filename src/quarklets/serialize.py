@@ -1,20 +1,18 @@
 """Canonical JSON forms of the exact types.
 
-Rationals are ``[numerator, denominator]`` integer pairs; Gaussian rationals
-are ``{"re": [n, d], "im": [n, d]}``.  Sparse integer-indexed collections are
-emitted as sorted ``[index, value]`` pair lists so output is byte-stable.
+Rationals are ``[numerator, denominator]`` integer pairs.  Sparse
+integer-indexed collections are emitted as sorted ``[index, value]`` pair
+lists so output is byte-stable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentPoly
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
-from .rational import Coeff, GaussianRational
 from .transform import CoefficientFrame
-from .trig import TrigPoly
 
 
 def rational_json(x: Fraction) -> list[int]:
@@ -26,32 +24,12 @@ def rational_from_json(obj) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def coeff_json(c: Coeff):
-    if isinstance(c, GaussianRational):
-        return {"re": rational_json(c.real), "im": rational_json(c.imag)}
-    return rational_json(c)
-
-
-def coeff_from_json(obj) -> Coeff:
-    if isinstance(obj, dict):
-        return GaussianRational(rational_from_json(obj["re"]), rational_from_json(obj["im"]))
-    return rational_from_json(obj)
-
-
 def laurent_poly_json(p: LaurentPoly) -> dict:
-    return {"terms": [[k, coeff_json(c)] for k, c in p.items()]}
+    return {"terms": [[k, rational_json(c)] for k, c in p.items()]}
 
 
 def laurent_poly_from_json(obj) -> LaurentPoly:
-    return LaurentPoly({int(k): coeff_from_json(c) for k, c in obj["terms"]})
-
-
-def laurent_matrix_json(m: LaurentMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[laurent_poly_json(e) for e in row] for row in m.entries],
-    }
+    return LaurentPoly({int(k): rational_from_json(c) for k, c in obj["terms"]})
 
 
 def matrix_json(mat) -> list:
@@ -95,10 +73,6 @@ def piecewise_from_json(obj) -> PiecewisePoly:
         [rational_from_json(b) for b in obj["breakpoints"]],
         [[rational_from_json(c) for c in piece] for piece in obj["pieces"]],
     )
-
-
-def trig_json(t: TrigPoly) -> dict:
-    return {"terms": [[n, coeff_json(c)] for n, c in sorted(t.coeffs.items())]}
 
 
 def frame_json(frame: CoefficientFrame) -> dict:

@@ -47,29 +47,6 @@ def _bspline_cached(m: int) -> PiecewisePoly:
     return left + right
 
 
-def bspline_truncated_power(m: int) -> PiecewisePoly:
-    """Alternative closed form of N_m via truncated powers (independent cross-check).
-
-    N_m(x) = 1/(m-1)! sum_k (-1)^k C(m,k) max(0, x-k)^{m-1}, valid for m >= 2.
-    """
-    if m < 2:
-        raise ValueError("the truncated-power form needs m >= 2")
-    total = PiecewisePoly.zero()
-    fact = Fraction(1, math.factorial(m - 1))
-    for k in range(0, m):
-        # (x - k)_+^{m-1} restricted to [k, m]; the k = m term is empty there
-        # and the remaining terms cancel identically beyond x = m
-        coeffs = _binomial_power(-Fraction(k), m - 1)
-        piece = PiecewisePoly([k, m], [coeffs])
-        total = total + piece * (fact * (-1) ** k * math.comb(m, k))
-    return total
-
-
-def _binomial_power(shift: Fraction, n: int) -> list[Fraction]:
-    """Coefficients of (x + shift)^n."""
-    return [math.comb(n, j) * shift ** (n - j) for j in range(n + 1)]
-
-
 def symmetrized_bspline(m: int) -> PiecewisePoly:
     """N_m(x + floor(m/2)), supported on [-floor(m/2), ceil(m/2)]."""
     return bspline(m).compose_linear(1, Fraction(m // 2))

@@ -21,9 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, realroots
+from .laurent import LaurentPoly, _int_core
 from .modulation import build_modulation
 from .splines import quark, quark_ft
-from .trig import TrigPoly, is_positive_on_circle, shift_gram_symbol
+from .trig import is_positive_on_circle, shift_gram_symbol
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,18 @@ def is_stable_single(m: int, q: int) -> StabilityReport:
     )
 
 
-def gram_symbol_matrix(m: int, p: int) -> list[list[TrigPoly]]:
+def gram_symbol_matrix(m: int, p: int) -> list[list[LaurentPoly]]:
     """Matrix of shift Gram symbols of the quark vector (Hermitian in t)."""
     quarks = [quark(m, q) for q in range(p + 1)]
     return [[shift_gram_symbol(f, g) for g in quarks] for f in quarks]
 
 
-def trig_determinant(mat: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
+def trig_determinant(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant by cofactor expansion (sizes here are tiny)."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    total = TrigPoly.zero()
+    total = LaurentPoly.zero()
     for j in range(n):
         if mat[0][j].is_zero():
             continue
@@ -143,12 +144,13 @@ def ft_zero_scan(
 def condition_e(matrix) -> bool:
     """True iff 1 is a simple eigenvalue and every other eigenvalue has modulus < 1.
 
-    Exact for rational matrices up to 8x8 (characteristic polynomial plus a
-    Schur-Cohn test after deflating the eigenvalue 1); larger or float input
-    falls back to numpy eigenvalues with a 1e-10 tolerance.
+    Exact for rational matrices of any size (diagonal read-off for triangular
+    input, otherwise the characteristic polynomial plus a Schur-Cohn test
+    after deflating the eigenvalue 1); float input uses numpy eigenvalues
+    with a 1e-10 tolerance.
     """
     rational = _as_rational_matrix(matrix)
-    if rational is not None and len(rational) <= 8:
+    if rational is not None:
         return _condition_e_exact(rational)
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -195,10 +197,14 @@ def _condition_e_exact(matrix: linalg.Mat) -> bool:
 
 
 def dual_symbol_at_one(m: int, mt: int, p: int) -> linalg.Mat:
-    """The dual scaling symbol evaluated exactly at z = 1 (upper triangular)."""
+    """The dual scaling symbol evaluated exactly at z = 1 (upper triangular).
+
+    Each entry at z = 1 is the sum of its integer numerators over their
+    common denominator.
+    """
     bundle = build_modulation(m, mt, p)
-    mat = bundle.dual_scaling_symbol.eval_rational(Fraction(1))
-    mat = tuple(tuple(Fraction(x) for x in row) for row in mat)
+    cores = [[_int_core(e.coeffs) for e in row] for row in bundle.dual_scaling_symbol.entries]
+    mat = tuple(tuple(Fraction(sum(nums.values()), den) for nums, den in row) for row in cores)
     if not linalg.is_upper_triangular(mat):
         raise AssertionError("dual scaling symbol at z = 1 should be upper triangular")
     return mat

@@ -1,10 +1,11 @@
 """Trigonometric polynomials with exact coefficients.
 
-A TrigPoly is a finitely supported two-sided coefficient sequence {c_n}
-representing the 2*pi-periodic function t -> sum_n c_n exp(-i n t).
+A finitely supported two-sided coefficient sequence {c_n} represents the
+2*pi-periodic function t -> sum_n c_n exp(-i n t).  It is stored as the
+:class:`LaurentPoly` sum_n c_n z^n and evaluated at z = exp(-i t).
 
 The central construction is the shift Gram symbol of two compactly supported
-functions f, g: the TrigPoly whose n-th coefficient is <f, g(. - n)>.  Up to
+functions f, g: the polynomial whose n-th coefficient is <f, g(. - n)>.  Up to
 one global positive constant (fixed by the Fourier normalization, and
 irrelevant for every positivity question asked here) it equals the periodized
 product sum_k Ff(t + 2 pi k) * conj(Fg(t + 2 pi k)).
@@ -15,129 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from . import realroots
+from .laurent import LaurentPoly
 from .piecewise import PiecewisePoly, inner_product
-from .rational import Coeff, GaussianRational, coeff, coeff_to_complex, conj
 
 
-class TrigPoly:
-    """Finitely supported two-sided Fourier coefficient sequence."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
-        clean: dict[int, Coeff] = {}
-        if coeffs:
-            for n, c in coeffs.items():
-                c = coeff(c)
-                if c != 0:
-                    clean[int(n)] = c
-        self.coeffs = clean
-
-    @staticmethod
-    def zero() -> "TrigPoly":
-        return TrigPoly()
-
-    @staticmethod
-    def constant(c) -> "TrigPoly":
-        return TrigPoly({0: c})
-
-    def __getitem__(self, n: int) -> Coeff:
-        return self.coeffs.get(n, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        other = _as_trig(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            s = out.get(n, 0) + c
-            if s == 0:
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return TrigPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_trig(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TrigPoly({n: -c for n, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return TrigPoly({n: c * other for n, c in self.coeffs.items()})
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        out: dict[int, Coeff] = {}
-        for na, ca in self.coeffs.items():
-            for nb, cb in other.coeffs.items():
-                n = na + nb
-                s = out.get(n, 0) + ca * cb
-                if s == 0:
-                    out.pop(n, None)
-                else:
-                    out[n] = s
-        return TrigPoly(out)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "TrigPoly":
-        """Pointwise complex conjugate of the represented function."""
-        return TrigPoly({-n: conj(c) for n, c in self.coeffs.items()})
-
-    def is_real_valued(self) -> bool:
-        """True iff c_{-n} = conj(c_n) for all n."""
-        return all(self[-n] == conj(c) for n, c in self.coeffs.items())
-
-    def __call__(self, t: float) -> complex:
-        return sum(
-            coeff_to_complex(c) * complex(math.cos(n * t), -math.sin(n * t))
-            for n, c in self.coeffs.items()
-        )
-
-    def __eq__(self, other):
-        other = _as_trig(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TrigPoly(0)"
-        terms = " + ".join(f"({c})e^(-{n}it)" if n else f"({c})" for n, c in sorted(self.coeffs.items()))
-        return f"TrigPoly({terms})"
-
-
-def _as_trig(value):
-    if isinstance(value, TrigPoly):
-        return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return TrigPoly({0: value})
-    return NotImplemented
-
-
-def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> TrigPoly:
-    """TrigPoly with n-th coefficient <f, g(. - n)>, exact.
+def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
+    """Laurent polynomial with n-th coefficient <f, g(. - n)>, exact.
 
     Only finitely many translates of g meet the support of f, so the result
     is a genuine trigonometric polynomial.
     """
     if f.is_zero() or g.is_zero():
-        return TrigPoly.zero()
+        return LaurentPoly.zero()
     fa, fb = f.support()
     ga, gb = g.support()
     out: dict[int, Fraction] = {}
@@ -147,7 +39,7 @@ def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> TrigPoly:
         v = inner_product(f, g.translate(n))
         if v:
             out[n] = v
-    return TrigPoly(out)
+    return LaurentPoly(out)
 
 
 @dataclass(frozen=True)
@@ -160,33 +52,21 @@ class CirclePositivity:
     certificate: str
 
 
-def to_cosine_polynomial(theta: TrigPoly) -> realroots.Poly:
-    """Rational polynomial q with theta(t) = q(cos t).
+def to_cosine_polynomial(theta: LaurentPoly) -> realroots.Poly:
+    """Rational polynomial q with theta(exp(-i t)) = q(cos t).
 
-    Requires real symmetric rational coefficients (c_{-n} = c_n), which is
-    exactly the shape of autocorrelation symbols and Gram determinants of
-    real-valued functions.
+    Requires symmetric coefficients (c_{-n} = c_n), which is exactly the
+    shape of autocorrelation symbols and Gram determinants of real-valued
+    functions.
     """
-    c0 = theta[0]
-    if isinstance(c0, GaussianRational):
-        raise ValueError("complex coefficients not supported here")
-    cn: dict[int, Fraction] = {}
-    for n, c in theta.coeffs.items():
-        if isinstance(c, GaussianRational):
-            raise ValueError("complex coefficients not supported here")
-        if n <= 0:
-            continue
-        if theta[-n] != c:
-            raise ValueError("coefficients are not symmetric: theta is not even")
-        cn[n] = c
-    for n in theta.coeffs:
-        if n < 0 and theta[-n] != theta[n]:
-            raise ValueError("coefficients are not symmetric: theta is not even")
-    return realroots.cosine_series_to_poly(c0, cn)
+    if theta.conj_on_circle() != theta:
+        raise ValueError("coefficients are not symmetric: theta is not even")
+    cn = {n: c for n, c in theta.coeffs.items() if n > 0}
+    return realroots.cosine_series_to_poly(theta[0], cn)
 
 
-def is_positive_on_circle(theta: TrigPoly) -> CirclePositivity:
-    """Decide exactly whether theta(t) > 0 for every real t.
+def is_positive_on_circle(theta: LaurentPoly) -> CirclePositivity:
+    """Decide exactly whether theta(exp(-i t)) > 0 for every real t.
 
     The decision maps theta to the polynomial q(x) = theta(arccos x) and
     isolates the real roots of q in [-1, 1] with Sturm chains; no sampling

@@ -75,7 +75,9 @@ class TestVerifyPr:
 
     def test_residual_exits_one(self, capsys, monkeypatch):
         import quarklets.cli as cli
-        from quarklets.modulation import build_modulation, perturb_detail_block
+        from helpers import perturb_detail_block
+
+        from quarklets.modulation import build_modulation
 
         def broken(m, mt, p):
             return perturb_detail_block(build_modulation(m, mt, p))

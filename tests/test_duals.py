@@ -20,6 +20,7 @@ from quarklets.duals import (
     with_halves,
 )
 from quarklets.modulation import build_modulation
+from quarklets.stability import dual_symbol_at_one
 
 PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
 
@@ -50,6 +51,13 @@ class TestEigenvector:
     def test_exact_residual(self, m, mt, p):
         assert all(r == 0 for r in eigen_residual(m, mt, p))
         assert dual_eigenvector(m, mt, p)[-1] == 1
+
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_symbol_at_one_matches_rational_evaluation(self, m, mt, p):
+        # the integer-numerator read-off against the plain Fraction sum of c * 1**k
+        symbol = build_modulation(m, mt, p).dual_scaling_symbol
+        assert dual_symbol_at_one(m, mt, p) == symbol.eval_rational(1)
 
     def test_haar_tail_slope(self):
         # exp(-i xi/2) sin(xi/2)/(xi/2) has derivative -i/2 at the origin

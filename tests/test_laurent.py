@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from quarklets.laurent import LaurentMatrix, LaurentPoly
-from quarklets.rational import GaussianRational
 
 
 def P(coeffs):
@@ -37,12 +36,6 @@ class TestPolyArithmetic:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a + (-a) == LaurentPoly.zero()
-
-    def test_mixed_rational_complex_product(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        p = P({2: i})
-        q = P({0: Fraction(1, 2), 1: Fraction(1, 2)})
-        assert p * q == P({2: GaussianRational(0, Fraction(1, 2)), 3: GaussianRational(0, Fraction(1, 2))})
 
     def test_zero_coefficients_dropped(self):
         assert P({0: 1, 1: 0, 5: Fraction(0)}).coeffs == {0: Fraction(1)}
@@ -76,10 +69,6 @@ class TestConjOnCircle:
     def test_real_coefficients(self):
         p = P({0: Fraction(1, 2), 1: Fraction(1, 2)})
         assert p.conj_on_circle() == P({0: Fraction(1, 2), -1: Fraction(1, 2)})
-
-    def test_complex_coefficient(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        assert P({2: i}).conj_on_circle() == P({-2: -i})
 
     def test_involution_random(self):
         rng = random.Random(5)

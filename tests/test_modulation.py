@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import perturb_detail_block
 
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.modulation import (
@@ -12,7 +13,6 @@ from quarklets.modulation import (
     dual_modulation,
     parity_exchange_inverse,
     parity_exchange_matrix,
-    perturb_detail_block,
     polyphase,
     splitting_identity_defect,
     sub_symbols,

@@ -7,7 +7,6 @@ from fractions import Fraction
 from quarklets import serialize
 from quarklets.laurent import LaurentPoly
 from quarklets.masks import MaskSequence
-from quarklets.rational import GaussianRational
 from quarklets.splines import bspline, refinement_masks
 from quarklets.transform import CoefficientFrame
 
@@ -21,17 +20,13 @@ class TestScalars:
         x = Fraction(-3, 7)
         assert serialize.rational_from_json(through_json(serialize.rational_json(x))) == x
 
-    def test_gaussian(self):
-        c = GaussianRational(Fraction(1, 2), Fraction(-5, 3))
-        assert serialize.coeff_from_json(through_json(serialize.coeff_json(c))) == c
-
     def test_real_coefficient_stays_pair_form(self):
-        assert serialize.coeff_json(Fraction(2, 3)) == [2, 3]
+        assert serialize.laurent_poly_json(LaurentPoly({1: Fraction(2, 3)}))["terms"] == [[1, [2, 3]]]
 
 
 class TestCompound:
     def test_laurent_poly(self):
-        p = LaurentPoly({-2: Fraction(1, 3), 0: -4, 5: GaussianRational(0, Fraction(1))})
+        p = LaurentPoly({-2: Fraction(1, 3), 0: -4, 5: Fraction(-7, 2)})
         back = serialize.laurent_poly_from_json(through_json(serialize.laurent_poly_json(p)))
         assert back == p
 
@@ -65,20 +60,3 @@ class TestCompound:
         taps = serialize.mask_json(mask)["taps"]
         assert [t[0] for t in taps] == [-3, 3]
 
-
-class TestGaussianRational:
-    def test_arithmetic_with_rationals(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        assert (1 + i) * (1 - i) == 2
-        assert i * i == -1
-        assert (Fraction(1, 2) + i) - i == Fraction(1, 2)
-
-    def test_real_results_collapse_to_fraction(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        assert isinstance(i * i, Fraction)
-        assert isinstance((1 + i) + (1 - i), Fraction)
-
-    def test_conjugate(self):
-        c = GaussianRational(Fraction(2), Fraction(3))
-        assert c.conjugate() == GaussianRational(Fraction(2), Fraction(-3))
-        assert c * c.conjugate() == 13

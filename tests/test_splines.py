@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import bspline_truncated_power
 
 from quarklets.piecewise import PiecewisePoly
 from quarklets.splines import (
     bspline,
     bspline_mask,
-    bspline_truncated_power,
     piecewise_ft,
     quark,
     quark_family,

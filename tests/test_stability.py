@@ -1,11 +1,13 @@
 """Stability decisions, Fourier zero scans, Condition E, dual spectrum."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quarklets import linalg
 from quarklets.splines import quark
 from quarklets.trig import shift_gram_symbol
 from quarklets.stability import (
@@ -177,6 +179,30 @@ class TestConditionE:
         ]
         assert condition_e(big)
 
+    def test_large_nontriangular_rational_input_is_exact(self, monkeypatch):
+        def no_float_path(_):
+            raise AssertionError("rational input reached the float eigenvalue path")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_float_path)
+        # eigenvalue 1 - 2^-40 sits inside the float path's 1e-10 tolerance band
+        # around 1, so only the exact path says that Condition E holds
+        near_one = [Fraction(1), 1 - Fraction(1, 2**40)] + [Fraction(k, 9) for k in range(-3, 4)]
+        mat = _similar_to_diagonal(near_one)
+        assert len(mat) == 9
+        assert not linalg.is_upper_triangular(mat)
+        assert not linalg.is_upper_triangular(linalg.transpose(mat))
+        assert condition_e(mat)
+        assert not condition_e(_similar_to_diagonal([Fraction(-1)] + near_one[:-1]))
+        assert not condition_e(_similar_to_diagonal([Fraction(1)] + near_one[:-1]))
+
+    def test_large_dual_symbol_skips_float_path(self, monkeypatch):
+        def no_float_path(_):
+            raise AssertionError("rational input reached the float eigenvalue path")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_float_path)
+        # 9x9 with eigenvalues 1, 2, ..., 2^8: the eigenvalue 2 breaks Condition E
+        assert not condition_e(dual_symbol_at_one(2, 2, 8))
+
     def test_float_path_against_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -187,6 +213,22 @@ class TestConditionE:
                 and all(abs(ev) < 1 - 1e-10 for ev in eig if abs(ev - 1) > 1e-10)
             )
             assert condition_e(mat9) == expected
+
+
+def _similar_to_diagonal(diag):
+    # D conjugated by elementary matrices E = I + c e_i e_j^T: row i += c row j,
+    # then column j -= c column i; the spectrum stays exactly diag
+    rng = random.Random(61)
+    n = len(diag)
+    a = [[d if i == j else Fraction(0) for j, d in enumerate(diag)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+        for k in range(n):
+            a[i][k] += c * a[j][k]
+        for k in range(n):
+            a[k][j] -= c * a[k][i]
+    return tuple(tuple(row) for row in a)
 
 
 class TestDualSpectrum:

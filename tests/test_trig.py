@@ -1,5 +1,6 @@
 """Shift Gram symbols and the exact circle-positivity decision."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,20 +9,21 @@ import numpy as np
 import pytest
 
 from quarklets import realroots
+from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import bspline
-from quarklets.trig import TrigPoly, is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
+from quarklets.trig import is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
 
 
 class TestShiftGramSymbol:
     def test_orthonormal_shifts_give_constant_one(self):
         f = PiecewisePoly.indicator(0, 1)
-        assert shift_gram_symbol(f, f) == TrigPoly({0: 1})
+        assert shift_gram_symbol(f, f) == LaurentPoly({0: 1})
 
     def test_hat_autocorrelation(self):
         # coefficients 2/3 at n=0 and 1/6 at n=+-1 (hand integrals)
         f = bspline(2)
-        assert shift_gram_symbol(f, f) == TrigPoly(
+        assert shift_gram_symbol(f, f) == LaurentPoly(
             {0: Fraction(2, 3), 1: Fraction(1, 6), -1: Fraction(1, 6)}
         )
 
@@ -41,22 +43,22 @@ class TestShiftGramSymbol:
         for m in (1, 2, 3, 4):
             f = bspline(m)
             theta = shift_gram_symbol(f, f)
-            assert theta.is_real_valued()
+            assert theta.conj_on_circle() == theta
             for i in range(33):
                 t = 2 * math.pi * i / 32
-                val = theta(t)
+                val = theta(cmath.exp(-1j * t))
                 assert abs(val.imag) < 1e-12
                 assert val.real >= -1e-12
 
 
 class TestPositivity:
     def test_constant_one(self):
-        res = is_positive_on_circle(TrigPoly({0: 1}))
+        res = is_positive_on_circle(LaurentPoly({0: 1}))
         assert res.positive
 
     def test_hat_symbol_min_third_at_pi(self):
         # 2/3 + (1/3) cos t has minimum 1/3 at t = pi
-        theta = TrigPoly({0: Fraction(2, 3), 1: Fraction(1, 6), -1: Fraction(1, 6)})
+        theta = LaurentPoly({0: Fraction(2, 3), 1: Fraction(1, 6), -1: Fraction(1, 6)})
         res = is_positive_on_circle(theta)
         assert res.positive
         assert abs(res.location - math.pi) < 1e-6
@@ -64,26 +66,26 @@ class TestPositivity:
 
     def test_touching_zero_detected(self):
         # (1 - cos t)/15: autocorrelation shape of the unstable m=2 degree-1 quark
-        theta = TrigPoly({0: Fraction(1, 15), 1: Fraction(-1, 30), -1: Fraction(-1, 30)})
+        theta = LaurentPoly({0: Fraction(1, 15), 1: Fraction(-1, 30), -1: Fraction(-1, 30)})
         res = is_positive_on_circle(theta)
         assert not res.positive
         assert abs(res.location - 0.0) < 1e-9
 
     def test_interior_zero_detected(self):
         # 1/2 + cos t vanishes at t = 2 pi / 3 (x = -1/2 exactly)
-        theta = TrigPoly({0: Fraction(1, 2), 1: Fraction(1, 2), -1: Fraction(1, 2)})
+        theta = LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2), -1: Fraction(1, 2)})
         res = is_positive_on_circle(theta)
         assert not res.positive
         assert abs(res.location - 2 * math.pi / 3) < 1e-6
 
     def test_negative_region_without_symmetric_zero(self):
-        theta = TrigPoly({0: Fraction(-1)})
+        theta = LaurentPoly({0: Fraction(-1)})
         res = is_positive_on_circle(theta)
         assert not res.positive
 
     def test_asymmetric_coefficients_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            to_cosine_polynomial(TrigPoly({1: 1}))
+            to_cosine_polynomial(LaurentPoly({1: 1}))
 
 
 class TestRealRoots:
