@@ -43,7 +43,11 @@ def dual_eigenvector(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     2^{-p} St(1) is upper triangular with diagonal 2^{q-p}, q = 0..p, so the
     eigenvalue 1 sits in the last position and back-substitution suffices.
     """
-    mat = dual_symbol_at_one(m, mt, p)
+    return _eigenvector(dual_symbol_at_one(m, mt, p), p)
+
+
+def _eigenvector(mat: linalg.Mat, p: int) -> tuple[Fraction, ...]:
+    """v of :func:`dual_eigenvector` from ``mat`` = St(1) of :func:`dual_symbol_at_one`."""
     n = len(mat)
     scale = Fraction(1, 2**p)
     scaled = tuple(tuple(x * scale for x in row) for row in mat)
@@ -64,10 +68,9 @@ def dual_tail_slope(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     This is the slope of the truncation tail G(xi / 2^J) that the default
     ``tail="first-order"`` of :func:`dual_quark_ft` keeps.
     """
-    bundle = build_modulation(m, mt, p)
-    return _tail_slope(
-        bundle.dual_scaling_symbol, dual_symbol_at_one(m, mt, p), p, dual_eigenvector(m, mt, p)
-    )
+    at_one = dual_symbol_at_one(m, mt, p)
+    symbol = build_modulation(m, mt, p).dual_scaling_symbol
+    return _tail_slope(symbol, at_one, p, _eigenvector(at_one, p))
 
 
 def _tail_slope(
@@ -136,12 +139,13 @@ def dual_quark_ft(
         raise ValueError(f"unknown tail {tail!r}; use 'first-order' or 'none'")
     if bundle is None:
         bundle = build_modulation(m, mt, p)
-    v = dual_eigenvector(m, mt, p)
+    at_one = dual_symbol_at_one(m, mt, p)
+    v = _eigenvector(at_one, p)
     v_arr = np.array([float(x) for x in v], dtype=complex)
     symbol = bundle.dual_scaling_symbol
     w_arr = None
     if tail == "first-order":
-        w = _tail_slope(symbol, dual_symbol_at_one(m, mt, p), p, v)
+        w = _tail_slope(symbol, at_one, p, v)
         w_arr = np.array([float(x) for x in w], dtype=complex)
     scale = 2.0**-p
     values: dict[Fraction, np.ndarray] = {}
@@ -304,6 +308,6 @@ def eigen_residual(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     mat = dual_symbol_at_one(m, mt, p)
     scale = Fraction(1, 2**p)
     scaled = tuple(tuple(x * scale for x in row) for row in mat)
-    v = dual_eigenvector(m, mt, p)
+    v = _eigenvector(mat, p)
     mv = linalg.mat_vec(scaled, v)
     return tuple(a - b for a, b in zip(mv, v))

@@ -50,18 +50,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
 
 
-def mat_t_vec(a: Mat, v: Vec) -> Vec:
-    """a^T v without building the transpose."""
-    n = len(a[0])
-    out = [Fraction(0)] * n
-    for row, s in zip(a, v):
-        if s:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += x * s
-    return tuple(out)
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 

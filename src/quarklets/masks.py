@@ -8,6 +8,7 @@ losslessly in both directions.  Scalar masks are stored as 1x1 matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from . import linalg
@@ -17,7 +18,7 @@ from .rational import as_rational
 
 
 class MaskSequence:
-    """Sparse map k -> (rows x cols) rational matrix; zero matrices not stored."""
+    """Read-only sparse map k -> (rows x cols) rational matrix; zero matrices not stored."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -33,7 +34,7 @@ class MaskSequence:
                     raise ValueError(f"entry at k={k} has wrong shape")
                 if not linalg.is_zero(mat):
                     clean[int(k)] = mat
-        self.entries = clean
+        self.entries = MappingProxyType(clean)
 
     @staticmethod
     def from_scalars(values: Mapping[int, object]) -> "MaskSequence":
@@ -52,14 +53,14 @@ class MaskSequence:
                 out[k] = m
         return MaskSequence(symbol.rows, symbol.cols, out)
 
-    def to_symbol(self, weight: Fraction = Fraction(1, 2)) -> LaurentMatrix:
-        """The Laurent matrix weight * sum_k M_k z^k."""
+    def to_symbol(self) -> LaurentMatrix:
+        """The symbol, the Laurent matrix (1/2) sum_k M_k z^k."""
         out = [[dict() for _ in range(self.cols)] for _ in range(self.rows)]
         for k, m in self.entries.items():
             for i in range(self.rows):
                 for j in range(self.cols):
                     if m[i][j]:
-                        out[i][j][k] = m[i][j] * weight
+                        out[i][j][k] = m[i][j] / 2
         return LaurentMatrix([[LaurentPoly(c) for c in row] for row in out])
 
     def __getitem__(self, k: int) -> Mat:

@@ -164,8 +164,11 @@ def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, L
 
 
 def _sub_symbol(masks: MaskSequence, parity: int) -> LaurentMatrix:
-    picked = {k - parity: m for k, m in masks.items() if (k - parity) % 2 == 0}
-    return MaskSequence(masks.rows, masks.cols, picked).to_symbol(Fraction(1))
+    picked = [(k - parity, m) for k, m in masks.entries.items() if (k - parity) % 2 == 0]
+    cols = range(masks.cols)
+    return LaurentMatrix(
+        [[LaurentPoly({e: m[i][j] for e, m in picked}) for j in cols] for i in range(masks.rows)]
+    )
 
 
 def parity_exchange_matrix(n: int) -> LaurentMatrix:
@@ -200,12 +203,17 @@ class PolyphaseFactorization:
     invertible: bool                  # P P^{-1} == Id, checked exactly
 
 
+def synthesis_matrix(bundle: ModulationBundle) -> LaurentMatrix:
+    """P(z) = [[S_0, S_1], [W_0, W_1]] of the even/odd sub-symbols of the masks."""
+    s0, w0 = sub_symbols(bundle, 0)
+    s1, w1 = sub_symbols(bundle, 1)
+    return LaurentMatrix.block([[s0, s1], [w0, w1]])
+
+
 def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
     """Polyphase matrix of the filter bank plus its exact invertibility certificate."""
     n = bundle.size
-    s0, w0 = sub_symbols(bundle, 0)
-    s1, w1 = sub_symbols(bundle, 1)
-    pp = LaurentMatrix.block([[s0, s1], [w0, w1]])
+    pp = synthesis_matrix(bundle)
     exchange = parity_exchange_matrix(n)
     holds = pp == bundle.modulation @ exchange
     inv = parity_exchange_inverse(n) @ bundle.modulation_inv
@@ -226,36 +234,33 @@ class DecompositionFilters:
     coarse: MaskSequence  # C_n, n in Z
     detail: MaskSequence  # D_n, n in Z
 
+    def analysis_matrix(self) -> LaurentMatrix:
+        """P(z)^{-1} = [[C_0, D_0], [C_1, D_1]] of the even/odd sub-symbols of the filters."""
+        return LaurentMatrix.block(
+            [[_sub_symbol(self.coarse, r), _sub_symbol(self.detail, r)] for r in (0, 1)]
+        )
+
 
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
-    """Read the splitting filters off the inverse modulation matrix.
+    """Read the splitting filters off P(z)^{-1} = E(z)^{-1} X(z)^{-1}.
 
-    The symbols [Cr(z^2), Dr(z^2)] = (1/2) [z^r Id, (-1)^r z^r Id] X(z)^{-1}
-    must contain even powers of z only; an odd-power residue means the
-    derivation (not the input) is wrong, so it raises.
+    Block row r of that product is [C_r(z), D_r(z)] = (1/2) [z^r Id,
+    (-1)^r z^r Id] X(z)^{-1}, with C_r(z) = sum_k C_{2k+r} z^{2k}; it must
+    contain even powers of z only.  An odd-power residue means the derivation
+    (not the input) is wrong, so it raises.
     """
     n = bundle.size
-    half = Fraction(1, 2)
+    inv = parity_exchange_inverse(n) @ bundle.modulation_inv
     coarse: dict[int, tuple] = {}
     detail: dict[int, tuple] = {}
     for parity in (0, 1):
-        sign = half if parity == 0 else -half
-        row = LaurentMatrix.block(
-            [
-                [
-                    LaurentMatrix.scalar(LaurentPoly.monomial(half, parity), n),
-                    LaurentMatrix.scalar(LaurentPoly.monomial(sign, parity), n),
-                ]
-            ]
-        )
-        sym = row @ bundle.modulation_inv
-        c_part = LaurentMatrix([[sym[i, j] for j in range(n)] for i in range(n)])
-        d_part = LaurentMatrix([[sym[i, j + n] for j in range(n)] for i in range(n)])
-        for name, part, target in (("C", c_part, coarse), ("D", d_part, detail)):
+        rows = inv.entries[parity * n : (parity + 1) * n]
+        for name, col, target in (("C", 0, coarse), ("D", n, detail)):
+            part = LaurentMatrix([row[col : col + n] for row in rows])
             lo, hi = part.exponent_range()
             for e in range(lo, hi + 1):
                 mat = part.coefficient_matrix(e)
-                if any(any(row_) for row_ in mat):
+                if any(any(row) for row in mat):
                     if e % 2:
                         raise AssertionError(
                             f"odd power z^{e} in {name}_{parity}: decomposition derivation bug"

@@ -51,9 +51,17 @@ def is_stable_single(m: int, q: int) -> StabilityReport:
 
 
 def gram_symbol_matrix(m: int, p: int) -> list[list[LaurentPoly]]:
-    """Matrix of shift Gram symbols of the quark vector (Hermitian in t)."""
-    quarks = [quark(m, q) for q in range(p + 1)]
-    return [[shift_gram_symbol(f, g) for g in quarks] for f in quarks]
+    """Matrix of shift Gram symbols of the quark vector (Hermitian in t).
+
+    Only the upper triangle is integrated: G[j][i] is G[i][j].conj_on_circle().
+    """
+    n = p + 1
+    quarks = [quark(m, q) for q in range(n)]
+    upper = {(i, j): shift_gram_symbol(quarks[i], quarks[j]) for i in range(n) for j in range(i, n)}
+    return [
+        [upper[i, j] if i <= j else upper[j, i].conj_on_circle() for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def trig_determinant(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:

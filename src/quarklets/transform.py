@@ -5,9 +5,16 @@ A coefficient frame stores finitely many rational coefficient vectors c_k of
 length p+1 at one dyadic level j; it represents sum_k c_k^T Phi(2^j x - k)
 for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.
 
-``reconstruct`` merges a scaling and a quarklet frame one level up through
-the two-scale masks; ``decompose`` splits one level down through the exact
-splitting filters.  The two are exact inverses of each other.
+Each transform step is one exact ``LaurentMatrix`` product on the polyphase
+form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
+the fine frame and s(z^2), d(z^2) of the coarse ones, vectors of Laurent
+polynomials.  P(z) is the polyphase matrix of the two-scale masks
+(``modulation.synthesis_matrix``), P(z)^{-1} is read off the splitting filters
+(``DecompositionFilters.analysis_matrix``) and ``modulation.polyphase``
+certifies P P^{-1} = Id, so the two steps are exact inverses:
+
+    reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
+    decompose:    [s^T, d^T](z^2) = [c_0^T, c_1^T](z^2) P(z)^{-1}.
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt; the resulting functions
@@ -20,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import linalg
 from .cdf import QuarkletFamily, quarklets
-from .masks import MaskSequence
-from .modulation import DecompositionFilters, ModulationBundle
+from .laurent import LaurentMatrix, LaurentPoly
+from .modulation import DecompositionFilters, ModulationBundle, synthesis_matrix
 from .piecewise import PiecewisePoly, inner_product
 from .rational import as_rational
 
@@ -34,7 +42,7 @@ Vector = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class CoefficientFrame:
-    """Finitely supported map translate -> rational coefficient vector."""
+    """Finitely supported map translate -> rational coefficient vector (read-only)."""
 
     level: int
     width: int  # vector length, p + 1
@@ -48,7 +56,7 @@ class CoefficientFrame:
                 raise ValueError(f"coefficient at k={k} has length {len(vec)}, expected {self.width}")
             if any(vec):
                 clean[int(k)] = vec
-        object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "coefficients", MappingProxyType(clean))
 
     @staticmethod
     def zero(level: int, width: int) -> "CoefficientFrame":
@@ -73,56 +81,49 @@ class CoefficientFrame:
 def reconstruct(
     scaling: CoefficientFrame, detail: CoefficientFrame, bundle: ModulationBundle
 ) -> CoefficientFrame:
-    """One synthesis step: c_n = sum_l (A_{n-2l}^T s_l + B_{n-2l}^T d_l), exact."""
+    """One synthesis step, the exact product [s^T, d^T](z^2) P(z)."""
     if scaling.level != detail.level:
         raise ValueError("frames must live on the same level")
     width = bundle.size
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
-    out: dict[int, list[Fraction]] = {}
-
-    def accumulate(frame: CoefficientFrame, masks: MaskSequence):
-        for l, vec in frame.items():
-            for i, mat in masks.items():
-                contrib = linalg.mat_t_vec(mat, vec)
-                if any(contrib):
-                    tgt = out.setdefault(i + 2 * l, [Fraction(0)] * width)
-                    for idx, val in enumerate(contrib):
-                        tgt[idx] += val
-
-    accumulate(scaling, bundle.scaling_masks)
-    accumulate(detail, bundle.detail_masks)
-    return CoefficientFrame(scaling.level + 1, width, {k: tuple(v) for k, v in out.items()})
+    coarse = ({2 * l: v for l, v in f.items()} for f in (scaling, detail))
+    row = [poly for frame in coarse for poly in _polys(frame, width)]
+    out = (LaurentMatrix([row]) @ synthesis_matrix(bundle)).entries[0]
+    phases = (out[:width], out[width:])
+    coeffs = {e + r: vec for r, phase in enumerate(phases) for e, vec in _vectors(phase).items()}
+    return CoefficientFrame(scaling.level + 1, width, coeffs)
 
 
 def decompose(
     frame: CoefficientFrame, filters: DecompositionFilters
 ) -> tuple[CoefficientFrame, CoefficientFrame]:
-    """One analysis step, the exact inverse of :func:`reconstruct`."""
+    """One analysis step, the exact product [c_0^T, c_1^T](z^2) P(z)^{-1}."""
     width = filters.p + 1
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
-    s_out: dict[int, list[Fraction]] = {}
-    d_out: dict[int, list[Fraction]] = {}
-
-    for n, vec in frame.items():
-        parity = n % 2
-        l = (n - parity) // 2
-        for masks, out in ((filters.coarse, s_out), (filters.detail, d_out)):
-            for idx, mat in masks.items():
-                if (idx - parity) % 2:
-                    continue
-                k = (idx - parity) // 2
-                contrib = linalg.mat_t_vec(mat, vec)
-                if any(contrib):
-                    tgt = out.setdefault(l + k, [Fraction(0)] * width)
-                    for i, val in enumerate(contrib):
-                        tgt[i] += val
+    phases = ({n - r: v for n, v in frame.items() if (n - r) % 2 == 0} for r in (0, 1))
+    row = [poly for phase in phases for poly in _polys(phase, width)]
+    out = (LaurentMatrix([row]) @ filters.analysis_matrix()).entries[0]
     level = frame.level - 1
-    return (
-        CoefficientFrame(level, width, {k: tuple(v) for k, v in s_out.items()}),
-        CoefficientFrame(level, width, {k: tuple(v) for k, v in d_out.items()}),
+    return tuple(
+        CoefficientFrame(level, width, {e // 2: vec for e, vec in _vectors(part).items()})
+        for part in (out[:width], out[width:])
     )
+
+
+def _polys(coeffs: Mapping[int, Vector], width: int) -> list[LaurentPoly]:
+    """The components of the vector-valued Laurent polynomial sum_e coeffs[e] z^e."""
+    return [LaurentPoly({e: vec[i] for e, vec in coeffs.items()}) for i in range(width)]
+
+
+def _vectors(polys: Sequence[LaurentPoly]) -> dict[int, list[Fraction]]:
+    """Exponent -> coefficient vector of a vector of Laurent polynomials (inverse of _polys)."""
+    out: dict[int, list[Fraction]] = {}
+    for i, poly in enumerate(polys):
+        for e, c in poly.coeffs.items():
+            out.setdefault(e, [Fraction(0)] * len(polys))[i] = c
+    return out
 
 
 def frame_function(frame: CoefficientFrame, members: Sequence[PiecewisePoly]) -> PiecewisePoly:
@@ -193,20 +194,9 @@ def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
         members=tuple(members),
         norms=tuple(norms),
         to_plain=to_plain,
-        from_plain=_invert_lower_unitriangular(to_plain),
+        from_plain=LaurentMatrix(to_plain).invert_lower_triangular().coefficient_matrix(0),
         plain=family,
     )
-
-
-def _invert_lower_unitriangular(mat: linalg.Mat) -> linalg.Mat:
-    n = len(mat)
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = Fraction(1)
-        for j in range(i - 1, -1, -1):
-            acc = sum((mat[i][k] * inv[k][j] for k in range(j, i)), Fraction(0))
-            inv[i][j] = -acc
-    return tuple(tuple(r) for r in inv)
 
 
 def project_detail(f: PiecewisePoly, ortho: OrthoQuarklets) -> PiecewisePoly:

@@ -1,13 +1,17 @@
-"""Test-only reference code: an independent B-spline closed form and a
-deliberately broken modulation bundle (negative control)."""
+"""Test-only reference code: an independent B-spline closed form, a
+deliberately broken modulation bundle (negative control) and the
+per-translate transform loops (reference for the polyphase transform)."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 from quarklets.laurent import LaurentMatrix, LaurentPoly
-from quarklets.modulation import ModulationBundle
+from quarklets.linalg import Mat, Vec
+from quarklets.masks import MaskSequence
+from quarklets.modulation import DecompositionFilters, ModulationBundle
 from quarklets.piecewise import PiecewisePoly
+from quarklets.transform import CoefficientFrame
 
 
 def bspline_truncated_power(m: int) -> PiecewisePoly:
@@ -46,3 +50,70 @@ def perturb_detail_block(bundle: ModulationBundle, i: int = 0, j: int = 0) -> Mo
         ]
     )
     return replace(bundle, detail_symbol=bad_sym, modulation=bad_x)
+
+
+def mat_t_vec(a: Mat, v: Vec) -> Vec:
+    """a^T v without building the transpose."""
+    n = len(a[0])
+    out = [Fraction(0)] * n
+    for row, s in zip(a, v):
+        if s:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += x * s
+    return tuple(out)
+
+
+def reference_reconstruct(
+    scaling: CoefficientFrame, detail: CoefficientFrame, bundle: ModulationBundle
+) -> CoefficientFrame:
+    """One synthesis step: c_n = sum_l (A_{n-2l}^T s_l + B_{n-2l}^T d_l), exact."""
+    if scaling.level != detail.level:
+        raise ValueError("frames must live on the same level")
+    width = bundle.size
+    if scaling.width != width or detail.width != width:
+        raise ValueError("frame width does not match the bundle degree")
+    out: dict[int, list[Fraction]] = {}
+
+    def accumulate(frame: CoefficientFrame, masks: MaskSequence):
+        for l, vec in frame.items():
+            for i, mat in masks.items():
+                contrib = mat_t_vec(mat, vec)
+                if any(contrib):
+                    tgt = out.setdefault(i + 2 * l, [Fraction(0)] * width)
+                    for idx, val in enumerate(contrib):
+                        tgt[idx] += val
+
+    accumulate(scaling, bundle.scaling_masks)
+    accumulate(detail, bundle.detail_masks)
+    return CoefficientFrame(scaling.level + 1, width, {k: tuple(v) for k, v in out.items()})
+
+
+def reference_decompose(
+    frame: CoefficientFrame, filters: DecompositionFilters
+) -> tuple[CoefficientFrame, CoefficientFrame]:
+    """One analysis step, the exact inverse of :func:`reference_reconstruct`."""
+    width = filters.p + 1
+    if frame.width != width:
+        raise ValueError("frame width does not match the filter degree")
+    s_out: dict[int, list[Fraction]] = {}
+    d_out: dict[int, list[Fraction]] = {}
+
+    for n, vec in frame.items():
+        parity = n % 2
+        l = (n - parity) // 2
+        for masks, out in ((filters.coarse, s_out), (filters.detail, d_out)):
+            for idx, mat in masks.items():
+                if (idx - parity) % 2:
+                    continue
+                k = (idx - parity) // 2
+                contrib = mat_t_vec(mat, vec)
+                if any(contrib):
+                    tgt = out.setdefault(l + k, [Fraction(0)] * width)
+                    for i, val in enumerate(contrib):
+                        tgt[i] += val
+    level = frame.level - 1
+    return (
+        CoefficientFrame(level, width, {k: tuple(v) for k, v in s_out.items()}),
+        CoefficientFrame(level, width, {k: tuple(v) for k, v in d_out.items()}),
+    )

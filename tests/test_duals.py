@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quarklets import duals
 from quarklets.duals import (
     convergence_probe,
     dual_eigenvector,
@@ -85,6 +86,22 @@ class TestEigenvector:
         for i in range(n):
             lhs = 2 * w[i] - sum(at_one[i][j] * w[j] for j in range(n))
             assert lhs == sum(slope[i][j] * v[j] for j in range(n))
+
+
+    @pytest.mark.parametrize("tail", ["first-order", "none"])
+    def test_symbol_at_one_evaluated_once(self, monkeypatch, tail):
+        calls = []
+
+        def counted(m, mt, p):
+            calls.append((m, mt, p))
+            return dual_symbol_at_one(m, mt, p)
+
+        monkeypatch.setattr(duals, "dual_symbol_at_one", counted)
+        duals.dual_quark_ft(2, 2, 2, 4, [Fraction(1, 4)], tail=tail)
+        assert calls == [(2, 2, 2)]
+        calls.clear()
+        duals.dual_tail_slope(2, 2, 2)
+        assert calls == [(2, 2, 2)]
 
 
 class TestGrids:

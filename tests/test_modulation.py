@@ -16,6 +16,7 @@ from quarklets.modulation import (
     polyphase,
     splitting_identity_defect,
     sub_symbols,
+    synthesis_matrix,
     verify_perfect_reconstruction,
 )
 
@@ -184,6 +185,36 @@ class TestSubSymbolsAndPolyphase:
         pf = polyphase(build_modulation(m, mt, p))
         assert pf.factorization_holds
         assert pf.invertible
+
+
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (1, 1, 2), (2, 2, 2), (3, 3, 1), (2, 4, 2), (3, 5, 2)])
+    def test_transform_matrices_are_certified(self, m, mt, p):
+        # decompose applies analysis_matrix(), reconstruct applies synthesis_matrix():
+        # the invertibility certificate of polyphase() covers exactly these two
+        b = build_modulation(m, mt, p)
+        pf = polyphase(b)
+        assert pf.invertible
+        assert pf.polyphase == synthesis_matrix(b)
+        assert pf.inverse == decomposition_filters(b).analysis_matrix()
+
+
+class TestReadOnlyCaches:
+    def test_cached_masks_reject_assignment(self):
+        bundle = build_modulation(2, 2, 1)
+        before = {name: dict(getattr(bundle, name).entries)
+                  for name in ("scaling_masks", "detail_masks", "dual_scaling_masks", "dual_detail_masks")}
+        for name in before:
+            with pytest.raises(TypeError):
+                getattr(bundle, name).entries[0] = ((1, 0), (0, 1))
+        again = build_modulation(2, 2, 1)
+        assert again is bundle
+        assert {name: dict(getattr(again, name).entries) for name in before} == before
+
+    def test_filter_masks_reject_assignment(self):
+        filt = decomposition_filters(build_modulation(1, 1, 0))
+        with pytest.raises(TypeError):
+            filt.coarse.entries[5] = ((1,),)
+        assert filt.coarse.scalars() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 class TestDecompositionFilters:

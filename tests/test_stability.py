@@ -96,6 +96,14 @@ class TestVector:
                 for n, c in g[i][j].coeffs.items():
                     assert g[j][i][-n] == c
 
+    @pytest.mark.parametrize("m,p", [(2, 2), (3, 3)])
+    def test_gram_lower_triangle_matches_direct_integrals(self, m, p):
+        quarks = [quark(m, q) for q in range(p + 1)]
+        g = gram_symbol_matrix(m, p)
+        for i in range(p + 1):
+            for j in range(p + 1):
+                assert g[i][j] == shift_gram_symbol(quarks[i], quarks[j])
+
     def test_gram_det_zero_at_origin_for_unstable_pair(self):
         # order 2, degrees {0, 1}: the lattice transform sequence of the
         # degree-1 quark vanishes identically, so the determinant has an

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from helpers import reference_decompose, reference_reconstruct
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quarklets.cdf import quarklets
 from quarklets.modulation import build_modulation, decomposition_filters
@@ -19,6 +23,9 @@ from quarklets.transform import (
     reconstruct,
     to_orthogonal_frames,
 )
+
+
+PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
 
 
 def random_frame(rng, width, level=0, taps=4) -> CoefficientFrame:
@@ -120,6 +127,63 @@ class TestDecompose:
         c = random_frame(rng, p + 1, level=1)
         s, d = decompose(c, filters)
         assert frame_function(c, quarks) == frame_function(s, quarks) + frame_function(d, wavelets)
+
+
+@lru_cache(maxsize=None)
+def cached_filters(m, mt, p):
+    return decomposition_filters(build_modulation(m, mt, p))
+
+
+class TestPolyphaseTransform:
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_frames_equal_per_translate_loops(self, m, mt, p):
+        rng = random.Random(1000 * m + 100 * mt + p)
+        bundle = build_modulation(m, mt, p)
+        filters = cached_filters(m, mt, p)
+        for _ in range(3):
+            c = random_frame(rng, p + 1, level=1, taps=6)
+            assert decompose(c, filters) == reference_decompose(c, filters)
+            s, d = random_frame(rng, p + 1, taps=5), random_frame(rng, p + 1, taps=5)
+            assert reconstruct(s, d, bundle) == reference_reconstruct(s, d, bundle)
+
+    def test_zero_frames(self):
+        bundle = build_modulation(2, 2, 1)
+        zero = CoefficientFrame.zero(0, 2)
+        assert reconstruct(zero, zero, bundle) == CoefficientFrame.zero(1, 2)
+        assert decompose(CoefficientFrame.zero(1, 2), cached_filters(2, 2, 1)) == (zero, zero)
+
+    def test_coefficients_are_read_only(self):
+        frame = CoefficientFrame.unit(0, 2, 3, 1)
+        with pytest.raises(TypeError):
+            frame.coefficients[3] = (Fraction(1), Fraction(1))
+        assert frame == CoefficientFrame.unit(0, 2, 3, 1)
+
+
+ORDERS = [(m, mt) for m in (1, 2, 3) for mt in range(m, 6) if (m + mt) % 2 == 0]
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def bank_and_frames(draw):
+    """Random (m, mt, p) with m <= 3, p <= 3 and three sparse coefficient maps."""
+    m, mt = draw(st.sampled_from(ORDERS))
+    p = draw(st.integers(0, 3))
+    vectors = st.tuples(*[small_rationals] * (p + 1))
+    coeffs = st.dictionaries(st.integers(-12, 12), vectors, max_size=5)
+    return m, mt, p, draw(coeffs), draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(bank_and_frames())
+def test_transform_round_trips(case):
+    m, mt, p, fine, coarse, detail = case
+    bundle = build_modulation(m, mt, p)
+    filters = cached_filters(m, mt, p)
+    c = CoefficientFrame(1, p + 1, fine)
+    assert reconstruct(*decompose(c, filters), bundle) == c
+    s, d = CoefficientFrame(0, p + 1, coarse), CoefficientFrame(0, p + 1, detail)
+    assert decompose(reconstruct(s, d, bundle), filters) == (s, d)
 
 
 class TestOrthogonalize:
