@@ -24,6 +24,10 @@ from .splines import bspline, quark
 from .transform import orthogonalize_haar
 
 
+# ``dual`` evaluates the product at every point of a grid it builds eagerly.
+MAX_GRID_POINTS = 2**17 + 1
+
+
 class UsageError(Exception):
     pass
 
@@ -150,7 +154,11 @@ def cmd_eigen(args) -> int:
 
 def cmd_dual(args) -> int:
     validate_orders(args.m, args.mt)
-    grid = duals.dyadic_grid(args.grid_span, args.grid_depth)
+    span, depth = args.grid_span, args.grid_depth
+    # depth > 16 always overflows; testing it first keeps 2**depth small
+    if span >= 1 and depth >= 0 and (depth > 16 or 2 * span * 2**depth + 1 > MAX_GRID_POINTS):
+        raise UsageError(f"the grid has 2*span*2^depth + 1 points, more than {MAX_GRID_POINTS} (2^17 + 1)")
+    grid = duals.dyadic_grid(span, depth)
     if args.quarklets:
         grid_full = duals.with_halves(grid)
         approx = duals.dual_quark_ft(args.m, args.mt, args.p, args.levels, grid_full)
@@ -199,6 +207,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_orthogonalize(args) -> int:
+    if args.format == "csv" and args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     ortho = orthogonalize_haar(args.mt, args.p)
     if args.format == "csv":
         rows = []
@@ -301,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_orders(p)
     p.add_argument("--levels", type=int, default=25, help="product truncation depth")
     p.add_argument("--grid-span", type=int, default=4, help="xi range in multiples of 2*pi")
-    p.add_argument("--grid-depth", type=int, default=4, help="dyadic grid depth")
+    p.add_argument("--grid-depth", type=int, default=4,
+                   help="dyadic grid depth (2*span*2^depth + 1 points, at most 2^17 + 1)")
     p.add_argument("--quarklets", action="store_true", help="emit dual quarklet values instead")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_dual)
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mt", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--samples", type=int, default=256, help="samples per unit for csv output")
+    p.add_argument("--samples", type=int, default=256, help="samples per unit for csv output (at least 1)")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_orthogonalize)
 

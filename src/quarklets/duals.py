@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .laurent import LaurentMatrix, _int_core
-from .modulation import ModulationBundle, build_modulation
+from .modulation import build_modulation
 from .stability import dual_symbol_at_one
 
 
@@ -122,7 +122,6 @@ def dual_quark_ft(
     p: int,
     levels: int,
     grid: Sequence[Fraction],
-    bundle: ModulationBundle | None = None,
     tail: str = "first-order",
 ) -> DualApproximation:
     """Evaluate (i xi)^p prod_{j=1}^{levels} 2^{-p} St(exp(-i 2^{-j} xi)) applied to the tail.
@@ -137,12 +136,10 @@ def dual_quark_ft(
         raise ValueError("need at least one product level")
     if tail not in ("first-order", "none"):
         raise ValueError(f"unknown tail {tail!r}; use 'first-order' or 'none'")
-    if bundle is None:
-        bundle = build_modulation(m, mt, p)
     at_one = dual_symbol_at_one(m, mt, p)
     v = _eigenvector(at_one, p)
     v_arr = np.array([float(x) for x in v], dtype=complex)
-    symbol = bundle.dual_scaling_symbol
+    symbol = build_modulation(m, mt, p).dual_scaling_symbol
     w_arr = None
     if tail == "first-order":
         w = _tail_slope(symbol, at_one, p, v)
@@ -164,7 +161,6 @@ def dual_quark_ft(
 def dual_quarklet_ft(
     approx: DualApproximation,
     points: Sequence[Fraction] | None = None,
-    bundle: ModulationBundle | None = None,
 ) -> dict[Fraction, np.ndarray]:
     """F Psi~(xi) = Wt(exp(-i xi / 2)) F Phi~(xi / 2) at the requested points.
 
@@ -172,9 +168,7 @@ def dual_quarklet_ft(
     approximation; build it on ``with_halves(grid)`` and request the original
     grid to guarantee that.
     """
-    if bundle is None:
-        bundle = build_modulation(approx.m, approx.mt, approx.p)
-    symbol = bundle.dual_detail_symbol
+    symbol = build_modulation(approx.m, approx.mt, approx.p).dual_detail_symbol
     out: dict[Fraction, np.ndarray] = {}
     for t in approx.grid if points is None else (Fraction(t) for t in points):
         half = t / 2
@@ -226,8 +220,7 @@ def convergence_probe(
     levels = tuple(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    bundle = build_modulation(m, mt, p)
-    runs = [dual_quark_ft(m, mt, p, j, grid, bundle, tail) for j in levels]
+    runs = [dual_quark_ft(m, mt, p, j, grid, tail) for j in levels]
     deltas = []
     mod_deltas = []
     for prev, nxt in zip(runs, runs[1:]):
@@ -242,16 +235,14 @@ def convergence_probe(
     return ConvergenceProbe(tuple(Fraction(t) for t in grid), levels, tuple(deltas), tuple(mod_deltas))
 
 
-def refinement_defect(approx: DualApproximation, bundle: ModulationBundle | None = None) -> float:
+def refinement_defect(approx: DualApproximation) -> float:
     """Sup-norm defect of F Phi~(xi) = St(exp(-i xi/2)) F Phi~(xi/2) on the grid.
 
     For the J-level truncation this measures one extra product level, so it is
     of the order of the truncation error itself: O(4^{-J}) for the default
     first-order tail, O(2^{-J}) for ``tail="none"``.
     """
-    if bundle is None:
-        bundle = build_modulation(approx.m, approx.mt, approx.p)
-    symbol = bundle.dual_scaling_symbol
+    symbol = build_modulation(approx.m, approx.mt, approx.p).dual_scaling_symbol
     worst = 0.0
     for t in approx.grid:
         half = t / 2

@@ -284,9 +284,6 @@ class LaurentMatrix:
             self.entries[i][j].is_zero() for i in range(self.rows) for j in range(i + 1, self.cols)
         )
 
-    def is_upper_triangular(self) -> bool:
-        return all(self.entries[i][j].is_zero() for i in range(self.rows) for j in range(i))
-
     def coefficient_matrix(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
         """The rational matrix of z^k coefficients."""
         return tuple(tuple(e[k] for e in row) for row in self.entries)

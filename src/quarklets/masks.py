@@ -42,16 +42,14 @@ class MaskSequence:
 
     @staticmethod
     def from_symbol(symbol: LaurentMatrix, weight: Fraction = Fraction(2)) -> "MaskSequence":
-        """Masks M_k = weight * (z^k coefficient of the symbol)."""
-        if all(e.is_zero() for row in symbol.entries for e in row):
-            return MaskSequence(symbol.rows, symbol.cols)
-        lo, hi = symbol.exponent_range()
-        out: dict[int, Mat] = {}
-        for k in range(lo, hi + 1):
-            m = linalg.mat_scale(symbol.coefficient_matrix(k), weight)
-            if not linalg.is_zero(m):
-                out[k] = m
-        return MaskSequence(symbol.rows, symbol.cols, out)
+        """Masks M_k = weight * (z^k coefficient of the symbol), read off the nonzero terms only."""
+        zero = Fraction(0)
+        out: dict[int, list[list[Fraction]]] = {}
+        for i, row in enumerate(symbol.entries):
+            for j, entry in enumerate(row):
+                for k, c in entry.coeffs.items():
+                    out.setdefault(k, [[zero] * symbol.cols for _ in range(symbol.rows)])[i][j] = c * weight
+        return MaskSequence(symbol.rows, symbol.cols, {k: out[k] for k in sorted(out)})
 
     def to_symbol(self) -> LaurentMatrix:
         """The symbol, the Laurent matrix (1/2) sum_k M_k z^k."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cdf import CdfPair, cdf_masks, quarklets
 from .laurent import LaurentMatrix, LaurentPoly
@@ -52,6 +52,11 @@ class ModulationBundle:
     @property
     def size(self) -> int:
         return self.p + 1
+
+    @cached_property
+    def polyphase_inv(self) -> LaurentMatrix:
+        """P(z)^{-1} = E(z)^{-1} X(z)^{-1}, multiplied out on first use only."""
+        return parity_exchange_inverse(self.size) @ self.modulation_inv
 
 
 def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
@@ -216,7 +221,7 @@ def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
     pp = synthesis_matrix(bundle)
     exchange = parity_exchange_matrix(n)
     holds = pp == bundle.modulation @ exchange
-    inv = parity_exchange_inverse(n) @ bundle.modulation_inv
+    inv = bundle.polyphase_inv
     invertible = not check_product_is_identity(pp, inv)
     return PolyphaseFactorization(pp, exchange, inv, holds, invertible)
 
@@ -233,46 +238,33 @@ class DecompositionFilters:
     p: int
     coarse: MaskSequence  # C_n, n in Z
     detail: MaskSequence  # D_n, n in Z
-
-    def analysis_matrix(self) -> LaurentMatrix:
-        """P(z)^{-1} = [[C_0, D_0], [C_1, D_1]] of the even/odd sub-symbols of the filters."""
-        return LaurentMatrix.block(
-            [[_sub_symbol(self.coarse, r), _sub_symbol(self.detail, r)] for r in (0, 1)]
-        )
+    polyphase_inv: LaurentMatrix  # P(z)^{-1} = [[C_0, D_0], [C_1, D_1]], applied by decompose
 
 
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
     """Read the splitting filters off P(z)^{-1} = E(z)^{-1} X(z)^{-1}.
 
     Block row r of that product is [C_r(z), D_r(z)] = (1/2) [z^r Id,
-    (-1)^r z^r Id] X(z)^{-1}, with C_r(z) = sum_k C_{2k+r} z^{2k}; it must
-    contain even powers of z only.  An odd-power residue means the derivation
-    (not the input) is wrong, so it raises.
+    (-1)^r z^r Id] X(z)^{-1}, with C_r(z) = sum_k C_{2k+r} z^{2k}, so the
+    masks are the coefficients of C_0(z) + z C_1(z) and D_0(z) + z D_1(z).
+    The blocks must contain even powers of z only.  An odd-power residue
+    means the derivation (not the input) is wrong, so it raises.
     """
     n = bundle.size
-    inv = parity_exchange_inverse(n) @ bundle.modulation_inv
-    coarse: dict[int, tuple] = {}
-    detail: dict[int, tuple] = {}
-    for parity in (0, 1):
-        rows = inv.entries[parity * n : (parity + 1) * n]
-        for name, col, target in (("C", 0, coarse), ("D", n, detail)):
-            part = LaurentMatrix([row[col : col + n] for row in rows])
-            lo, hi = part.exponent_range()
-            for e in range(lo, hi + 1):
-                mat = part.coefficient_matrix(e)
-                if any(any(row) for row in mat):
-                    if e % 2:
-                        raise AssertionError(
-                            f"odd power z^{e} in {name}_{parity}: decomposition derivation bug"
-                        )
-                    target[parity + e] = mat
-    return DecompositionFilters(
-        bundle.m,
-        bundle.mt,
-        bundle.p,
-        MaskSequence(n, n, coarse),
-        MaskSequence(n, n, detail),
+    inv = bundle.polyphase_inv
+    odd = [(i, j, e) for i, row in enumerate(inv.entries) for j, f in enumerate(row) for e in f.coeffs if e % 2]
+    if odd:
+        i, j, e = odd[0]
+        raise AssertionError(f"odd power z^{e} in {'CD'[j // n]}_{i // n}: decomposition derivation bug")
+    # [C_0, D_0] + z [C_1, D_1] = [C(z), D(z)]: the masks [C_k, D_k] side by side
+    both = MaskSequence.from_symbol(
+        LaurentMatrix(inv.entries[:n]) + LaurentMatrix(inv.entries[n:]) * LaurentPoly.variable(), Fraction(1)
     )
+    coarse, detail = (
+        MaskSequence(n, n, {k: tuple(row[c : c + n] for row in mat) for k, mat in both.items()})
+        for c in (0, n)
+    )
+    return DecompositionFilters(bundle.m, bundle.mt, bundle.p, coarse, detail, inv)
 
 
 def splitting_identity_defect(

@@ -9,8 +9,9 @@ Each transform step is one exact ``LaurentMatrix`` product on the polyphase
 form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
 the fine frame and s(z^2), d(z^2) of the coarse ones, vectors of Laurent
 polynomials.  P(z) is the polyphase matrix of the two-scale masks
-(``modulation.synthesis_matrix``), P(z)^{-1} is read off the splitting filters
-(``DecompositionFilters.analysis_matrix``) and ``modulation.polyphase``
+(``modulation.synthesis_matrix``), P(z)^{-1} = E(z)^{-1} X(z)^{-1} is the
+bundle's one analysis matrix, carried by the splitting filters
+(``DecompositionFilters.polyphase_inv``), and ``modulation.polyphase``
 certifies P P^{-1} = Id, so the two steps are exact inverses:
 
     reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
@@ -104,7 +105,7 @@ def decompose(
         raise ValueError("frame width does not match the filter degree")
     phases = ({n - r: v for n, v in frame.items() if (n - r) % 2 == 0} for r in (0, 1))
     row = [poly for phase in phases for poly in _polys(phase, width)]
-    out = (LaurentMatrix([row]) @ filters.analysis_matrix()).entries[0]
+    out = (LaurentMatrix([row]) @ filters.polyphase_inv).entries[0]
     level = frame.level - 1
     return tuple(
         CoefficientFrame(level, width, {e // 2: vec for e, vec in _vectors(part).items()})

@@ -1,6 +1,8 @@
 """Test-only reference code: an independent B-spline closed form, a
-deliberately broken modulation bundle (negative control) and the
-per-translate transform loops (reference for the polyphase transform)."""
+deliberately broken modulation bundle (negative control), the exponent scan
+that read the splitting filters off E^{-1} X^{-1} (reference for
+``decomposition_filters``) and the per-translate transform loops (reference
+for the polyphase transform)."""
 
 import math
 from dataclasses import replace
@@ -9,7 +11,7 @@ from fractions import Fraction
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.linalg import Mat, Vec
 from quarklets.masks import MaskSequence
-from quarklets.modulation import DecompositionFilters, ModulationBundle
+from quarklets.modulation import DecompositionFilters, ModulationBundle, parity_exchange_inverse
 from quarklets.piecewise import PiecewisePoly
 from quarklets.transform import CoefficientFrame
 
@@ -50,6 +52,28 @@ def perturb_detail_block(bundle: ModulationBundle, i: int = 0, j: int = 0) -> Mo
         ]
     )
     return replace(bundle, detail_symbol=bad_sym, modulation=bad_x)
+
+
+def reference_splitting_masks(bundle: ModulationBundle) -> tuple[MaskSequence, MaskSequence]:
+    """The coarse and detail masks (C_n, D_n), scanned exponent by exponent off E^{-1} X^{-1}."""
+    n = bundle.size
+    inv = parity_exchange_inverse(n) @ bundle.modulation_inv
+    coarse: dict[int, tuple] = {}
+    detail: dict[int, tuple] = {}
+    for parity in (0, 1):
+        rows = inv.entries[parity * n : (parity + 1) * n]
+        for name, col, target in (("C", 0, coarse), ("D", n, detail)):
+            part = LaurentMatrix([row[col : col + n] for row in rows])
+            lo, hi = part.exponent_range()
+            for e in range(lo, hi + 1):
+                mat = part.coefficient_matrix(e)
+                if any(any(row) for row in mat):
+                    if e % 2:
+                        raise AssertionError(
+                            f"odd power z^{e} in {name}_{parity}: decomposition derivation bug"
+                        )
+                    target[parity + e] = mat
+    return MaskSequence(n, n, coarse), MaskSequence(n, n, detail)
 
 
 def mat_t_vec(a: Mat, v: Vec) -> Vec:

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from quarklets.cli import main
+from quarklets import duals
+from quarklets.cli import MAX_GRID_POINTS, main
 
 
 def run(capsys, *argv):
@@ -172,6 +173,36 @@ class TestDual:
         target = (1 - w) ** 2 / (1j * xi)
         assert abs(by_xi[xi] - target) < 1e-5
 
+    @pytest.mark.parametrize("span,depth", [("1", "60"), ("1", "17"), ("3", "15"), ("5", "14")])
+    def test_oversized_grid_is_refused_before_it_is_built(self, capsys, monkeypatch, span, depth):
+        def never(*args):
+            raise AssertionError("dyadic_grid must not run for an oversized grid")
+
+        monkeypatch.setattr(duals, "dyadic_grid", never)
+        code, out, err = run(
+            capsys, "dual", "--m", "1", "--mt", "1", "--p", "0",
+            "--grid-span", span, "--grid-depth", depth,
+        )
+        assert code == 2
+        assert out == ""
+        assert str(MAX_GRID_POINTS) in err
+
+    @pytest.mark.parametrize("span,depth", [("1", "16"), ("4", "14")])
+    def test_grid_at_the_limit_is_built(self, capsys, monkeypatch, span, depth):
+        sizes = []
+
+        def tiny(span, depth):
+            sizes.append(2 * span * 2**depth + 1)
+            return [0]
+
+        monkeypatch.setattr(duals, "dyadic_grid", tiny)
+        code, _, _ = run(
+            capsys, "dual", "--m", "1", "--mt", "1", "--p", "0", "--levels", "2",
+            "--grid-span", span, "--grid-depth", depth,
+        )
+        assert code == 0
+        assert sizes == [MAX_GRID_POINTS]
+
 
 class TestFramesRoundTrip:
     def test_decompose_then_reconstruct(self, capsys, tmp_path):
@@ -219,6 +250,15 @@ class TestOrthogonalizeAndSample:
         rows = out.strip().splitlines()
         assert rows[0] == "degree,x,value"
         assert len(rows) == 1 + 3 * 5
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_orthogonalize_csv_needs_a_sample(self, capsys, samples):
+        code, out, err = run(
+            capsys, "orthogonalize", "--mt", "1", "--p", "2", "--format", "csv", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
 
     def test_sample_bspline(self, capsys):
         code, out, _ = run(

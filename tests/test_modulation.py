@@ -1,10 +1,12 @@
 """Modulation matrix assembly, inversion, duals, polyphase, splitting filters."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from helpers import perturb_detail_block
+from helpers import perturb_detail_block, reference_splitting_masks
 
+from quarklets import modulation
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.modulation import (
     build_modulation,
@@ -19,6 +21,7 @@ from quarklets.modulation import (
     synthesis_matrix,
     verify_perfect_reconstruction,
 )
+from quarklets.transform import CoefficientFrame, decompose
 
 PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
 
@@ -189,13 +192,30 @@ class TestSubSymbolsAndPolyphase:
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (1, 1, 2), (2, 2, 2), (3, 3, 1), (2, 4, 2), (3, 5, 2)])
     def test_transform_matrices_are_certified(self, m, mt, p):
-        # decompose applies analysis_matrix(), reconstruct applies synthesis_matrix():
+        # decompose applies the filters' polyphase_inv, reconstruct applies synthesis_matrix():
         # the invertibility certificate of polyphase() covers exactly these two
         b = build_modulation(m, mt, p)
         pf = polyphase(b)
         assert pf.invertible
         assert pf.polyphase == synthesis_matrix(b)
-        assert pf.inverse == decomposition_filters(b).analysis_matrix()
+        assert pf.inverse == decomposition_filters(b).polyphase_inv
+
+    def test_inverse_multiplied_out_once_per_bundle(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return parity_exchange_inverse(n)
+
+        monkeypatch.setattr(modulation, "parity_exchange_inverse", counted)
+        # a fresh copy: the cached bundle may already hold its P^{-1}
+        b = replace(build_modulation(2, 2, 2))
+        filters = decomposition_filters(b)
+        pf = polyphase(b)
+        frame = CoefficientFrame(1, 3, {0: (1, 2, 3), 5: (-1, 0, Fraction(1, 7))})
+        assert decompose(frame, filters) == decompose(frame, filters)
+        assert calls == [3]
+        assert pf.inverse is filters.polyphase_inv is b.polyphase_inv
 
 
 class TestReadOnlyCaches:
@@ -230,6 +250,19 @@ class TestDecompositionFilters:
         filt = decomposition_filters(bundle)
         defects = splitting_identity_defect(bundle, filt, parity)
         assert all(d.is_zero() for d in defects)
+
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_masks_equal_exponent_scan(self, m, mt, p):
+        bundle = build_modulation(m, mt, p)
+        filt = decomposition_filters(bundle)
+        assert (filt.coarse, filt.detail) == reference_splitting_masks(bundle)
+
+    def test_odd_power_is_a_derivation_bug(self):
+        b = build_modulation(2, 2, 1)
+        shifted = replace(b, modulation_inv=b.modulation_inv * LaurentPoly.variable())
+        with pytest.raises(AssertionError, match="odd power"):
+            decomposition_filters(shifted)
 
     def test_support_growth_linear(self):
         for (m, mt) in [(1, 1), (3, 3)]:
