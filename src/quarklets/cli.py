@@ -24,8 +24,11 @@ from .splines import bspline, quark
 from .transform import orthogonalize_haar
 
 
-# ``dual`` evaluates the product at every point of a grid it builds eagerly.
+# ``dual`` evaluates the product at every point of a grid it builds eagerly;
+# ``ft-zeros`` and ``orthogonalize --format csv`` sample this many points at most.
 MAX_GRID_POINTS = 2**17 + 1
+# At 64 levels the tail error (xi / 2^J)^2 is below 2^-90 on every accepted grid.
+MAX_LEVELS = 64
 
 
 class UsageError(Exception):
@@ -130,6 +133,8 @@ def cmd_stability_table(args) -> int:
 
 
 def cmd_ft_zeros(args) -> int:
+    if args.samples > MAX_GRID_POINTS:
+        raise UsageError(f"--samples must be at most {MAX_GRID_POINTS} (2^17 + 1)")
     zeros = stability.ft_zero_scan(args.m, args.q, args.lo, args.hi, samples=args.samples)
     rows = [[_fmt_float(z)] for z in zeros]
     _write(_csv_text(rows, ["zero"]), args.out)
@@ -153,6 +158,8 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    if args.levels > MAX_LEVELS:
+        raise UsageError(f"--levels must be at most {MAX_LEVELS}")
     validate_orders(args.m, args.mt)
     span, depth = args.grid_span, args.grid_depth
     # depth > 16 always overflows; testing it first keeps 2**depth small
@@ -207,8 +214,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_orthogonalize(args) -> int:
-    if args.format == "csv" and args.samples < 1:
-        raise UsageError("--samples must be at least 1")
+    if args.format == "csv" and not 1 <= args.samples <= MAX_GRID_POINTS:
+        raise UsageError(f"--samples must be between 1 and {MAX_GRID_POINTS} (2^17 + 1)")
     ortho = orthogonalize_haar(args.mt, args.p)
     if args.format == "csv":
         rows = []
@@ -298,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="quark degree")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--samples", type=int, default=4000)
+    p.add_argument("--samples", type=int, default=4000,
+                   help="grid points on [lo, hi] (at least 3, at most 2^17 + 1)")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_ft_zeros)
 
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="truncated-product dual transform values (CSV)")
     add_orders(p)
-    p.add_argument("--levels", type=int, default=25, help="product truncation depth")
+    p.add_argument("--levels", type=int, default=25, help="product truncation depth (1 to 64)")
     p.add_argument("--grid-span", type=int, default=4, help="xi range in multiples of 2*pi")
     p.add_argument("--grid-depth", type=int, default=4,
                    help="dyadic grid depth (2*span*2^depth + 1 points, at most 2^17 + 1)")
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mt", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--samples", type=int, default=256, help="samples per unit for csv output (at least 1)")
+    p.add_argument("--samples", type=int, default=256, help="samples per unit for csv output (1 to 2^17 + 1)")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_orthogonalize)
 

@@ -254,26 +254,19 @@ def refinement_defect(approx: DualApproximation) -> float:
     return worst
 
 
-def time_profile(values: np.ndarray, xi_max: float, window: str = "hann") -> tuple[np.ndarray, np.ndarray]:
+def time_profile(values: np.ndarray, xi_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Approximate time-domain profile from uniform frequency samples.
 
     ``values[k]`` are F f at xi_k = -xi_max + k * dxi (N samples, dxi =
-    2 xi_max / N) under the convention F f(0) = integral f.  A smooth window
+    2 xi_max / N) under the convention F f(0) = integral f.  A Hann window
     confines truncation leakage near the support edges, which is what the
     support diagnostics need.  Returns (x, f(x)) with x the FFT-dual grid.
     """
     values = np.asarray(values, dtype=complex)
     n = values.size
     dxi = 2 * xi_max / n
-    if window == "hann":
-        w = np.hanning(n)
-        norm = 2.0  # Hann mean is 1/2; keep unit mass at the origin
-    elif window in (None, "none", "boxcar"):
-        w = np.ones(n)
-        norm = 1.0
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    spectrum = values * w * norm
+    # the Hann mean is 1/2, so doubling keeps unit mass at the origin
+    spectrum = values * np.hanning(n) * 2.0
     # f(x_m) = (dxi / 2 pi) sum_k F(xi_k) e^{i xi_k x_m}, x_m = 2 pi m / (n dxi)
     shifted = np.fft.ifft(spectrum) * n * dxi / (2 * math.pi)
     x = np.fft.fftfreq(n, d=dxi / (2 * math.pi))

@@ -49,10 +49,6 @@ class LaurentPoly:
     def monomial(c, k: int = 0) -> "LaurentPoly":
         return LaurentPoly({k: c})
 
-    @staticmethod
-    def variable() -> "LaurentPoly":
-        return LaurentPoly({1: Fraction(1)})
-
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -405,9 +401,6 @@ class LaurentMatrix:
             for j, e in enumerate(row):
                 out[i, j] = e(z)
         return out
-
-    def eval_rational(self, x: Fraction | int) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(e.eval_rational(x) for e in row) for row in self.entries)
 
     # -- comparisons -----------------------------------------------------------------------
 

@@ -23,27 +23,8 @@ def as_matrix(rows: Sequence[Sequence]) -> Mat:
     return out
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
 def zeros(rows: int, cols: int) -> Mat:
     return tuple((Fraction(0),) * cols for _ in range(rows))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, s: Fraction) -> Mat:
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a
-    )
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -60,26 +41,3 @@ def is_upper_triangular(a: Mat) -> bool:
 
 def is_zero(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def char_poly(a: Mat) -> tuple[Fraction, ...]:
-    """Characteristic polynomial det(xI - A), constant term first (monic).
-
-    Faddeev-LeVerrier recursion; exact over the rationals.
-    """
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -trace(m) / k
-        coeffs[n - k] = c
-        m = mat_add(m, mat_scale(identity(n), c))
-    return tuple(coeffs)

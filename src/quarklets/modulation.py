@@ -150,14 +150,6 @@ def verify_perfect_reconstruction(bundle: ModulationBundle) -> ReconstructionRep
     return ReconstructionReport(bundle.m, bundle.mt, bundle.p, not residuals, residuals)
 
 
-def dual_modulation(bundle: ModulationBundle) -> LaurentMatrix:
-    """Xt(z) assembled from the dual symbols (so that conj(Xt)^T = X^{-1})."""
-    st, wt = bundle.dual_scaling_symbol, bundle.dual_detail_symbol
-    return LaurentMatrix.block(
-        [[st, st.substitute_neg()], [wt, wt.substitute_neg()]]
-    )
-
-
 def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
     """Even/odd sub-symbols sum_k M_{2k+parity} z^{2k} of the scaling and detail masks."""
     if parity not in (0, 1):
@@ -246,22 +238,24 @@ def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
 
     Block row r of that product is [C_r(z), D_r(z)] = (1/2) [z^r Id,
     (-1)^r z^r Id] X(z)^{-1}, with C_r(z) = sum_k C_{2k+r} z^{2k}, so the
-    masks are the coefficients of C_0(z) + z C_1(z) and D_0(z) + z D_1(z).
-    The blocks must contain even powers of z only.  An odd-power residue
-    means the derivation (not the input) is wrong, so it raises.
+    z^e coefficient of block row r is [C_{e+r}, D_{e+r}].  The blocks must
+    contain even powers of z only, which also keeps the two rows' masks apart.
+    An odd-power residue means the derivation (not the input) is wrong, so it
+    raises.
     """
     n = bundle.size
     inv = bundle.polyphase_inv
-    odd = [(i, j, e) for i, row in enumerate(inv.entries) for j, f in enumerate(row) for e in f.coeffs if e % 2]
-    if odd:
-        i, j, e = odd[0]
-        raise AssertionError(f"odd power z^{e} in {'CD'[j // n]}_{i // n}: decomposition derivation bug")
-    # [C_0, D_0] + z [C_1, D_1] = [C(z), D(z)]: the masks [C_k, D_k] side by side
-    both = MaskSequence.from_symbol(
-        LaurentMatrix(inv.entries[:n]) + LaurentMatrix(inv.entries[n:]) * LaurentPoly.variable(), Fraction(1)
-    )
+    zero = Fraction(0)
+    both: dict[int, list[list[Fraction]]] = {}  # k -> [C_k, D_k] side by side
+    for i, row in enumerate(inv.entries):
+        r = i // n
+        for j, entry in enumerate(row):
+            for e, c in entry.coeffs.items():
+                if e % 2:
+                    raise AssertionError(f"odd power z^{e} in {'CD'[j // n]}_{r}: decomposition derivation bug")
+                both.setdefault(e + r, [[zero] * (2 * n) for _ in range(n)])[i - r * n][j] = c
     coarse, detail = (
-        MaskSequence(n, n, {k: tuple(row[c : c + n] for row in mat) for k, mat in both.items()})
+        MaskSequence(n, n, {k: tuple(row[c : c + n] for row in both[k]) for k in sorted(both)})
         for c in (0, n)
     )
     return DecompositionFilters(bundle.m, bundle.mt, bundle.p, coarse, detail, inv)

@@ -1,8 +1,8 @@
 """Exact real-root counting and location for rational polynomials.
 
-Sturm-chain root counting over the rationals, plus two users of it:
-Chebyshev-basis conversion (for trigonometric positivity tests) and an exact
-Schur-Cohn test for "all roots strictly inside the unit circle".
+Sturm-chain root isolation over the rationals, plus the Chebyshev-basis
+conversion that turns a trigonometric positivity question into a real-root
+question on [-1, 1] (see :mod:`quarklets.trig`).
 """
 
 from __future__ import annotations
@@ -103,22 +103,12 @@ def count_roots_half_open(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def count_roots_closed(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of p in the closed interval [a, b]."""
-    s = square_free(p)
-    if len(s) <= 1:
-        if not s:
-            raise ValueError("zero polynomial has infinitely many roots")
-        return 0
-    chain = sturm_chain(s)
-    n = count_roots_half_open(chain, a, b)
-    if evaluate(s, a) == 0:
-        n += 1
-    return n
+# Isolating intervals are bisected down to this width.
+_ROOT_TOL = Fraction(1, 2**40)
 
 
-def isolate_roots(p: Poly, a: Fraction, b: Fraction, tol: Fraction = Fraction(1, 2**40)) -> list[Fraction]:
-    """Approximate locations (within tol) of all distinct real roots of p in [a, b]."""
+def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[Fraction]:
+    """Approximate locations (within 2^-40) of all distinct real roots of p in [a, b]."""
     s = square_free(p)
     if len(s) <= 1:
         if not s:
@@ -131,7 +121,7 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction, tol: Fraction = Fraction(1,
 
     def refine(lo: Fraction, hi: Fraction) -> Fraction:
         # exactly one root in (lo, hi]
-        while hi - lo > tol:
+        while hi - lo > _ROOT_TOL:
             mid = (lo + hi) / 2
             if count_roots_half_open(chain, lo, mid) == 1:
                 hi = mid
@@ -181,30 +171,3 @@ def cosine_series_to_poly(c0: Fraction, cn: dict[int, Fraction]) -> Poly:
         for i, tc in enumerate(t):
             out[i] += 2 * c * tc
     return trim(out)
-
-
-# -- Schur-Cohn --------------------------------------------------------------------
-
-
-def all_roots_in_open_unit_disk(p: Poly) -> bool:
-    """Exact Schur-Cohn test: every complex root of p has modulus < 1.
-
-    Recursion: with p = a_0 + ... + a_n z^n and reversed polynomial p*, p is
-    Schur stable iff |a_0| < |a_n| and (a_n p - a_0 p*)/z is Schur stable.
-    Degree-0 nonzero polynomials are vacuously stable.
-    """
-    p = trim(p)
-    if not p:
-        raise ValueError("zero polynomial")
-    while len(p) > 1:
-        a0, an = p[0], p[-1]
-        if abs(a0) >= abs(an):
-            return False
-        reduced = [an * c - a0 * cr for c, cr in zip(p, reversed(p))]
-        assert reduced[0] == 0
-        p = trim(reduced[1:])
-        if not p:
-            # cannot happen under |a0| < |an|: the leading coefficient
-            # a_n^2 - a_0^2 of the reduction is nonzero
-            raise AssertionError("degenerate Schur-Cohn reduction")
-    return True

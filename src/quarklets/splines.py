@@ -141,25 +141,6 @@ def refinement_masks(m: int, p: int) -> RefinementMasks:
     return RefinementMasks(m, p, MaskSequence(p + 1, p + 1, out), scalar)
 
 
-def refine_vector(family: QuarkFamily, masks: MaskSequence) -> tuple[PiecewisePoly, ...]:
-    """Assemble sum_k M_k F(2x - k) componentwise (exact piecewise identity input)."""
-    n = len(family.members)
-    if masks.rows != n or masks.cols != n:
-        raise ValueError("mask shape does not match the family")
-    fine = {}
-    out = [PiecewisePoly.zero() for _ in range(n)]
-    for k, mat in masks.items():
-        for j in range(n):
-            if any(mat[i][j] for i in range(n)):
-                fine[(j, k)] = family.members[j].compose_linear(2, -Fraction(k))
-        for i in range(n):
-            for j in range(n):
-                c = mat[i][j]
-                if c:
-                    out[i] = out[i] + fine[(j, k)] * c
-    return tuple(out)
-
-
 # -- Fourier transform (float diagnostics) -----------------------------------------
 
 

@@ -7,8 +7,8 @@ determinant of its Gram-symbol matrix never vanishes.  Both criteria are
 decided exactly here via Sturm root isolation in the Chebyshev variable.
 
 Also included: a frequency-domain zero scan for individual quark transforms
-(float diagnostic) and exact Condition E / eigenvalue checks for the dual
-refinement symbol at z = 1.
+(float diagnostic) and exact Condition E / eigenvalue read-offs for the dual
+refinement symbol at z = 1, which is upper triangular.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg, realroots
+from . import linalg
 from .laurent import LaurentPoly, _int_core
 from .modulation import build_modulation
 from .splines import quark, quark_ft
@@ -103,26 +103,26 @@ def stability_table(max_m: int, max_p: int) -> dict[tuple[int, int], bool]:
     }
 
 
-def ft_zero_scan(
-    m: int,
-    q: int,
-    lo: float,
-    hi: float,
-    samples: int = 4000,
-    zero_rtol: float = 1e-7,
-) -> list[float]:
+# A minimum of |F| counts as a zero below this fraction of 1 + max |F| on the grid.
+_ZERO_RTOL = 1e-7
+
+
+def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
     """Approximate real zeros of |F phi_q| on [lo, hi] (float diagnostic).
 
-    Brackets local minima of |F|^2 on a uniform grid, sharpens each bracket by
-    ternary search, and reports minima whose value is a numerical zero
-    relative to the overall scale of |F| on the interval.
+    Brackets local minima of |F|^2 on a uniform grid of ``samples >= 3``
+    points, sharpens each bracket by ternary search, and reports minima whose
+    value is a numerical zero relative to the overall scale of |F| on the
+    interval.
     """
     if not (hi > lo) or not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("need a finite interval with lo < hi")
+    if samples < 3:
+        raise ValueError("need at least 3 samples: minima are bracketed by interior grid points")
     xs = np.linspace(lo, hi, samples)
     vals = np.array([abs(quark_ft(m, q, x)) ** 2 for x in xs])
     scale = math.sqrt(float(vals.max()))
-    tol = zero_rtol * (1.0 + scale)
+    tol = _ZERO_RTOL * (1.0 + scale)
 
     def h(x: float) -> float:
         return abs(quark_ft(m, q, x)) ** 2
@@ -152,56 +152,19 @@ def ft_zero_scan(
 def condition_e(matrix) -> bool:
     """True iff 1 is a simple eigenvalue and every other eigenvalue has modulus < 1.
 
-    Exact for rational matrices of any size (diagonal read-off for triangular
-    input, otherwise the characteristic polynomial plus a Schur-Cohn test
-    after deflating the eigenvalue 1); float input uses numpy eigenvalues
-    with a 1e-10 tolerance.
+    An exact read-off of the diagonal, so the input must be a square rational
+    matrix that is upper or lower triangular, as St(1) is (see
+    :func:`dual_symbol_at_one`).  Float entries raise TypeError; any other
+    shape raises ValueError.
     """
-    rational = _as_rational_matrix(matrix)
-    if rational is not None:
-        return _condition_e_exact(rational)
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    mat = linalg.as_matrix(matrix)
+    n = len(mat)
+    if len(mat[0]) != n:
         raise ValueError("matrix must be square")
-    eig = np.linalg.eigvals(arr)
-    tol = 1e-10
-    near_one = [ev for ev in eig if abs(ev - 1) <= tol]
-    others = [ev for ev in eig if abs(ev - 1) > tol]
-    return len(near_one) == 1 and all(abs(ev) < 1 - tol for ev in others)
-
-
-def _as_rational_matrix(matrix):
-    try:
-        rows = [list(r) for r in matrix]
-    except TypeError:
-        return None
-    out = []
-    for row in rows:
-        line = []
-        for x in row:
-            if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-                line.append(Fraction(x))
-            else:
-                return None
-        out.append(tuple(line))
-    n = len(out)
-    if n == 0 or any(len(r) != n for r in out):
-        raise ValueError("matrix must be square and nonempty")
-    return tuple(out)
-
-
-def _condition_e_exact(matrix: linalg.Mat) -> bool:
-    if linalg.is_upper_triangular(matrix) or linalg.is_upper_triangular(linalg.transpose(matrix)):
-        diag = [matrix[i][i] for i in range(len(matrix))]
-        return diag.count(Fraction(1)) == 1 and all(abs(d) < 1 for d in diag if d != 1)
-    p = linalg.char_poly(matrix)
-    if realroots.evaluate(p, Fraction(1)) != 0:
-        return False
-    q, r = realroots.divmod_poly(p, (Fraction(-1), Fraction(1)))  # divide by (x - 1)
-    assert not r
-    if realroots.evaluate(q, Fraction(1)) == 0:
-        return False  # eigenvalue 1 not simple
-    return realroots.all_roots_in_open_unit_disk(q)
+    if not (linalg.is_upper_triangular(mat) or linalg.is_upper_triangular(linalg.transpose(mat))):
+        raise ValueError("Condition E is read off the diagonal of a triangular matrix only")
+    diag = [mat[i][i] for i in range(n)]
+    return diag.count(1) == 1 and all(abs(d) < 1 for d in diag if d != 1)
 
 
 def dual_symbol_at_one(m: int, mt: int, p: int) -> linalg.Mat:

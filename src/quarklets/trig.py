@@ -89,8 +89,9 @@ def is_positive_on_circle(theta: LaurentPoly) -> CirclePositivity:
     return CirclePositivity(True, loc, val, f"positive minimum {val:.6g} at t = {loc:.6g}")
 
 
-def _float_minimum(q: realroots.Poly, samples: int = 512) -> tuple[float, float]:
+def _float_minimum(q: realroots.Poly) -> tuple[float, float]:
     """Approximate minimum of q(cos t) over [0, pi] (diagnostic only)."""
+    samples = 512
 
     def val(t: float) -> float:
         return realroots.evaluate_float(q, math.cos(t))

@@ -1,18 +1,24 @@
 """Test-only reference code: an independent B-spline closed form, a
 deliberately broken modulation bundle (negative control), the exponent scan
 that read the splitting filters off E^{-1} X^{-1} (reference for
-``decomposition_filters``) and the per-translate transform loops (reference
-for the polyphase transform)."""
+``decomposition_filters``), the per-translate transform loops (reference
+for the polyphase transform), Condition E for general rational matrices by
+characteristic polynomial and Schur-Cohn test (reference for the diagonal
+read-off of ``condition_e``), and small oracles that no library code needs:
+closed-interval root counts, the two-scale refinement of a quark vector, the
+dual modulation matrix and exact evaluation of a Laurent matrix."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+from quarklets import realroots
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.linalg import Mat, Vec
 from quarklets.masks import MaskSequence
 from quarklets.modulation import DecompositionFilters, ModulationBundle, parity_exchange_inverse
 from quarklets.piecewise import PiecewisePoly
+from quarklets.splines import QuarkFamily
 from quarklets.transform import CoefficientFrame
 
 
@@ -141,3 +147,161 @@ def reference_decompose(
         CoefficientFrame(level, width, {k: tuple(v) for k, v in s_out.items()}),
         CoefficientFrame(level, width, {k: tuple(v) for k, v in d_out.items()}),
     )
+
+
+# -- Condition E for general rational matrices ---------------------------------------
+
+
+def condition_e_reference(matrix) -> bool:
+    """1 is a simple eigenvalue and every other eigenvalue has modulus < 1.
+
+    Exact for square rational matrices of any shape: the characteristic
+    polynomial, deflated by the eigenvalue 1, must be Schur stable.  Raises
+    TypeError on non-rational entries.
+    """
+    rational = _as_rational_matrix(matrix)
+    if rational is None:
+        raise TypeError("condition_e_reference takes rational matrices only")
+    p = char_poly(rational)
+    if realroots.evaluate(p, Fraction(1)) != 0:
+        return False
+    q, r = realroots.divmod_poly(p, (Fraction(-1), Fraction(1)))  # divide by (x - 1)
+    assert not r
+    if realroots.evaluate(q, Fraction(1)) == 0:
+        return False  # eigenvalue 1 not simple
+    return all_roots_in_open_unit_disk(q)
+
+
+def _as_rational_matrix(matrix):
+    try:
+        rows = [list(r) for r in matrix]
+    except TypeError:
+        return None
+    out = []
+    for row in rows:
+        line = []
+        for x in row:
+            if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+                line.append(Fraction(x))
+            else:
+                return None
+        out.append(tuple(line))
+    n = len(out)
+    if n == 0 or any(len(r) != n for r in out):
+        raise ValueError("matrix must be square and nonempty")
+    return tuple(out)
+
+
+def identity(n: int) -> Mat:
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a: Mat, s: Fraction) -> Mat:
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a
+    )
+
+
+def trace(a: Mat) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def char_poly(a: Mat) -> tuple[Fraction, ...]:
+    """Characteristic polynomial det(xI - A), constant term first (monic).
+
+    Faddeev-LeVerrier recursion; exact over the rationals.
+    """
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix must be square")
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = identity(n)
+    for k in range(1, n + 1):
+        m = mat_mul(a, m)
+        c = -trace(m) / k
+        coeffs[n - k] = c
+        m = mat_add(m, mat_scale(identity(n), c))
+    return tuple(coeffs)
+
+
+def all_roots_in_open_unit_disk(p: realroots.Poly) -> bool:
+    """Exact Schur-Cohn test: every complex root of p has modulus < 1.
+
+    Recursion: with p = a_0 + ... + a_n z^n and reversed polynomial p*, p is
+    Schur stable iff |a_0| < |a_n| and (a_n p - a_0 p*)/z is Schur stable.
+    Degree-0 nonzero polynomials are vacuously stable.
+    """
+    p = realroots.trim(p)
+    if not p:
+        raise ValueError("zero polynomial")
+    while len(p) > 1:
+        a0, an = p[0], p[-1]
+        if abs(a0) >= abs(an):
+            return False
+        reduced = [an * c - a0 * cr for c, cr in zip(p, reversed(p))]
+        assert reduced[0] == 0
+        p = realroots.trim(reduced[1:])
+        if not p:
+            # cannot happen under |a0| < |an|: the leading coefficient
+            # a_n^2 - a_0^2 of the reduction is nonzero
+            raise AssertionError("degenerate Schur-Cohn reduction")
+    return True
+
+
+# -- small oracles ---------------------------------------------------------------------
+
+
+def count_roots_closed(p: realroots.Poly, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of p in the closed interval [a, b]."""
+    s = realroots.square_free(p)
+    if len(s) <= 1:
+        if not s:
+            raise ValueError("zero polynomial has infinitely many roots")
+        return 0
+    chain = realroots.sturm_chain(s)
+    n = realroots.count_roots_half_open(chain, a, b)
+    if realroots.evaluate(s, a) == 0:
+        n += 1
+    return n
+
+
+def refine_vector(family: QuarkFamily, masks: MaskSequence) -> tuple[PiecewisePoly, ...]:
+    """Assemble sum_k M_k F(2x - k) componentwise (exact piecewise identity input)."""
+    n = len(family.members)
+    if masks.rows != n or masks.cols != n:
+        raise ValueError("mask shape does not match the family")
+    fine = {}
+    out = [PiecewisePoly.zero() for _ in range(n)]
+    for k, mat in masks.items():
+        for j in range(n):
+            if any(mat[i][j] for i in range(n)):
+                fine[(j, k)] = family.members[j].compose_linear(2, -Fraction(k))
+        for i in range(n):
+            for j in range(n):
+                c = mat[i][j]
+                if c:
+                    out[i] = out[i] + fine[(j, k)] * c
+    return tuple(out)
+
+
+def dual_modulation(bundle: ModulationBundle) -> LaurentMatrix:
+    """Xt(z) assembled from the dual symbols (so that conj(Xt)^T = X^{-1})."""
+    st, wt = bundle.dual_scaling_symbol, bundle.dual_detail_symbol
+    return LaurentMatrix.block(
+        [[st, st.substitute_neg()], [wt, wt.substitute_neg()]]
+    )
+
+
+def eval_rational(matrix: LaurentMatrix, x: Fraction | int) -> Mat:
+    """Entrywise exact evaluation of a Laurent matrix at a nonzero rational point."""
+    return tuple(tuple(e.eval_rational(x) for e in row) for row in matrix.entries)

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from quarklets import duals
-from quarklets.cli import MAX_GRID_POINTS, main
+from quarklets import cli, duals, stability
+from quarklets.cli import MAX_GRID_POINTS, MAX_LEVELS, main
 
 
 def run(capsys, *argv):
@@ -129,6 +129,43 @@ class TestFtZeros:
         assert len(zeros) == 2
         assert abs(zeros[0] + 2.606) < 1e-3 and abs(zeros[1] - 2.606) < 1e-3
 
+    @pytest.mark.parametrize("samples", ["-7", "0", "1", "2"])
+    def test_too_few_samples_exit_2(self, capsys, monkeypatch, samples):
+        def never(*args):
+            raise AssertionError("no transform value is needed to refuse the grid")
+
+        monkeypatch.setattr(stability, "quark_ft", never)
+        code, out, err = run(
+            capsys, "ft-zeros", "--m", "2", "--q", "2", "--lo", "-12", "--hi", "12", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 3 samples" in err
+
+    @pytest.mark.parametrize("samples", [str(MAX_GRID_POINTS + 1), str(10**12)])
+    def test_too_many_samples_exit_2_before_the_scan(self, capsys, monkeypatch, samples):
+        def never(*args, **kwargs):
+            raise AssertionError("the scan must not run for an oversized grid")
+
+        monkeypatch.setattr(stability, "ft_zero_scan", never)
+        code, out, err = run(
+            capsys, "ft-zeros", "--m", "2", "--q", "2", "--lo", "-12", "--hi", "12", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert str(MAX_GRID_POINTS) in err
+
+    def test_samples_at_the_limit_reach_the_scan(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(stability, "ft_zero_scan", lambda *a, samples: seen.append(samples) or [])
+        code, out, _ = run(
+            capsys, "ft-zeros", "--m", "2", "--q", "2", "--lo", "-12", "--hi", "12",
+            "--samples", str(MAX_GRID_POINTS),
+        )
+        assert code == 0
+        assert out == "zero\n"
+        assert seen == [MAX_GRID_POINTS]
+
 
 class TestEigen:
     def test_spectrum_payload(self, capsys):
@@ -203,6 +240,26 @@ class TestDual:
         assert code == 0
         assert sizes == [MAX_GRID_POINTS]
 
+    @pytest.mark.parametrize("levels", [str(MAX_LEVELS + 1), str(10**9)])
+    def test_too_many_levels_exit_2_before_any_work(self, capsys, monkeypatch, levels):
+        def never(*args):
+            raise AssertionError("nothing may be built for a refused depth")
+
+        monkeypatch.setattr(duals, "dyadic_grid", never)
+        monkeypatch.setattr(duals, "dual_quark_ft", never)
+        code, out, err = run(capsys, "dual", "--m", "1", "--mt", "1", "--p", "0", "--levels", levels)
+        assert code == 2
+        assert out == ""
+        assert "--levels" in err and str(MAX_LEVELS) in err
+
+    def test_levels_at_the_limit_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(duals, "dyadic_grid", lambda span, depth: [0])
+        code, out, _ = run(
+            capsys, "dual", "--m", "1", "--mt", "1", "--p", "0", "--levels", str(MAX_LEVELS)
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0,1,0"]
+
 
 class TestFramesRoundTrip:
     def test_decompose_then_reconstruct(self, capsys, tmp_path):
@@ -259,6 +316,19 @@ class TestOrthogonalizeAndSample:
         assert code == 2
         assert out == ""
         assert "--samples" in err
+
+    @pytest.mark.parametrize("samples", [str(MAX_GRID_POINTS + 1), str(10**12)])
+    def test_orthogonalize_csv_sample_cap(self, capsys, monkeypatch, samples):
+        def never(*args):
+            raise AssertionError("nothing may be built for a refused sample count")
+
+        monkeypatch.setattr(cli, "orthogonalize_haar", never)
+        code, out, err = run(
+            capsys, "orthogonalize", "--mt", "1", "--p", "2", "--format", "csv", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert str(MAX_GRID_POINTS) in err
 
     def test_sample_bspline(self, capsys):
         code, out, _ = run(

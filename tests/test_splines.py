@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import bspline_truncated_power
+from helpers import bspline_truncated_power, refine_vector
 
 from quarklets.piecewise import PiecewisePoly
 from quarklets.splines import (
@@ -16,7 +16,6 @@ from quarklets.splines import (
     quark,
     quark_family,
     quark_ft,
-    refine_vector,
     refinement_masks,
     symmetrized_bspline,
 )

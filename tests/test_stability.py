@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import condition_e_reference
 
 from quarklets import linalg
 from quarklets.splines import quark
@@ -21,6 +22,8 @@ from quarklets.stability import (
     stability_table,
     trig_determinant,
 )
+
+PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
 
 # stability grid for orders 1..4 and degrees 0..3
 EXPECTED_TABLE = {
@@ -152,6 +155,11 @@ class TestFtZeroScan:
         with pytest.raises(ValueError):
             ft_zero_scan(1, 0, 3, 3)
 
+    @pytest.mark.parametrize("samples", [-5, 0, 1, 2])
+    def test_needs_interior_samples(self, samples):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            ft_zero_scan(2, 2, -12, 12, samples=samples)
+
 
 class TestConditionE:
     def test_identity_one(self):
@@ -178,14 +186,18 @@ class TestConditionE:
         # rotation-like contraction: eigenvalues 0.5 e^{+- i pi/4} scaled
         mat = [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
         # char poly x^2 - x + 1/2: roots modulus sqrt(1/2) < 1, but no eigenvalue 1
-        assert not condition_e(mat)
+        assert not condition_e_reference(mat)
         # embed eigenvalue 1 via block diag
         big = [
             [Fraction(1), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(1, 2), Fraction(-1, 2)],
             [Fraction(0), Fraction(1, 2), Fraction(1, 2)],
         ]
-        assert condition_e(big)
+        assert condition_e_reference(big)
+        # the library reads the diagonal of triangular input only
+        for m in (mat, big):
+            with pytest.raises(ValueError, match="triangular"):
+                condition_e(m)
 
     def test_large_nontriangular_rational_input_is_exact(self, monkeypatch):
         def no_float_path(_):
@@ -199,9 +211,14 @@ class TestConditionE:
         assert len(mat) == 9
         assert not linalg.is_upper_triangular(mat)
         assert not linalg.is_upper_triangular(linalg.transpose(mat))
-        assert condition_e(mat)
-        assert not condition_e(_similar_to_diagonal([Fraction(-1)] + near_one[:-1]))
-        assert not condition_e(_similar_to_diagonal([Fraction(1)] + near_one[:-1]))
+        negative = _similar_to_diagonal([Fraction(-1)] + near_one[:-1])
+        double_one = _similar_to_diagonal([Fraction(1)] + near_one[:-1])
+        assert condition_e_reference(mat)
+        assert not condition_e_reference(negative)
+        assert not condition_e_reference(double_one)
+        for m in (mat, negative, double_one):
+            with pytest.raises(ValueError, match="triangular"):
+                condition_e(m)
 
     def test_large_dual_symbol_skips_float_path(self, monkeypatch):
         def no_float_path(_):
@@ -211,16 +228,21 @@ class TestConditionE:
         # 9x9 with eigenvalues 1, 2, ..., 2^8: the eigenvalue 2 breaks Condition E
         assert not condition_e(dual_symbol_at_one(2, 2, 8))
 
-    def test_float_path_against_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            mat9 = rng.integers(-3, 4, size=(9, 9)) / 8.0  # 9x9 forces the float path
-            eig = np.linalg.eigvals(mat9)
-            expected = (
-                sum(abs(ev - 1) <= 1e-10 for ev in eig) == 1
-                and all(abs(ev) < 1 - 1e-10 for ev in eig if abs(ev - 1) > 1e-10)
-            )
-            assert condition_e(mat9) == expected
+    def test_float_input_raises_type_error(self):
+        for mat in ([[1.0]], [[1.0, 0.0], [0.0, 0.5]], np.eye(3) / 2, [[Fraction(1), 0.5], [0, Fraction(1, 2)]]):
+            with pytest.raises(TypeError):
+                condition_e(mat)
+
+    def test_non_square_input_raises_value_error(self):
+        for mat in ([[1, 0]], [[1], [0]], [], [[1, 0], [0]]):
+            with pytest.raises(ValueError):
+                condition_e(mat)
+
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    @pytest.mark.parametrize("p", range(6))
+    def test_read_off_matches_characteristic_polynomial(self, m, mt, p):
+        mat = dual_symbol_at_one(m, mt, p)
+        assert condition_e(mat) == condition_e_reference(mat)
 
 
 def _similar_to_diagonal(diag):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import all_roots_in_open_unit_disk, count_roots_closed
 
 from quarklets import realroots
 from quarklets.laurent import LaurentPoly
@@ -103,12 +104,12 @@ class TestRealRoots:
     def test_multiple_root_counted_once(self):
         # (x - 1/2)^2
         p = (Fraction(1, 4), Fraction(-1), Fraction(1))
-        assert realroots.count_roots_closed(p, Fraction(-1), Fraction(1)) == 1
+        assert count_roots_closed(p, Fraction(-1), Fraction(1)) == 1
 
     def test_endpoint_root(self):
         p = (Fraction(-1), Fraction(1))  # x - 1
-        assert realroots.count_roots_closed(p, Fraction(-1), Fraction(1)) == 1
-        assert realroots.count_roots_closed(p, Fraction(-1), Fraction(1, 2)) == 0
+        assert count_roots_closed(p, Fraction(-1), Fraction(1)) == 1
+        assert count_roots_closed(p, Fraction(-1), Fraction(1, 2)) == 0
 
     def test_isolation_against_numpy(self):
         rng = random.Random(41)
@@ -154,5 +155,5 @@ class TestRealRoots:
             if np.any(np.abs(moduli - 1.0) < 1e-9):
                 continue  # too close to the circle for a float oracle
             checked += 1
-            assert realroots.all_roots_in_open_unit_disk(p) == bool(np.all(moduli < 1.0))
+            assert all_roots_in_open_unit_disk(p) == bool(np.all(moduli < 1.0))
         assert checked > 100
