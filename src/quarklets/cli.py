@@ -25,10 +25,14 @@ from .transform import orthogonalize_haar
 
 
 # ``dual`` evaluates the product at every point of a grid it builds eagerly;
-# ``ft-zeros`` and ``orthogonalize --format csv`` sample this many points at most.
+# ``ft-zeros``, ``orthogonalize --format csv`` and ``sample`` sample this many
+# points at most.
 MAX_GRID_POINTS = 2**17 + 1
 # At 64 levels the tail error (xi / 2^J)^2 is below 2^-90 on every accepted grid.
 MAX_LEVELS = 64
+# Largest --max-m and --max-p of ``stability-table``: a 10 x 10 table takes
+# about 20 s on a 2-core x86_64 host, and each Sturm decision grows with m + p.
+MAX_TABLE_ORDER = 10
 
 
 class UsageError(Exception):
@@ -109,6 +113,8 @@ def cmd_verify_pr(args) -> int:
 
 
 def cmd_stability_table(args) -> int:
+    if args.max_m > MAX_TABLE_ORDER or args.max_p > MAX_TABLE_ORDER:
+        raise UsageError(f"--max-m and --max-p must be at most {MAX_TABLE_ORDER}")
     table = stability.stability_table(args.max_m, args.max_p)
     ms = range(1, args.max_m + 1)
     ps = range(0, args.max_p + 1)
@@ -239,6 +245,8 @@ def cmd_orthogonalize(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not 2 <= args.count <= MAX_GRID_POINTS:
+        raise UsageError(f"--count must be between 2 and {MAX_GRID_POINTS} (2^17 + 1)")
     if args.function == "bspline":
         f = bspline(args.m)
     elif args.function == "quark":
@@ -252,8 +260,6 @@ def cmd_sample(args) -> int:
         f = orthogonalize_haar(args.mt, args.q).members[args.q]
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown function {args.function}")
-    if args.count < 2:
-        raise UsageError("--count must be at least 2")
     start = Fraction(args.start).limit_denominator(10**9)
     end = Fraction(args.end).limit_denominator(10**9)
     if end <= start:
@@ -294,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_pr)
 
     p = sub.add_parser("stability-table", help="exact stability grid of single quarks")
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--max-p", type=int, required=True)
+    p.add_argument("--max-m", type=int, required=True, help="largest spline order (at most 10)")
+    p.add_argument("--max-p", type=int, required=True, help="largest quark degree (at most 10)")
     p.add_argument("--format", choices=["md", "csv", "json"], default="md")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_stability_table)
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=0, help="degree of the sampled member")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--end", type=float, required=True)
-    p.add_argument("--count", type=int, default=257)
+    p.add_argument("--count", type=int, default=257, help="grid points (2 to 2^17 + 1)")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_sample)
 

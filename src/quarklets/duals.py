@@ -8,8 +8,9 @@ solution whose Fourier transform is, up to one global scalar,
 where St is the dual scaling symbol and v the exact rational eigenvector of
 2^{-p} St(1) for the eigenvalue 1 (normalized so its last component is 1; all
 dual values are defined up to this one scalar).  The eigenvector and the
-symbols stay exact; the product itself is evaluated in complex floats since
-its value has no rational closed form.
+symbols stay exact; the product has no rational closed form, so
+:func:`quarklets.laurent.cascade` evaluates it in complex floats, all grid
+points at once, and one more level of Wt or St for quarklets and defects.
 
 Truncating after J levels leaves the tail G(xi / 2^J), where G(xi) is the
 infinite product applied to v.  The default ``tail="first-order"`` replaces it
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .laurent import LaurentMatrix, _int_core
+from .laurent import LaurentMatrix, _int_core, cascade
 from .modulation import build_modulation
 from .stability import dual_symbol_at_one
 
@@ -112,9 +113,6 @@ class DualApproximation:
     values: dict[Fraction, np.ndarray]  # t -> complex vector of length p+1
     eigenvector: tuple[Fraction, ...]
 
-    def xi(self, t: Fraction) -> float:
-        return 2 * math.pi * float(t)
-
 
 def dual_quark_ft(
     m: int,
@@ -138,24 +136,26 @@ def dual_quark_ft(
         raise ValueError(f"unknown tail {tail!r}; use 'first-order' or 'none'")
     at_one = dual_symbol_at_one(m, mt, p)
     v = _eigenvector(at_one, p)
-    v_arr = np.array([float(x) for x in v], dtype=complex)
     symbol = build_modulation(m, mt, p).dual_scaling_symbol
-    w_arr = None
-    if tail == "first-order":
-        w = _tail_slope(symbol, at_one, p, v)
-        w_arr = np.array([float(x) for x in w], dtype=complex)
-    scale = 2.0**-p
-    values: dict[Fraction, np.ndarray] = {}
     pts = tuple(Fraction(t) for t in grid)
-    for t in pts:
-        xi = 2 * math.pi * float(t)
-        acc = np.eye(p + 1, dtype=complex)
-        for j in range(1, levels + 1):
-            z = np.exp(-1j * xi / 2**j)
-            acc = acc @ (scale * symbol(z))
-        tail_vec = v_arr if w_arr is None else v_arr - 1j * (xi / 2**levels) * w_arr
-        values[t] = (1j * xi) ** p * (acc @ tail_vec)
-    return DualApproximation(m, mt, p, levels, pts, values, v)
+    xi = _xi(pts)
+    start = np.array([float(x) for x in v], dtype=complex)
+    if tail == "first-order":
+        w = np.array([float(x) for x in _tail_slope(symbol, at_one, p, v)])
+        start = start - 1j * np.multiply.outer(xi / 2**levels, w)
+    product = cascade(symbol.float_taps(), 2.0**-p, xi, levels, start)
+    values = (1j ** p * xi**p)[:, None] * product
+    return DualApproximation(m, mt, p, levels, pts, dict(zip(pts, values)), v)
+
+
+def _xi(points: Sequence[Fraction]) -> np.ndarray:
+    return 2 * math.pi * np.array([float(t) for t in points])
+
+
+def _one_level(symbol: LaurentMatrix, approx: DualApproximation, points: Sequence[Fraction]) -> np.ndarray:
+    """symbol(exp(-i xi / 2)) applied to the stored values at xi / 2, one row per point."""
+    halves = np.array([approx.values[t / 2] for t in points]).reshape(-1, approx.p + 1)
+    return cascade(symbol.float_taps(), 1.0, _xi(points), 1, halves)
 
 
 def dual_quarklet_ft(
@@ -168,15 +168,12 @@ def dual_quarklet_ft(
     approximation; build it on ``with_halves(grid)`` and request the original
     grid to guarantee that.
     """
+    pts = approx.grid if points is None else tuple(Fraction(t) for t in points)
+    for t in pts:
+        if t / 2 not in approx.values:
+            raise ValueError(f"grid point {t} has no half point {t / 2}; use with_halves()")
     symbol = build_modulation(approx.m, approx.mt, approx.p).dual_detail_symbol
-    out: dict[Fraction, np.ndarray] = {}
-    for t in approx.grid if points is None else (Fraction(t) for t in points):
-        half = t / 2
-        if half not in approx.values:
-            raise ValueError(f"grid point {t} has no half point {half}; use with_halves()")
-        z = np.exp(-1j * approx.xi(t) / 2)
-        out[t] = symbol(z) @ approx.values[half]
-    return out
+    return dict(zip(pts, _one_level(symbol, approx, pts)))
 
 
 def with_halves(grid: Sequence[Fraction]) -> list[Fraction]:
@@ -221,18 +218,11 @@ def convergence_probe(
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     runs = [dual_quark_ft(m, mt, p, j, grid, tail) for j in levels]
-    deltas = []
-    mod_deltas = []
-    for prev, nxt in zip(runs, runs[1:]):
-        d = 0.0
-        dm = 0.0
-        for t in prev.grid:
-            a, b = prev.values[t], nxt.values[t]
-            d = max(d, float(np.max(np.abs(a - b))))
-            dm = max(dm, float(np.max(np.abs(np.abs(a) - np.abs(b)))))
-        deltas.append(d)
-        mod_deltas.append(dm)
-    return ConvergenceProbe(tuple(Fraction(t) for t in grid), levels, tuple(deltas), tuple(mod_deltas))
+    stacks = [np.array([run.values[t] for t in run.grid]).reshape(-1, p + 1) for run in runs]
+    pairs = list(zip(stacks, stacks[1:]))
+    deltas = tuple(float(np.max(np.abs(a - b), initial=0.0)) for a, b in pairs)
+    mod_deltas = tuple(float(np.max(np.abs(np.abs(a) - np.abs(b)), initial=0.0)) for a, b in pairs)
+    return ConvergenceProbe(tuple(Fraction(t) for t in grid), levels, deltas, mod_deltas)
 
 
 def refinement_defect(approx: DualApproximation) -> float:
@@ -242,16 +232,10 @@ def refinement_defect(approx: DualApproximation) -> float:
     of the order of the truncation error itself: O(4^{-J}) for the default
     first-order tail, O(2^{-J}) for ``tail="none"``.
     """
+    pts = [t for t in approx.grid if t / 2 in approx.values]
     symbol = build_modulation(approx.m, approx.mt, approx.p).dual_scaling_symbol
-    worst = 0.0
-    for t in approx.grid:
-        half = t / 2
-        if half not in approx.values:
-            continue
-        z = np.exp(-1j * approx.xi(t) / 2)
-        predicted = symbol(z) @ approx.values[half]
-        worst = max(worst, float(np.max(np.abs(predicted - approx.values[t]))))
-    return worst
+    stored = np.array([approx.values[t] for t in pts]).reshape(-1, approx.p + 1)
+    return float(np.max(np.abs(_one_level(symbol, approx, pts) - stored), initial=0.0))
 
 
 def time_profile(values: np.ndarray, xi_max: float) -> tuple[np.ndarray, np.ndarray]:

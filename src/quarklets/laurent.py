@@ -10,6 +10,9 @@ sum_k c_k exp(-i k t).
 All arithmetic is exact.  Multiplication runs on an integer core (one common
 denominator per operand) because coefficient convolution dominates the cost
 of the perfect-reconstruction checks.
+
+Every Fourier-domain value of the package comes from :func:`cascade`, the
+float refinement product of a matrix symbol over a whole array of frequencies.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .rational import as_rational
 
@@ -56,16 +61,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no support")
-        return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no support")
-        return max(self.coeffs)
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
@@ -285,16 +280,9 @@ class LaurentMatrix:
         return tuple(tuple(e[k] for e in row) for row in self.entries)
 
     def exponent_range(self) -> tuple[int, int]:
-        lo, hi = None, None
-        for row in self.entries:
-            for e in row:
-                if e.is_zero():
-                    continue
-                lo = e.min_exp() if lo is None else min(lo, e.min_exp())
-                hi = e.max_exp() if hi is None else max(hi, e.max_exp())
-        if lo is None:
-            return (0, 0)
-        return (lo, hi)
+        """Lowest and highest exponent over all entries; (0, 0) for the zero matrix."""
+        exps = [k for row in self.entries for e in row for k in e.coeffs]
+        return (min(exps), max(exps)) if exps else (0, 0)
 
     # -- arithmetic -----------------------------------------------------------------
 
@@ -393,14 +381,16 @@ class LaurentMatrix:
 
     # -- evaluation ----------------------------------------------------------------------
 
-    def __call__(self, z: complex):
-        import numpy as np
-
-        out = np.empty((self.rows, self.cols), dtype=complex)
+    def float_taps(self) -> tuple[int, np.ndarray]:
+        """(lo, C) for :func:`cascade`: C[k - lo] is the float z^k coefficient matrix (read-only)."""
+        lo, hi = self.exponent_range()
+        coeffs = np.zeros((hi - lo + 1, self.rows, self.cols))
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                out[i, j] = e(z)
-        return out
+                for k, c in e.coeffs.items():
+                    coeffs[k - lo, i, j] = float(c)
+        coeffs.flags.writeable = False
+        return lo, coeffs
 
     # -- comparisons -----------------------------------------------------------------------
 
@@ -428,3 +418,32 @@ def _coerce_entry(e) -> LaurentPoly:
     if isinstance(e, (int, Fraction)):
         return LaurentPoly({0: e})
     raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")
+
+
+# Points per cascade block are chosen so that its work arrays hold about this
+# many complex entries (512 KiB), whatever the grid, the depth or the matrix
+# size; larger blocks raise peak memory more than they save in numpy calls.
+_CASCADE_ENTRIES = 2**15
+
+
+def cascade(taps, scale: float, xi: np.ndarray, levels: int, tail: np.ndarray) -> np.ndarray:
+    """prod_{j=1}^{levels} scale M(exp(-i xi / 2^j)) applied to ``tail``, for every xi at once.
+
+    ``taps`` is :meth:`LaurentMatrix.float_taps` of a square M, ``xi`` a 1-d
+    float array and ``tail`` a (len(xi) x n) array or one length-n vector.
+    The levels act innermost first (j = levels down to 1), as matrix-vector
+    products.
+    """
+    lo, coeffs = taps
+    n_taps, n = coeffs.shape[:2]
+    flat = scale * coeffs.reshape(n_taps, n * n)
+    halvings = -1j * np.multiply.outer(0.5 ** np.arange(1, levels + 1), np.arange(lo, lo + n_taps))
+    out = np.array(np.broadcast_to(tail, (len(xi), n)), dtype=complex)
+    block = max(1, _CASCADE_ENTRIES // (levels * (n_taps + n * n)))
+    for s in range(0, len(xi), block):
+        mats = (np.exp(np.multiply.outer(xi[s : s + block], halvings)) @ flat).reshape(-1, levels, n, n)
+        v = out[s : s + block, :, None]
+        for j in range(levels - 1, -1, -1):
+            v = mats[:, j] @ v
+        out[s : s + block] = v[:, :, 0]
+    return out

@@ -11,19 +11,22 @@ exact two-scale matrix refinement equation whose masks are produced by
 :func:`refinement_masks`.
 
 Fourier transforms use the unitary convention F f(xi) =
-(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx.  They are evaluated from the
-piecewise polynomial itself (closed form per piece), so only convention-free
-features - zero locations, ratios - should be consumed downstream.
+(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx.  :func:`quark_ft` evaluates them
+in floats from the same masks, as the refinement cascade F Phi(xi) =
+S(exp(-i xi/2)) F Phi(xi/2) over a Taylor tail with exact moments; its error
+bound is absolute, against sup|F|.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
+from .laurent import cascade
 from .linalg import Mat
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
@@ -143,44 +146,38 @@ def refinement_masks(m: int, p: int) -> RefinementMasks:
 
 # -- Fourier transform (float diagnostics) -----------------------------------------
 
+# Depth of the refinement cascade behind quark_ft.  Its degree-3 Taylor tail is
+# taken at eta = xi / 2^20, where the O(eta^4) remainder is below float rounding.
+_FT_LEVELS = 20
+_FT_TAIL_TERMS = 4
 
-def piecewise_ft(f: PiecewisePoly, xi: float) -> complex:
-    """(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx, closed form per piece.
 
-    For small |xi| each piece integral switches to a power series to avoid
-    cancellation in the integration-by-parts recursion.
+@lru_cache(maxsize=None)
+def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray]:
+    """Float taps of the symbol of the quarks of degree 0..q, and their Taylor tail.
+
+    Row t of the read-only tail is (2 pi)^{-1/2} (-i)^t / t! times the exact t-th moments.
     """
-    if f.is_zero():
-        return 0.0
-    total = 0.0 + 0.0j
-    for i, piece in enumerate(f.pieces):
-        a = float(f.breakpoints[i])
-        b = float(f.breakpoints[i + 1])
-        for n, c in enumerate(piece):
-            if c:
-                total += float(c) * _moment_integral(n, a, b, xi)
-    return total / math.sqrt(2 * math.pi)
+    taps = refinement_masks(m, q).matrices.to_symbol().float_taps()
+    moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
+    factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(_FT_TAIL_TERMS)]
+    tail = np.array(factors)[:, None] * moments
+    tail.flags.writeable = False
+    return taps, tail
 
 
-def _moment_integral(n: int, a: float, b: float, xi: float) -> complex:
-    """integral_a^b x^n exp(-i x xi) dx."""
-    if abs(xi) < 0.5:
-        # series: sum_t (-i xi)^t / t! * (b^{n+t+1} - a^{n+t+1}) / (n+t+1)
-        total = 0.0 + 0.0j
-        term = 1.0 + 0.0j
-        for t in range(0, 40):
-            total += term * (b ** (n + t + 1) - a ** (n + t + 1)) / (n + t + 1)
-            term *= complex(0.0, -xi) / (t + 1)
-        return total
-    c = complex(0.0, -xi)
-    ea, eb = cmath.exp(c * a), cmath.exp(c * b)
-    # I_n = [x^n e^{cx}/c]_a^b - (n/c) I_{n-1}
-    acc = (eb - ea) / c
-    for k in range(1, n + 1):
-        acc = (b**k * eb - a**k * ea) / c - k / c * acc
-    return acc
+def quark_ft(m: int, q: int, xi):
+    """Fourier transform of the degree-q quark at xi, a float or an array (float diagnostic).
 
-
-def quark_ft(m: int, q: int, xi: float) -> complex:
-    """Fourier transform of the degree-q quark at frequency xi (float diagnostic)."""
-    return piecewise_ft(quark(m, q), xi)
+    The refinement cascade F Phi(xi) = S(exp(-i xi / 2)) F Phi(xi / 2) of the
+    quarks of degree 0..q (symbol S from :func:`refinement_masks`), run over
+    20 levels onto the Taylor tail.  For m <= 12, q <= 10 and |xi| <= 30 the
+    absolute error is at most 1e-13 sup|F phi_q|; the relative error grows
+    where the transform decays.
+    """
+    taps, tail = _ft_cascade_data(m, q)
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.reshape(-1)
+    powers = np.power.outer(flat / 2**_FT_LEVELS, np.arange(_FT_TAIL_TERMS))
+    values = cascade(taps, 1.0, flat, _FT_LEVELS, powers @ tail)[:, q].reshape(xi.shape)
+    return complex(values) if xi.ndim == 0 else values

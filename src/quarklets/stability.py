@@ -120,27 +120,19 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
     if samples < 3:
         raise ValueError("need at least 3 samples: minima are bracketed by interior grid points")
     xs = np.linspace(lo, hi, samples)
-    vals = np.array([abs(quark_ft(m, q, x)) ** 2 for x in xs])
+    vals = np.abs(quark_ft(m, q, xs)) ** 2
     scale = math.sqrt(float(vals.max()))
     tol = _ZERO_RTOL * (1.0 + scale)
-
-    def h(x: float) -> float:
-        return abs(quark_ft(m, q, x)) ** 2
-
-    zeros: list[float] = []
-    for i in range(1, samples - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            a, b = xs[i - 1], xs[i + 1]
-            for _ in range(100):
-                m1 = a + (b - a) / 3
-                m2 = b - (b - a) / 3
-                if h(m1) <= h(m2):
-                    b = m2
-                else:
-                    a = m1
-            x = (a + b) / 2
-            if math.sqrt(h(x)) < tol:
-                zeros.append(x)
+    inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
+    a, b = xs[inner - 1], xs[inner + 1]
+    for _ in range(100):
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        h = np.abs(quark_ft(m, q, np.concatenate([m1, m2]))) ** 2
+        left = h[: inner.size] <= h[inner.size :]
+        a, b = np.where(left, a, m1), np.where(left, m2, b)
+    x = (a + b) / 2
+    zeros = x[np.abs(quark_ft(m, q, x)) < tol].tolist()
     deduped: list[float] = []
     step = (hi - lo) / samples
     for z in sorted(zeros):

@@ -4,19 +4,31 @@ that read the splitting filters off E^{-1} X^{-1} (reference for
 ``decomposition_filters``), the per-translate transform loops (reference
 for the polyphase transform), Condition E for general rational matrices by
 characteristic polynomial and Schur-Cohn test (reference for the diagonal
-read-off of ``condition_e``), and small oracles that no library code needs:
-closed-interval root counts, the two-scale refinement of a quark vector, the
-dual modulation matrix and exact evaluation of a Laurent matrix."""
+read-off of ``condition_e``), the truncated dual product point by point
+(reference for the refinement cascade), the quark Fourier transform by
+mpmath quadrature (reference for ``quark_ft``), and small oracles that no
+library code needs: closed-interval root counts, the two-scale refinement of
+a quark vector, the dual modulation matrix and exact evaluation of a Laurent
+matrix."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+from mpmath import mp
+
 from quarklets import realroots
+from quarklets.duals import dual_eigenvector, dual_tail_slope
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.linalg import Mat, Vec
 from quarklets.masks import MaskSequence
-from quarklets.modulation import DecompositionFilters, ModulationBundle, parity_exchange_inverse
+from quarklets.modulation import (
+    DecompositionFilters,
+    ModulationBundle,
+    build_modulation,
+    parity_exchange_inverse,
+)
 from quarklets.piecewise import PiecewisePoly
 from quarklets.splines import QuarkFamily
 from quarklets.transform import CoefficientFrame
@@ -305,3 +317,43 @@ def dual_modulation(bundle: ModulationBundle) -> LaurentMatrix:
 def eval_rational(matrix: LaurentMatrix, x: Fraction | int) -> Mat:
     """Entrywise exact evaluation of a Laurent matrix at a nonzero rational point."""
     return tuple(tuple(e.eval_rational(x) for e in row) for row in matrix.entries)
+
+
+# -- Fourier-domain values point by point ----------------------------------------------
+
+
+def symbol_at(matrix: LaurentMatrix, z: complex) -> np.ndarray:
+    """Float value of a Laurent matrix at one complex point, entry by entry."""
+    return np.array([[e(z) for e in row] for row in matrix.entries], dtype=complex)
+
+
+def dual_quark_ft_loop(m: int, mt: int, p: int, levels: int, grid, tail: str = "first-order") -> dict:
+    """(i xi)^p prod_{j=1}^{levels} 2^{-p} St(exp(-i xi / 2^j)) on the tail, one point at a time.
+
+    The levels multiply as matrices, outermost first, before the tail vector
+    (v, or v - i (xi / 2^levels) w for ``tail="first-order"``) is applied.
+    """
+    symbol = build_modulation(m, mt, p).dual_scaling_symbol
+    v = np.array([float(x) for x in dual_eigenvector(m, mt, p)], dtype=complex)
+    w = np.array([float(x) for x in dual_tail_slope(m, mt, p)], dtype=complex)
+    out = {}
+    for t in grid:
+        xi = 2 * math.pi * float(t)
+        acc = np.eye(p + 1, dtype=complex)
+        for j in range(1, levels + 1):
+            acc = acc @ (2.0**-p * symbol_at(symbol, np.exp(-1j * xi / 2**j)))
+        tail_vec = v - 1j * (xi / 2**levels) * w if tail == "first-order" else v
+        out[Fraction(t)] = (1j * xi) ** p * (acc @ tail_vec)
+    return out
+
+
+def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
+    """(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx by mpmath quadrature on each piece."""
+    with mp.workdps(dps):
+        x = mp.mpf(xi)
+        total = mp.mpc(0)
+        for i, piece in enumerate(f.pieces):
+            a, b = (mp.mpf(e.numerator) / e.denominator for e in f.breakpoints[i : i + 2])
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(piece)]
+            total += mp.quad(lambda s: mp.polyval(coeffs, s) * mp.expj(-s * x), [a, b])
+        return complex(total / mp.sqrt(2 * mp.pi))

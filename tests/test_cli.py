@@ -6,7 +6,7 @@ import math
 import pytest
 
 from quarklets import cli, duals, stability
-from quarklets.cli import MAX_GRID_POINTS, MAX_LEVELS, main
+from quarklets.cli import MAX_GRID_POINTS, MAX_LEVELS, MAX_TABLE_ORDER, main
 
 
 def run(capsys, *argv):
@@ -114,6 +114,31 @@ class TestStabilityTable:
         )
         assert code == 0
         assert json.loads(out)["cells"] == [{"m": 1, "p": 0, "stable": True}]
+
+
+    @pytest.mark.parametrize("flag", ["--max-m", "--max-p"])
+    @pytest.mark.parametrize("value", [MAX_TABLE_ORDER + 1, 10**9])
+    def test_oversized_table_exits_2_before_any_work(self, capsys, monkeypatch, flag, value):
+        def never(*args):
+            raise AssertionError("no cell may be decided for a refused table")
+
+        monkeypatch.setattr(stability, "stability_table", never)
+        argv = ["stability-table", "--max-m", "1", "--max-p", "0"]
+        argv[argv.index(flag) + 1] = str(value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err and str(MAX_TABLE_ORDER) in err
+
+    def test_table_at_the_limit_runs(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(stability, "stability_table", lambda m, p: seen.append((m, p)) or {
+            (i, j): True for i in range(1, m + 1) for j in range(p + 1)
+        })
+        limit = str(MAX_TABLE_ORDER)
+        code, _, _ = run(capsys, "stability-table", "--max-m", limit, "--max-p", limit)
+        assert code == 0
+        assert seen == [(MAX_TABLE_ORDER, MAX_TABLE_ORDER)]
 
 
 class TestFtZeros:
@@ -339,6 +364,20 @@ class TestOrthogonalizeAndSample:
         rows = out.strip().splitlines()
         assert rows[1] == "0,0"
         assert rows[3] == "1,1"
+
+    @pytest.mark.parametrize("count", [str(MAX_GRID_POINTS + 1), str(10**12), "1"])
+    def test_sample_count_refused_before_the_function_is_built(self, capsys, monkeypatch, count):
+        def never(*args):
+            raise AssertionError("nothing may be built for a refused count")
+
+        monkeypatch.setattr(cli, "bspline", never)
+        code, out, err = run(
+            capsys, "sample", "--function", "bspline", "--m", "2",
+            "--start", "0", "--end", "2", "--count", count,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--count" in err and str(MAX_GRID_POINTS) in err
 
     def test_sample_ortho_quarklet_requires_order_one(self, capsys):
         code, _, err = run(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import eval_rational
+from helpers import dual_quark_ft_loop, eval_rational, symbol_at
 
 from quarklets import duals
 from quarklets.duals import (
@@ -210,16 +210,37 @@ class TestConvergence:
         assert worst > 1e-2
 
     def test_raw_product_is_the_plain_loop(self):
+        # the cascade reassociates the product, so the loop is matched to
+        # float rounding relative to the largest value, not bit for bit
         grid = with_halves(dyadic_grid(1, 3))
-        bundle = build_modulation(2, 2, 2)
-        v = np.array([float(x) for x in dual_eigenvector(2, 2, 2)], dtype=complex)
         approx = dual_quark_ft(2, 2, 2, 12, grid, tail="none")
+        loop = dual_quark_ft_loop(2, 2, 2, 12, grid, tail="none")
+        scale = max(float(np.max(np.abs(v))) for v in loop.values())
         for t in grid:
-            xi = 2 * math.pi * float(t)
-            acc = np.eye(3, dtype=complex)
-            for j in range(1, 13):
-                acc = acc @ (0.25 * bundle.dual_scaling_symbol(np.exp(-1j * xi / 2**j)))
-            assert np.array_equal(approx.values[t], (1j * xi) ** 2 * (acc @ v))
+            assert np.max(np.abs(approx.values[t] - loop[t])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("tail", ["first-order", "none"])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    def test_cascade_matches_the_point_loop(self, m, mt, p, tail):
+        grid = with_halves(dyadic_grid(1, 2))
+        approx = dual_quark_ft(m, mt, p, 16, grid, tail=tail)
+        loop = dual_quark_ft_loop(m, mt, p, 16, grid, tail=tail)
+        scale = max(float(np.max(np.abs(v))) for v in loop.values())
+        assert max(float(np.max(np.abs(approx.values[t] - loop[t]))) for t in grid) <= 1e-13 * scale
+        # one more level, of Wt and of St, on the stored half points
+        bundle = build_modulation(m, mt, p)
+        quarklets = dual_quarklet_ft(approx, points=dyadic_grid(1, 2))
+        worst, defect = 0.0, 0.0
+        for t in dyadic_grid(1, 2):
+            z = np.exp(-1j * math.pi * float(t))
+            half = approx.values[t / 2]
+            detail = symbol_at(bundle.dual_detail_symbol, z) @ half
+            worst = max(worst, float(np.max(np.abs(quarklets[t] - detail))))
+            scaling = symbol_at(bundle.dual_scaling_symbol, z) @ half
+            defect = max(defect, float(np.max(np.abs(scaling - approx.values[t]))))
+        assert worst <= 1e-13 * scale
+        assert abs(refinement_defect(approx) - defect) <= 1e-13 * scale
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 1), (3, 3, 2)])
     def test_first_order_tail_matches_deep_product(self, m, mt, p):

@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quarklets.laurent import LaurentMatrix, LaurentPoly
+from quarklets.laurent import LaurentMatrix, LaurentPoly, cascade
 
 
 def P(coeffs):
@@ -160,3 +161,26 @@ class TestPowers:
         assert p.eval_rational(2) == Fraction(5, 4)
         with pytest.raises(ZeroDivisionError):
             p.eval_rational(0)
+
+
+class TestCascade:
+    def test_float_taps_are_read_only_coefficients(self):
+        m = LaurentMatrix([[P({-1: Fraction(1, 2), 2: 3}), 0], [1, P({0: Fraction(1, 4)})]])
+        lo, taps = m.float_taps()
+        assert lo == -1 and taps.shape == (4, 2, 2)
+        assert taps[0, 0, 0] == 0.5 and taps[3, 0, 0] == 3
+        assert taps[1, 1, 0] == 1 and taps[1, 1, 1] == 0.25
+        assert np.count_nonzero(taps) == 4
+        with pytest.raises(ValueError):
+            taps[0, 0, 0] = 1
+
+    def test_haar_product_closed_form(self):
+        # prod_{j <= J} (1 + e^{-i xi / 2^j}) / 2
+        #   = e^{-i xi (1 - 2^-J) / 2} sin(xi / 2) / (2^J sin(xi / 2^(J+1)))
+        haar = LaurentMatrix([[P({0: Fraction(1, 2), 1: Fraction(1, 2)})]])
+        xi = np.linspace(-40, 40, 2000)  # several blocks of points, none at 0
+        levels = 12
+        got = cascade(haar.float_taps(), 1.0, xi, levels, np.ones(1))[:, 0]
+        expected = (np.exp(-0.5j * xi * (1 - 2.0**-levels)) * np.sin(xi / 2)
+                    / (2**levels * np.sin(xi / 2 ** (levels + 1))))
+        assert np.max(np.abs(got - expected)) < 1e-14

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import dual_modulation, eval_rational, perturb_detail_block, reference_splitting_masks
 
 from quarklets import modulation
@@ -273,3 +275,12 @@ class TestDecompositionFilters:
             # increments settle to a constant: growth is (eventually exactly) linear
             assert len(set(increments[2:])) == 1
             assert max(increments) <= increments[-1] + 2 * mt
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 4))
+def test_perfect_reconstruction_over_random_designs(m, extra, p):
+    # valid designs with m <= 4, mt <= m + 4 and p <= 4; mt = m + 2 extra keeps m + mt even
+    report = verify_perfect_reconstruction(build_modulation(m, m + 2 * extra, p))
+    assert report.identity_holds
+    assert report.residuals == ()

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import bspline_truncated_power, refine_vector
+from helpers import bspline_truncated_power, quark_ft_mpmath, refine_vector
 
 from quarklets.piecewise import PiecewisePoly
 from quarklets.splines import (
     bspline,
     bspline_mask,
-    piecewise_ft,
     quark,
     quark_family,
     quark_ft,
@@ -154,14 +153,29 @@ class TestQuarkFt:
         rng = random.Random(7 * m + q)
         for _ in range(50):
             xi = rng.uniform(-30, 30)
-            assert abs(abs(piecewise_ft(f, xi)) - abs(quad_ft_oracle(f, xi))) < 1e-10
+            assert abs(abs(quark_ft(m, q, xi)) - abs(quad_ft_oracle(f, xi))) < 1e-10
+
+    @pytest.mark.parametrize("m,q", [(12, 10), (10, 8), (8, 8), (7, 10), (4, 3), (1, 5)])
+    def test_absolute_error_against_mpmath(self, m, q):
+        # the stated bound: |error| <= 1e-13 sup|F phi_q|, where the
+        # transform itself has decayed far below its sup
+        sup = float(np.max(np.abs(quark_ft(m, q, np.linspace(-30, 30, 6001)))))
+        f = quark(m, q)
+        for xi in (0, 0.51, 0.6, 5, 25, -30):
+            assert abs(quark_ft(m, q, xi) - quark_ft_mpmath(f, xi)) <= 1e-13 * sup
+
+    def test_array_input_keeps_its_shape(self):
+        xi = np.array([[0.0, 0.7], [2.9, -8.3]])
+        values = quark_ft(3, 2, xi)
+        assert values.shape == xi.shape
+        for idx in np.ndindex(xi.shape):
+            assert abs(values[idx] - quark_ft(3, 2, float(xi[idx]))) < 1e-15
 
     def test_series_and_recursion_branches_agree(self):
-        f = quark(3, 2)
         for xi in (0.49, 0.51, -0.49, -0.51):
-            # the implementation switches branch at |xi| = 0.5
-            left = piecewise_ft(f, xi - 1e-9)
-            right = piecewise_ft(f, xi + 1e-9)
+            # the closed form per piece once switched branch at |xi| = 0.5
+            left = quark_ft(3, 2, xi - 1e-9)
+            right = quark_ft(3, 2, xi + 1e-9)
             assert abs(left - right) < 1e-8
 
     @pytest.mark.parametrize(
