@@ -6,8 +6,8 @@ with L = (m + mt)/2 and P_L(y) = sum_{n<L} C(L-1+n, n) y^n, the dual symbol is
 
     at(z) = z^kappa ((1+z)/2)^mt P_L((2 - z - 1/z)/4),
 
-where the integer shift kappa is fixed by requiring the exact scalar
-perfect-reconstruction identity
+where the integer shift kappa = (m - mt)/2 - floor(m/2) gives the exact scalar
+perfect-reconstruction identity (checked once, as a certificate)
 
     a(z) at(1/z) + a(-z) at(-1/z) = 1.
 
@@ -90,16 +90,13 @@ def _cdf_cached(m: int, mt: int) -> CdfPair:
         bezout = bezout + ypow * math.comb(ell - 1 + n, n)
         ypow = ypow * y
     half_sum = LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    core = (half_sum ** mt) * bezout
-
-    at = None
-    for kappa in range(-(m + mt), m + mt + 1):
-        candidate = core * LaurentPoly.monomial(Fraction(1), kappa)
-        if scalar_pr_defect(a, candidate).is_zero():
-            at = candidate
-            break
-    if at is None:
-        raise ValueError(f"no monomial shift satisfies perfect reconstruction for (m, mt) = ({m}, {mt})")
+    # a(z) at(1/z) = z^{(m - mt)/2 - floor(m/2) - kappa} (1 - y)^L P_L(y), and the
+    # Bezout identity makes the PR sum 1 only at power zero
+    kappa = (m - mt) // 2 - m // 2
+    at = (half_sum ** mt) * bezout * LaurentPoly.monomial(Fraction(1), kappa)
+    defect = scalar_pr_defect(a, at)
+    if not defect.is_zero():
+        raise AssertionError(f"dual mask for (m, mt) = ({m}, {mt}) leaves PR defect {defect!r}; derivation bug")
 
     dual = MaskSequence.from_symbol(LaurentMatrix([[at]]), Fraction(2))
     at_scalars = dual.scalars()

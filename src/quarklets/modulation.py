@@ -8,10 +8,13 @@ For orders (m, mt) and maximal degree p the bundle collects:
 *  the block determinant  T(z) = S(z) b(-z) - b(z) S(-z),  which is lower
    triangular with monomial diagonal 2^{1-q} z, hence exactly invertible
    over Laurent polynomials,
-*  the exact inverse  X(z)^{-1} = [[b(-z) T^{-1}, -T^{-1} S(-z)],
-                                   [-b(z) T^{-1},  T^{-1} S(z)]],
-*  dual symbols read off from X^{-1}:  conj(St(z))^T = b(-z) T(z)^{-1} and
-   conj(Wt(z))^T = -T(z)^{-1} S(-z), together with their mask sequences.
+*  the exact inverse  X(z)^{-1} = [[L(z), R(-z)], [L(-z), R(z)]]  with
+   L = b(-z) T^{-1} and R = T^{-1} S(z): T is odd, so the bottom-left and
+   top-right blocks are the other two at -z and R is the only matrix product,
+*  dual symbols read off from X^{-1}:  conj(St(z))^T = L(z) and
+   conj(Wt(z))^T = R(-z), together with their mask sequences,
+*  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
+   block row [L, R(-z)] by exponent parity, with no product.
 
 Everything is exact rational arithmetic; verification routines return the
 residual entries instead of asserting.
@@ -55,8 +58,17 @@ class ModulationBundle:
 
     @cached_property
     def polyphase_inv(self) -> LaurentMatrix:
-        """P(z)^{-1} = E(z)^{-1} X(z)^{-1}, multiplied out on first use only."""
-        return parity_exchange_inverse(self.size) @ self.modulation_inv
+        """P(z)^{-1} = E(z)^{-1} X(z)^{-1} = [[L_e, R_e], [z L_o, -z R_o]], on first use only.
+
+        E^{-1} = (1/2) [[Id, Id], [z Id, -z Id]] and the bottom block row of X^{-1}
+        is the top one, [L, R(-z)], at -z: block row 0 keeps the even powers of
+        that row, block row 1 its odd powers moved up by one.
+        """
+        top = self.modulation_inv.entries[: self.size]
+        return LaurentMatrix(
+            [[LaurentPoly({k + r: c for k, c in e.coeffs.items() if k % 2 == r}) for e in row]
+             for r in (0, 1) for row in top]
+        )
 
 
 def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
@@ -94,14 +106,14 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
             )
     block_det_inv = block_det.invert_lower_triangular()
 
-    left_top = block_det_inv * b_neg
-    left_bottom = -(block_det_inv * b)
-    right_top = -(block_det_inv @ scaling_symbol.substitute_neg())
-    right_bottom = block_det_inv @ scaling_symbol
-    modulation_inv = LaurentMatrix.block([[left_top, right_top], [left_bottom, right_bottom]])
+    # T^{-1}(-z) = -T^{-1}(z), so -b(z) T^{-1} = left(-z) and -T^{-1} S(-z) = right(-z)
+    left = block_det_inv * b_neg
+    right = block_det_inv @ scaling_symbol
+    right_neg = right.substitute_neg()
+    modulation_inv = LaurentMatrix.block([[left, right_neg], [left.substitute_neg(), right]])
 
-    dual_scaling_symbol = left_top.conj_transpose()
-    dual_detail_symbol = right_top.conj_transpose()
+    dual_scaling_symbol = left.conj_transpose()
+    dual_detail_symbol = right_neg.conj_transpose()
     return ModulationBundle(
         m=m,
         mt=mt,
@@ -179,18 +191,6 @@ def parity_exchange_matrix(n: int) -> LaurentMatrix:
     )
 
 
-def parity_exchange_inverse(n: int) -> LaurentMatrix:
-    """Exact inverse (1/2) [[Id, Id], [z Id, -z Id]]."""
-    half = Fraction(1, 2)
-    z = LaurentPoly.monomial(half, 1)
-    return LaurentMatrix.block(
-        [
-            [LaurentMatrix.scalar(LaurentPoly.monomial(half, 0), n)] * 2,
-            [LaurentMatrix.scalar(z, n), LaurentMatrix.scalar(-z, n)],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class PolyphaseFactorization:
     polyphase: LaurentMatrix          # P(z) of the sub-symbols
@@ -236,12 +236,10 @@ class DecompositionFilters:
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
     """Read the splitting filters off P(z)^{-1} = E(z)^{-1} X(z)^{-1}.
 
-    Block row r of that product is [C_r(z), D_r(z)] = (1/2) [z^r Id,
-    (-1)^r z^r Id] X(z)^{-1}, with C_r(z) = sum_k C_{2k+r} z^{2k}, so the
-    z^e coefficient of block row r is [C_{e+r}, D_{e+r}].  The blocks must
-    contain even powers of z only, which also keeps the two rows' masks apart.
-    An odd-power residue means the derivation (not the input) is wrong, so it
-    raises.
+    Block row r of P^{-1} is [C_r(z), D_r(z)] with C_r(z) = sum_k C_{2k+r} z^{2k},
+    so the z^e coefficient of block row r is [C_{e+r}, D_{e+r}].  P^{-1} is read
+    off X^{-1} by exponent parity (``ModulationBundle.polyphase_inv``), so it
+    holds even powers of z only, which keeps the two rows' masks apart.
     """
     n = bundle.size
     inv = bundle.polyphase_inv
@@ -251,8 +249,6 @@ def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
         r = i // n
         for j, entry in enumerate(row):
             for e, c in entry.coeffs.items():
-                if e % 2:
-                    raise AssertionError(f"odd power z^{e} in {'CD'[j // n]}_{r}: decomposition derivation bug")
                 both.setdefault(e + r, [[zero] * (2 * n) for _ in range(n)])[i - r * n][j] = c
     coarse, detail = (
         MaskSequence(n, n, {k: tuple(row[c : c + n] for row in both[k]) for k in sorted(both)})

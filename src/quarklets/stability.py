@@ -113,7 +113,9 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
     Brackets local minima of |F|^2 on a uniform grid of ``samples >= 3``
     points, sharpens each bracket by ternary search, and reports minima whose
     value is a numerical zero relative to the overall scale of |F| on the
-    interval.
+    interval.  Placement degrades with zero multiplicity: for quark(m, 0) on
+    [-20, 20] at 4000 samples the error at +-2 pi k grows from 0 (m = 1) to
+    1.5e-2 (m = 6), and m >= 7 gives spurious zeros.
     """
     if not (hi > lo) or not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("need a finite interval with lo < hi")

@@ -1,6 +1,10 @@
-"""Test-only reference code: an independent B-spline closed form, a
-deliberately broken modulation bundle (negative control), the exponent scan
-that read the splitting filters off E^{-1} X^{-1} (reference for
+"""Test-only reference code: an independent B-spline closed form, the CDF
+dual mask found by scanning monomial shifts (reference for the closed-form
+shift of ``cdf_masks``), a deliberately broken modulation bundle (negative
+control), X^{-1} multiplied out block by block and P^{-1} = E^{-1} X^{-1} as a
+matrix product with the exact parity-exchange inverse (references for the
+z -> -z read-offs of ``build_modulation`` and ``polyphase_inv``), the exponent
+scan that read the splitting filters off E^{-1} X^{-1} (reference for
 ``decomposition_filters``), the per-translate transform loops (reference
 for the polyphase transform), Condition E for general rational matrices by
 characteristic polynomial and Schur-Cohn test (reference for the diagonal
@@ -19,6 +23,7 @@ import numpy as np
 from mpmath import mp
 
 from quarklets import realroots
+from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import dual_eigenvector, dual_tail_slope
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.linalg import Mat, Vec
@@ -27,10 +32,9 @@ from quarklets.modulation import (
     DecompositionFilters,
     ModulationBundle,
     build_modulation,
-    parity_exchange_inverse,
 )
 from quarklets.piecewise import PiecewisePoly
-from quarklets.splines import QuarkFamily
+from quarklets.splines import QuarkFamily, bspline_mask
 from quarklets.transform import CoefficientFrame
 
 
@@ -55,6 +59,62 @@ def bspline_truncated_power(m: int) -> PiecewisePoly:
 def _binomial_power(shift: Fraction, n: int) -> list[Fraction]:
     """Coefficients of (x + shift)^n."""
     return [math.comb(n, j) * shift ** (n - j) for j in range(n + 1)]
+
+
+def cdf_masks_by_scan(m: int, mt: int) -> CdfPair:
+    """The CDF quadruple with the dual shift kappa found by trying every |kappa| <= m + mt.
+
+    The dual symbol z^kappa ((1+z)/2)^mt P_L(y) is kept at the first shift that
+    passes the scalar PR identity; the wavelet masks are the alternating flips
+    b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}.
+    """
+    primal = bspline_mask(m)
+    a = primal.to_symbol()[0, 0]
+    ell = (m + mt) // 2
+    y = LaurentPoly({-1: Fraction(-1, 4), 0: Fraction(1, 2), 1: Fraction(-1, 4)})
+    bezout = sum((y**n * math.comb(ell - 1 + n, n) for n in range(ell)), LaurentPoly.zero())
+    core = LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)}) ** mt * bezout
+    for kappa in range(-(m + mt), m + mt + 1):
+        at = core * LaurentPoly.monomial(Fraction(1), kappa)
+        if scalar_pr_defect(a, at).is_zero():
+            break
+    else:
+        raise ValueError(f"no monomial shift satisfies perfect reconstruction for ({m}, {mt})")
+    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]), Fraction(2))
+
+    def flip(scalars: dict[int, Fraction]) -> MaskSequence:
+        return MaskSequence.from_scalars({1 - k: (-1) ** ((1 - k) % 2) * c for k, c in scalars.items()})
+
+    return CdfPair(m, mt, primal, dual, flip(dual.scalars()), flip(primal.scalars()))
+
+
+def parity_exchange_inverse(n: int) -> LaurentMatrix:
+    """Exact inverse (1/2) [[Id, Id], [z Id, -z Id]] of ``parity_exchange_matrix(n)``."""
+    half = Fraction(1, 2)
+    z = LaurentPoly.monomial(half, 1)
+    return LaurentMatrix.block(
+        [
+            [LaurentMatrix.scalar(LaurentPoly.monomial(half, 0), n)] * 2,
+            [LaurentMatrix.scalar(z, n), LaurentMatrix.scalar(-z, n)],
+        ]
+    )
+
+
+def modulation_inv_by_blocks(bundle: ModulationBundle) -> LaurentMatrix:
+    """X(z)^{-1} = [[b(-z) T^{-1}, -T^{-1} S(-z)], [-b(z) T^{-1}, T^{-1} S(z)]], each block multiplied out."""
+    tinv, s = bundle.block_det_inv, bundle.scaling_symbol
+    b = bundle.filters.wavelet_symbol()
+    return LaurentMatrix.block(
+        [
+            [tinv * b.substitute_neg(), -(tinv @ s.substitute_neg())],
+            [-(tinv * b), tinv @ s],
+        ]
+    )
+
+
+def polyphase_inv_by_product(bundle: ModulationBundle) -> LaurentMatrix:
+    """P(z)^{-1} = E(z)^{-1} X(z)^{-1} as one matrix product."""
+    return parity_exchange_inverse(bundle.size) @ bundle.modulation_inv
 
 
 def perturb_detail_block(bundle: ModulationBundle, i: int = 0, j: int = 0) -> ModulationBundle:

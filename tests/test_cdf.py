@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import cdf_masks_by_scan
 
+from quarklets import cdf
 from quarklets.cdf import cdf_masks, quarklets, scalar_pr_defect
 from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly
@@ -101,6 +103,17 @@ class TestCdfMasks:
             1: Fraction(1, 2),
             2: Fraction(-1, 4),
         }
+
+    def test_closed_form_shift_equals_scan(self):
+        pairs = [(m, mt) for m in range(1, 13) for mt in range(m, 25, 2)]
+        assert len(pairs) == 114
+        for m, mt in pairs:
+            assert cdf_masks(m, mt) == cdf_masks_by_scan(m, mt), (m, mt)
+
+    def test_pr_defect_is_a_derivation_bug(self, monkeypatch):
+        monkeypatch.setattr(cdf, "scalar_pr_defect", lambda a, at: LaurentPoly.one())
+        with pytest.raises(AssertionError, match="derivation bug"):
+            cdf._cdf_cached.__wrapped__(2, 2)
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     def test_scalar_pr_identity_exact(self, m, mt):

@@ -6,15 +6,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import dual_modulation, eval_rational, perturb_detail_block, reference_splitting_masks
+from helpers import (
+    dual_modulation,
+    eval_rational,
+    modulation_inv_by_blocks,
+    parity_exchange_inverse,
+    perturb_detail_block,
+    polyphase_inv_by_product,
+    reference_splitting_masks,
+)
 
-from quarklets import modulation
+from quarklets import cdf, modulation
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.modulation import (
     build_modulation,
     check_product_is_identity,
     decomposition_filters,
-    parity_exchange_inverse,
     parity_exchange_matrix,
     polyphase,
     splitting_identity_defect,
@@ -148,6 +155,18 @@ class TestPerfectReconstruction:
         assert not report.identity_holds
         assert report.residuals
 
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    @pytest.mark.parametrize("p", range(6))
+    def test_read_offs_equal_multiplied_out_products(self, m, mt, p):
+        b = build_modulation(m, mt, p)
+        inv = modulation_inv_by_blocks(b)
+        n = b.size
+        assert b.modulation_inv == inv
+        assert b.polyphase_inv == polyphase_inv_by_product(b)
+        top_left, top_right = (LaurentMatrix([row[c : c + n] for row in inv.entries[:n]]) for c in (0, n))
+        assert b.dual_scaling_symbol == top_left.conj_transpose()
+        assert b.dual_detail_symbol == top_right.conj_transpose()
+
     def test_dual_modulation_assembles_to_inverse(self):
         b = build_modulation(2, 2, 2)
         assert dual_modulation(b).conj_transpose() == b.modulation_inv
@@ -201,22 +220,29 @@ class TestSubSymbolsAndPolyphase:
         assert pf.polyphase == synthesis_matrix(b)
         assert pf.inverse == decomposition_filters(b).polyphase_inv
 
-    def test_inverse_multiplied_out_once_per_bundle(self, monkeypatch):
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return parity_exchange_inverse(n)
-
-        monkeypatch.setattr(modulation, "parity_exchange_inverse", counted)
+    def test_inverse_read_off_once_per_bundle(self):
         # a fresh copy: the cached bundle may already hold its P^{-1}
         b = replace(build_modulation(2, 2, 2))
         filters = decomposition_filters(b)
         pf = polyphase(b)
         frame = CoefficientFrame(1, 3, {0: (1, 2, 3), 5: (-1, 0, Fraction(1, 7))})
         assert decompose(frame, filters) == decompose(frame, filters)
-        assert calls == [3]
         assert pf.inverse is filters.polyphase_inv is b.polyphase_inv
+
+    def test_one_matrix_product_per_cold_bundle(self, monkeypatch):
+        # T^{-1} @ S is the only product: the rest of X^{-1} and all of P^{-1} are read off
+        calls = []
+        product = LaurentMatrix.__matmul__
+
+        def counted(a, b):
+            calls.append((a.rows, a.cols, b.rows, b.cols))
+            return product(a, b)
+
+        monkeypatch.setattr(LaurentMatrix, "__matmul__", counted)
+        modulation._build_cached.cache_clear()
+        cdf._cdf_cached.cache_clear()
+        decomposition_filters(build_modulation(3, 5, 4))
+        assert calls == [(5, 5, 5, 5)]
 
 
 class TestReadOnlyCaches:
@@ -259,11 +285,13 @@ class TestDecompositionFilters:
         filt = decomposition_filters(bundle)
         assert (filt.coarse, filt.detail) == reference_splitting_masks(bundle)
 
-    def test_odd_power_is_a_derivation_bug(self):
+    def test_shifted_inverse_fails_both_certificates(self):
+        # z X^{-1} is no inverse; the parity read-off gives even powers whatever it is
+        # handed, so the exact certificates are what catch it
         b = build_modulation(2, 2, 1)
         shifted = replace(b, modulation_inv=b.modulation_inv * LaurentPoly.monomial(1, 1))
-        with pytest.raises(AssertionError, match="odd power"):
-            decomposition_filters(shifted)
+        assert not polyphase(shifted).invertible
+        assert not verify_perfect_reconstruction(shifted).identity_holds
 
     def test_support_growth_linear(self):
         for (m, mt) in [(1, 1), (3, 3)]:
@@ -281,6 +309,9 @@ class TestDecompositionFilters:
 @given(st.integers(1, 4), st.integers(0, 2), st.integers(0, 4))
 def test_perfect_reconstruction_over_random_designs(m, extra, p):
     # valid designs with m <= 4, mt <= m + 4 and p <= 4; mt = m + 2 extra keeps m + mt even
-    report = verify_perfect_reconstruction(build_modulation(m, m + 2 * extra, p))
+    bundle = build_modulation(m, m + 2 * extra, p)
+    report = verify_perfect_reconstruction(bundle)
     assert report.identity_holds
     assert report.residuals == ()
+    assert bundle.modulation_inv == modulation_inv_by_blocks(bundle)
+    assert bundle.polyphase_inv == polyphase_inv_by_product(bundle)

@@ -151,6 +151,17 @@ class TestFtZeroScan:
         for z, e in zip(zeros, expected):
             assert abs(z - e) < 1e-3
 
+    # placement error at the zeros +-2 pi k (multiplicity m) of quark(m, 0) on [-20, 20],
+    # about twice the measured 0, 4.2e-8, 1.6e-5, 6.5e-4, 1.6e-3, 1.5e-2
+    @pytest.mark.parametrize(
+        "m,bound", [(1, 1e-12), (2, 1e-7), (3, 3.2e-5), (4, 1.3e-3), (5, 3.2e-3), (6, 3e-2)]
+    )
+    def test_multiple_zeros_of_degree_zero_quarks(self, m, bound):
+        zeros = ft_zero_scan(m, 0, -20, 20)
+        expected = sorted(s * 2 * math.pi * k for s in (-1, 1) for k in (1, 2, 3))
+        assert len(zeros) == 6
+        assert max(abs(z - e) for z, e in zip(zeros, expected)) <= bound
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             ft_zero_scan(1, 0, 3, 3)
