@@ -98,7 +98,7 @@ def _cdf_cached(m: int, mt: int) -> CdfPair:
     if not defect.is_zero():
         raise AssertionError(f"dual mask for (m, mt) = ({m}, {mt}) leaves PR defect {defect!r}; derivation bug")
 
-    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]), Fraction(2))
+    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]))
     at_scalars = dual.scalars()
     b_vals = {k: _sign(k) * at_scalars.get(1 - k, Fraction(0)) for k in _flip_range(at_scalars)}
     a_scalars = primal.scalars()

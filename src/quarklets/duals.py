@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .laurent import LaurentMatrix, _int_core, cascade
+from .laurent import LaurentMatrix, _int_cores, cascade
 from .modulation import build_modulation
 from .stability import dual_symbol_at_one
 
@@ -83,14 +83,14 @@ def _tail_slope(
     gives 2 G'(0) = -i M'(1) v + M(1) G'(0).  M(1) is upper triangular with
     diagonal 2^{q-p} <= 1, so 2I - M(1) is solved by back-substitution.
     ``at_one`` is St(1) from :func:`dual_symbol_at_one`; M'(1) = sum_k k M_k
-    is read off each entry's integer numerators over their common denominator.
+    is read off each row's integer numerators over one common denominator.
     """
     scale = Fraction(1, 2**p)
     rhs = []
     for row in symbol.entries:
+        cores, den = _int_cores(row)
         acc = Fraction(0)
-        for e, vj in zip(row, v):
-            nums, den = _int_core(e.coeffs)
+        for nums, vj in zip(cores, v):
             acc += Fraction(sum(k * n for k, n in nums.items()), den) * vj
         rhs.append(acc * scale)
     n = len(rhs)

@@ -7,9 +7,13 @@ which is what :meth:`LaurentPoly.conj_on_circle` implements.  Evaluated at
 z = exp(-i t), the same object is the trigonometric polynomial
 sum_k c_k exp(-i k t).
 
-All arithmetic is exact.  Multiplication runs on an integer core (one common
-denominator per operand) because coefficient convolution dominates the cost
-of the perfect-reconstruction checks.
+All arithmetic is exact.  Every product runs on an integer core, because
+coefficient convolution dominates the cost of the perfect-reconstruction
+checks and the frame transforms: a matrix product scales each row of the
+left factor and each column of the right one to integer numerators over one
+common denominator, accumulates every output entry in ``int`` and divides
+once per coefficient.  A polynomial product is its 1x1 case, and triangular
+inversion runs its forward substitution on the same kernel.
 
 Every Fourier-domain value of the package comes from :func:`cascade`, the
 float refinement product of a matrix symbol over a whole array of frequencies.
@@ -18,7 +22,7 @@ float refinement product of a matrix symbol over a whole array of frequencies.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -117,21 +121,9 @@ class LaurentPoly:
             return res
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly.zero()
-        # Integer-core convolution: scale both operands to integer coefficients,
-        # convolve with machine/long ints, divide by the product denominator once.
-        na, da = _int_core(self.coeffs)
-        nb, db = _int_core(other.coeffs)
-        acc: dict[int, int] = {}
-        for ka, ca in na.items():
-            for kb, cb in nb.items():
-                k = ka + kb
-                acc[k] = acc.get(k, 0) + ca * cb
-        den = da * db
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {k: Fraction(n, den) for k, n in acc.items() if n}
-        return res
+        na, da = _int_cores((self,))
+        nb, db = _int_cores((other,))
+        return _from_int(_dot(na, nb), da * db)
 
     __rmul__ = __mul__
 
@@ -207,11 +199,31 @@ def _as_poly(value):
     return NotImplemented
 
 
-def _int_core(coeffs: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    den = 1
-    for c in coeffs.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+def _int_cores(polys: Sequence[LaurentPoly]) -> tuple[list[dict[int, int]], int]:
+    """Integer numerators of every polynomial over one common denominator of them all."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+    return [{k: c.numerator * (den // c.denominator) for k, c in p.coeffs.items()} for p in polys], den
+
+
+def _dot(row: Sequence[dict[int, int]], col: Sequence[dict[int, int]]) -> dict[int, int]:
+    """sum_k row[k] * col[k] of integer cores, convolved and accumulated in int."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for na, nb in zip(row, col):
+        if na and nb:
+            terms = nb.items()
+            for ka, ca in na.items():
+                for kb, cb in terms:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def _from_int(nums: Mapping[int, int], den: int) -> LaurentPoly:
+    """The polynomial sum_k (nums[k] / den) z^k; zero numerators are dropped."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.coeffs = {k: Fraction(n, den) for k, n in nums.items() if n}
+    return res
 
 
 class LaurentMatrix:
@@ -310,18 +322,11 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in ot:
-                acc = LaurentPoly.zero()
-                for a, b in zip(row, col):
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return LaurentMatrix(out)
+        # each row of self and each column of other over one denominator, so every
+        # output entry is one integer accumulation and one division per coefficient
+        rows = [_int_cores(row) for row in self.entries]
+        cols = [_int_cores(col) for col in zip(*other.entries)]
+        return LaurentMatrix([[_from_int(_dot(ra, cb), da * db) for cb, db in cols] for ra, da in rows])
 
     def __mul__(self, other) -> "LaurentMatrix":
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -369,14 +374,14 @@ class LaurentMatrix:
         inv: list[list[LaurentPoly]] = [[zero] * n for _ in range(n)]
         for i in range(n):
             inv[i][i] = diag_inv[i]
-        # forward substitution, column by column
+        # forward substitution, column by column:
+        # inv[i][j] = sum_{j <= k < i} (-d_i^{-1} T[i][k]) inv[k][j]
+        scaled = [_int_cores([-(diag_inv[i] * e) for e in self.entries[i][:i]]) for i in range(n)]
         for j in range(n):
             for i in range(j + 1, n):
-                acc = LaurentPoly.zero()
-                for k in range(j, i):
-                    acc = acc + self.entries[i][k] * inv[k][j]
-                if not acc.is_zero():
-                    inv[i][j] = -(diag_inv[i] * acc)
+                row, row_den = scaled[i]
+                col, col_den = _int_cores([inv[k][j] for k in range(j, i)])
+                inv[i][j] = _from_int(_dot(row[j:i], col), row_den * col_den)
         return LaurentMatrix(inv)
 
     # -- evaluation ----------------------------------------------------------------------

@@ -41,14 +41,14 @@ class MaskSequence:
         return MaskSequence(1, 1, {k: ((as_rational(v),),) for k, v in values.items()})
 
     @staticmethod
-    def from_symbol(symbol: LaurentMatrix, weight: Fraction = Fraction(2)) -> "MaskSequence":
-        """Masks M_k = weight * (z^k coefficient of the symbol), read off the nonzero terms only."""
+    def from_symbol(symbol: LaurentMatrix) -> "MaskSequence":
+        """Masks M_k = 2 * (z^k coefficient of the symbol), read off the nonzero terms only."""
         zero = Fraction(0)
         out: dict[int, list[list[Fraction]]] = {}
         for i, row in enumerate(symbol.entries):
             for j, entry in enumerate(row):
                 for k, c in entry.coeffs.items():
-                    out.setdefault(k, [[zero] * symbol.cols for _ in range(symbol.rows)])[i][j] = c * weight
+                    out.setdefault(k, [[zero] * symbol.cols for _ in range(symbol.rows)])[i][j] = 2 * c
         return MaskSequence(symbol.rows, symbol.cols, {k: out[k] for k in sorted(out)})
 
     def to_symbol(self) -> LaurentMatrix:

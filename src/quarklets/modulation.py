@@ -12,7 +12,8 @@ For orders (m, mt) and maximal degree p the bundle collects:
    L = b(-z) T^{-1} and R = T^{-1} S(z): T is odd, so the bottom-left and
    top-right blocks are the other two at -z and R is the only matrix product,
 *  dual symbols read off from X^{-1}:  conj(St(z))^T = L(z) and
-   conj(Wt(z))^T = R(-z), together with their mask sequences,
+   conj(Wt(z))^T = R(-z), and their mask sequences on first use,
+*  the polyphase matrix P(z) of the masks, on first use,
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by exponent parity, with no product.
 
@@ -49,12 +50,27 @@ class ModulationBundle:
     modulation_inv: LaurentMatrix      # X(z)^{-1}
     dual_scaling_symbol: LaurentMatrix  # St(z)
     dual_detail_symbol: LaurentMatrix   # Wt(z)
-    dual_scaling_masks: MaskSequence    # At_k
-    dual_detail_masks: MaskSequence     # Bt_k
 
     @property
     def size(self) -> int:
         return self.p + 1
+
+    @cached_property
+    def dual_scaling_masks(self) -> MaskSequence:
+        """At_k, read off St(z) on first use."""
+        return MaskSequence.from_symbol(self.dual_scaling_symbol)
+
+    @cached_property
+    def dual_detail_masks(self) -> MaskSequence:
+        """Bt_k, read off Wt(z) on first use."""
+        return MaskSequence.from_symbol(self.dual_detail_symbol)
+
+    @cached_property
+    def synthesis_matrix(self) -> LaurentMatrix:
+        """P(z) = [[S_0, S_1], [W_0, W_1]] of the even/odd sub-symbols of the masks, on first use."""
+        s0, w0 = sub_symbols(self, 0)
+        s1, w1 = sub_symbols(self, 1)
+        return LaurentMatrix.block([[s0, s1], [w0, w1]])
 
     @cached_property
     def polyphase_inv(self) -> LaurentMatrix:
@@ -129,8 +145,6 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
         modulation_inv=modulation_inv,
         dual_scaling_symbol=dual_scaling_symbol,
         dual_detail_symbol=dual_detail_symbol,
-        dual_scaling_masks=MaskSequence.from_symbol(dual_scaling_symbol),
-        dual_detail_masks=MaskSequence.from_symbol(dual_detail_symbol),
     )
 
 
@@ -200,17 +214,10 @@ class PolyphaseFactorization:
     invertible: bool                  # P P^{-1} == Id, checked exactly
 
 
-def synthesis_matrix(bundle: ModulationBundle) -> LaurentMatrix:
-    """P(z) = [[S_0, S_1], [W_0, W_1]] of the even/odd sub-symbols of the masks."""
-    s0, w0 = sub_symbols(bundle, 0)
-    s1, w1 = sub_symbols(bundle, 1)
-    return LaurentMatrix.block([[s0, s1], [w0, w1]])
-
-
 def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
     """Polyphase matrix of the filter bank plus its exact invertibility certificate."""
     n = bundle.size
-    pp = synthesis_matrix(bundle)
+    pp = bundle.synthesis_matrix
     exchange = parity_exchange_matrix(n)
     holds = pp == bundle.modulation @ exchange
     inv = bundle.polyphase_inv

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import realroots
+from .laurent import LaurentPoly
 from .rational import as_rational, is_dyadic
 from .realroots import Poly, evaluate, trim
 
@@ -25,14 +26,9 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return trim(out)
+    """Dense product, run as a Laurent product on the integer-core kernel."""
+    prod = LaurentPoly(dict(enumerate(a))) * LaurentPoly(dict(enumerate(b)))
+    return trim([prod[k] for k in range(len(a) + len(b) - 1)])
 
 
 def _poly_scale(a: Poly, s: Fraction) -> Poly:

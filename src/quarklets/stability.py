@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .laurent import LaurentPoly, _int_core
+from .laurent import LaurentPoly, _int_cores
 from .modulation import build_modulation
 from .splines import quark, quark_ft
 from .trig import is_positive_on_circle, shift_gram_symbol
@@ -164,12 +164,12 @@ def condition_e(matrix) -> bool:
 def dual_symbol_at_one(m: int, mt: int, p: int) -> linalg.Mat:
     """The dual scaling symbol evaluated exactly at z = 1 (upper triangular).
 
-    Each entry at z = 1 is the sum of its integer numerators over their
-    common denominator.
+    Each entry at z = 1 is the sum of its integer numerators over the common
+    denominator of its row.
     """
     bundle = build_modulation(m, mt, p)
-    cores = [[_int_core(e.coeffs) for e in row] for row in bundle.dual_scaling_symbol.entries]
-    mat = tuple(tuple(Fraction(sum(nums.values()), den) for nums, den in row) for row in cores)
+    cores = [_int_cores(row) for row in bundle.dual_scaling_symbol.entries]
+    mat = tuple(tuple(Fraction(sum(nums.values()), den) for nums in row) for row, den in cores)
     if not linalg.is_upper_triangular(mat):
         raise AssertionError("dual scaling symbol at z = 1 should be upper triangular")
     return mat

@@ -8,10 +8,10 @@ for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.
 Each transform step is one exact ``LaurentMatrix`` product on the polyphase
 form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
 the fine frame and s(z^2), d(z^2) of the coarse ones, vectors of Laurent
-polynomials.  P(z) is the polyphase matrix of the two-scale masks
-(``modulation.synthesis_matrix``), P(z)^{-1} = E(z)^{-1} X(z)^{-1} is the
-bundle's one analysis matrix, carried by the splitting filters
-(``DecompositionFilters.polyphase_inv``), and ``modulation.polyphase``
+polynomials.  P(z) is the polyphase matrix of the two-scale masks, built
+once per bundle (``ModulationBundle.synthesis_matrix``), P(z)^{-1} =
+E(z)^{-1} X(z)^{-1} is the bundle's one analysis matrix, carried by the
+splitting filters (``DecompositionFilters.polyphase_inv``), and ``modulation.polyphase``
 certifies P P^{-1} = Id, so the two steps are exact inverses:
 
     reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .cdf import QuarkletFamily, quarklets
 from .laurent import LaurentMatrix, LaurentPoly
-from .modulation import DecompositionFilters, ModulationBundle, synthesis_matrix
+from .modulation import DecompositionFilters, ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
 from .rational import as_rational
 
@@ -90,7 +90,7 @@ def reconstruct(
         raise ValueError("frame width does not match the bundle degree")
     coarse = ({2 * l: v for l, v in f.items()} for f in (scaling, detail))
     row = [poly for frame in coarse for poly in _polys(frame, width)]
-    out = (LaurentMatrix([row]) @ synthesis_matrix(bundle)).entries[0]
+    out = (LaurentMatrix([row]) @ bundle.synthesis_matrix).entries[0]
     phases = (out[:width], out[width:])
     coeffs = {e + r: vec for r, phase in enumerate(phases) for e, vec in _vectors(phase).items()}
     return CoefficientFrame(scaling.level + 1, width, coeffs)

@@ -1,4 +1,6 @@
-"""Test-only reference code: an independent B-spline closed form, the CDF
+"""Test-only reference code: the Laurent matrix product summed coefficient by
+coefficient over Fractions (reference for the integer-core kernel of
+``LaurentMatrix.__matmul__``), an independent B-spline closed form, the CDF
 dual mask found by scanning monomial shifts (reference for the closed-form
 shift of ``cdf_masks``), a deliberately broken modulation bundle (negative
 control), X^{-1} multiplied out block by block and P^{-1} = E^{-1} X^{-1} as a
@@ -80,12 +82,30 @@ def cdf_masks_by_scan(m: int, mt: int) -> CdfPair:
             break
     else:
         raise ValueError(f"no monomial shift satisfies perfect reconstruction for ({m}, {mt})")
-    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]), Fraction(2))
+    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]))
 
     def flip(scalars: dict[int, Fraction]) -> MaskSequence:
         return MaskSequence.from_scalars({1 - k: (-1) ** ((1 - k) % 2) * c for k, c in scalars.items()})
 
     return CdfPair(m, mt, primal, dual, flip(dual.scalars()), flip(primal.scalars()))
+
+
+def fraction_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """a @ b with every coefficient product added into a ``Fraction`` accumulator."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    out = []
+    for row in a.entries:
+        out_row = []
+        for col in zip(*b.entries):
+            acc: dict[int, Fraction] = {}
+            for x, y in zip(row, col):
+                for kx, cx in x.coeffs.items():
+                    for ky, cy in y.coeffs.items():
+                        acc[kx + ky] = acc.get(kx + ky, Fraction(0)) + cx * cy
+            out_row.append(LaurentPoly(acc))
+        out.append(out_row)
+    return LaurentMatrix(out)
 
 
 def parity_exchange_inverse(n: int) -> LaurentMatrix:

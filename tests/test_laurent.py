@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import fraction_matmul
 
 from quarklets.laurent import LaurentMatrix, LaurentPoly, cascade
 
@@ -139,6 +140,87 @@ class TestMatrix:
         rng = random.Random(23)
         m = LaurentMatrix([[rand_poly(rng, 2) for _ in range(3)] for _ in range(2)])
         assert m.conj_transpose().conj_transpose() == m
+
+
+# small, 172-bit-sized and coprime large denominators side by side
+DENOMINATORS = (1, 2, 3, 7, 64, 2**61 - 1, 3**40, 10**30 + 7, 2**172)
+
+
+def rand_sparse_poly(rng, span=4):
+    """Zero, or a few terms at exponents in [-span, span] with mixed denominators."""
+    if rng.random() < 0.2:
+        return LaurentPoly.zero()
+    exps = rng.sample(range(-span, span + 1), rng.randint(1, 2 * span + 1))
+    return LaurentPoly(
+        {k: Fraction(rng.randint(-10**12, 10**12), rng.choice(DENOMINATORS)) for k in exps}
+    )
+
+
+def rand_matrix(rng, rows, cols, zero_row=None, zero_col=None):
+    return LaurentMatrix(
+        [[LaurentPoly.zero() if zero_row == i or zero_col == j else rand_sparse_poly(rng)
+          for j in range(cols)] for i in range(rows)]
+    )
+
+
+def stores_no_zero(m: LaurentMatrix) -> bool:
+    return all(c != 0 for row in m.entries for e in row for c in e.coeffs.values())
+
+
+class TestIntegerCoreProduct:
+    """The integer-core kernel of ``@`` against the Fraction-accumulating product."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 1, 3), (3, 5, 1)])
+    def test_random_shapes(self, shape):
+        r, k, c = shape
+        rng = random.Random(100 * r + 10 * k + c)
+        for _ in range(8):
+            a, b = rand_matrix(rng, r, k), rand_matrix(rng, k, c)
+            got = a @ b
+            assert got == fraction_matmul(a, b)
+            assert (got.rows, got.cols) == (r, c) and stores_no_zero(got)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_decompose_shape(self, n):
+        # a 1 x n row of frame phases against an n x 2n analysis matrix, even exponents only
+        rng = random.Random(n)
+        row = LaurentMatrix([[LaurentPoly({2 * k: c for k, c in rand_sparse_poly(rng, 8).coeffs.items()})
+                              for _ in range(n)]])
+        mat = rand_matrix(rng, n, 2 * n)
+        assert row @ mat == fraction_matmul(row, mat)
+
+    def test_zero_rows_and_columns(self):
+        rng = random.Random(41)
+        a = rand_matrix(rng, 3, 4, zero_row=1, zero_col=2)
+        b = rand_matrix(rng, 4, 3, zero_row=2, zero_col=0)
+        got = a @ b
+        assert got == fraction_matmul(a, b)
+        assert all(e.is_zero() for e in got.entries[1])
+        assert all(row[0].is_zero() for row in got.entries)
+        assert LaurentMatrix.zero(2, 4) @ b == LaurentMatrix.zero(2, 3)
+
+    def test_cancellation_stores_no_zero(self):
+        p = P({-3: Fraction(1, 3**40), 0: Fraction(5, 7), 2: Fraction(-1, 2**61 - 1)})
+        q = P({-1: Fraction(2, 9), 4: 11})
+        # the whole entry cancels: p q - p q
+        full = LaurentMatrix([[p, p]]) @ LaurentMatrix([[q], [-q]])
+        assert full[0, 0].coeffs == {}
+        # some coefficients cancel: (1 + z)(1 - z) + z^2 = 1
+        part = LaurentMatrix([[P({0: 1, 1: 1}), P({2: 1})]]) @ LaurentMatrix([[P({0: 1, 1: -1})], [1]])
+        assert part[0, 0].coeffs == {0: Fraction(1)}
+        assert full == fraction_matmul(LaurentMatrix([[p, p]]), LaurentMatrix([[q], [-q]]))
+
+    def test_polynomial_product_is_the_one_by_one_case(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            a, b = rand_sparse_poly(rng), rand_sparse_poly(rng)
+            assert a * b == fraction_matmul(LaurentMatrix([[a]]), LaurentMatrix([[b]]))[0, 0]
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((1, 4), (3, 8)), ((3, 1), (2, 1))])
+    def test_dimension_mismatch(self, shapes):
+        (r, k), (k2, c) = shapes
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            LaurentMatrix.zero(r, k) @ LaurentMatrix.zero(k2, c)
 
 
 class TestPowers:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     dual_modulation,
     eval_rational,
+    fraction_matmul,
     modulation_inv_by_blocks,
     parity_exchange_inverse,
     perturb_detail_block,
@@ -18,6 +19,7 @@ from helpers import (
 
 from quarklets import cdf, modulation
 from quarklets.laurent import LaurentMatrix, LaurentPoly
+from quarklets.masks import MaskSequence
 from quarklets.modulation import (
     build_modulation,
     check_product_is_identity,
@@ -26,7 +28,6 @@ from quarklets.modulation import (
     polyphase,
     splitting_identity_defect,
     sub_symbols,
-    synthesis_matrix,
     verify_perfect_reconstruction,
 )
 from quarklets.transform import CoefficientFrame, decompose
@@ -58,6 +59,16 @@ class TestBundleStructure:
         assert tinv.is_lower_triangular()
         assert tinv.substitute_neg() == -tinv
         assert tinv @ b.block_det == LaurentMatrix.identity(4)
+
+    @pytest.mark.parametrize("m,mt", PAIRS)
+    @pytest.mark.parametrize("p", range(6))
+    def test_inverting_block_det_on_the_integer_core(self, m, mt, p):
+        # the forward substitution convolves on integer cores; the kernel product and
+        # the Fraction-accumulating one both certify its result
+        t = build_modulation(m, mt, p).block_det
+        inv = t.invert_lower_triangular()
+        assert inv @ t == LaurentMatrix.identity(p + 1)
+        assert fraction_matmul(inv, t) == LaurentMatrix.identity(p + 1)
 
     def test_sign_identities_of_inverse_blocks(self):
         # b(z) Tinv(-z) = -b(z) Tinv(z)  and  -Tinv(-z) S(z) = Tinv(z) S(z)
@@ -212,12 +223,12 @@ class TestSubSymbolsAndPolyphase:
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (1, 1, 2), (2, 2, 2), (3, 3, 1), (2, 4, 2), (3, 5, 2)])
     def test_transform_matrices_are_certified(self, m, mt, p):
-        # decompose applies the filters' polyphase_inv, reconstruct applies synthesis_matrix():
+        # decompose applies the filters' polyphase_inv, reconstruct the bundle's synthesis_matrix:
         # the invertibility certificate of polyphase() covers exactly these two
         b = build_modulation(m, mt, p)
         pf = polyphase(b)
         assert pf.invertible
-        assert pf.polyphase == synthesis_matrix(b)
+        assert pf.polyphase is b.synthesis_matrix
         assert pf.inverse == decomposition_filters(b).polyphase_inv
 
     def test_inverse_read_off_once_per_bundle(self):
@@ -256,6 +267,22 @@ class TestReadOnlyCaches:
         again = build_modulation(2, 2, 1)
         assert again is bundle
         assert {name: dict(getattr(again, name).entries) for name in before} == before
+
+    def test_dual_masks_and_polyphase_built_on_first_use_only(self, monkeypatch):
+        read = []
+        from_symbol = MaskSequence.from_symbol
+        monkeypatch.setattr(MaskSequence, "from_symbol",
+                            staticmethod(lambda symbol: read.append(symbol) or from_symbol(symbol)))
+        modulation._build_cached.cache_clear()
+        bundle = build_modulation(2, 4, 2)
+        cold = len(read)  # the detail masks, and the CDF dual mask if that was cold too
+        assert bundle.dual_scaling_symbol not in read and bundle.dual_detail_symbol not in read
+        masks = bundle.dual_scaling_masks
+        assert bundle.dual_scaling_masks is masks and bundle.dual_detail_masks is bundle.dual_detail_masks
+        assert read[cold:] == [bundle.dual_scaling_symbol, bundle.dual_detail_symbol]
+        assert bundle.synthesis_matrix is bundle.synthesis_matrix
+        with pytest.raises(AttributeError):
+            bundle.dual_scaling_masks = masks
 
     def test_filter_masks_reject_assignment(self):
         filt = decomposition_filters(build_modulation(1, 1, 0))
