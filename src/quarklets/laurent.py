@@ -88,9 +88,7 @@ class LaurentPoly:
                 out.pop(k, None)
             else:
                 out[k] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = out
-        return res
+        return _from_dict(out)
 
     __radd__ = __add__
 
@@ -107,18 +105,14 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
+        return _from_dict({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_rational(other)
             if c == 0:
                 return LaurentPoly.zero()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.coeffs = {k: v * c for k, v in self.coeffs.items()}
-            return res
+            return _from_dict({k: v * c for k, v in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         na, da = _int_cores((self,))
@@ -142,19 +136,48 @@ class LaurentPoly:
             n >>= 1
         return out
 
+    def __divmod__(self, other):
+        """(q, r) with self = q*other + r and r's top exponent below other's.
+
+        Long division from the top exponent.  q collects terms down to the
+        exponent 0 if self is a polynomial, so on polynomials this is
+        polynomial division, and down to lo(self) - lo(other) if self has a
+        negative exponent.  An exact multiple q*other thus leaves r = 0 unless
+        it is a polynomial while q is not (z does not divide 1 as polynomials).
+        """
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.coeffs:
+            raise ZeroDivisionError("division by the zero polynomial")
+        top, terms = max(other.coeffs), other.coeffs.items()
+        lead = other.coeffs[top]
+        rem, quot = dict(self.coeffs), {}
+        floor = min(0, min(rem) - min(other.coeffs)) if rem and min(rem) < 0 else 0
+        while rem and max(rem) - top >= floor:
+            shift = max(rem) - top
+            f = quot[shift] = rem[top + shift] / lead
+            for k, c in terms:
+                v = rem.get(k + shift, 0) - f * c
+                if v:
+                    rem[k + shift] = v
+                else:
+                    del rem[k + shift]
+        return _from_dict(quot), _from_dict(rem)
+
     # -- structural operations ------------------------------------------------
+
+    def derivative(self) -> "LaurentPoly":
+        """d/dz, term by term."""
+        return _from_dict({k - 1: k * c for k, c in self.coeffs.items() if k})
 
     def substitute_neg(self) -> "LaurentPoly":
         """z -> -z: flip the sign of every odd-exponent coefficient."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {k: (-c if k & 1 else c) for k, c in self.coeffs.items()}
-        return res
+        return _from_dict({k: (-c if k & 1 else c) for k, c in self.coeffs.items()})
 
     def conj_on_circle(self) -> "LaurentPoly":
         """Pointwise conjugate on |z| = 1, i.e. the reflection c_k z^k -> c_k z^{-k}."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.coeffs = {-k: c for k, c in self.coeffs.items()}
-        return res
+        return _from_dict({-k: c for k, c in self.coeffs.items()})
 
     # -- evaluation ------------------------------------------------------------
 
@@ -162,16 +185,20 @@ class LaurentPoly:
         return sum(float(c) * z**k for k, c in self.coeffs.items())
 
     def eval_rational(self, x: Fraction | int) -> Fraction:
-        """Exact evaluation at a nonzero rational point."""
+        """Exact value at a rational point, by Horner's rule on the integer core."""
         x = Fraction(x)
-        if x == 0:
-            if any(k < 0 for k in self.coeffs):
-                raise ZeroDivisionError("negative exponent at x = 0")
-            return self.coeffs.get(0, Fraction(0))
-        total = Fraction(0)
-        for k, c in self.coeffs.items():
-            total = total + c * x**k
-        return total
+        if not self.coeffs:
+            return Fraction(0)
+        (nums,), den = _int_cores((self,))
+        exps = sorted(nums, reverse=True)
+        p, q = x.numerator, x.denominator
+        # acc = sum_k nums[k] p^(k - lo) q^(hi - k), from the top exponent down
+        acc, q_pow, prev = 0, 1, exps[0]
+        for k in exps:
+            q_pow *= q ** (prev - k)
+            acc = acc * p ** (prev - k) + nums[k] * q_pow
+            prev = k
+        return Fraction(acc, den * q_pow) * x**prev
 
     # -- comparisons -----------------------------------------------------------
 
@@ -221,8 +248,13 @@ def _dot(row: Sequence[dict[int, int]], col: Sequence[dict[int, int]]) -> dict[i
 
 def _from_int(nums: Mapping[int, int], den: int) -> LaurentPoly:
     """The polynomial sum_k (nums[k] / den) z^k; zero numerators are dropped."""
+    return _from_dict({k: Fraction(n, den) for k, n in nums.items() if n})
+
+
+def _from_dict(coeffs: dict[int, Fraction]) -> LaurentPoly:
+    """A LaurentPoly around ``coeffs``, which must hold nonzero Fractions only."""
     res = LaurentPoly.__new__(LaurentPoly)
-    res.coeffs = {k: Fraction(n, den) for k, n in nums.items() if n}
+    res.coeffs = coeffs
     return res
 
 

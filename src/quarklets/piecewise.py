@@ -2,9 +2,10 @@
 
 A function is stored as strictly increasing dyadic-rational breakpoints
 ``b_0 < b_1 < ... < b_n`` and one polynomial per interval ``[b_i, b_{i+1})``
-(dense coefficient tuple, constant term first).  The function is zero outside
-``[b_0, b_n]``.  Pieces are right-open, matching the unit-interval indicator
-convention for the order-1 B-spline.
+(a :class:`LaurentPoly` in x with no negative exponents; the constructor also
+takes dense coefficient sequences, constant term first).  The function is zero
+outside ``[b_0, b_n]``.  Pieces are right-open, matching the unit-interval
+indicator convention for the order-1 B-spline.
 
 Everything here is exact; floats never enter.
 """
@@ -14,41 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import realroots
 from .laurent import LaurentPoly
 from .rational import as_rational, is_dyadic
-from .realroots import Poly, evaluate, trim
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    """Dense product, run as a Laurent product on the integer-core kernel."""
-    prod = LaurentPoly(dict(enumerate(a))) * LaurentPoly(dict(enumerate(b)))
-    return trim([prod[k] for k in range(len(a) + len(b) - 1)])
-
-
-def _poly_scale(a: Poly, s: Fraction) -> Poly:
-    return () if s == 0 else trim([c * s for c in a])
-
-
-def _poly_compose_linear(p: Poly, a: Fraction, b: Fraction) -> Poly:
-    """Coefficients of x -> p(a*x + b)."""
-    out: Poly = ()
-    lin: Poly = trim((b, a))
-    power: Poly = (Fraction(1),)
-    for c in p:
-        if c:
-            out = _poly_add(out, _poly_scale(power, c))
-        power = _poly_mul(power, lin)
-    return out
-
-
-def _poly_antiderivative(a: Poly) -> Poly:
-    return trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(a)])
 
 
 class PiecewisePoly:
@@ -56,7 +24,7 @@ class PiecewisePoly:
 
     __slots__ = ("breakpoints", "pieces")
 
-    def __init__(self, breakpoints: Sequence, pieces: Sequence[Sequence]):
+    def __init__(self, breakpoints: Sequence, pieces: Sequence[LaurentPoly | Sequence]):
         bps = [as_rational(b) for b in breakpoints]
         if not bps and not pieces:
             self.breakpoints = ()
@@ -69,7 +37,10 @@ class PiecewisePoly:
         for b in bps:
             if not is_dyadic(b):
                 raise ValueError(f"breakpoint {b} is not dyadic")
-        polys = [trim([as_rational(c) for c in p]) for p in pieces]
+        polys = [p if isinstance(p, LaurentPoly) else LaurentPoly(dict(enumerate(p)))
+                 for p in pieces]
+        if any(k < 0 for p in polys for k in p.coeffs):
+            raise ValueError("a piece has a negative exponent")
         # canonical form: drop identically-zero end pieces, merge equal neighbours
         while polys and not polys[0]:
             polys.pop(0)
@@ -78,7 +49,7 @@ class PiecewisePoly:
             polys.pop()
             bps.pop()
         merged_b: list[Fraction] = []
-        merged_p: list[Poly] = []
+        merged_p: list[LaurentPoly] = []
         for i, p in enumerate(polys):
             if merged_p and merged_p[-1] == p:
                 continue
@@ -87,7 +58,7 @@ class PiecewisePoly:
         if polys:
             merged_b.append(bps[-1])
         self.breakpoints: tuple[Fraction, ...] = tuple(merged_b)
-        self.pieces: tuple[Poly, ...] = tuple(merged_p)
+        self.pieces: tuple[LaurentPoly, ...] = tuple(merged_p)
 
     @staticmethod
     def zero() -> "PiecewisePoly":
@@ -118,7 +89,7 @@ class PiecewisePoly:
                 lo = mid
             else:
                 hi = mid - 1
-        return evaluate(self.pieces[lo], x)
+        return self.pieces[lo].eval_rational(x)
 
     # -- algebra -------------------------------------------------------------
 
@@ -137,7 +108,7 @@ class PiecewisePoly:
         grid = self._aligned(other)
         pieces = []
         for i in range(len(grid) - 1):
-            pieces.append(_poly_add(self._piece_on(grid[i]), other._piece_on(grid[i])))
+            pieces.append(self._piece_on(grid[i]) + other._piece_on(grid[i]))
         return PiecewisePoly(grid, pieces)
 
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
@@ -146,7 +117,7 @@ class PiecewisePoly:
     def __neg__(self) -> "PiecewisePoly":
         out = PiecewisePoly.__new__(PiecewisePoly)
         out.breakpoints = self.breakpoints
-        out.pieces = tuple(_poly_scale(p, Fraction(-1)) for p in self.pieces)
+        out.pieces = tuple(-p for p in self.pieces)
         return out
 
     def __mul__(self, other):
@@ -159,7 +130,7 @@ class PiecewisePoly:
                 return PiecewisePoly.zero()
             grid = [b for b in self._aligned(other) if lo <= b <= hi]
             pieces = [
-                _poly_mul(self._piece_on(grid[i]), other._piece_on(grid[i]))
+                self._piece_on(grid[i]) * other._piece_on(grid[i])
                 for i in range(len(grid) - 1)
             ]
             return PiecewisePoly(grid, pieces)
@@ -169,25 +140,23 @@ class PiecewisePoly:
                 return PiecewisePoly.zero()
             out = PiecewisePoly.__new__(PiecewisePoly)
             out.breakpoints = self.breakpoints
-            out.pieces = tuple(_poly_scale(p, s) for p in self.pieces)
+            out.pieces = tuple(p * s for p in self.pieces)
             return out
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _piece_on(self, left: Fraction) -> Poly:
+    def _piece_on(self, left: Fraction) -> LaurentPoly:
         """The polynomial valid on [left, next breakpoint)."""
-        if not self.pieces or left < self.breakpoints[0] or left >= self.breakpoints[-1]:
-            return ()
-        for i in range(len(self.pieces)):
+        for i, p in enumerate(self.pieces):
             if self.breakpoints[i] <= left < self.breakpoints[i + 1]:
-                return self.pieces[i]
-        return ()
+                return p
+        return LaurentPoly.zero()
 
     def mul_poly(self, poly: Sequence) -> "PiecewisePoly":
         """Multiply by a global polynomial (given as a coefficient sequence)."""
-        q = trim([as_rational(c) for c in poly])
-        return PiecewisePoly(self.breakpoints, [_poly_mul(p, q) for p in self.pieces])
+        q = LaurentPoly(dict(enumerate(poly)))
+        return PiecewisePoly(self.breakpoints, [p * q for p in self.pieces])
 
     def compose_linear(self, a, b) -> "PiecewisePoly":
         """The function x -> f(a*x + b) for dyadic a > 0 and dyadic b."""
@@ -198,7 +167,13 @@ class PiecewisePoly:
             return self
         # a*x + b in [b_i, b_{i+1})  <=>  x in [(b_i - b)/a, (b_{i+1} - b)/a)
         new_bps = [(bp - b) / a for bp in self.breakpoints]
-        new_pieces = [_poly_compose_linear(p, a, b) for p in self.pieces]
+        lin = LaurentPoly({0: b, 1: a})
+        new_pieces = []
+        for p in self.pieces:
+            out = LaurentPoly.zero()
+            for k in range(max(p.coeffs, default=-1), -1, -1):  # Horner's rule in a*x + b
+                out = out * lin + p[k]
+            new_pieces.append(out)
         return PiecewisePoly(new_bps, new_pieces)
 
     def translate(self, k) -> "PiecewisePoly":
@@ -207,16 +182,17 @@ class PiecewisePoly:
 
     def derivative(self) -> "PiecewisePoly":
         """Piecewise derivative (taken piece by piece)."""
-        return PiecewisePoly(self.breakpoints, [realroots.derivative(p) for p in self.pieces])
+        return PiecewisePoly(self.breakpoints, [p.derivative() for p in self.pieces])
 
     # -- integrals -------------------------------------------------------------
 
     def integral(self) -> Fraction:
-        total = Fraction(0)
-        for i, p in enumerate(self.pieces):
-            anti = _poly_antiderivative(p)
-            total += evaluate(anti, self.breakpoints[i + 1]) - evaluate(anti, self.breakpoints[i])
-        return total
+        bps = self.breakpoints
+        return sum(
+            (c / (k + 1) * (hi ** (k + 1) - lo ** (k + 1))
+             for p, lo, hi in zip(self.pieces, bps, bps[1:]) for k, c in p.coeffs.items()),
+            Fraction(0),
+        )
 
     def moment(self, n: int) -> Fraction:
         """Exact n-th moment: integral of x^n f(x) dx."""

@@ -20,8 +20,11 @@ def rational_json(x: Fraction) -> list[int]:
 
 
 def rational_from_json(obj) -> Fraction:
-    num, den = obj
-    return Fraction(int(num), int(den))
+    """The rational of an ``[int, int]`` pair with a nonzero denominator; bools are not ints."""
+    pair = isinstance(obj, list) and len(obj) == 2 and all(type(x) is int for x in obj)
+    if not pair or not obj[1]:
+        raise ValueError(f"malformed input: {obj!r} is not an [int, int] pair, denominator nonzero")
+    return Fraction(*obj)
 
 
 def laurent_poly_json(p: LaurentPoly) -> dict:
@@ -64,7 +67,9 @@ def mask_from_json(obj) -> MaskSequence:
 def piecewise_json(f: PiecewisePoly) -> dict:
     return {
         "breakpoints": [rational_json(b) for b in f.breakpoints],
-        "pieces": [[rational_json(c) for c in piece] for piece in f.pieces],
+        "pieces": [
+            [rational_json(p[k]) for k in range(max(p.coeffs, default=-1) + 1)] for p in f.pieces
+        ],
     }
 
 
@@ -84,6 +89,8 @@ def frame_json(frame: CoefficientFrame) -> dict:
 
 
 def frame_from_json(obj) -> CoefficientFrame:
+    if not isinstance(obj, dict):
+        raise ValueError("malformed input: a frame is a JSON object")
     return CoefficientFrame(
         int(obj["level"]),
         int(obj["width"]),

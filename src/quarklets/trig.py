@@ -52,7 +52,7 @@ class CirclePositivity:
     certificate: str
 
 
-def to_cosine_polynomial(theta: LaurentPoly) -> realroots.Poly:
+def to_cosine_polynomial(theta: LaurentPoly) -> LaurentPoly:
     """Rational polynomial q with theta(exp(-i t)) = q(cos t).
 
     Requires symmetric coefficients (c_{-n} = c_n), which is exactly the
@@ -61,8 +61,8 @@ def to_cosine_polynomial(theta: LaurentPoly) -> realroots.Poly:
     """
     if theta.conj_on_circle() != theta:
         raise ValueError("coefficients are not symmetric: theta is not even")
-    cn = {n: c for n, c in theta.coeffs.items() if n > 0}
-    return realroots.cosine_series_to_poly(theta[0], cn)
+    terms = (2 * c * realroots.chebyshev_t(n) for n, c in theta.coeffs.items() if n > 0)
+    return sum(terms, LaurentPoly.monomial(theta[0]))
 
 
 def is_positive_on_circle(theta: LaurentPoly) -> CirclePositivity:
@@ -82,19 +82,23 @@ def is_positive_on_circle(theta: LaurentPoly) -> CirclePositivity:
         x = max(roots)  # zeros at t = 0 (x = 1) are the common failure mode
         t = math.acos(max(-1.0, min(1.0, float(x))))
         return CirclePositivity(False, t, 0.0, f"zero on the unit circle near t = {t:.6g}")
-    mid = realroots.evaluate(q, Fraction(0))
+    mid = q.eval_rational(0)
     if mid < 0:
         return CirclePositivity(False, math.pi / 2, float(mid), "negative on the whole circle")
     loc, val = _float_minimum(q)
     return CirclePositivity(True, loc, val, f"positive minimum {val:.6g} at t = {loc:.6g}")
 
 
-def _float_minimum(q: realroots.Poly) -> tuple[float, float]:
+def _float_minimum(q: LaurentPoly) -> tuple[float, float]:
     """Approximate minimum of q(cos t) over [0, pi] (diagnostic only)."""
     samples = 512
+    coeffs = [float(q[k]) for k in range(max(q.coeffs), -1, -1)]
 
     def val(t: float) -> float:
-        return realroots.evaluate_float(q, math.cos(t))
+        acc, x = 0.0, math.cos(t)
+        for c in coeffs:  # Horner's rule
+            acc = acc * x + c
+        return acc
 
     best_t, best_v = 0.0, val(0.0)
     for i in range(1, samples + 1):

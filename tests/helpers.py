@@ -8,7 +8,9 @@ matrix product with the exact parity-exchange inverse (references for the
 z -> -z read-offs of ``build_modulation`` and ``polyphase_inv``), the exponent
 scan that read the splitting filters off E^{-1} X^{-1} (reference for
 ``decomposition_filters``), the per-translate transform loops (reference
-for the polyphase transform), Condition E for general rational matrices by
+for the polyphase transform), dense polynomial long division and Horner
+evaluation on Fraction tuples (references for ``LaurentPoly.__divmod__`` and
+``eval_rational``), Condition E for general rational matrices by
 characteristic polynomial and Schur-Cohn test (reference for the diagonal
 read-off of ``condition_e``), the truncated dual product point by point
 (reference for the refinement cascade), the quark Fourier transform by
@@ -241,6 +243,47 @@ def reference_decompose(
     )
 
 
+# -- dense polynomials: tuples of Fractions, constant term first -----------------------
+
+Poly = tuple[Fraction, ...]
+
+
+def trim(p) -> Poly:
+    """The dense polynomial p without trailing zero coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def evaluate(p: Poly, x: Fraction) -> Fraction:
+    """p(x) by Horner's rule (oracle for ``LaurentPoly.eval_rational``)."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Dense polynomial long division (oracle for ``LaurentPoly.__divmod__``)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    while len(a) >= len(b) and trim(a):
+        a = list(trim(a))
+        if len(a) < len(b):
+            break
+        factor = a[-1] / lead
+        shift = len(a) - len(b)
+        q[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a.pop()
+    return trim(q), trim(a)
+
+
 # -- Condition E for general rational matrices ---------------------------------------
 
 
@@ -255,11 +298,11 @@ def condition_e_reference(matrix) -> bool:
     if rational is None:
         raise TypeError("condition_e_reference takes rational matrices only")
     p = char_poly(rational)
-    if realroots.evaluate(p, Fraction(1)) != 0:
+    if evaluate(p, Fraction(1)) != 0:
         return False
-    q, r = realroots.divmod_poly(p, (Fraction(-1), Fraction(1)))  # divide by (x - 1)
+    q, r = divmod_poly(p, (Fraction(-1), Fraction(1)))  # divide by (x - 1)
     assert not r
-    if realroots.evaluate(q, Fraction(1)) == 0:
+    if evaluate(q, Fraction(1)) == 0:
         return False  # eigenvalue 1 not simple
     return all_roots_in_open_unit_disk(q)
 
@@ -326,14 +369,14 @@ def char_poly(a: Mat) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def all_roots_in_open_unit_disk(p: realroots.Poly) -> bool:
+def all_roots_in_open_unit_disk(p: Poly) -> bool:
     """Exact Schur-Cohn test: every complex root of p has modulus < 1.
 
     Recursion: with p = a_0 + ... + a_n z^n and reversed polynomial p*, p is
     Schur stable iff |a_0| < |a_n| and (a_n p - a_0 p*)/z is Schur stable.
     Degree-0 nonzero polynomials are vacuously stable.
     """
-    p = realroots.trim(p)
+    p = trim(p)
     if not p:
         raise ValueError("zero polynomial")
     while len(p) > 1:
@@ -342,7 +385,7 @@ def all_roots_in_open_unit_disk(p: realroots.Poly) -> bool:
             return False
         reduced = [an * c - a0 * cr for c, cr in zip(p, reversed(p))]
         assert reduced[0] == 0
-        p = realroots.trim(reduced[1:])
+        p = trim(reduced[1:])
         if not p:
             # cannot happen under |a0| < |an|: the leading coefficient
             # a_n^2 - a_0^2 of the reduction is nonzero
@@ -353,16 +396,16 @@ def all_roots_in_open_unit_disk(p: realroots.Poly) -> bool:
 # -- small oracles ---------------------------------------------------------------------
 
 
-def count_roots_closed(p: realroots.Poly, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of p in the closed interval [a, b]."""
+def count_roots_closed(p: LaurentPoly, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots of the polynomial p in the closed interval [a, b]."""
     s = realroots.square_free(p)
-    if len(s) <= 1:
-        if not s:
-            raise ValueError("zero polynomial has infinitely many roots")
+    if not s:
+        raise ValueError("zero polynomial has infinitely many roots")
+    if max(s.coeffs) == 0:
         return 0
     chain = realroots.sturm_chain(s)
     n = realroots.count_roots_half_open(chain, a, b)
-    if realroots.evaluate(s, a) == 0:
+    if s.eval_rational(a) == 0:
         n += 1
     return n
 
@@ -434,6 +477,7 @@ def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
         total = mp.mpc(0)
         for i, piece in enumerate(f.pieces):
             a, b = (mp.mpf(e.numerator) / e.denominator for e in f.breakpoints[i : i + 2])
-            coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(piece)]
+            coeffs = [mp.mpf(piece[k].numerator) / piece[k].denominator
+                      for k in range(max(piece.coeffs, default=-1), -1, -1)]
             total += mp.quad(lambda s: mp.polyval(coeffs, s) * mp.expj(-s * x), [a, b])
         return complex(total / mp.sqrt(2 * mp.pi))

@@ -410,9 +410,20 @@ class TestOrthogonalizeAndSample:
         assert code == 2
         assert "error" in err
 
-    def test_malformed_frame_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"level": 0}',
+            '{"level": 1, "width": 1, "coefficients": [[0, [[1.5, 2]]]]}',
+            '{"level": 1, "width": 1, "coefficients": [[0, [[1, 0]]]]}',
+            '{"level": 1, "width": 1, "coefficients": [[0, [5]]]}',
+            '[1, 1, [[0, [[1, 2]]]]]',
+        ],
+        ids=["missing-keys", "float-numerator", "zero-denominator", "bare-number", "top-level-list"],
+    )
+    def test_malformed_frame_exits_2(self, capsys, tmp_path, text):
         src = tmp_path / "bad.json"
-        src.write_text('{"level": 0}')
+        src.write_text(text)
         code, _, err = run(
             capsys,
             "decompose", "--m", "1", "--mt", "1",
@@ -421,4 +432,4 @@ class TestOrthogonalizeAndSample:
             "--out-detail", str(tmp_path / "d.json"),
         )
         assert code == 2
-        assert "malformed" in err or "error" in err
+        assert "error: malformed input" in err

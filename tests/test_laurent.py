@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import fraction_matmul
+from helpers import divmod_poly, evaluate, fraction_matmul, trim
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quarklets.laurent import LaurentMatrix, LaurentPoly, cascade
 
@@ -243,6 +245,95 @@ class TestPowers:
         assert p.eval_rational(2) == Fraction(5, 4)
         with pytest.raises(ZeroDivisionError):
             p.eval_rational(0)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+def laurent_polys(lo=-4, hi=4, min_size=0):
+    return st.dictionaries(st.integers(lo, hi), rationals, min_size=min_size, max_size=7).map(
+        LaurentPoly
+    )
+
+
+polynomials = laurent_polys(lo=0, hi=7)
+nonzero = laurent_polys(min_size=1).filter(bool)
+
+
+def dense(p: LaurentPoly) -> tuple[Fraction, ...]:
+    """Coefficients of a polynomial p, constant term first (the oracles' form)."""
+    return trim(p[k] for k in range(max(p.coeffs, default=-1) + 1))
+
+
+def top(p: LaurentPoly) -> int:
+    return max(p.coeffs)
+
+
+class TestDivisionAndDerivative:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(polynomials, polynomials.filter(bool))
+    def test_divmod_equals_dense_long_division(self, a, b):
+        q, r = divmod(a, b)
+        assert (dense(q), dense(r)) == divmod_poly(dense(a), dense(b))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(laurent_polys(), nonzero)
+    def test_division_identity_and_remainder_degree(self, a, b):
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.is_zero() or top(r) < top(b)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(laurent_polys(), nonzero)
+    def test_exact_multiple_leaves_zero_remainder(self, q, b):
+        a = q * b
+        if a and min(a.coeffs) >= 0 and min(q.coeffs) < 0:
+            # a polynomial multiple of a non-polynomial q: polynomial division applies
+            quot, rem = divmod(a, b)
+            assert a == quot * b + rem and min(quot.coeffs, default=0) >= 0
+            return
+        assert divmod(a, b) == (q, LaurentPoly.zero())
+
+    def test_exact_division_with_negative_exponents(self):
+        b = P({-2: Fraction(1, 3), 0: -1, 1: 2})
+        q = P({-3: 5, -1: Fraction(-1, 2), 2: 1})
+        assert divmod(q * b, b) == (q, 0)
+        assert divmod(P({-1: 1}), P({1: 1})) == (P({-2: 1}), 0)
+
+    def test_polynomial_dividend_keeps_polynomial_division(self):
+        # 1 = 0 * z + 1 as polynomials, although z^-1 * z = 1 in the Laurent ring
+        assert divmod(P({0: 1}), P({1: 1})) == (0, 1)
+
+    @pytest.mark.parametrize("a", [P({}), P({0: 1}), P({-2: 1, 3: Fraction(1, 2)})])
+    def test_zero_divisor_raises(self, a):
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, LaurentPoly.zero())
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(laurent_polys(), laurent_polys())
+    def test_derivative_product_rule(self, a, b):
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+    def test_derivative_of_monomials(self):
+        assert P({3: 2, -1: Fraction(1, 2), 0: 7}).derivative() == P({2: 6, -2: Fraction(-1, 2)})
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(polynomials, rationals)
+    def test_eval_rational_equals_horner_oracle(self, p, x):
+        assert p.eval_rational(x) == evaluate(dense(p), x)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(laurent_polys(), rationals.filter(bool))
+    def test_eval_rational_with_negative_exponents(self, p, x):
+        expected = sum((c * x**k for k, c in p.coeffs.items()), Fraction(0))
+        assert p.eval_rational(x) == expected
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(laurent_polys(lo=-4, hi=-1, min_size=1).filter(bool), polynomials)
+    def test_eval_rational_at_zero_needs_nonnegative_exponents(self, neg, p):
+        assert p.eval_rational(0) == p[0]
+        with pytest.raises(ZeroDivisionError):
+            (neg + p).eval_rational(0)
 
 
 class TestCascade:

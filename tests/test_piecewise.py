@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product
 
 
@@ -37,6 +38,13 @@ class TestBasics:
     def test_non_dyadic_breakpoint_rejected(self):
         with pytest.raises(ValueError, match="dyadic"):
             PiecewisePoly([0, Fraction(1, 3)], [(1,)])
+
+    def test_pieces_are_laurent_polys_without_negative_exponents(self):
+        f = PiecewisePoly([0, 1, 2], [(0, 1), LaurentPoly({0: 2, 1: -1})])
+        assert f == hat()
+        assert f.pieces == (LaurentPoly({1: 1}), LaurentPoly({0: 2, 1: -1}))
+        with pytest.raises(ValueError, match="negative exponent"):
+            PiecewisePoly([0, 1], [LaurentPoly({-1: 1})])
 
     def test_canonical_merges_equal_pieces(self):
         f = PiecewisePoly([0, 1, 2], [(1,), (1,)])

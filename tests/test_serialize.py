@@ -4,9 +4,12 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from quarklets import serialize
 from quarklets.laurent import LaurentPoly
 from quarklets.masks import MaskSequence
+from quarklets.piecewise import PiecewisePoly
 from quarklets.splines import bspline, refinement_masks
 from quarklets.transform import CoefficientFrame
 
@@ -19,6 +22,13 @@ class TestScalars:
     def test_rational(self):
         x = Fraction(-3, 7)
         assert serialize.rational_from_json(through_json(serialize.rational_json(x))) == x
+
+    @pytest.mark.parametrize(
+        "obj", [[1.5, 2], [1, 2.0], [1, 0], [True, 2], [1, False], 5, [1], [1, 2, 3], "1/2"]
+    )
+    def test_malformed_rational_rejected(self, obj):
+        with pytest.raises(ValueError, match="malformed input"):
+            serialize.rational_from_json(obj)
 
     def test_real_coefficient_stays_pair_form(self):
         assert serialize.laurent_poly_json(LaurentPoly({1: Fraction(2, 3)}))["terms"] == [[1, [2, 3]]]
@@ -34,6 +44,12 @@ class TestCompound:
         f = bspline(3)
         back = serialize.piecewise_from_json(through_json(serialize.piecewise_json(f)))
         assert back == f
+
+    def test_piece_layout_is_dense_constant_term_first(self):
+        # the interior zero piece is an empty list; zeros below the top coefficient are kept
+        f = PiecewisePoly([-1, 0, 1, 2], [(0, 1), (), (0, 0, 3)])
+        pieces = serialize.piecewise_json(f)["pieces"]
+        assert pieces == [[[0, 1], [1, 1]], [], [[0, 1], [0, 1], [3, 1]]]
 
     def test_scalar_mask(self):
         mask = MaskSequence.from_scalars({-1: Fraction(1, 2), 2: Fraction(-3)})
