@@ -13,11 +13,11 @@ symbols stay exact; the product has no rational closed form, so
 points at once, and one more level of Wt or St for quarklets and defects.
 
 Truncating after J levels leaves the tail G(xi / 2^J), where G(xi) is the
-infinite product applied to v.  The default ``tail="first-order"`` replaces it
-by v - i (xi / 2^J) w, its exact first-order Taylor polynomial (see
-:func:`dual_tail_slope`), which leaves an error of order 4^{-J}.
-``tail="none"`` keeps the raw product with G(0) = v in the tail, whose error
-is of order 2^{-J}: a phase offset of sup|sin(xi/2)| 2^{-J} for Haar.
+infinite product applied to v.  It is replaced by v - i (xi / 2^J) w, its
+exact first-order Taylor polynomial (see :func:`dual_tail_slope`), which
+leaves an error of order 4^{-J}.  The raw product, with G(0) = v in the tail,
+would keep an error of order 2^{-J}: a phase offset of sup|sin(xi/2)| 2^{-J}
+for Haar.
 
 Grid points are dyadic multiples of 2 pi, stored as exact Fractions t with
 xi = 2 pi t, so halving a grid point is exact bookkeeping.
@@ -44,47 +44,29 @@ def dual_eigenvector(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     2^{-p} St(1) is upper triangular with diagonal 2^{q-p}, q = 0..p, so the
     eigenvalue 1 sits in the last position and back-substitution suffices.
     """
-    return _eigenvector(dual_symbol_at_one(m, mt, p), p)
-
-
-def _eigenvector(mat: linalg.Mat, p: int) -> tuple[Fraction, ...]:
-    """v of :func:`dual_eigenvector` from ``mat`` = St(1) of :func:`dual_symbol_at_one`."""
-    n = len(mat)
-    scale = Fraction(1, 2**p)
-    scaled = tuple(tuple(x * scale for x in row) for row in mat)
-    v = [Fraction(0)] * n
-    v[n - 1] = Fraction(1)
-    for i in range(n - 2, -1, -1):
-        acc = sum((scaled[i][j] * v[j] for j in range(i + 1, n)), Fraction(0))
-        diag = scaled[i][i]
-        if diag == 1:
+    mat = dual_symbol_at_one(m, mt, p)
+    v = [Fraction(0)] * p + [Fraction(1)]
+    for i in range(p - 1, -1, -1):
+        if mat[i][i] == 2**p:
             raise AssertionError("unexpected repeated eigenvalue 1 in the dual symbol")
-        v[i] = acc / (1 - diag)
+        v[i] = sum((mat[i][j] * v[j] for j in range(i + 1, p + 1)), Fraction(0)) / (2**p - mat[i][i])
     return tuple(v)
 
 
 def dual_tail_slope(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     """Exact w with G'(0) = -i w, G(xi) = prod_{j>=1} 2^{-p} St(exp(-i 2^{-j} xi)) v.
 
-    This is the slope of the truncation tail G(xi / 2^J) that the default
-    ``tail="first-order"`` of :func:`dual_quark_ft` keeps.
+    This is the slope of the truncation tail G(xi / 2^J) that
+    :func:`dual_quark_ft` keeps.  It solves (2I - M(1)) w = M'(1) v exactly,
+    M = 2^{-p} St: differentiating G(2 eta) = M(exp(-i eta)) G(eta) at
+    eta = 0, with G(0) = v, gives 2 G'(0) = -i M'(1) v + M(1) G'(0).  M(1) is
+    upper triangular with diagonal 2^{q-p} <= 1, so 2I - M(1) is solved by
+    back-substitution.  M'(1) = sum_k k M_k is read off each row's integer
+    numerators over one common denominator.
     """
     at_one = dual_symbol_at_one(m, mt, p)
+    v = dual_eigenvector(m, mt, p)
     symbol = build_modulation(m, mt, p).dual_scaling_symbol
-    return _tail_slope(symbol, at_one, p, _eigenvector(at_one, p))
-
-
-def _tail_slope(
-    symbol: LaurentMatrix, at_one: linalg.Mat, p: int, v: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Solve (2I - M(1)) w = M'(1) v exactly, M = 2^{-p} St.
-
-    Differentiating G(2 eta) = M(exp(-i eta)) G(eta) at eta = 0, with G(0) = v,
-    gives 2 G'(0) = -i M'(1) v + M(1) G'(0).  M(1) is upper triangular with
-    diagonal 2^{q-p} <= 1, so 2I - M(1) is solved by back-substitution.
-    ``at_one`` is St(1) from :func:`dual_symbol_at_one`; M'(1) = sum_k k M_k
-    is read off each row's integer numerators over one common denominator.
-    """
     scale = Fraction(1, 2**p)
     rhs = []
     for row in symbol.entries:
@@ -120,29 +102,21 @@ def dual_quark_ft(
     p: int,
     levels: int,
     grid: Sequence[Fraction],
-    tail: str = "first-order",
 ) -> DualApproximation:
     """Evaluate (i xi)^p prod_{j=1}^{levels} 2^{-p} St(exp(-i 2^{-j} xi)) applied to the tail.
 
-    With ``tail="first-order"`` the product acts on v - i (xi / 2^levels) w,
-    the exact first-order Taylor polynomial of the tail G(xi / 2^levels)
-    (w from :func:`dual_tail_slope`); the error is O(4^{-levels}).  With
-    ``tail="none"`` it acts on v alone, the raw truncated product, whose error
-    is O(2^{-levels}).
+    The product acts on v - i (xi / 2^levels) w, the exact first-order Taylor
+    polynomial of the tail G(xi / 2^levels) (w from :func:`dual_tail_slope`);
+    the error is O(4^{-levels}).
     """
     if levels < 1:
         raise ValueError("need at least one product level")
-    if tail not in ("first-order", "none"):
-        raise ValueError(f"unknown tail {tail!r}; use 'first-order' or 'none'")
-    at_one = dual_symbol_at_one(m, mt, p)
-    v = _eigenvector(at_one, p)
+    v = dual_eigenvector(m, mt, p)
     symbol = build_modulation(m, mt, p).dual_scaling_symbol
     pts = tuple(Fraction(t) for t in grid)
     xi = _xi(pts)
-    start = np.array([float(x) for x in v], dtype=complex)
-    if tail == "first-order":
-        w = np.array([float(x) for x in _tail_slope(symbol, at_one, p, v)])
-        start = start - 1j * np.multiply.outer(xi / 2**levels, w)
+    w = np.array([float(x) for x in dual_tail_slope(m, mt, p)])
+    start = np.array([float(x) for x in v], dtype=complex) - 1j * np.multiply.outer(xi / 2**levels, w)
     product = cascade(symbol.float_taps(), 2.0**-p, xi, levels, start)
     values = (1j ** p * xi**p)[:, None] * product
     return DualApproximation(m, mt, p, levels, pts, dict(zip(pts, values)), v)
@@ -204,20 +178,15 @@ def convergence_probe(
     p: int,
     grid: Sequence[Fraction],
     levels: Sequence[int],
-    tail: str = "first-order",
 ) -> ConvergenceProbe:
     """Sup-norm differences of the truncated product between consecutive depths.
 
-    Every run uses the given ``tail`` (see :func:`dual_quark_ft`).  With
-    ``"first-order"`` the complex deltas decay like 4^{-J}.  With ``"none"``
-    they decay like 2^{-J} (the raw truncation keeps a phase offset
-    proportional to the remaining argument) while the modulus deltas decay
-    like 4^{-J}.  Both are reported.
+    Both the complex deltas and the modulus deltas decay like 4^{-J}.
     """
     levels = tuple(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    runs = [dual_quark_ft(m, mt, p, j, grid, tail) for j in levels]
+    runs = [dual_quark_ft(m, mt, p, j, grid) for j in levels]
     stacks = [np.array([run.values[t] for t in run.grid]).reshape(-1, p + 1) for run in runs]
     pairs = list(zip(stacks, stacks[1:]))
     deltas = tuple(float(np.max(np.abs(a - b), initial=0.0)) for a, b in pairs)
@@ -229,8 +198,7 @@ def refinement_defect(approx: DualApproximation) -> float:
     """Sup-norm defect of F Phi~(xi) = St(exp(-i xi/2)) F Phi~(xi/2) on the grid.
 
     For the J-level truncation this measures one extra product level, so it is
-    of the order of the truncation error itself: O(4^{-J}) for the default
-    first-order tail, O(2^{-J}) for ``tail="none"``.
+    of the order of the truncation error itself, O(4^{-J}).
     """
     pts = [t for t in approx.grid if t / 2 in approx.values]
     symbol = build_modulation(approx.m, approx.mt, approx.p).dual_scaling_symbol
@@ -273,9 +241,6 @@ def mass_outside(x: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:
 
 def eigen_residual(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     """(2^{-p} St(1)) v - v with exact arithmetic (must be identically zero)."""
-    mat = dual_symbol_at_one(m, mt, p)
-    scale = Fraction(1, 2**p)
-    scaled = tuple(tuple(x * scale for x in row) for row in mat)
-    v = _eigenvector(mat, p)
-    mv = linalg.mat_vec(scaled, v)
-    return tuple(a - b for a, b in zip(mv, v))
+    v = dual_eigenvector(m, mt, p)
+    mv = linalg.mat_vec(dual_symbol_at_one(m, mt, p), v)
+    return tuple(a / 2**p - b for a, b in zip(mv, v))

@@ -463,11 +463,11 @@ def _coerce_entry(e) -> LaurentPoly:
 _CASCADE_ENTRIES = 2**15
 
 
-def cascade(taps, scale: float, xi: np.ndarray, levels: int, tail: np.ndarray) -> np.ndarray:
-    """prod_{j=1}^{levels} scale M(exp(-i xi / 2^j)) applied to ``tail``, for every xi at once.
+def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) -> np.ndarray:
+    """prod_{j=1}^{levels} scale M(exp(-i xi / 2^j)) applied to ``start``, for every xi at once.
 
     ``taps`` is :meth:`LaurentMatrix.float_taps` of a square M, ``xi`` a 1-d
-    float array and ``tail`` a (len(xi) x n) array or one length-n vector.
+    float array and ``start`` a (len(xi) x n) array or one length-n vector.
     The levels act innermost first (j = levels down to 1), as matrix-vector
     products.
     """
@@ -475,7 +475,7 @@ def cascade(taps, scale: float, xi: np.ndarray, levels: int, tail: np.ndarray) -
     n_taps, n = coeffs.shape[:2]
     flat = scale * coeffs.reshape(n_taps, n * n)
     halvings = -1j * np.multiply.outer(0.5 ** np.arange(1, levels + 1), np.arange(lo, lo + n_taps))
-    out = np.array(np.broadcast_to(tail, (len(xi), n)), dtype=complex)
+    out = np.array(np.broadcast_to(start, (len(xi), n)), dtype=complex)
     block = max(1, _CASCADE_ENTRIES // (levels * (n_taps + n * n)))
     for s in range(0, len(xi), block):
         mats = (np.exp(np.multiply.outer(xi[s : s + block], halvings)) @ flat).reshape(-1, levels, n, n)

@@ -27,12 +27,27 @@ def rational_from_json(obj) -> Fraction:
     return Fraction(*obj)
 
 
+def _int(obj) -> int:
+    """A JSON int; bools and floats are not ints."""
+    if type(obj) is not int:
+        raise ValueError(f"malformed input: {obj!r} is not an int")
+    return obj
+
+
+def _entries(obj) -> list:
+    """The ``[index, list]`` entries of a sparse collection, each index a JSON int."""
+    for e in obj if isinstance(obj, list) else [obj]:
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)):
+            raise ValueError(f"malformed input: {e!r} is not an [int, list] entry")
+    return obj
+
+
 def laurent_poly_json(p: LaurentPoly) -> dict:
     return {"terms": [[k, rational_json(c)] for k, c in p.items()]}
 
 
 def laurent_poly_from_json(obj) -> LaurentPoly:
-    return LaurentPoly({int(k): rational_from_json(c) for k, c in obj["terms"]})
+    return LaurentPoly({k: rational_from_json(c) for k, c in _entries(obj["terms"])})
 
 
 def matrix_json(mat) -> list:
@@ -56,11 +71,11 @@ def mask_json(mask: MaskSequence) -> dict:
 
 def mask_from_json(obj) -> MaskSequence:
     if obj["kind"] == "scalar":
-        return MaskSequence.from_scalars({int(k): rational_from_json(v) for k, v in obj["taps"]})
+        return MaskSequence.from_scalars({k: rational_from_json(v) for k, v in _entries(obj["taps"])})
     return MaskSequence(
-        int(obj["rows"]),
-        int(obj["cols"]),
-        {int(k): matrix_from_json(m) for k, m in obj["taps"]},
+        _int(obj["rows"]),
+        _int(obj["cols"]),
+        {k: matrix_from_json(m) for k, m in _entries(obj["taps"])},
     )
 
 
@@ -92,7 +107,7 @@ def frame_from_json(obj) -> CoefficientFrame:
     if not isinstance(obj, dict):
         raise ValueError("malformed input: a frame is a JSON object")
     return CoefficientFrame(
-        int(obj["level"]),
-        int(obj["width"]),
-        {int(k): tuple(rational_from_json(c) for c in vec) for k, vec in obj["coefficients"]},
+        _int(obj["level"]),
+        _int(obj["width"]),
+        {k: tuple(rational_from_json(c) for c in vec) for k, vec in _entries(obj["coefficients"])},
     )

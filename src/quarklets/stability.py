@@ -8,7 +8,7 @@ decided exactly here via Sturm root isolation in the Chebyshev variable.
 
 Also included: a frequency-domain zero scan for individual quark transforms
 (float diagnostic) and exact Condition E / eigenvalue read-offs for the dual
-refinement symbol at z = 1, which is upper triangular.
+refinement symbol at z = 1, St(1) = S(1)^{-T}, which is upper triangular.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .laurent import LaurentPoly, _int_cores
-from .modulation import build_modulation
-from .splines import quark, quark_ft
+from .cdf import validate_orders
+from .laurent import LaurentMatrix, LaurentPoly
+from .splines import quark, quark_ft, refinement_masks
 from .trig import is_positive_on_circle, shift_gram_symbol
 
 
@@ -164,15 +165,19 @@ def condition_e(matrix) -> bool:
 def dual_symbol_at_one(m: int, mt: int, p: int) -> linalg.Mat:
     """The dual scaling symbol evaluated exactly at z = 1 (upper triangular).
 
-    Each entry at z = 1 is the sum of its integer numerators over the common
-    denominator of its row.
+    b(1) = 0 gives T(1) = b(-1) S(1), so St(1) = L(1)^T = S(1)^{-T}: it
+    depends on (m, p) only, with diagonal 2^q, q = 0..p.
     """
-    bundle = build_modulation(m, mt, p)
-    cores = [_int_cores(row) for row in bundle.dual_scaling_symbol.entries]
-    mat = tuple(tuple(Fraction(sum(nums.values()), den) for nums in row) for row, den in cores)
-    if not linalg.is_upper_triangular(mat):
-        raise AssertionError("dual scaling symbol at z = 1 should be upper triangular")
-    return mat
+    validate_orders(m, mt)
+    return _symbol_at_one(m, p)
+
+
+@lru_cache(maxsize=None)
+def _symbol_at_one(m: int, p: int) -> linalg.Mat:
+    """S(1)^{-T} with S(1) = (1/2) sum_k A_k, lower triangular with diagonal 2^{-q}."""
+    masks = refinement_masks(m, p).matrices.entries.values()
+    at_one = LaurentMatrix([[sum(a[i][j] for a in masks) / 2 for j in range(p + 1)] for i in range(p + 1)])
+    return tuple(tuple(e[0] for e in col) for col in zip(*at_one.invert_lower_triangular().entries))
 
 
 def dual_symbol_eigenvalues(m: int, mt: int, p: int) -> list[Fraction]:

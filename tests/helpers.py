@@ -13,11 +13,13 @@ evaluation on Fraction tuples (references for ``LaurentPoly.__divmod__`` and
 ``eval_rational``), Condition E for general rational matrices by
 characteristic polynomial and Schur-Cohn test (reference for the diagonal
 read-off of ``condition_e``), the truncated dual product point by point
-(reference for the refinement cascade), the quark Fourier transform by
-mpmath quadrature (reference for ``quark_ft``), and small oracles that no
-library code needs: closed-interval root counts, the two-scale refinement of
-a quark vector, the dual modulation matrix and exact evaluation of a Laurent
-matrix."""
+(reference for the refinement cascade; its raw form, without the first-order
+tail, is the only raw product left and backs the truncation-floor tests), the
+quark Fourier transform by mpmath quadrature (reference for ``quark_ft``),
+and small oracles that no library code needs: closed-interval root counts,
+the two-scale refinement of a quark vector, the dual modulation matrix and
+exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
+for ``dual_symbol_at_one``)."""
 
 import math
 from dataclasses import replace
@@ -454,7 +456,8 @@ def dual_quark_ft_loop(m: int, mt: int, p: int, levels: int, grid, tail: str = "
     """(i xi)^p prod_{j=1}^{levels} 2^{-p} St(exp(-i xi / 2^j)) on the tail, one point at a time.
 
     The levels multiply as matrices, outermost first, before the tail vector
-    (v, or v - i (xi / 2^levels) w for ``tail="first-order"``) is applied.
+    is applied: v - i (xi / 2^levels) w for ``tail="first-order"``, as in
+    ``dual_quark_ft``, or v alone for ``tail="none"``, the raw product.
     """
     symbol = build_modulation(m, mt, p).dual_scaling_symbol
     v = np.array([float(x) for x in dual_eigenvector(m, mt, p)], dtype=complex)

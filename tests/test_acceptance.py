@@ -3,12 +3,15 @@
 One test per criterion, each printing a single PASS/FAIL line (run with
 ``pytest -rA`` or ``-s`` to see every line).  All tolerances are pinned here.
 
-Criterion 10 checks the truncated dual product with its default first-order
-tail.  The raw product (``tail="none"``) carries a phase-truncation floor of
+Criterion 10 checks the truncated dual product, which acts on the exact
+first-order Taylor polynomial of its tail.  The raw product, with the
+eigenvector alone in the tail, would carry a phase-truncation floor of
 sup|sin(xi/2)| * 2^{-J}, which is 2.98e-8 > 1e-8 at J = 25, with
-consecutive-level deltas near 2^{-J-1}.  The exact first-order tail removes
-that floor, leaving an error of order 4^{-J}, so the stated tolerances hold
-for the complex values; the modulus error is reported alongside.
+consecutive-level deltas near 2^{-J-1}; it survives only as the test oracle
+``helpers.dual_quark_ft_loop(..., tail="none")``.  The first-order tail
+removes that floor, leaving an error of order 4^{-J}, so the stated
+tolerances hold for the complex values; the modulus error is reported
+alongside.
 """
 
 import math

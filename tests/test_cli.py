@@ -418,8 +418,16 @@ class TestOrthogonalizeAndSample:
             '{"level": 1, "width": 1, "coefficients": [[0, [[1, 0]]]]}',
             '{"level": 1, "width": 1, "coefficients": [[0, [5]]]}',
             '[1, 1, [[0, [[1, 2]]]]]',
+            '{"level": 1.5, "width": 1, "coefficients": []}',
+            '{"level": 1, "width": 1, "coefficients": [[0.5, [[1, 2]]]]}',
+            '{"level": true, "width": 1, "coefficients": []}',
+            '{"level": 1, "width": "1", "coefficients": []}',
+            '{"level": 1, "width": 1, "coefficients": [5]}',
         ],
-        ids=["missing-keys", "float-numerator", "zero-denominator", "bare-number", "top-level-list"],
+        ids=[
+            "missing-keys", "float-numerator", "zero-denominator", "bare-number", "top-level-list",
+            "float-level", "float-translate", "bool-level", "string-width", "bare-entry",
+        ],
     )
     def test_malformed_frame_exits_2(self, capsys, tmp_path, text):
         src = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import dual_quark_ft_loop, eval_rational, symbol_at
 
-from quarklets import duals
+from quarklets import stability
 from quarklets.duals import (
     convergence_probe,
     dual_eigenvector,
@@ -25,6 +25,8 @@ from quarklets.modulation import build_modulation
 from quarklets.stability import dual_symbol_at_one
 
 PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
+# the design box: m <= 5, m <= mt <= 7, m + mt even
+BOX_PAIRS = [(m, mt) for m in range(1, 6) for mt in range(m, 8, 2)]
 
 
 def haar_dual_closed_form(xi: float) -> complex:
@@ -54,12 +56,16 @@ class TestEigenvector:
         assert all(r == 0 for r in eigen_residual(m, mt, p))
         assert dual_eigenvector(m, mt, p)[-1] == 1
 
-    @pytest.mark.parametrize("m,mt", PAIRS)
-    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m,mt", BOX_PAIRS)
+    @pytest.mark.parametrize("p", range(9))
     def test_symbol_at_one_matches_rational_evaluation(self, m, mt, p):
-        # the integer-numerator read-off against the plain Fraction sum of c * 1**k
+        # S(1)^{-T} against the bundle's dual symbol St evaluated exactly at z = 1
         symbol = build_modulation(m, mt, p).dual_scaling_symbol
-        assert dual_symbol_at_one(m, mt, p) == eval_rational(symbol, 1)
+        at_one = dual_symbol_at_one(m, mt, p)
+        assert at_one == eval_rational(symbol, 1)
+        # cached per (m, p): the same read-only object, whatever mt
+        assert dual_symbol_at_one(m, mt, p) is at_one
+        assert dual_symbol_at_one(m, m, p) == at_one
 
     def test_haar_tail_slope(self):
         # exp(-i xi/2) sin(xi/2)/(xi/2) has derivative -i/2 at the origin
@@ -89,20 +95,14 @@ class TestEigenvector:
             assert lhs == sum(slope[i][j] * v[j] for j in range(n))
 
 
-    @pytest.mark.parametrize("tail", ["first-order", "none"])
-    def test_symbol_at_one_evaluated_once(self, monkeypatch, tail):
-        calls = []
-
-        def counted(m, mt, p):
-            calls.append((m, mt, p))
-            return dual_symbol_at_one(m, mt, p)
-
-        monkeypatch.setattr(duals, "dual_symbol_at_one", counted)
-        duals.dual_quark_ft(2, 2, 2, 4, [Fraction(1, 4)], tail=tail)
-        assert calls == [(2, 2, 2)]
-        calls.clear()
-        duals.dual_tail_slope(2, 2, 2)
-        assert calls == [(2, 2, 2)]
+    def test_symbol_at_one_evaluated_once(self):
+        # one S(1)^{-T} per (m, p), shared by the product, the slope and every mt
+        stability._symbol_at_one.cache_clear()
+        dual_quark_ft(2, 2, 2, 4, [Fraction(1, 4)])
+        dual_tail_slope(2, 2, 2)
+        dual_tail_slope(2, 4, 2)
+        info = stability._symbol_at_one.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 class TestGrids:
@@ -144,15 +144,16 @@ class TestHaarClosedForm:
 
     def test_truncated_product_error_floor(self):
         # the raw product's phase truncation keeps |error| <= sup|sin(xi/2)| 2^{-J}
-        # (+ float noise); modulus converges much faster (fourth-order in 2^{-J})
+        # (+ float noise); modulus converges much faster (fourth-order in 2^{-J}).
+        # This floor is why the library keeps the first-order tail.
         grid = dyadic_grid(8, 5)
         for levels, bound in ((20, 2**-20), (25, 2**-25)):
-            approx = dual_quark_ft(1, 1, 0, levels, grid, tail="none")
+            raw = dual_quark_ft_loop(1, 1, 0, levels, grid, tail="none")
             worst = 0.0
             worst_mod = 0.0
             for t in grid:
                 target = haar_dual_closed_form(2 * math.pi * float(t))
-                got = approx.values[t][0]
+                got = raw[t][0]
                 worst = max(worst, abs(got - target))
                 worst_mod = max(worst_mod, abs(abs(got) - abs(target)))
             assert worst < bound * 1.05
@@ -193,13 +194,6 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_probe(1, 1, 0, [Fraction(0)], [10, 10])
 
-    def test_haar_modulus_deltas_geometric(self):
-        grid = dyadic_grid(8, 5)
-        probe = convergence_probe(1, 1, 0, grid, [20, 25], tail="none")
-        assert probe.modulus_deltas[0] < 1e-8
-        # the raw product's complex delta carries the 2^{-J} phase floor instead
-        assert 2**-21 < probe.deltas[0] < 2**-19
-
     def test_truncation_matters_at_level_one(self):
         grid = dyadic_grid(2, 3)
         approx = dual_quark_ft(1, 1, 0, 1, grid)
@@ -209,23 +203,14 @@ class TestConvergence:
         )
         assert worst > 1e-2
 
-    def test_raw_product_is_the_plain_loop(self):
-        # the cascade reassociates the product, so the loop is matched to
-        # float rounding relative to the largest value, not bit for bit
-        grid = with_halves(dyadic_grid(1, 3))
-        approx = dual_quark_ft(2, 2, 2, 12, grid, tail="none")
-        loop = dual_quark_ft_loop(2, 2, 2, 12, grid, tail="none")
-        scale = max(float(np.max(np.abs(v))) for v in loop.values())
-        for t in grid:
-            assert np.max(np.abs(approx.values[t] - loop[t])) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("tail", ["first-order", "none"])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     @pytest.mark.parametrize("m,mt", PAIRS)
-    def test_cascade_matches_the_point_loop(self, m, mt, p, tail):
+    def test_cascade_matches_the_point_loop(self, m, mt, p):
+        # the cascade reassociates the product, so the loop is matched to
+        # float rounding relative to the largest value, not bit for bit
         grid = with_halves(dyadic_grid(1, 2))
-        approx = dual_quark_ft(m, mt, p, 16, grid, tail=tail)
-        loop = dual_quark_ft_loop(m, mt, p, 16, grid, tail=tail)
+        approx = dual_quark_ft(m, mt, p, 16, grid)
+        loop = dual_quark_ft_loop(m, mt, p, 16, grid)
         scale = max(float(np.max(np.abs(v))) for v in loop.values())
         assert max(float(np.max(np.abs(approx.values[t] - loop[t]))) for t in grid) <= 1e-13 * scale
         # one more level, of Wt and of St, on the stored half points
@@ -244,20 +229,17 @@ class TestConvergence:
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 1), (3, 3, 2)])
     def test_first_order_tail_matches_deep_product(self, m, mt, p):
+        # raw products (no tail) from the point-loop oracle: J = 45 as the reference
         grid = dyadic_grid(4, 3)
-        deep = dual_quark_ft(m, mt, p, 45, grid, tail="none")
-        tailed = dual_quark_ft(m, mt, p, 20, grid)
-        raw = dual_quark_ft(m, mt, p, 20, grid, tail="none")
+        deep = dual_quark_ft_loop(m, mt, p, 45, grid, tail="none")
+        tailed = dual_quark_ft(m, mt, p, 20, grid).values
+        raw = dual_quark_ft_loop(m, mt, p, 20, grid, tail="none")
 
-        def sup(approx):
-            return max(float(np.max(np.abs(approx.values[t] - deep.values[t]))) for t in grid)
+        def sup(values):
+            return max(float(np.max(np.abs(values[t] - deep[t]))) for t in grid)
 
         assert sup(tailed) < 1e-8
         assert sup(raw) > 1e-6  # without the tail J = 20 is far off
-
-    def test_unknown_tail_rejected(self):
-        with pytest.raises(ValueError, match="tail"):
-            dual_quark_ft(1, 1, 0, 5, [Fraction(0)], tail="second-order")
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 1), (2, 2, 1)])
     def test_refinement_consistency_within_truncation(self, m, mt, p):

@@ -30,6 +30,25 @@ class TestScalars:
         with pytest.raises(ValueError, match="malformed input"):
             serialize.rational_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "read,obj",
+        [
+            ("laurent", {"terms": [[1.0, [1, 2]]]}),
+            ("laurent", {"terms": [[True, [1, 2]]]}),
+            ("laurent", {"terms": [["1", [1, 2]]]}),
+            ("laurent", {"terms": [5]}),
+            ("mask", {"kind": "scalar", "taps": [[0.5, [1, 1]]]}),
+            ("mask", {"kind": "matrix", "rows": 1.0, "cols": 1, "taps": [[0, [[[1, 1]]]]]}),
+            ("mask", {"kind": "matrix", "rows": 1, "cols": True, "taps": [[0, [[[1, 1]]]]]}),
+            ("mask", {"kind": "matrix", "rows": 1, "cols": 1, "taps": [["0", [[[1, 1]]]]]}),
+            ("mask", {"kind": "matrix", "rows": 1, "cols": 1, "taps": [[0]]}),
+        ],
+    )
+    def test_non_int_index_or_shape_rejected(self, read, obj):
+        reader = {"laurent": serialize.laurent_poly_from_json, "mask": serialize.mask_from_json}[read]
+        with pytest.raises(ValueError, match="malformed input"):
+            reader(obj)
+
     def test_real_coefficient_stays_pair_form(self):
         assert serialize.laurent_poly_json(LaurentPoly({1: Fraction(2, 3)}))["terms"] == [[1, [2, 3]]]
 

@@ -1,8 +1,10 @@
 """Stability decisions, Fourier zero scans, Condition E, dual spectrum."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,23 @@ class TestDualSpectrum:
     def test_parameter_independent(self, m, mt):
         for p in range(4):
             assert dual_symbol_eigenvalues(m, mt, p) == [Fraction(2) ** q for q in range(p + 1)]
+
+    @pytest.mark.parametrize("m,mt", [(0, 2), (2, 1), (2, 3)])
+    def test_orders_validated_although_mt_is_unused(self, m, mt):
+        with pytest.raises(ValueError):
+            dual_symbol_at_one(m, mt, 1)
+
+    def test_stability_does_not_import_the_bundle(self):
+        # St(1) = S(1)^{-T} needs the refinement masks only, not T^{-1}
+        tree = ast.parse((Path(__file__).parent.parent / "src/quarklets/stability.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert not [name for name in imported if "modulation" in name.split(".")]
 
 
 class TestConcurrency:
