@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_dict, _int_cores
 from .rational import as_rational, is_dyadic
 
 
@@ -167,14 +167,10 @@ class PiecewisePoly:
             return self
         # a*x + b in [b_i, b_{i+1})  <=>  x in [(b_i - b)/a, (b_{i+1} - b)/a)
         new_bps = [(bp - b) / a for bp in self.breakpoints]
-        lin = LaurentPoly({0: b, 1: a})
-        new_pieces = []
-        for p in self.pieces:
-            out = LaurentPoly.zero()
-            for k in range(max(p.coeffs, default=-1), -1, -1):  # Horner's rule in a*x + b
-                out = out * lin + p[k]
-            new_pieces.append(out)
-        return PiecewisePoly(new_bps, new_pieces)
+        shifted = [taylor_shift(p, b) for p in self.pieces]
+        if a != 1:
+            shifted = [_from_dict({k: c * a**k for k, c in p.coeffs.items()}) for p in shifted]
+        return PiecewisePoly(new_bps, shifted)
 
     def translate(self, k) -> "PiecewisePoly":
         """The function x -> f(x - k)."""
@@ -215,3 +211,20 @@ class PiecewisePoly:
 def inner_product(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
     """Exact L2 inner product of two real piecewise polynomials."""
     return (f * g).integral()
+
+
+def taylor_shift(p: LaurentPoly, s: Fraction) -> LaurentPoly:
+    """The polynomial x -> p(x + s), by synthetic division on the integer core.
+
+    With s = u/v and p = (1/d) sum_k n_k x^k, v^top p(x + s) is the integer
+    polynomial sum_k n_k v^(top-k) (y + u)^k in y = v x.
+    """
+    if not s or not p:
+        return p
+    (nums,), den = _int_cores((p,))
+    top, u, v = max(nums), s.numerator, s.denominator
+    c = [nums.get(k, 0) * v ** (top - k) for k in range(top + 1)]
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] += u * c[j + 1]
+    return _from_dict({j: Fraction(e, den * v ** (top - j)) for j, e in enumerate(c) if e})

@@ -35,10 +35,14 @@ def _int(obj) -> int:
 
 
 def _entries(obj) -> list:
-    """The ``[index, list]`` entries of a sparse collection, each index a JSON int."""
+    """The ``[index, list]`` entries of a sparse collection, each index a JSON int, none repeated."""
+    seen = set()
     for e in obj if isinstance(obj, list) else [obj]:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)):
             raise ValueError(f"malformed input: {e!r} is not an [int, list] entry")
+        if e[0] in seen:
+            raise ValueError(f"malformed input: index {e[0]} is repeated")
+        seen.add(e[0])
     return obj
 
 

@@ -18,28 +18,48 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
-from .laurent import LaurentPoly
-from .piecewise import PiecewisePoly, inner_product
+from .laurent import LaurentPoly, _dot, _int_cores
+from .piecewise import PiecewisePoly, taylor_shift
 
 
 def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
     """Laurent polynomial with n-th coefficient <f, g(. - n)>, exact.
 
     Only finitely many translates of g meet the support of f, so the result
-    is a genuine trigonometric polynomial.
+    is a genuine trigonometric polynomial.  Each piece is rewritten once in
+    t = x - (left breakpoint).  A piece of f at a and one of g(. - n) at
+    a + e overlap on [a + lo, a + lo + w), lo = max(e, 0), where their local
+    pieces, Taylor-shifted by lo and lo - e (both 0 on aligned breakpoints,
+    as for quarks), are multiplied and integrated over [0, w).
     """
-    if f.is_zero() or g.is_zero():
-        return LaurentPoly.zero()
-    fa, fb = f.support()
-    ga, gb = g.support()
     out: dict[int, Fraction] = {}
-    n_lo = math.floor(fa - gb)
-    n_hi = math.ceil(fb - ga)
-    for n in range(n_lo, n_hi + 1):
-        v = inner_product(f, g.translate(n))
-        if v:
-            out[n] = v
+    g_local = _local_pieces(g)
+    for a, wa, p in _local_pieces(f):
+        for b, wb, q in g_local:
+            for n in range(math.floor(a - b - wb) + 1, math.ceil(a + wa - b)):
+                e = b + n - a
+                lo = max(e, 0)
+                v = _overlap_integral(taylor_shift(p, lo), taylor_shift(q, lo - e), min(wa, wb + e) - lo)
+                out[n] = out.get(n, 0) + v
     return LaurentPoly(out)
+
+
+def _local_pieces(f: PiecewisePoly) -> list[tuple]:
+    """(left breakpoint, width, piece in t = x - left) for every nonzero piece of f."""
+    # integral breakpoints as ints keep Fraction arithmetic out of the overlap loop
+    bps = [b.numerator if b.denominator == 1 else b for b in f.breakpoints]
+    return [(lo, hi - lo, taylor_shift(p, lo)) for p, lo, hi in zip(f.pieces, bps, bps[1:]) if p]
+
+
+def _overlap_integral(p: LaurentPoly, q: LaurentPoly, w: Fraction) -> Fraction:
+    """Integral of p(t) q(t) over [0, w): sum_k P_k w^(k+1)/(k+1), on the integer core."""
+    (np_,), dp = _int_cores((p,))
+    (nq,), dq = _int_cores((q,))
+    prod = _dot([np_], [nq])
+    top = max(prod)
+    den, u, v = math.lcm(*range(1, top + 2)), w.numerator, w.denominator
+    acc = sum(c * (den // (k + 1)) * u ** (k + 1) * v ** (top - k) for k, c in prod.items())
+    return Fraction(acc, dp * dq * den * v ** (top + 1))
 
 
 @dataclass(frozen=True)

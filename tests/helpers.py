@@ -19,7 +19,13 @@ quark Fourier transform by mpmath quadrature (reference for ``quark_ft``),
 and small oracles that no library code needs: closed-interval root counts,
 the two-scale refinement of a quark vector, the dual modulation matrix and
 exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
-for ``dual_symbol_at_one``)."""
+for ``dual_symbol_at_one``), Horner's rule in a*x + b on whole Laurent
+products (reference for the Taylor shift of ``compose_linear``), the shift
+Gram symbol by translating g and integrating f * g(. - n) for every n
+(reference for the local-coordinate ``shift_gram_symbol``), the cofactor
+expansion of a determinant (reference for the Bareiss ``trig_determinant``)
+and the Fourier zero scan with all 100 ternary steps (reference for the
+early stop of ``ft_zero_scan``)."""
 
 import math
 from dataclasses import replace
@@ -39,8 +45,9 @@ from quarklets.modulation import (
     ModulationBundle,
     build_modulation,
 )
-from quarklets.piecewise import PiecewisePoly
-from quarklets.splines import QuarkFamily, bspline_mask
+from quarklets.piecewise import PiecewisePoly, inner_product
+from quarklets.splines import QuarkFamily, bspline_mask, quark_ft
+from quarklets.stability import _ZERO_RTOL
 from quarklets.transform import CoefficientFrame
 
 
@@ -484,3 +491,66 @@ def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
                       for k in range(max(piece.coeffs, default=-1), -1, -1)]
             total += mp.quad(lambda s: mp.polyval(coeffs, s) * mp.expj(-s * x), [a, b])
         return complex(total / mp.sqrt(2 * mp.pi))
+
+
+# -- the exact stability decision, the way it was first written ------------------------
+
+
+def compose_linear_horner(f: PiecewisePoly, a, b) -> PiecewisePoly:
+    """x -> f(a*x + b), each piece by Horner's rule in the polynomial a*x + b."""
+    a, b = Fraction(a), Fraction(b)
+    lin = LaurentPoly({0: b, 1: a})
+    pieces = []
+    for p in f.pieces:
+        out = LaurentPoly.zero()
+        for k in range(max(p.coeffs, default=-1), -1, -1):
+            out = out * lin + p[k]
+        pieces.append(out)
+    return PiecewisePoly([(bp - b) / a for bp in f.breakpoints], pieces)
+
+
+def shift_gram_symbol_by_translates(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
+    """sum_n <f, g(. - n)> z^n, one translate of g and one product integral per n."""
+    if f.is_zero() or g.is_zero():
+        return LaurentPoly.zero()
+    (fa, fb), (ga, gb) = f.support(), g.support()
+    return LaurentPoly({
+        n: inner_product(f, compose_linear_horner(g, 1, -n))
+        for n in range(math.floor(fa - gb), math.ceil(fb - ga) + 1)
+    })
+
+
+def cofactor_determinant(mat) -> LaurentPoly:
+    """Determinant by cofactor expansion along the first row."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = LaurentPoly.zero()
+    for j in range(n):
+        if mat[0][j].is_zero():
+            continue
+        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = mat[0][j] * cofactor_determinant(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def ft_zero_scan_fixed_steps(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
+    """``ft_zero_scan`` with every one of its 100 ternary steps run."""
+    xs = np.linspace(lo, hi, samples)
+    vals = np.abs(quark_ft(m, q, xs)) ** 2
+    tol = _ZERO_RTOL * (1.0 + math.sqrt(float(vals.max())))
+    inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
+    a, b = xs[inner - 1], xs[inner + 1]
+    for _ in range(100):
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        h = np.abs(quark_ft(m, q, np.concatenate([m1, m2]))) ** 2
+        left = h[: inner.size] <= h[inner.size :]
+        a, b = np.where(left, a, m1), np.where(left, m2, b)
+    x = (a + b) / 2
+    deduped: list[float] = []
+    for z in sorted(x[np.abs(quark_ft(m, q, x)) < tol].tolist()):
+        if not deduped or z - deduped[-1] > (hi - lo) / samples:
+            deduped.append(z)
+    return deduped

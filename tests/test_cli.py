@@ -316,6 +316,40 @@ class TestFramesRoundTrip:
         }))
 
 
+    # a frame that lists translate 0 twice; the reader used to keep only the last entry
+    DUPLICATE = '{"level": 1, "width": 1, "coefficients": [[0, [[1, 2]]], [0, [[1, 3]]]]}'
+    GOOD = '{"level": 1, "width": 1, "coefficients": [[0, [[1, 2]]]]}'
+
+    def test_decompose_rejects_a_repeated_translate(self, capsys, tmp_path):
+        src = tmp_path / "c.json"
+        src.write_text(self.DUPLICATE)
+        code, _, err = run(
+            capsys,
+            "decompose", "--m", "1", "--mt", "1",
+            "--input", str(src), "--out-scaling", str(tmp_path / "s.json"),
+            "--out-detail", str(tmp_path / "d.json"),
+        )
+        assert code == 2
+        assert "error: malformed input: index 0 is repeated" in err
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("bad", ["scaling", "detail"])
+    def test_reconstruct_rejects_a_repeated_translate(self, capsys, tmp_path, bad):
+        paths = {}
+        for name in ("scaling", "detail"):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(self.DUPLICATE if name == bad else self.GOOD)
+        code, _, err = run(
+            capsys,
+            "reconstruct", "--m", "1", "--mt", "1",
+            "--scaling", str(paths["scaling"]), "--detail", str(paths["detail"]),
+            "--out", str(tmp_path / "c.json"),
+        )
+        assert code == 2
+        assert "error: malformed input: index 0 is repeated" in err
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestOrthogonalizeAndSample:
     def test_orthogonalize_json(self, capsys):
         code, out, _ = run(capsys, "orthogonalize", "--mt", "1", "--p", "2")

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import compose_linear_horner
 
 from quarklets.laurent import LaurentPoly
-from quarklets.piecewise import PiecewisePoly, inner_product
+from quarklets.piecewise import PiecewisePoly, inner_product, taylor_shift
+from quarklets.splines import quark
 
 
 def hat() -> PiecewisePoly:
@@ -81,6 +83,24 @@ class TestBasics:
     def test_non_dyadic_dilation_rejected_via_breakpoints(self):
         with pytest.raises(ValueError, match="dyadic"):
             hat().compose_linear(3, 0)
+
+
+class TestTaylorShift:
+    def test_values_move_by_the_shift(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            p = LaurentPoly({k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(rng.randint(0, 7))})
+            s = Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 4))
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            assert taylor_shift(p, s).eval_rational(x) == p.eval_rational(x + s)
+
+    def test_compose_linear_equals_horner(self):
+        rng = random.Random(10)
+        for _ in range(90):
+            f = quark(rng.randint(1, 10), rng.randint(0, 8)) if rng.random() < 0.7 else rand_piecewise(rng)
+            a = Fraction(2) ** rng.randint(-3, 3)
+            b = Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 5))
+            assert f.compose_linear(a, b) == compose_linear_horner(f, a, b)
 
 
 class TestIntegrals:

@@ -49,6 +49,21 @@ class TestScalars:
         with pytest.raises(ValueError, match="malformed input"):
             reader(obj)
 
+    @pytest.mark.parametrize(
+        "read,obj",
+        [
+            ("laurent", {"terms": [[1, [1, 2]], [1, [1, 3]]]}),
+            ("mask", {"kind": "scalar", "taps": [[0, [1, 2]], [1, [1, 2]], [0, [1, 2]]]}),
+            ("mask", {"kind": "matrix", "rows": 1, "cols": 1, "taps": [[2, [[[1, 1]]]], [2, [[[1, 2]]]]]}),
+            ("frame", {"level": 1, "width": 1, "coefficients": [[0, [[1, 2]]], [0, [[1, 3]]]]}),
+        ],
+    )
+    def test_repeated_index_rejected(self, read, obj):
+        reader = {"laurent": serialize.laurent_poly_from_json, "mask": serialize.mask_from_json,
+                  "frame": serialize.frame_from_json}[read]
+        with pytest.raises(ValueError, match="malformed input: index .* is repeated"):
+            reader(obj)
+
     def test_real_coefficient_stays_pair_form(self):
         assert serialize.laurent_poly_json(LaurentPoly({1: Fraction(2, 3)}))["terms"] == [[1, [2, 3]]]
 

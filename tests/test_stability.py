@@ -8,11 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import condition_e_reference
+from helpers import (
+    cofactor_determinant,
+    condition_e_reference,
+    ft_zero_scan_fixed_steps,
+    shift_gram_symbol_by_translates,
+)
 
-from quarklets import linalg
+from quarklets import linalg, stability
+from quarklets.laurent import LaurentPoly
 from quarklets.splines import quark
-from quarklets.trig import shift_gram_symbol
+from quarklets.trig import is_positive_on_circle, shift_gram_symbol
 from quarklets.stability import (
     condition_e,
     dual_symbol_at_one,
@@ -126,6 +132,70 @@ class TestVector:
         assert det.coeffs == {0: Fraction(1, 12)}
 
 
+class TestBareiss:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_gram_determinants_equal_the_cofactor_oracle(self, m):
+        for p in range(6):
+            gram = gram_symbol_matrix(m, p)
+            assert trig_determinant(gram) == cofactor_determinant(gram), p
+
+    def test_random_matrices_with_zero_pivots(self):
+        # sparse rational Laurent matrices: zero pivots force row swaps, and
+        # repeated rows make some of them singular
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            mat = [
+                [LaurentPoly({k: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                              for k in rng.sample(range(-3, 4), rng.randint(0, 3))})
+                 if rng.random() < 0.6 else LaurentPoly.zero() for _ in range(n)]
+                for _ in range(n)
+            ]
+            if n > 1 and rng.random() < 0.2:
+                mat[-1] = list(mat[0])
+            assert trig_determinant(mat) == cofactor_determinant(mat)
+
+    def test_zero_pivots_swap_rows_and_flip_the_sign(self):
+        one, zero, z = LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.monomial(1, 1)
+        assert trig_determinant([[zero, z], [one, zero]]) == -z
+        # the second pivot, 1 * 1 - 1 * 1, vanishes after the first step
+        assert trig_determinant([[one, one, zero], [one, one, z], [zero, one, one]]) == -z
+        assert trig_determinant([[zero, one], [zero, z]]) == zero
+
+    def test_lowest_power_of_the_divisor_is_factored_out(self):
+        # from the top, (1 + z) / (z + z^2) leaves the remainder 1 + z
+        assert stability._exact_quotient({0: 1, 1: 1}, {1: 1, 2: 1}) == {-1: 1}
+        assert stability._exact_quotient({-2: 3, 0: -3}, {-1: 1, 1: -1}) == {-1: 3}
+
+    @pytest.mark.parametrize(
+        "num,den", [({0: 1, 2: 1}, {0: 1, 1: 1}), ({0: 1}, {0: 2}), ({5: 1}, {0: 1, 3: 1})]
+    )
+    def test_nonzero_remainder_raises(self, num, den):
+        with pytest.raises(ArithmeticError, match="nonzero remainder"):
+            stability._exact_quotient(num, den)
+
+    @pytest.mark.parametrize("m,p", [(m, p) for m in range(1, 6) for p in range(5)])
+    def test_reports_equal_the_oracle_path(self, m, p):
+        quarks = [quark(m, q) for q in range(p + 1)]
+        gram = [[shift_gram_symbol_by_translates(f, g) for g in quarks] for f in quarks]
+        res = is_positive_on_circle(cofactor_determinant(gram))
+        report = is_stable_vector(m, p)
+        assert (report.stable, report.certificate, report.location, report.value) == (
+            res.positive, "Gram determinant: " + res.certificate, res.location, res.value
+        )
+
+    def test_negative_degree_raises(self):
+        # an empty quark vector has no Gram determinant (it read "identically zero")
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            is_stable_vector(2, -1)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_decides_at_degree_eight(self, m):
+        report = is_stable_vector(m, 8)
+        assert not report.stable
+        assert report.certificate.startswith("Gram determinant: zero on the unit circle")
+
+
 class TestFtZeroScan:
     def test_order2_degree2_values(self):
         zeros = ft_zero_scan(2, 2, -12, 12)
@@ -163,6 +233,16 @@ class TestFtZeroScan:
         expected = sorted(s * 2 * math.pi * k for s in (-1, 1) for k in (1, 2, 3))
         assert len(zeros) == 6
         assert max(abs(z - e) for z, e in zip(zeros, expected)) <= bound
+
+    def test_early_stop_equals_the_full_ternary_loop(self):
+        rng = random.Random(3)
+        cases = [(2, 2, -12, 12, 4000), (7, 0, -20, 20, 4000), (1, 1, -10, 10, 1000)] + [
+            (rng.randint(1, 8), rng.randint(0, 6), -rng.uniform(1, 25), rng.uniform(1, 25),
+             rng.choice([50, 300, 1000]))
+            for _ in range(20)
+        ]
+        for m, q, lo, hi, samples in cases:
+            assert ft_zero_scan(m, q, lo, hi, samples) == ft_zero_scan_fixed_steps(m, q, lo, hi, samples)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

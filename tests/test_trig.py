@@ -7,12 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import all_roots_in_open_unit_disk, count_roots_closed, trim
+from helpers import (
+    all_roots_in_open_unit_disk,
+    count_roots_closed,
+    shift_gram_symbol_by_translates,
+    trim,
+)
 
 from quarklets import realroots
 from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product
-from quarklets.splines import bspline
+from quarklets.splines import bspline, quark
 from quarklets.trig import is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
 
 
@@ -50,6 +55,39 @@ class TestShiftGramSymbol:
                 val = theta(cmath.exp(-1j * t))
                 assert abs(val.imag) < 1e-12
                 assert val.real >= -1e-12
+
+
+class TestGramAgainstTranslates:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_quark_pairs(self, m):
+        # the oracle runs on the upper triangle; <g, f(. - n)> = <f, g(. + n)> gives the rest
+        quarks = [quark(m, q) for q in range(7)]
+        for i, f in enumerate(quarks):
+            for g in quarks[i:]:
+                theta = shift_gram_symbol(f, g)
+                assert theta == shift_gram_symbol_by_translates(f, g)
+                assert shift_gram_symbol(g, f) == theta.conj_on_circle()
+
+    def test_non_integer_breakpoints(self):
+        # dilated and shifted quarks: pieces of f and of the translates of g
+        # overlap in part, so both local pieces are Taylor-shifted
+        rng = random.Random(8)
+
+        def composed():
+            scale = Fraction(2) ** rng.randint(-2, 2)
+            shift = Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+            return quark(rng.randint(1, 5), rng.randint(0, 3)).compose_linear(scale, shift)
+
+        for _ in range(40):
+            f, g = composed(), composed()
+            assert shift_gram_symbol(f, g) == shift_gram_symbol_by_translates(f, g)
+
+    def test_zero_pieces_and_zero_functions(self):
+        f = PiecewisePoly([Fraction(-1, 2), 0, Fraction(3, 4), 2], [(1, 2), (), (Fraction(1, 3), 0, -1)])
+        g = bspline(3).compose_linear(2, Fraction(1, 8))
+        assert shift_gram_symbol(f, g) == shift_gram_symbol_by_translates(f, g)
+        assert shift_gram_symbol(f, PiecewisePoly.zero()) == LaurentPoly.zero()
+        assert shift_gram_symbol(PiecewisePoly.zero(), g) == LaurentPoly.zero()
 
 
 class TestPositivity:
