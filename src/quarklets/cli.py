@@ -33,10 +33,30 @@ MAX_LEVELS = 64
 # Largest --max-m and --max-p of ``stability-table``: a 10 x 10 table takes
 # about 20 s on a 2-core x86_64 host, and each Sturm decision grows with m + p.
 MAX_TABLE_ORDER = 10
+# Largest --m and --mt, and largest --p, --q and frame width - 1 (of ``decompose``
+# and ``reconstruct``): at this corner the slowest command at its default options,
+# ``verify-pr --m 16 --mt 16 --p 14``, takes about 13 s on a 2-core x86_64 host.
+MAX_ORDER = 16
+MAX_DEGREE = 14
+# The upper bound of each option, checked before any work.
+_BOUNDS = {"m": MAX_ORDER, "mt": MAX_ORDER, "p": MAX_DEGREE, "q": MAX_DEGREE,
+           "max_m": MAX_TABLE_ORDER, "max_p": MAX_TABLE_ORDER, "levels": MAX_LEVELS}
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_bounds(args):
+    for name, bound in _BOUNDS.items():
+        if getattr(args, name, None) is not None and getattr(args, name) > bound:
+            raise UsageError(f"--{name.replace('_', '-')} must be at most {bound}")
+
+
+def _check_width(frame):
+    if frame.width - 1 > MAX_DEGREE:
+        raise UsageError(f"frame width must be at most {MAX_DEGREE + 1}")
+    return frame
 
 
 def _fmt_float(x: float) -> str:
@@ -113,8 +133,6 @@ def cmd_verify_pr(args) -> int:
 
 
 def cmd_stability_table(args) -> int:
-    if args.max_m > MAX_TABLE_ORDER or args.max_p > MAX_TABLE_ORDER:
-        raise UsageError(f"--max-m and --max-p must be at most {MAX_TABLE_ORDER}")
     table = stability.stability_table(args.max_m, args.max_p)
     ms = range(1, args.max_m + 1)
     ps = range(0, args.max_p + 1)
@@ -164,8 +182,6 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    if args.levels > MAX_LEVELS:
-        raise UsageError(f"--levels must be at most {MAX_LEVELS}")
     validate_orders(args.m, args.mt)
     span, depth = args.grid_span, args.grid_depth
     # depth > 16 always overflows; testing it first keeps 2**depth small
@@ -196,7 +212,7 @@ def cmd_dual(args) -> int:
 def cmd_decompose(args) -> int:
     validate_orders(args.m, args.mt)
     with open(args.input) as handle:
-        frame = serialize.frame_from_json(json.load(handle))
+        frame = _check_width(serialize.frame_from_json(json.load(handle)))
     bundle = build_modulation(args.m, args.mt, frame.width - 1)
     filters = decomposition_filters(bundle)
     s, d = transform.decompose(frame, filters)
@@ -208,9 +224,9 @@ def cmd_decompose(args) -> int:
 def cmd_reconstruct(args) -> int:
     validate_orders(args.m, args.mt)
     with open(args.scaling) as handle:
-        s = serialize.frame_from_json(json.load(handle))
+        s = _check_width(serialize.frame_from_json(json.load(handle)))
     with open(args.detail) as handle:
-        d = serialize.frame_from_json(json.load(handle))
+        d = _check_width(serialize.frame_from_json(json.load(handle)))
     if s.width != d.width:
         raise UsageError("scaling and detail frames have different widths")
     bundle = build_modulation(args.m, args.mt, s.width - 1)
@@ -283,10 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_orders(p, with_p=True, p_required=True):
-        p.add_argument("--m", type=int, required=True, help="primal spline order")
-        p.add_argument("--mt", type=int, required=True, help="dual spline order")
+        p.add_argument("--m", type=int, required=True, help=f"primal spline order (at most {MAX_ORDER})")
+        p.add_argument("--mt", type=int, required=True, help=f"dual spline order (at most {MAX_ORDER})")
         if with_p:
-            p.add_argument("--p", type=int, required=p_required, help="maximal quark degree")
+            p.add_argument("--p", type=int, required=p_required,
+                           help=f"maximal quark degree (at most {MAX_DEGREE})")
 
     p = sub.add_parser("filters", help="emit the exact filter masks as JSON")
     add_orders(p, p_required=False)
@@ -307,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability_table)
 
     p = sub.add_parser("ft-zeros", help="scan a quark Fourier transform for zeros")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="quark degree")
+    p.add_argument("--m", type=int, required=True, help=f"spline order (at most {MAX_ORDER})")
+    p.add_argument("--q", type=int, required=True, help=f"quark degree (at most {MAX_DEGREE})")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--samples", type=int, default=4000,
@@ -333,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a fine frame into coarse + detail frames")
     add_orders(p, with_p=False)
-    p.add_argument("--input", required=True, help="fine frame JSON")
+    p.add_argument("--input", required=True, help=f"fine frame JSON (width at most {MAX_DEGREE + 1})")
     p.add_argument("--out-scaling", required=True)
     p.add_argument("--out-detail", required=True)
     p.set_defaults(func=cmd_decompose)
@@ -346,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("orthogonalize", help="orthogonalized order-1 quarklets")
-    p.add_argument("--mt", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--mt", type=int, required=True, help=f"dual spline order (at most {MAX_ORDER})")
+    p.add_argument("--p", type=int, required=True, help=f"maximal degree (at most {MAX_DEGREE})")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--samples", type=int, default=256, help="samples per unit for csv output (1 to 2^17 + 1)")
     p.add_argument("--out", help="output path (default stdout)")
@@ -359,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["bspline", "quark", "quarklet", "ortho-quarklet"],
         required=True,
     )
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--mt", type=int, default=1)
-    p.add_argument("--q", type=int, default=0, help="degree of the sampled member")
+    p.add_argument("--m", type=int, default=1, help=f"spline order (at most {MAX_ORDER})")
+    p.add_argument("--mt", type=int, default=1, help=f"dual spline order (at most {MAX_ORDER})")
+    p.add_argument("--q", type=int, default=0, help=f"degree of the sampled member (at most {MAX_DEGREE})")
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--end", type=float, required=True)
     p.add_argument("--count", type=int, default=257, help="grid points (2 to 2^17 + 1)")
@@ -375,6 +392,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

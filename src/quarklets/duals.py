@@ -32,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .laurent import LaurentMatrix, _int_cores, cascade
 from .modulation import build_modulation
 from .stability import dual_symbol_at_one
@@ -242,5 +241,5 @@ def mass_outside(x: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:
 def eigen_residual(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     """(2^{-p} St(1)) v - v with exact arithmetic (must be identically zero)."""
     v = dual_eigenvector(m, mt, p)
-    mv = linalg.mat_vec(dual_symbol_at_one(m, mt, p), v)
-    return tuple(a / 2**p - b for a, b in zip(mv, v))
+    mat = dual_symbol_at_one(m, mt, p)
+    return tuple(sum(a * c for a, c in zip(row, v)) / 2**p - b for row, b in zip(mat, v))

@@ -27,7 +27,14 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .rational import as_rational
+
+def as_rational(value) -> Fraction:
+    """Coerce an int or Fraction to Fraction; floats never enter the exact core."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class LaurentPoly:
@@ -311,9 +318,6 @@ class LaurentMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_lower_triangular(self) -> bool:
         return all(
             self.entries[i][j].is_zero() for i in range(self.rows) for j in range(i + 1, self.cols)
@@ -332,21 +336,11 @@ class LaurentMatrix:
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._same_shape(other)
-        return LaurentMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return LaurentMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._same_shape(other)
-        return LaurentMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return LaurentMatrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "LaurentMatrix":
         return LaurentMatrix([[-e for e in row] for row in self.entries])
@@ -389,7 +383,7 @@ class LaurentMatrix:
         Monomials c z^d are the only units of the Laurent polynomial ring, so
         this precondition is exactly invertibility-with-Laurent-inverse.
         """
-        if not self.is_square():
+        if self.rows != self.cols:
             raise ValueError("matrix must be square")
         if not self.is_lower_triangular():
             raise ValueError("matrix must be lower triangular")

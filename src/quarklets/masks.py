@@ -11,10 +11,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from . import linalg
-from .laurent import LaurentMatrix, LaurentPoly
-from .linalg import Mat
-from .rational import as_rational
+from .laurent import LaurentMatrix, LaurentPoly, as_rational
+
+Mat = tuple[tuple[Fraction, ...], ...]
 
 
 class MaskSequence:
@@ -29,10 +28,10 @@ class MaskSequence:
         clean: dict[int, Mat] = {}
         if entries:
             for k, m in entries.items():
-                mat = linalg.as_matrix(m)
-                if len(mat) != rows or len(mat[0]) != cols:
+                mat = tuple(tuple(as_rational(c) for c in row) for row in m)
+                if len(mat) != rows or any(len(row) != cols for row in mat):
                     raise ValueError(f"entry at k={k} has wrong shape")
-                if not linalg.is_zero(mat):
+                if any(any(row) for row in mat):
                     clean[int(k)] = mat
         self.entries = MappingProxyType(clean)
 
@@ -53,16 +52,14 @@ class MaskSequence:
 
     def to_symbol(self) -> LaurentMatrix:
         """The symbol, the Laurent matrix (1/2) sum_k M_k z^k."""
-        out = [[dict() for _ in range(self.cols)] for _ in range(self.rows)]
-        for k, m in self.entries.items():
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    if m[i][j]:
-                        out[i][j][k] = m[i][j] / 2
-        return LaurentMatrix([[LaurentPoly(c) for c in row] for row in out])
+        taps = self.entries.items()
+        return LaurentMatrix([
+            [LaurentPoly({k: m[i][j] / 2 for k, m in taps if m[i][j]}) for j in range(self.cols)]
+            for i in range(self.rows)
+        ])
 
     def __getitem__(self, k: int) -> Mat:
-        return self.entries.get(k, linalg.zeros(self.rows, self.cols))
+        return self.entries.get(k, ((Fraction(0),) * self.cols,) * self.rows)
 
     def scalar(self, k: int) -> Fraction:
         if self.rows != 1 or self.cols != 1:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly, _from_dict, _int_cores
-from .rational import as_rational, is_dyadic
+from .laurent import LaurentPoly, _from_dict, _int_cores, as_rational
 
 
 class PiecewisePoly:
@@ -35,7 +34,7 @@ class PiecewisePoly:
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
             raise ValueError("breakpoints must be strictly increasing")
         for b in bps:
-            if not is_dyadic(b):
+            if b.denominator & (b.denominator - 1):
                 raise ValueError(f"breakpoint {b} is not dyadic")
         polys = [p if isinstance(p, LaurentPoly) else LaurentPoly(dict(enumerate(p)))
                  for p in pieces]

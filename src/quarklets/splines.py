@@ -27,8 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .laurent import cascade
-from .linalg import Mat
-from .masks import MaskSequence
+from .masks import MaskSequence, Mat
 from .piecewise import PiecewisePoly
 
 

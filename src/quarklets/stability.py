@@ -21,11 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .cdf import validate_orders
-from .laurent import LaurentMatrix, LaurentPoly, _dot, _from_int, _int_cores
+from .laurent import LaurentMatrix, LaurentPoly, _dot, _from_int, _int_cores, as_rational
+from .masks import Mat
 from .splines import quark, quark_ft, refinement_masks
-from .trig import is_positive_on_circle, shift_gram_symbol
+from .trig import _gram_from_pieces, _local_pieces, is_positive_on_circle, shift_gram_symbol
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def gram_symbol_matrix(m: int, p: int) -> list[list[LaurentPoly]]:
     if p < 0:
         raise ValueError("quark degree must be >= 0")
     n = p + 1
-    quarks = [quark(m, q) for q in range(n)]
-    upper = {(i, j): shift_gram_symbol(quarks[i], quarks[j]) for i in range(n) for j in range(i, n)}
+    local = [_local_pieces(quark(m, q)) for q in range(n)]
+    upper = {(i, j): _gram_from_pieces(local[i], local[j]) for i in range(n) for j in range(i, n)}
     return [
         [upper[i, j] if i <= j else upper[j, i].conj_on_circle() for j in range(n)]
         for i in range(n)
@@ -195,20 +195,21 @@ def condition_e(matrix) -> bool:
 
     An exact read-off of the diagonal, so the input must be a square rational
     matrix that is upper or lower triangular, as St(1) is (see
-    :func:`dual_symbol_at_one`).  Float entries raise TypeError; any other
-    shape raises ValueError.
+    :func:`dual_symbol_at_one`).  Float and Laurent polynomial entries raise
+    TypeError; any other shape raises ValueError.
     """
-    mat = linalg.as_matrix(matrix)
+    mat = [[as_rational(c) for c in row] for row in matrix]
     n = len(mat)
-    if len(mat[0]) != n:
-        raise ValueError("matrix must be square")
-    if not (linalg.is_upper_triangular(mat) or linalg.is_upper_triangular(linalg.transpose(mat))):
+    if not n or any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square and nonempty")
+    below = any(mat[i][j] for i in range(n) for j in range(i))
+    if below and any(mat[j][i] for i in range(n) for j in range(i)):
         raise ValueError("Condition E is read off the diagonal of a triangular matrix only")
     diag = [mat[i][i] for i in range(n)]
     return diag.count(1) == 1 and all(abs(d) < 1 for d in diag if d != 1)
 
 
-def dual_symbol_at_one(m: int, mt: int, p: int) -> linalg.Mat:
+def dual_symbol_at_one(m: int, mt: int, p: int) -> Mat:
     """The dual scaling symbol evaluated exactly at z = 1 (upper triangular).
 
     b(1) = 0 gives T(1) = b(-1) S(1), so St(1) = L(1)^T = S(1)^{-T}: it
@@ -219,7 +220,7 @@ def dual_symbol_at_one(m: int, mt: int, p: int) -> linalg.Mat:
 
 
 @lru_cache(maxsize=None)
-def _symbol_at_one(m: int, p: int) -> linalg.Mat:
+def _symbol_at_one(m: int, p: int) -> Mat:
     """S(1)^{-T} with S(1) = (1/2) sum_k A_k, lower triangular with diagonal 2^{-q}."""
     masks = refinement_masks(m, p).matrices.entries.values()
     at_one = LaurentMatrix([[sum(a[i][j] for a in masks) / 2 for j in range(p + 1)] for i in range(p + 1)])

@@ -31,12 +31,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from . import linalg
 from .cdf import QuarkletFamily, quarklets
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, as_rational
+from .masks import Mat
 from .modulation import DecompositionFilters, ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
-from .rational import as_rational
 
 Vector = tuple[Fraction, ...]
 
@@ -154,8 +153,8 @@ class OrthoQuarklets:
     p: int
     members: tuple[PiecewisePoly, ...]
     norms: tuple[Fraction, ...]  # <psi*_q, psi*_q>
-    to_plain: linalg.Mat
-    from_plain: linalg.Mat
+    to_plain: Mat
+    from_plain: Mat
     plain: QuarkletFamily
 
 
@@ -170,32 +169,30 @@ def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
         raise ValueError("order 1 pairs with odd dual order only")
     family = quarklets(1, mt, p)
     members: list[PiecewisePoly] = []
-    rows: list[list[Fraction]] = []
+    rows: list[tuple[Fraction, ...]] = []
     norms: list[Fraction] = []
     for q in range(p + 1):
+        # psi*_q = psi_q - sum_l row[l] psi*_l, so row is line q of from_plain
         f = family[q]
         row = [Fraction(0)] * (p + 1)
         row[q] = Fraction(1)
         for l in range(q):
-            coeff = inner_product(family[q], members[l]) / norms[l]
-            if coeff:
-                f = f - members[l] * coeff
-                for j in range(l + 1):
-                    row[j] -= coeff * rows[l][j]
+            row[l] = inner_product(family[q], members[l]) / norms[l]
+            if row[l]:
+                f = f - members[l] * row[l]
         members.append(f)
-        rows.append(row)
+        rows.append(tuple(row))
         norm = inner_product(f, f)
         if norm == 0:
             raise AssertionError(f"degenerate quarklet family: member {q} vanished")
         norms.append(norm)
-    to_plain = tuple(tuple(r) for r in rows)
     return OrthoQuarklets(
         mt=mt,
         p=p,
         members=tuple(members),
         norms=tuple(norms),
-        to_plain=to_plain,
-        from_plain=LaurentMatrix(to_plain).invert_lower_triangular().coefficient_matrix(0),
+        to_plain=LaurentMatrix(rows).invert_lower_triangular().coefficient_matrix(0),
+        from_plain=tuple(rows),
         plain=family,
     )
 
@@ -226,25 +223,14 @@ def to_orthogonal_frames(
 ) -> list[dict[int, Fraction]]:
     """Re-express a quarklet frame over the orthogonalized members, degree by degree.
 
-    Returns per-degree scalar frames out[q] = {k: coefficient of psi*_q(. - k)};
+    Returns per-degree scalar frames out[q] = {k: coefficient of psi*_q(. - k)},
+    the row [c_0(z), ..., c_p(z)] of degree polynomials times ``from_plain``;
     the represented function is unchanged.
     """
     if frame.width != ortho.p + 1:
         raise ValueError("frame width does not match the family")
-    out: list[dict[int, Fraction]] = [dict() for _ in range(ortho.p + 1)]
-    for k, vec in frame.items():
-        for l, c in enumerate(vec):
-            if not c:
-                continue
-            for q in range(l + 1):
-                val = ortho.from_plain[l][q] * c
-                if val:
-                    cur = out[q].get(k, Fraction(0)) + val
-                    if cur:
-                        out[q][k] = cur
-                    else:
-                        out[q].pop(k, None)
-    return out
+    row = LaurentMatrix([_polys(frame.coefficients, frame.width)])
+    return [poly.coeffs for poly in (row @ LaurentMatrix(ortho.from_plain)).entries[0]]
 
 
 def from_orthogonal_frames(
@@ -254,12 +240,5 @@ def from_orthogonal_frames(
     width = ortho.p + 1
     if len(frames) != width:
         raise ValueError("need one scalar frame per degree")
-    out: dict[int, list[Fraction]] = {}
-    for q, scalar_frame in enumerate(frames):
-        for k, c in scalar_frame.items():
-            if not c:
-                continue
-            tgt = out.setdefault(k, [Fraction(0)] * width)
-            for l in range(q + 1):
-                tgt[l] += ortho.to_plain[q][l] * c
-    return CoefficientFrame(level, width, {k: tuple(v) for k, v in out.items()})
+    row = LaurentMatrix([[LaurentPoly(frame) for frame in frames]])
+    return CoefficientFrame(level, width, _vectors((row @ LaurentMatrix(ortho.to_plain)).entries[0]))

@@ -32,9 +32,13 @@ def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
     pieces, Taylor-shifted by lo and lo - e (both 0 on aligned breakpoints,
     as for quarks), are multiplied and integrated over [0, w).
     """
+    return _gram_from_pieces(_local_pieces(f), _local_pieces(g))
+
+
+def _gram_from_pieces(f_local: list[tuple], g_local: list[tuple]) -> LaurentPoly:
+    """:func:`shift_gram_symbol` of two functions given by their :func:`_local_pieces`."""
     out: dict[int, Fraction] = {}
-    g_local = _local_pieces(g)
-    for a, wa, p in _local_pieces(f):
+    for a, wa, p in f_local:
         for b, wb, q in g_local:
             for n in range(math.floor(a - b - wb) + 1, math.ceil(a + wa - b)):
                 e = b + n - a

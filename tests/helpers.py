@@ -38,8 +38,7 @@ from quarklets import realroots
 from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import dual_eigenvector, dual_tail_slope
 from quarklets.laurent import LaurentMatrix, LaurentPoly
-from quarklets.linalg import Mat, Vec
-from quarklets.masks import MaskSequence
+from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import (
     DecompositionFilters,
     ModulationBundle,
@@ -49,6 +48,8 @@ from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import QuarkFamily, bspline_mask, quark_ft
 from quarklets.stability import _ZERO_RTOL
 from quarklets.transform import CoefficientFrame
+
+Vec = tuple[Fraction, ...]
 
 
 def bspline_truncated_power(m: int) -> PiecewisePoly:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from quarklets import cli, duals, stability
-from quarklets.cli import MAX_GRID_POINTS, MAX_LEVELS, MAX_TABLE_ORDER, main
+from quarklets.cli import MAX_DEGREE, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER, main
 
 
 def run(capsys, *argv):
@@ -348,6 +348,74 @@ class TestFramesRoundTrip:
         assert code == 2
         assert "error: malformed input: index 0 is repeated" in err
         assert not (tmp_path / "c.json").exists()
+
+
+class TestSizeBounds:
+    def never(self, *args):
+        raise AssertionError("nothing may be built for a refused order or degree")
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["verify-pr", "--m", "1", "--mt", "1", "--p", "0"], "--m", MAX_ORDER + 1),
+        (["verify-pr", "--m", "1", "--mt", "1", "--p", "0"], "--mt", MAX_ORDER + 1),
+        (["verify-pr", "--m", "1", "--mt", "1", "--p", "0"], "--p", MAX_DEGREE + 1),
+        (["filters", "--m", "1", "--mt", "1", "--p", "0"], "--p", 10**9),
+        (["dual", "--m", "1", "--mt", "1", "--p", "0"], "--mt", 10**9),
+        (["eigen", "--m", "1", "--mt", "1", "--p", "0"], "--p", MAX_DEGREE + 1),
+        (["ft-zeros", "--m", "1", "--q", "0", "--lo", "0", "--hi", "1"], "--m", MAX_ORDER + 1),
+        (["ft-zeros", "--m", "1", "--q", "0", "--lo", "0", "--hi", "1"], "--q", MAX_DEGREE + 1),
+        (["orthogonalize", "--mt", "1", "--p", "0"], "--mt", MAX_ORDER + 1),
+        (["orthogonalize", "--mt", "1", "--p", "0"], "--p", MAX_DEGREE + 1),
+        (["sample", "--function", "bspline", "--start", "0", "--end", "1"], "--m", 2000),
+        (["sample", "--function", "quarklet", "--start", "0", "--end", "1"], "--mt", MAX_ORDER + 1),
+        (["sample", "--function", "quark", "--start", "0", "--end", "1"], "--q", MAX_DEGREE + 1),
+    ])
+    def test_oversized_flag_exits_2_before_any_work(self, capsys, monkeypatch, argv, flag, value):
+        for module, name in [(cli, "build_modulation"), (cli, "cdf_masks"), (cli, "bspline"), (cli, "quark"),
+                             (cli, "quarklets"), (cli, "orthogonalize_haar"), (stability, "ft_zero_scan"),
+                             (stability, "dual_symbol_eigenvalues"), (duals, "dual_quark_ft")]:
+            monkeypatch.setattr(module, name, self.never)
+        if flag not in argv:
+            argv = argv + [flag, "1"]
+        argv[argv.index(flag) + 1] = str(value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+        assert str(MAX_DEGREE if flag in ("--p", "--q") else MAX_ORDER) in err
+
+    @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
+    def test_oversized_frame_width_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.setattr(cli, "build_modulation", self.never)
+        src = tmp_path / "c.json"
+        src.write_text(f'{{"level": 1, "width": {MAX_DEGREE + 2}, "coefficients": []}}')
+        if command == "decompose":
+            files = ["--input", str(src), "--out-scaling", str(tmp_path / "s.json"),
+                     "--out-detail", str(tmp_path / "d.json")]
+        else:
+            files = ["--scaling", str(src), "--detail", str(src), "--out", str(tmp_path / "out.json")]
+        code, out, err = run(capsys, command, "--m", "1", "--mt", "1", *files)
+        assert code == 2
+        assert out == ""
+        assert "width" in err and str(MAX_DEGREE + 1) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_orders_and_degree_at_the_limit_run(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(stability, "ft_zero_scan", lambda m, q, *rest, samples: seen.append((m, q)) or [])
+        code, _, _ = run(
+            capsys, "ft-zeros", "--m", str(MAX_ORDER), "--q", str(MAX_DEGREE), "--lo", "0", "--hi", "1"
+        )
+        assert code == 0
+        assert seen == [(MAX_ORDER, MAX_DEGREE)]
+        widest = {"level": 1, "width": MAX_DEGREE + 1, "coefficients": [[0, [[1, 1]] * (MAX_DEGREE + 1)]]}
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(widest))
+        code, _, err = run(
+            capsys, "decompose", "--m", "1", "--mt", "1", "--input", str(src),
+            "--out-scaling", str(tmp_path / "s.json"), "--out-detail", str(tmp_path / "d.json"),
+        )
+        assert code == 0, err
+        assert json.loads((tmp_path / "s.json").read_text())["width"] == MAX_DEGREE + 1
 
 
 class TestOrthogonalizeAndSample:

@@ -28,6 +28,12 @@ class TestMaskSequence:
             MaskSequence(2, 2, {0: ((1, 0),)})
         with pytest.raises(ValueError):
             MaskSequence(0, 1)
+        for entry in (((1, 0), (0,)), ((1, 0, 0), (0, 1, 0))):  # ragged, too wide
+            with pytest.raises(ValueError):
+                MaskSequence(2, 2, {0: entry})
+        for entry in (((1.0, 0), (0, 1)), ((LaurentPoly({1: 1}), 0), (0, 1))):
+            with pytest.raises(TypeError):
+                MaskSequence(2, 2, {0: entry})
 
     def test_scalar_access_guards(self):
         matrix_mask = MaskSequence(2, 2, {0: ((1, 0), (0, 1))})

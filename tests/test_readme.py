@@ -1,9 +1,10 @@
-"""The README library tour must stay executable."""
+"""The README library tour must stay executable, and its layout table complete."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_python_example_runs():
@@ -12,3 +13,9 @@ def test_python_example_runs():
     assert blocks, "README lost its python example"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_layout_table_lists_every_module():
+    rows = set(re.findall(r"^\| `quarklets\.(\w+)` \|", README.read_text(), flags=re.MULTILINE))
+    modules = {path.stem for path in (ROOT / "src" / "quarklets").glob("*.py")} - {"__init__", "__main__"}
+    assert rows == modules

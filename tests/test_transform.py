@@ -318,3 +318,9 @@ class TestOrthogonalFrames:
             for k, c in scalar.items():
                 rebased = rebased + ortho.members[qd].translate(k) * c
         assert direct == rebased
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_float_coefficients_raise(self, c):
+        # the exact core takes no floats, not even a zero one
+        with pytest.raises(TypeError):
+            from_orthogonal_frames([{0: c}, {}], orthogonalize_haar(1, 1))
