@@ -10,7 +10,7 @@ questions exactly, runs the multiscale transform on coefficient frames, and
 orthogonalizes the order-1 quarklets.
 """
 
-from .cdf import CdfPair, QuarkletFamily, cdf_masks, quarklets, scalar_pr_defect
+from .cdf import CdfPair, cdf_masks, quarklet, quarklets, scalar_pr_defect
 from .duals import (
     DualApproximation,
     convergence_probe,
@@ -33,7 +33,6 @@ from .modulation import (
 )
 from .piecewise import PiecewisePoly, inner_product
 from .splines import (
-    QuarkFamily,
     RefinementMasks,
     bspline,
     quark,
@@ -76,8 +75,6 @@ __all__ = [
     "ModulationBundle",
     "OrthoQuarklets",
     "PiecewisePoly",
-    "QuarkFamily",
-    "QuarkletFamily",
     "RefinementMasks",
     "StabilityReport",
     "bspline",
@@ -105,6 +102,7 @@ __all__ = [
     "quark",
     "quark_family",
     "quark_ft",
+    "quarklet",
     "quarklets",
     "reconstruct",
     "refinement_masks",

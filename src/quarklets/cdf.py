@@ -28,7 +28,7 @@ from functools import lru_cache
 from .laurent import LaurentMatrix, LaurentPoly
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
-from .splines import bspline_mask, quark_family
+from .splines import bspline_mask, quark
 
 
 @dataclass(frozen=True)
@@ -122,33 +122,16 @@ def _flip_range(scalars: dict[int, Fraction]) -> range:
     return range(1 - ks[-1], 1 - ks[0] + 1)
 
 
-@dataclass(frozen=True)
-class QuarkletFamily:
-    """Quarklets psi_0..psi_p for one (m, mt) filter pair."""
-
-    m: int
-    mt: int
-    p: int
-    members: tuple[PiecewisePoly, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, q: int) -> PiecewisePoly:
-        return self.members[q]
-
-
-def quarklets(m: int, mt: int, p: int) -> QuarkletFamily:
-    """Exact piecewise polynomials psi_q = sum_k b_k phi_q(2x - k), q = 0..p."""
+def quarklet(m: int, mt: int, q: int) -> PiecewisePoly:
+    """The exact piecewise polynomial psi_q = sum_k b_k phi_q(2x - k)."""
     validate_orders(m, mt)
+    phi = quark(m, q)
+    b = cdf_masks(m, mt).wavelet.scalars()
+    return sum((phi.compose_linear(2, -Fraction(k)) * bk for k, bk in b.items()), PiecewisePoly.zero())
+
+
+def quarklets(m: int, mt: int, p: int) -> tuple[PiecewisePoly, ...]:
+    """The quarklets psi_0..psi_p of one (m, mt) filter pair."""
     if p < 0:
         raise ValueError("need p >= 0")
-    b = cdf_masks(m, mt).wavelet.scalars()
-    quarks = quark_family(m, p)
-    out = []
-    for q in range(p + 1):
-        acc = PiecewisePoly.zero()
-        for k, bk in b.items():
-            acc = acc + quarks[q].compose_linear(2, -Fraction(k)) * bk
-        out.append(acc)
-    return QuarkletFamily(m, mt, p, tuple(out))
+    return tuple(quarklet(m, mt, q) for q in range(p + 1))

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import duals, serialize, stability, transform
-from .cdf import cdf_masks, quarklets, scalar_pr_defect, validate_orders
+from .cdf import cdf_masks, quarklet, scalar_pr_defect, validate_orders
 from .modulation import build_modulation, decomposition_filters, verify_perfect_reconstruction
 from .splines import bspline, quark
 from .transform import orthogonalize_haar
@@ -38,6 +38,11 @@ MAX_TABLE_ORDER = 10
 # ``verify-pr --m 16 --mt 16 --p 14``, takes about 13 s on a 2-core x86_64 host.
 MAX_ORDER = 16
 MAX_DEGREE = 14
+# Largest points x levels x (p + 1) of ``dual``.  The cascade costs each point
+# and level about (p + 1)^1.3 us at m = mt = 16, so at the corner the slowest
+# accepted run, ``dual --m 16 --mt 16 --p 14 --levels 64 --grid-depth 9
+# --quarklets``, takes about 19 s on a 2-core x86_64 host.
+MAX_DUAL_WORK = 4_000_000
 # The upper bound of each option, checked before any work.
 _BOUNDS = {"m": MAX_ORDER, "mt": MAX_ORDER, "p": MAX_DEGREE, "q": MAX_DEGREE,
            "max_m": MAX_TABLE_ORDER, "max_p": MAX_TABLE_ORDER, "levels": MAX_LEVELS}
@@ -51,6 +56,13 @@ def _check_bounds(args):
     for name, bound in _BOUNDS.items():
         if getattr(args, name, None) is not None and getattr(args, name) > bound:
             raise UsageError(f"--{name.replace('_', '-')} must be at most {bound}")
+    if args.command == "dual" and args.grid_span >= 1 and args.grid_depth >= 0:
+        # any depth above 16 overflows; capping it keeps 2**depth small
+        points = 2 * args.grid_span * 2 ** min(args.grid_depth, 17) + 1
+        if points > MAX_GRID_POINTS:
+            raise UsageError(f"the grid has 2*span*2^depth + 1 points, more than {MAX_GRID_POINTS} (2^17 + 1)")
+        if points * args.levels * (args.p + 1) > MAX_DUAL_WORK:
+            raise UsageError(f"grid points x --levels x (p + 1) must be at most {MAX_DUAL_WORK}")
 
 
 def _check_width(frame):
@@ -183,11 +195,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_dual(args) -> int:
     validate_orders(args.m, args.mt)
-    span, depth = args.grid_span, args.grid_depth
-    # depth > 16 always overflows; testing it first keeps 2**depth small
-    if span >= 1 and depth >= 0 and (depth > 16 or 2 * span * 2**depth + 1 > MAX_GRID_POINTS):
-        raise UsageError(f"the grid has 2*span*2^depth + 1 points, more than {MAX_GRID_POINTS} (2^17 + 1)")
-    grid = duals.dyadic_grid(span, depth)
+    grid = duals.dyadic_grid(args.grid_span, args.grid_depth)
     if args.quarklets:
         grid_full = duals.with_halves(grid)
         approx = duals.dual_quark_ft(args.m, args.mt, args.p, args.levels, grid_full)
@@ -268,8 +276,7 @@ def cmd_sample(args) -> int:
     elif args.function == "quark":
         f = quark(args.m, args.q)
     elif args.function == "quarklet":
-        validate_orders(args.m, args.mt)
-        f = quarklets(args.m, args.mt, args.q)[args.q]
+        f = quarklet(args.m, args.mt, args.q)
     elif args.function == "ortho-quarklet":
         if args.m != 1:
             raise UsageError("ortho-quarklet requires --m 1")
@@ -340,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="truncated-product dual transform values (CSV)")
     add_orders(p)
-    p.add_argument("--levels", type=int, default=25, help="product truncation depth (1 to 64)")
+    p.add_argument("--levels", type=int, default=25,
+                   help=f"product truncation depth (1 to 64; points x levels x (p + 1) at most {MAX_DUAL_WORK})")
     p.add_argument("--grid-span", type=int, default=4, help="xi range in multiples of 2*pi")
     p.add_argument("--grid-depth", type=int, default=4,
                    help="dyadic grid depth (2*span*2^depth + 1 points, at most 2^17 + 1)")

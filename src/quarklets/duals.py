@@ -131,17 +131,14 @@ def _one_level(symbol: LaurentMatrix, approx: DualApproximation, points: Sequenc
     return cascade(symbol.float_taps(), 1.0, _xi(points), 1, halves)
 
 
-def dual_quarklet_ft(
-    approx: DualApproximation,
-    points: Sequence[Fraction] | None = None,
-) -> dict[Fraction, np.ndarray]:
+def dual_quarklet_ft(approx: DualApproximation, points: Sequence[Fraction]) -> dict[Fraction, np.ndarray]:
     """F Psi~(xi) = Wt(exp(-i xi / 2)) F Phi~(xi / 2) at the requested points.
 
     Every requested point must have its half-point stored in the
     approximation; build it on ``with_halves(grid)`` and request the original
     grid to guarantee that.
     """
-    pts = approx.grid if points is None else tuple(Fraction(t) for t in points)
+    pts = tuple(Fraction(t) for t in points)
     for t in pts:
         if t / 2 not in approx.values:
             raise ValueError(f"grid point {t} has no half point {t / 2}; use with_halves()")

@@ -273,18 +273,14 @@ def splitting_identity_defect(
     """
     quarks = quark_family(bundle.m, bundle.p)
     wavelets = quarklets(bundle.m, bundle.mt, bundle.p)
-    n = bundle.size
-    lhs = [member.compose_linear(2, -Fraction(parity)) for member in quarks]
-    rhs = [PiecewisePoly.zero() for _ in range(n)]
-    for masks, family in ((filters.coarse, quarks), (filters.detail, wavelets)):
-        for idx, mat in masks.items():
-            if (idx - parity) % 2:
-                continue
-            k = (idx - parity) // 2
-            translated = [family[j].translate(k) for j in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    c = mat[i][j]
-                    if c:
-                        rhs[i] = rhs[i] + translated[j] * c
-    return tuple(l - r for l, r in zip(lhs, rhs))
+    translated = [
+        (mat, [f.translate((idx - parity) // 2) for f in family])
+        for masks, family in ((filters.coarse, quarks), (filters.detail, wavelets))
+        for idx, mat in masks.items() if (idx - parity) % 2 == 0
+    ]
+    return tuple(
+        phi.compose_linear(2, -Fraction(parity))
+        - sum((f * mat[i][j] for mat, fs in translated for j, f in enumerate(fs) if mat[i][j]),
+              PiecewisePoly.zero())
+        for i, phi in enumerate(quarks)
+    )

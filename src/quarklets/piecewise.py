@@ -12,10 +12,13 @@ Everything here is exact; floats never enter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
 from .laurent import LaurentPoly, _from_dict, _int_cores, as_rational
+
+_ZERO = LaurentPoly.zero()
 
 
 class PiecewisePoly:
@@ -78,37 +81,31 @@ class PiecewisePoly:
 
     def __call__(self, x) -> Fraction:
         x = as_rational(x)
-        if not self.pieces or x < self.breakpoints[0] or x >= self.breakpoints[-1]:
-            return Fraction(0)
-        # right-open pieces: find i with b_i <= x < b_{i+1}
-        lo, hi = 0, len(self.pieces) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.pieces[lo].eval_rational(x)
+        # right-open pieces: b_{i-1} <= x < b_i
+        i = bisect_right(self.breakpoints, x)
+        if 0 < i <= len(self.pieces):
+            return self.pieces[i - 1].eval_rational(x)
+        return Fraction(0)
 
     # -- algebra -------------------------------------------------------------
 
-    def _aligned(self, other: "PiecewisePoly"):
-        """Common breakpoint refinement of the two supports."""
-        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return grid
+    def _spread(self, grid: Sequence[Fraction]) -> list[LaurentPoly]:
+        """The piece on each interval [grid[i], grid[i+1]), zero off the support, in one pass.
+
+        ``grid`` is increasing and holds every breakpoint of ``self``.
+        """
+        out, i = [], 0
+        for left in grid[:-1]:
+            if i < len(self.breakpoints) and self.breakpoints[i] == left:
+                i += 1
+            out.append(self.pieces[i - 1] if 0 < i <= len(self.pieces) else _ZERO)
+        return out
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        grid = self._aligned(other)
-        pieces = []
-        for i in range(len(grid) - 1):
-            pieces.append(self._piece_on(grid[i]) + other._piece_on(grid[i]))
-        return PiecewisePoly(grid, pieces)
+        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
+        return PiecewisePoly(grid, [p + q for p, q in zip(self._spread(grid), other._spread(grid))])
 
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self + (-other)
@@ -121,18 +118,9 @@ class PiecewisePoly:
 
     def __mul__(self, other):
         if isinstance(other, PiecewisePoly):
-            if self.is_zero() or other.is_zero():
-                return PiecewisePoly.zero()
-            lo = max(self.breakpoints[0], other.breakpoints[0])
-            hi = min(self.breakpoints[-1], other.breakpoints[-1])
-            if lo >= hi:
-                return PiecewisePoly.zero()
-            grid = [b for b in self._aligned(other) if lo <= b <= hi]
-            pieces = [
-                self._piece_on(grid[i]) * other._piece_on(grid[i])
-                for i in range(len(grid) - 1)
-            ]
-            return PiecewisePoly(grid, pieces)
+            grid = sorted(set(self.breakpoints) | set(other.breakpoints))
+            pairs = zip(self._spread(grid), other._spread(grid))
+            return PiecewisePoly(grid, [p * q if p and q else _ZERO for p, q in pairs])
         if isinstance(other, (int, Fraction)):
             s = as_rational(other)
             if s == 0:
@@ -144,13 +132,6 @@ class PiecewisePoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def _piece_on(self, left: Fraction) -> LaurentPoly:
-        """The polynomial valid on [left, next breakpoint)."""
-        for i, p in enumerate(self.pieces):
-            if self.breakpoints[i] <= left < self.breakpoints[i + 1]:
-                return p
-        return LaurentPoly.zero()
 
     def mul_poly(self, poly: Sequence) -> "PiecewisePoly":
         """Multiply by a global polynomial (given as a coefficient sequence)."""

@@ -73,23 +73,9 @@ def _quark_cached(m: int, q: int) -> PiecewisePoly:
     return base.mul_poly(mono)
 
 
-@dataclass(frozen=True)
-class QuarkFamily:
-    """Quarks of degree 0..p for one spline order."""
-
-    m: int
-    p: int
-    members: tuple[PiecewisePoly, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, q: int) -> PiecewisePoly:
-        return self.members[q]
-
-
-def quark_family(m: int, p: int) -> QuarkFamily:
-    return QuarkFamily(m, p, tuple(quark(m, q) for q in range(p + 1)))
+def quark_family(m: int, p: int) -> tuple[PiecewisePoly, ...]:
+    """The quarks of degree 0..p for one spline order."""
+    return tuple(quark(m, q) for q in range(p + 1))
 
 
 @dataclass(frozen=True)

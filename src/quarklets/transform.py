@@ -31,7 +31,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .cdf import QuarkletFamily, quarklets
+from .cdf import quarklets
 from .laurent import LaurentMatrix, LaurentPoly, as_rational
 from .masks import Mat
 from .modulation import DecompositionFilters, ModulationBundle
@@ -129,12 +129,9 @@ def _vectors(polys: Sequence[LaurentPoly]) -> dict[int, list[Fraction]]:
 def frame_function(frame: CoefficientFrame, members: Sequence[PiecewisePoly]) -> PiecewisePoly:
     """The piecewise polynomial sum_k sum_q c_k[q] f_q(2^level x - k)."""
     scale = Fraction(2) ** frame.level
-    total = PiecewisePoly.zero()
-    for k, vec in frame.items():
-        for q, c in enumerate(vec):
-            if c:
-                total = total + members[q].compose_linear(scale, -Fraction(k)) * c
-    return total
+    terms = (members[q].compose_linear(scale, -Fraction(k)) * c
+             for k, vec in frame.items() for q, c in enumerate(vec) if c)
+    return sum(terms, PiecewisePoly.zero())
 
 
 # -- orthogonalized Haar quarklets ---------------------------------------------------
@@ -155,7 +152,7 @@ class OrthoQuarklets:
     norms: tuple[Fraction, ...]  # <psi*_q, psi*_q>
     to_plain: Mat
     from_plain: Mat
-    plain: QuarkletFamily
+    plain: tuple[PiecewisePoly, ...]
 
 
 def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
@@ -173,15 +170,10 @@ def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
     norms: list[Fraction] = []
     for q in range(p + 1):
         # psi*_q = psi_q - sum_l row[l] psi*_l, so row is line q of from_plain
-        f = family[q]
-        row = [Fraction(0)] * (p + 1)
-        row[q] = Fraction(1)
-        for l in range(q):
-            row[l] = inner_product(family[q], members[l]) / norms[l]
-            if row[l]:
-                f = f - members[l] * row[l]
+        row = [inner_product(family[q], members[l]) / norms[l] for l in range(q)]
+        f = family[q] - sum((g * c for g, c in zip(members, row) if c), PiecewisePoly.zero())
         members.append(f)
-        rows.append(tuple(row))
+        rows.append((*row, Fraction(1)) + (Fraction(0),) * (p - q))
         norm = inner_product(f, f)
         if norm == 0:
             raise AssertionError(f"degenerate quarklet family: member {q} vanished")
@@ -208,14 +200,9 @@ def project_detail(f: PiecewisePoly, ortho: OrthoQuarklets) -> PiecewisePoly:
     if f.is_zero():
         return f
     lo, hi = f.support()
-    out = PiecewisePoly.zero()
-    for k in range(math.floor(lo), math.ceil(hi) + 1):
-        for q in range(ortho.p + 1):
-            member = ortho.members[q].translate(k)
-            c = inner_product(f, member) / ortho.norms[q]
-            if c:
-                out = out + member * c
-    return out
+    translates = [(member.translate(k), norm) for k in range(math.floor(lo), math.ceil(hi) + 1)
+                  for member, norm in zip(ortho.members, ortho.norms)]
+    return sum((g * (inner_product(f, g) / norm) for g, norm in translates), PiecewisePoly.zero())
 
 
 def to_orthogonal_frames(

@@ -45,7 +45,7 @@ from quarklets.modulation import (
     build_modulation,
 )
 from quarklets.piecewise import PiecewisePoly, inner_product
-from quarklets.splines import QuarkFamily, bspline_mask, quark_ft
+from quarklets.splines import bspline_mask, quark_ft
 from quarklets.stability import _ZERO_RTOL
 from quarklets.transform import CoefficientFrame
 
@@ -420,9 +420,9 @@ def count_roots_closed(p: LaurentPoly, a: Fraction, b: Fraction) -> int:
     return n
 
 
-def refine_vector(family: QuarkFamily, masks: MaskSequence) -> tuple[PiecewisePoly, ...]:
+def refine_vector(family: tuple[PiecewisePoly, ...], masks: MaskSequence) -> tuple[PiecewisePoly, ...]:
     """Assemble sum_k M_k F(2x - k) componentwise (exact piecewise identity input)."""
-    n = len(family.members)
+    n = len(family)
     if masks.rows != n or masks.cols != n:
         raise ValueError("mask shape does not match the family")
     fine = {}
@@ -430,7 +430,7 @@ def refine_vector(family: QuarkFamily, masks: MaskSequence) -> tuple[PiecewisePo
     for k, mat in masks.items():
         for j in range(n):
             if any(mat[i][j] for i in range(n)):
-                fine[(j, k)] = family.members[j].compose_linear(2, -Fraction(k))
+                fine[(j, k)] = family[j].compose_linear(2, -Fraction(k))
         for i in range(n):
             for j in range(n):
                 c = mat[i][j]

@@ -7,7 +7,7 @@ import pytest
 from helpers import cdf_masks_by_scan
 
 from quarklets import cdf
-from quarklets.cdf import cdf_masks, quarklets, scalar_pr_defect
+from quarklets.cdf import cdf_masks, quarklet, quarklets, scalar_pr_defect
 from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly
 
@@ -171,6 +171,16 @@ class TestQuarklets:
         for n in range(mt):
             assert psi0.moment(n) == 0
         assert psi0.moment(mt) != 0
+
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 3), (2, 4, 2), (3, 5, 3), (4, 4, 1)])
+    def test_single_quarklet_is_the_family_member(self, m, mt, p):
+        family = quarklets(m, mt, p)
+        assert [quarklet(m, mt, q) for q in range(p + 1)] == list(family)
+
+    @pytest.mark.parametrize("m,mt,q", [(0, 1, 0), (2, 1, 0), (1, 2, 0), (1, 1, -1)])
+    def test_single_quarklet_validates_its_arguments(self, m, mt, q):
+        with pytest.raises(ValueError):
+            quarklet(m, mt, q)
 
     def test_support_from_masks(self):
         fam = quarklets(2, 2, 1)

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from quarklets import cli, duals, stability
-from quarklets.cli import MAX_DEGREE, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER, main
+from quarklets.cli import (
+    MAX_DEGREE, MAX_DUAL_WORK, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER, main,
+)
 
 
 def run(capsys, *argv):
@@ -285,6 +287,34 @@ class TestDual:
         assert code == 0
         assert out.splitlines()[1:] == ["0,0,1,0"]
 
+    def test_work_above_the_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("nothing may be built for a refused amount of work")
+
+        for name in ["dyadic_grid", "with_halves", "dual_quark_ft", "build_modulation"]:
+            monkeypatch.setattr(duals, name, never)
+        code, out, err = run(
+            capsys, "dual", "--m", "5", "--mt", "7", "--p", "8",
+            "--levels", "64", "--grid-span", "4", "--grid-depth", "14",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--levels" in err and str(MAX_DUAL_WORK) in err
+
+    @pytest.mark.parametrize("span,accepted", [(1953, True), (1954, False)])
+    def test_work_cap_boundary(self, span, accepted):
+        # 2 * 1953 * 2^2 + 1 = 15625 points, and 15625 * 64 * (3 + 1) is the cap exactly
+        args = cli.build_parser().parse_args(
+            ["dual", "--m", "1", "--mt", "1", "--p", "3", "--levels", "64",
+             "--grid-span", str(span), "--grid-depth", "2"]
+        )
+        assert 15625 * 64 * 4 == MAX_DUAL_WORK
+        if accepted:
+            cli._check_bounds(args)
+        else:
+            with pytest.raises(cli.UsageError, match=str(MAX_DUAL_WORK)):
+                cli._check_bounds(args)
+
 
 class TestFramesRoundTrip:
     def test_decompose_then_reconstruct(self, capsys, tmp_path):
@@ -371,7 +401,7 @@ class TestSizeBounds:
     ])
     def test_oversized_flag_exits_2_before_any_work(self, capsys, monkeypatch, argv, flag, value):
         for module, name in [(cli, "build_modulation"), (cli, "cdf_masks"), (cli, "bspline"), (cli, "quark"),
-                             (cli, "quarklets"), (cli, "orthogonalize_haar"), (stability, "ft_zero_scan"),
+                             (cli, "quarklet"), (cli, "orthogonalize_haar"), (stability, "ft_zero_scan"),
                              (stability, "dual_symbol_eigenvalues"), (duals, "dual_quark_ft")]:
             monkeypatch.setattr(module, name, self.never)
         if flag not in argv:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 from helpers import compose_linear_horner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product, taylor_shift
@@ -146,3 +148,29 @@ class TestIntegrals:
         prod = f * g
         assert prod.support() == (1, 2)
         assert prod(Fraction(3, 2)) == Fraction(3, 2)
+
+
+@st.composite
+def fine_piecewise(draw):
+    """Breakpoints of denominator up to 8, interior zero pieces (gaps), and the zero function."""
+    den = draw(st.sampled_from([1, 2, 4, 8]))
+    steps = draw(st.lists(st.integers(1, 12), max_size=6))
+    start = draw(st.integers(-16, 16))
+    bps = [Fraction(start + sum(steps[:i]), den) for i in range(len(steps) + 1)] if steps else []
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    pieces = [draw(st.one_of(st.just(()), st.lists(coeffs, min_size=1, max_size=4))) for _ in steps]
+    return PiecewisePoly(bps, pieces)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fine_piecewise(), fine_piecewise())
+def test_refined_arithmetic_is_pointwise(f, g):
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    points = bps + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    total, diff, prod = f + g, f - g, f * g
+    for x in points:
+        assert total(x) == f(x) + g(x)
+        assert diff(x) == f(x) - g(x)
+        assert prod(x) == f(x) * g(x)
+    assert total == g + f
+    assert (f - f).is_zero()

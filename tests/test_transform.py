@@ -65,8 +65,8 @@ class TestReconstruct:
     def test_function_preserved(self, m, mt, p):
         rng = random.Random(100 * m + p)
         bundle = build_modulation(m, mt, p)
-        quarks = quark_family(m, p).members
-        wavelets = quarklets(m, mt, p).members
+        quarks = quark_family(m, p)
+        wavelets = quarklets(m, mt, p)
         for _ in range(5):
             s = random_frame(rng, p + 1)
             d = random_frame(rng, p + 1)
@@ -122,8 +122,8 @@ class TestDecompose:
         rng = random.Random(31)
         bundle = build_modulation(m, mt, p)
         filters = decomposition_filters(bundle)
-        quarks = quark_family(m, p).members
-        wavelets = quarklets(m, mt, p).members
+        quarks = quark_family(m, p)
+        wavelets = quarklets(m, mt, p)
         c = random_frame(rng, p + 1, level=1)
         s, d = decompose(c, filters)
         assert frame_function(c, quarks) == frame_function(s, quarks) + frame_function(d, wavelets)
@@ -312,7 +312,7 @@ class TestOrthogonalFrames:
         ortho = orthogonalize_haar(1, 2)
         frame = random_frame(rng, 3)
         frames = to_orthogonal_frames(frame, ortho)
-        direct = frame_function(frame, ortho.plain.members)
+        direct = frame_function(frame, ortho.plain)
         rebased = PiecewisePoly.zero()
         for qd, scalar in enumerate(frames):
             for k, c in scalar.items():
