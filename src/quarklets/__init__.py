@@ -33,7 +33,6 @@ from .modulation import (
 )
 from .piecewise import PiecewisePoly, inner_product
 from .splines import (
-    RefinementMasks,
     bspline,
     quark,
     quark_family,
@@ -75,7 +74,6 @@ __all__ = [
     "ModulationBundle",
     "OrthoQuarklets",
     "PiecewisePoly",
-    "RefinementMasks",
     "StabilityReport",
     "bspline",
     "build_modulation",

@@ -12,7 +12,8 @@ perfect-reconstruction identity (checked once, as a certificate)
     a(z) at(1/z) + a(-z) at(-1/z) = 1.
 
 Wavelet masks follow the standard alternating-flip convention
-b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}.
+b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}; they are read off the symbols
+b(z) = -z at(-1/z) and bt(z) = -z a(-1/z).
 
 Quarklets are the finite combinations psi_q = sum_k b_k phi_q(2x - k) of
 dilated quark translates, assembled exactly as piecewise polynomials.
@@ -98,28 +99,12 @@ def _cdf_cached(m: int, mt: int) -> CdfPair:
     if not defect.is_zero():
         raise AssertionError(f"dual mask for (m, mt) = ({m}, {mt}) leaves PR defect {defect!r}; derivation bug")
 
-    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]))
-    at_scalars = dual.scalars()
-    b_vals = {k: _sign(k) * at_scalars.get(1 - k, Fraction(0)) for k in _flip_range(at_scalars)}
-    a_scalars = primal.scalars()
-    bt_vals = {k: _sign(k) * a_scalars.get(1 - k, Fraction(0)) for k in _flip_range(a_scalars)}
-    return CdfPair(
-        m,
-        mt,
-        primal,
-        dual,
-        MaskSequence.from_scalars(b_vals),
-        MaskSequence.from_scalars(bt_vals),
+    minus_z = LaurentPoly.monomial(-1, 1)
+    wavelet, dual_wavelet = (
+        MaskSequence.from_symbol(LaurentMatrix([[minus_z * s.conj_on_circle().substitute_neg()]]))
+        for s in (at, a)
     )
-
-
-def _sign(k: int) -> int:
-    return 1 if k % 2 == 0 else -1
-
-
-def _flip_range(scalars: dict[int, Fraction]) -> range:
-    ks = sorted(scalars)
-    return range(1 - ks[-1], 1 - ks[0] + 1)
+    return CdfPair(m, mt, primal, MaskSequence.from_symbol(LaurentMatrix([[at]])), wavelet, dual_wavelet)
 
 
 def quarklet(m: int, mt: int, q: int) -> PiecewisePoly:

@@ -41,7 +41,7 @@ MAX_DEGREE = 14
 # Largest points x levels x (p + 1) of ``dual``.  The cascade costs each point
 # and level about (p + 1)^1.3 us at m = mt = 16, so at the corner the slowest
 # accepted run, ``dual --m 16 --mt 16 --p 14 --levels 64 --grid-depth 9
-# --quarklets``, takes about 19 s on a 2-core x86_64 host.
+# --quarklets``, takes about 21 s on a 2-core x86_64 host.
 MAX_DUAL_WORK = 4_000_000
 # The upper bound of each option, checked before any work.
 _BOUNDS = {"m": MAX_ORDER, "mt": MAX_ORDER, "p": MAX_DEGREE, "q": MAX_DEGREE,
@@ -197,8 +197,7 @@ def cmd_dual(args) -> int:
     validate_orders(args.m, args.mt)
     grid = duals.dyadic_grid(args.grid_span, args.grid_depth)
     if args.quarklets:
-        grid_full = duals.with_halves(grid)
-        approx = duals.dual_quark_ft(args.m, args.mt, args.p, args.levels, grid_full)
+        approx = duals.dual_quark_ft(args.m, args.mt, args.p, args.levels, [t / 2 for t in grid])
         values = duals.dual_quarklet_ft(approx, points=grid)
         pts = [Fraction(t) for t in grid]
     else:

@@ -135,8 +135,8 @@ def dual_quarklet_ft(approx: DualApproximation, points: Sequence[Fraction]) -> d
     """F Psi~(xi) = Wt(exp(-i xi / 2)) F Phi~(xi / 2) at the requested points.
 
     Every requested point must have its half-point stored in the
-    approximation; build it on ``with_halves(grid)`` and request the original
-    grid to guarantee that.
+    approximation; build it on ``[t / 2 for t in grid]`` (or on
+    ``with_halves(grid)``) and request the original grid to guarantee that.
     """
     pts = tuple(Fraction(t) for t in points)
     for t in pts:

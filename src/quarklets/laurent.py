@@ -21,6 +21,7 @@ float refinement product of a matrix symbol over a whole array of frequencies.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, Sequence
@@ -48,7 +49,7 @@ class LaurentPoly:
             for k, c in coeffs.items():
                 c = as_rational(c)
                 if c != 0:
-                    clean[int(k)] = c
+                    clean[operator.index(k)] = c
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------------
@@ -302,6 +303,14 @@ class LaurentMatrix:
         return LaurentMatrix([[poly if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
+    def from_taps(rows: int, cols: int, taps: Mapping[int, Sequence[Sequence[object]]]) -> "LaurentMatrix":
+        """The matrix sum_k taps[k] z^k of dense rows x cols taps; zero coefficients are dropped."""
+        items = taps.items()
+        return LaurentMatrix(
+            [[LaurentPoly({k: tap[i][j] for k, tap in items}) for j in range(cols)] for i in range(rows)]
+        )
+
+    @staticmethod
     def block(blocks: Sequence[Sequence["LaurentMatrix"]]) -> "LaurentMatrix":
         rows: list[list[LaurentPoly]] = []
         for brow in blocks:
@@ -326,6 +335,19 @@ class LaurentMatrix:
     def coefficient_matrix(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
         """The rational matrix of z^k coefficients."""
         return tuple(tuple(e[k] for e in row) for row in self.entries)
+
+    def taps(self) -> dict[int, list[list[Fraction]]]:
+        """Exponent -> dense coefficient matrix, for every exponent with a nonzero coefficient."""
+        zero = Fraction(0)
+        out: dict[int, list[list[Fraction]]] = {}
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for k, c in e.coeffs.items():
+                    tap = out.get(k)
+                    if tap is None:
+                        tap = out[k] = [[zero] * self.cols for _ in range(self.rows)]
+                    tap[i][j] = c
+        return out
 
     def exponent_range(self) -> tuple[int, int]:
         """Lowest and highest exponent over all entries; (0, 0) for the zero matrix."""

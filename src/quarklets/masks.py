@@ -7,11 +7,12 @@ losslessly in both directions.  Scalar masks are stored as 1x1 matrices.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .laurent import LaurentMatrix, LaurentPoly, as_rational
+from .laurent import LaurentMatrix, as_rational
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -32,7 +33,7 @@ class MaskSequence:
                 if len(mat) != rows or any(len(row) != cols for row in mat):
                     raise ValueError(f"entry at k={k} has wrong shape")
                 if any(any(row) for row in mat):
-                    clean[int(k)] = mat
+                    clean[operator.index(k)] = mat
         self.entries = MappingProxyType(clean)
 
     @staticmethod
@@ -42,21 +43,12 @@ class MaskSequence:
     @staticmethod
     def from_symbol(symbol: LaurentMatrix) -> "MaskSequence":
         """Masks M_k = 2 * (z^k coefficient of the symbol), read off the nonzero terms only."""
-        zero = Fraction(0)
-        out: dict[int, list[list[Fraction]]] = {}
-        for i, row in enumerate(symbol.entries):
-            for j, entry in enumerate(row):
-                for k, c in entry.coeffs.items():
-                    out.setdefault(k, [[zero] * symbol.cols for _ in range(symbol.rows)])[i][j] = 2 * c
-        return MaskSequence(symbol.rows, symbol.cols, {k: out[k] for k in sorted(out)})
+        taps = (symbol * 2).taps()
+        return MaskSequence(symbol.rows, symbol.cols, {k: taps[k] for k in sorted(taps)})
 
     def to_symbol(self) -> LaurentMatrix:
         """The symbol, the Laurent matrix (1/2) sum_k M_k z^k."""
-        taps = self.entries.items()
-        return LaurentMatrix([
-            [LaurentPoly({k: m[i][j] / 2 for k, m in taps if m[i][j]}) for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
+        return LaurentMatrix.from_taps(self.rows, self.cols, self.entries) * Fraction(1, 2)
 
     def __getitem__(self, k: int) -> Mat:
         return self.entries.get(k, ((Fraction(0),) * self.cols,) * self.rows)

@@ -98,8 +98,8 @@ def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
 def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
     filters = cdf_masks(m, mt)
     n = p + 1
-    ref = refinement_masks(m, p)
-    scaling_symbol = ref.matrices.to_symbol()
+    scaling_masks = refinement_masks(m, p)
+    scaling_symbol = scaling_masks.to_symbol()
     b = filters.wavelet_symbol()
     b_neg = b.substitute_neg()
     detail_symbol = LaurentMatrix.scalar(b, n)
@@ -135,7 +135,7 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
         mt=mt,
         p=p,
         filters=filters,
-        scaling_masks=ref.matrices,
+        scaling_masks=scaling_masks,
         detail_masks=detail_masks,
         scaling_symbol=scaling_symbol,
         detail_symbol=detail_symbol,
@@ -187,11 +187,8 @@ def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, L
 
 
 def _sub_symbol(masks: MaskSequence, parity: int) -> LaurentMatrix:
-    picked = [(k - parity, m) for k, m in masks.entries.items() if (k - parity) % 2 == 0]
-    cols = range(masks.cols)
-    return LaurentMatrix(
-        [[LaurentPoly({e: m[i][j] for e, m in picked}) for j in cols] for i in range(masks.rows)]
-    )
+    picked = {k - parity: m for k, m in masks.entries.items() if (k - parity) % 2 == 0}
+    return LaurentMatrix.from_taps(masks.rows, masks.cols, picked)
 
 
 def parity_exchange_matrix(n: int) -> LaurentMatrix:
@@ -250,13 +247,8 @@ def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
     """
     n = bundle.size
     inv = bundle.polyphase_inv
-    zero = Fraction(0)
-    both: dict[int, list[list[Fraction]]] = {}  # k -> [C_k, D_k] side by side
-    for i, row in enumerate(inv.entries):
-        r = i // n
-        for j, entry in enumerate(row):
-            for e, c in entry.coeffs.items():
-                both.setdefault(e + r, [[zero] * (2 * n) for _ in range(n)])[i - r * n][j] = c
+    block_rows = (LaurentMatrix(inv.entries[r * n : (r + 1) * n]).taps() for r in (0, 1))
+    both = {e + r: tap for r, taps in enumerate(block_rows) for e, tap in taps.items()}  # k -> [C_k, D_k]
     coarse, detail = (
         MaskSequence(n, n, {k: tuple(row[c : c + n] for row in both[k]) for k in sorted(both)})
         for c in (0, n)

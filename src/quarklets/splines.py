@@ -20,7 +20,6 @@ bound is absolute, against sup|F|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,16 +77,6 @@ def quark_family(m: int, p: int) -> tuple[PiecewisePoly, ...]:
     return tuple(quark(m, q) for q in range(p + 1))
 
 
-@dataclass(frozen=True)
-class RefinementMasks:
-    """Two-scale masks of the quark vector: matrices A_k and the scalar mask a_k."""
-
-    m: int
-    p: int
-    matrices: MaskSequence  # (p+1) x (p+1) matrices A_k
-    scalar: MaskSequence    # 1 x 1: the B-spline mask a_k
-
-
 def bspline_mask(m: int) -> MaskSequence:
     """Scalar refinement mask of the symmetrized B-spline: a_k = 2^{1-m} C(m, k + floor(m/2))."""
     half = m // 2
@@ -95,7 +84,7 @@ def bspline_mask(m: int) -> MaskSequence:
     return MaskSequence.from_scalars(vals)
 
 
-def refinement_masks(m: int, p: int) -> RefinementMasks:
+def refinement_masks(m: int, p: int) -> MaskSequence:
     """Exact masks A_k of the quark-vector two-scale relation.
 
     With 1-based indices q, l in {1, .., p+1} and the scalar mask a_k,
@@ -106,10 +95,9 @@ def refinement_masks(m: int, p: int) -> RefinementMasks:
     """
     if m < 1 or p < 0:
         raise ValueError("need m >= 1 and p >= 0")
-    scalar = bspline_mask(m)
     half_up = (m + 1) // 2
     out: dict[int, Mat] = {}
-    for k, ak in scalar.scalars().items():
+    for k, ak in bspline_mask(m).scalars().items():
         rows = []
         for q in range(1, p + 2):
             row = []
@@ -126,7 +114,7 @@ def refinement_masks(m: int, p: int) -> RefinementMasks:
                     )
             rows.append(tuple(row))
         out[k] = tuple(rows)
-    return RefinementMasks(m, p, MaskSequence(p + 1, p + 1, out), scalar)
+    return MaskSequence(p + 1, p + 1, out)
 
 
 # -- Fourier transform (float diagnostics) -----------------------------------------
@@ -143,7 +131,7 @@ def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray
 
     Row t of the read-only tail is (2 pi)^{-1/2} (-i)^t / t! times the exact t-th moments.
     """
-    taps = refinement_masks(m, q).matrices.to_symbol().float_taps()
+    taps = refinement_masks(m, q).to_symbol().float_taps()
     moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
     factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(_FT_TAIL_TERMS)]
     tail = np.array(factors)[:, None] * moments

@@ -222,7 +222,7 @@ def dual_symbol_at_one(m: int, mt: int, p: int) -> Mat:
 @lru_cache(maxsize=None)
 def _symbol_at_one(m: int, p: int) -> Mat:
     """S(1)^{-T} with S(1) = (1/2) sum_k A_k, lower triangular with diagonal 2^{-q}."""
-    masks = refinement_masks(m, p).matrices.entries.values()
+    masks = refinement_masks(m, p).entries.values()
     at_one = LaurentMatrix([[sum(a[i][j] for a in masks) / 2 for j in range(p + 1)] for i in range(p + 1)])
     return tuple(tuple(e[0] for e in col) for col in zip(*at_one.invert_lower_triangular().entries))
 

@@ -26,6 +26,7 @@ onto the detail space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -55,7 +56,7 @@ class CoefficientFrame:
             if len(vec) != self.width:
                 raise ValueError(f"coefficient at k={k} has length {len(vec)}, expected {self.width}")
             if any(vec):
-                clean[int(k)] = vec
+                clean[operator.index(k)] = vec
         object.__setattr__(self, "coefficients", MappingProxyType(clean))
 
     @staticmethod
@@ -87,11 +88,11 @@ def reconstruct(
     width = bundle.size
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
-    coarse = ({2 * l: v for l, v in f.items()} for f in (scaling, detail))
-    row = [poly for frame in coarse for poly in _polys(frame, width)]
-    out = (LaurentMatrix([row]) @ bundle.synthesis_matrix).entries[0]
-    phases = (out[:width], out[width:])
-    coeffs = {e + r: vec for r, phase in enumerate(phases) for e, vec in _vectors(phase).items()}
+    translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
+    pairs = {2 * l: [scaling[l] + detail[l]] for l in translates}
+    out = LaurentMatrix.from_taps(1, 2 * width, pairs) @ bundle.synthesis_matrix
+    # c_{e+r} is phase r at exponent e; P(z) has even powers only, so e is even
+    coeffs = {e + r: tap[r * width : (r + 1) * width] for e, (tap,) in out.taps().items() for r in (0, 1)}
     return CoefficientFrame(scaling.level + 1, width, coeffs)
 
 
@@ -102,28 +103,14 @@ def decompose(
     width = filters.p + 1
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
-    phases = ({n - r: v for n, v in frame.items() if (n - r) % 2 == 0} for r in (0, 1))
-    row = [poly for phase in phases for poly in _polys(phase, width)]
-    out = (LaurentMatrix([row]) @ filters.polyphase_inv).entries[0]
+    # the z^{2l} tap holds c_{2l} and c_{2l+1}; n - n % 2 is 2l for both, negative n included
+    pairs = {e: [frame[e] + frame[e + 1]] for e in sorted({n - n % 2 for n in frame.coefficients})}
+    out = (LaurentMatrix.from_taps(1, 2 * width, pairs) @ filters.polyphase_inv).taps()
     level = frame.level - 1
     return tuple(
-        CoefficientFrame(level, width, {e // 2: vec for e, vec in _vectors(part).items()})
-        for part in (out[:width], out[width:])
+        CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, (tap,) in out.items()})
+        for c in (0, width)
     )
-
-
-def _polys(coeffs: Mapping[int, Vector], width: int) -> list[LaurentPoly]:
-    """The components of the vector-valued Laurent polynomial sum_e coeffs[e] z^e."""
-    return [LaurentPoly({e: vec[i] for e, vec in coeffs.items()}) for i in range(width)]
-
-
-def _vectors(polys: Sequence[LaurentPoly]) -> dict[int, list[Fraction]]:
-    """Exponent -> coefficient vector of a vector of Laurent polynomials (inverse of _polys)."""
-    out: dict[int, list[Fraction]] = {}
-    for i, poly in enumerate(polys):
-        for e, c in poly.coeffs.items():
-            out.setdefault(e, [Fraction(0)] * len(polys))[i] = c
-    return out
 
 
 def frame_function(frame: CoefficientFrame, members: Sequence[PiecewisePoly]) -> PiecewisePoly:
@@ -216,7 +203,7 @@ def to_orthogonal_frames(
     """
     if frame.width != ortho.p + 1:
         raise ValueError("frame width does not match the family")
-    row = LaurentMatrix([_polys(frame.coefficients, frame.width)])
+    row = LaurentMatrix.from_taps(1, frame.width, {k: [vec] for k, vec in frame.coefficients.items()})
     return [poly.coeffs for poly in (row @ LaurentMatrix(ortho.from_plain)).entries[0]]
 
 
@@ -228,4 +215,5 @@ def from_orthogonal_frames(
     if len(frames) != width:
         raise ValueError("need one scalar frame per degree")
     row = LaurentMatrix([[LaurentPoly(frame) for frame in frames]])
-    return CoefficientFrame(level, width, _vectors((row @ LaurentMatrix(ortho.to_plain)).entries[0]))
+    taps = (row @ LaurentMatrix(ortho.to_plain)).taps()
+    return CoefficientFrame(level, width, {k: tap for k, (tap,) in taps.items()})

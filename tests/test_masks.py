@@ -7,11 +7,12 @@ import pytest
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.masks import MaskSequence
 from quarklets.splines import refinement_masks
+from quarklets.transform import CoefficientFrame
 
 
 class TestMaskSequence:
     def test_symbol_roundtrip(self):
-        masks = refinement_masks(3, 2).matrices
+        masks = refinement_masks(3, 2)
         back = MaskSequence.from_symbol(masks.to_symbol())
         assert back == masks
 
@@ -51,3 +52,21 @@ class TestMaskSequence:
         masks = MaskSequence.from_scalars({0: Fraction(1), 1: Fraction(1)})
         sym = masks.to_symbol()  # (1/2)(1 + z)
         assert sym == LaurentMatrix([[LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: LaurentPoly({0: 2, k: 1}),
+        lambda k: MaskSequence(1, 1, {0: ((2,),), k: ((1,),)}),
+        lambda k: CoefficientFrame(0, 1, {0: (2,), k: (1,)}),
+    ],
+    ids=["LaurentPoly", "MaskSequence", "CoefficientFrame"],
+)
+@pytest.mark.parametrize(
+    "index", [0.5, 1.0, Fraction(1, 2), Fraction(1)], ids=["float", "whole float", "Fraction", "whole Fraction"]
+)
+def test_non_integer_index_is_refused(build, index):
+    # truncating the index to int would merge it into the entry at 0 and lose data
+    with pytest.raises(TypeError):
+        build(index)

@@ -91,7 +91,7 @@ class TestCompound:
         assert back == mask
 
     def test_matrix_mask(self):
-        mask = refinement_masks(2, 2).matrices
+        mask = refinement_masks(2, 2)
         back = serialize.mask_from_json(through_json(serialize.mask_json(mask)))
         assert back == mask
 

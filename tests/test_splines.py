@@ -91,13 +91,13 @@ class TestQuark:
 class TestRefinementMasks:
     def test_haar_scalar_collapse(self):
         rm = refinement_masks(1, 0)
-        assert rm.matrices[0] == ((Fraction(1),),)
-        assert rm.matrices[1] == ((Fraction(1),),)
+        assert rm[0] == ((Fraction(1),),)
+        assert rm[1] == ((Fraction(1),),)
 
     def test_haar_degree_one_matrices(self):
         rm = refinement_masks(1, 1)
-        assert rm.matrices[0] == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)))
-        assert rm.matrices[1] == ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)))
+        assert rm[0] == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+        assert rm[1] == ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)))
 
     def test_order_two_scalar_mask(self):
         assert bspline_mask(2).scalars() == {
@@ -108,7 +108,7 @@ class TestRefinementMasks:
 
     def test_masks_lower_triangular(self):
         rm = refinement_masks(3, 3)
-        for _, mat in rm.matrices.items():
+        for _, mat in rm.items():
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert mat[i][j] == 0
@@ -118,7 +118,7 @@ class TestRefinementMasks:
     def test_two_scale_identity_exact(self, m, p):
         family = quark_family(m, p)
         rm = refinement_masks(m, p)
-        refined = refine_vector(family, rm.matrices)
+        refined = refine_vector(family, rm)
         for q in range(p + 1):
             assert refined[q] == family[q]
 
