@@ -8,18 +8,12 @@ masks define generalized (distributional) dual quarks.  This package builds
 all of those objects in exact rational arithmetic, decides shift-stability
 questions exactly, runs the multiscale transform on coefficient frames, and
 orthogonalizes the order-1 quarklets.
+
+The float diagnostics (quark Fourier transforms, their zero scan, the
+truncated dual product) live in :mod:`quarklets.duals`, the one numpy module.
 """
 
 from .cdf import CdfPair, cdf_masks, quarklet, quarklets, scalar_pr_defect
-from .duals import (
-    DualApproximation,
-    convergence_probe,
-    dual_eigenvector,
-    dual_quark_ft,
-    dual_quarklet_ft,
-    dyadic_grid,
-    with_halves,
-)
 from .laurent import LaurentMatrix, LaurentPoly
 from .masks import MaskSequence
 from .modulation import (
@@ -32,18 +26,12 @@ from .modulation import (
     verify_perfect_reconstruction,
 )
 from .piecewise import PiecewisePoly, inner_product
-from .splines import (
-    bspline,
-    quark,
-    quark_family,
-    quark_ft,
-    refinement_masks,
-)
+from .splines import bspline, quark, quark_family, refinement_masks
 from .stability import (
     StabilityReport,
     condition_e,
+    dual_eigenvector,
     dual_symbol_eigenvalues,
-    ft_zero_scan,
     is_stable_single,
     is_stable_vector,
     stability_table,
@@ -62,6 +50,19 @@ from .transform import (
 from .trig import is_positive_on_circle, shift_gram_symbol
 
 __version__ = "0.1.0"
+
+# resolved from duals on first use (PEP 562), so that importing the package loads no numpy
+_FLOAT_NAMES = {"DualApproximation", "convergence_probe", "dual_quark_ft", "dual_quarklet_ft",
+                "dyadic_grid", "ft_zero_scan", "quark_ft", "with_halves"}
+
+
+def __getattr__(name: str):
+    if name in _FLOAT_NAMES:
+        from . import duals
+
+        return getattr(duals, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CdfPair",

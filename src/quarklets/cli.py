@@ -17,7 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import duals, serialize, stability, transform
+from . import serialize, stability, transform
 from .cdf import cdf_masks, quarklet, scalar_pr_defect, validate_orders
 from .modulation import build_modulation, decomposition_filters, verify_perfect_reconstruction
 from .splines import bspline, quark
@@ -31,7 +31,7 @@ MAX_GRID_POINTS = 2**17 + 1
 # At 64 levels the tail error (xi / 2^J)^2 is below 2^-90 on every accepted grid.
 MAX_LEVELS = 64
 # Largest --max-m and --max-p of ``stability-table``: a 10 x 10 table takes
-# about 20 s on a 2-core x86_64 host, and each Sturm decision grows with m + p.
+# about 1.4 s wall time on a 2-core x86_64 host, and each Sturm decision grows with m + p.
 MAX_TABLE_ORDER = 10
 # Largest --m and --mt, and largest --p, --q and frame width - 1 (of ``decompose``
 # and ``reconstruct``): at this corner the slowest command at its default options,
@@ -187,13 +187,15 @@ def cmd_eigen(args) -> int:
         "p": args.p,
         "eigenvalues": [serialize.rational_json(v) for v in eig],
         "condition_e": stability.condition_e(mat),
-        "eigenvector": [serialize.rational_json(v) for v in duals.dual_eigenvector(args.m, args.mt, args.p)],
+        "eigenvector": [serialize.rational_json(v) for v in stability.dual_eigenvector(args.m, args.mt, args.p)],
     }
     _write(_json_dump(payload), args.out)
     return 0
 
 
 def cmd_dual(args) -> int:
+    from . import duals  # the only numpy module, imported by the float commands alone
+
     validate_orders(args.m, args.mt)
     grid = duals.dyadic_grid(args.grid_span, args.grid_depth)
     if args.quarklets:

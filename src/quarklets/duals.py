@@ -1,4 +1,11 @@
-"""Generalized dual quarks and quarklets via the truncated infinite product.
+"""The package's one numpy module: every float value is computed here.
+
+:func:`cascade` is the float refinement product of a matrix symbol over a
+whole array of frequencies, on the taps that :func:`float_taps` reads off an
+exact Laurent matrix.  :func:`quark_ft` runs it on the quark refinement masks
+onto a Taylor tail with exact moments (unitary convention F f(xi) =
+(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx), and :func:`ft_zero_scan` scans
+that transform for zeros.
 
 The dual refinement equation has a compactly supported distributional
 solution whose Fourier transform is, up to one global scalar,
@@ -9,8 +16,8 @@ where St is the dual scaling symbol and v the exact rational eigenvector of
 2^{-p} St(1) for the eigenvalue 1 (normalized so its last component is 1; all
 dual values are defined up to this one scalar).  The eigenvector and the
 symbols stay exact; the product has no rational closed form, so
-:func:`quarklets.laurent.cascade` evaluates it in complex floats, all grid
-points at once, and one more level of Wt or St for quarklets and defects.
+:func:`cascade` evaluates it in complex floats, all grid points at once, and
+one more level of Wt or St for quarklets and defects.
 
 Truncating after J levels leaves the tail G(xi / 2^J), where G(xi) is the
 infinite product applied to v.  It is replaced by v - i (xi / 2^J) w, its
@@ -28,28 +35,144 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .laurent import LaurentMatrix, _int_cores, cascade
+from .laurent import LaurentMatrix, _int_cores
 from .modulation import build_modulation
-from .stability import dual_symbol_at_one
+from .splines import quark, refinement_masks
+from .stability import dual_eigenvector, dual_symbol_at_one
 
 
-def dual_eigenvector(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
-    """Exact right eigenvector v of 2^{-p} St(1) for eigenvalue 1, last component 1.
+# -- the refinement cascade ----------------------------------------------------------
 
-    2^{-p} St(1) is upper triangular with diagonal 2^{q-p}, q = 0..p, so the
-    eigenvalue 1 sits in the last position and back-substitution suffices.
+
+def float_taps(matrix: LaurentMatrix) -> tuple[int, np.ndarray]:
+    """(lo, C) for :func:`cascade`: C[k - lo] is the float z^k coefficient matrix (read-only)."""
+    lo, hi = matrix.exponent_range()
+    coeffs = np.zeros((hi - lo + 1, matrix.rows, matrix.cols))
+    for i, row in enumerate(matrix.entries):
+        for j, e in enumerate(row):
+            for k, c in e.coeffs.items():
+                coeffs[k - lo, i, j] = float(c)
+    coeffs.flags.writeable = False
+    return lo, coeffs
+
+
+# Points per cascade block are chosen so that its work arrays hold about this
+# many complex entries (512 KiB), whatever the grid, the depth or the matrix
+# size; larger blocks raise peak memory more than they save in numpy calls.
+_CASCADE_ENTRIES = 2**15
+
+
+def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) -> np.ndarray:
+    """prod_{j=1}^{levels} scale M(exp(-i xi / 2^j)) applied to ``start``, for every xi at once.
+
+    ``taps`` is :func:`float_taps` of a square M, ``xi`` a 1-d float array
+    and ``start`` a (len(xi) x n) array or one length-n vector.  The levels
+    act innermost first (j = levels down to 1), as matrix-vector products.
     """
-    mat = dual_symbol_at_one(m, mt, p)
-    v = [Fraction(0)] * p + [Fraction(1)]
-    for i in range(p - 1, -1, -1):
-        if mat[i][i] == 2**p:
-            raise AssertionError("unexpected repeated eigenvalue 1 in the dual symbol")
-        v[i] = sum((mat[i][j] * v[j] for j in range(i + 1, p + 1)), Fraction(0)) / (2**p - mat[i][i])
-    return tuple(v)
+    lo, coeffs = taps
+    n_taps, n = coeffs.shape[:2]
+    flat = scale * coeffs.reshape(n_taps, n * n)
+    halvings = -1j * np.multiply.outer(0.5 ** np.arange(1, levels + 1), np.arange(lo, lo + n_taps))
+    out = np.array(np.broadcast_to(start, (len(xi), n)), dtype=complex)
+    block = max(1, _CASCADE_ENTRIES // (levels * (n_taps + n * n)))
+    for s in range(0, len(xi), block):
+        mats = (np.exp(np.multiply.outer(xi[s : s + block], halvings)) @ flat).reshape(-1, levels, n, n)
+        v = out[s : s + block, :, None]
+        for j in range(levels - 1, -1, -1):
+            v = mats[:, j] @ v
+        out[s : s + block] = v[:, :, 0]
+    return out
+
+
+# -- quark Fourier transforms ----------------------------------------------------------
+
+# Depth of the refinement cascade behind quark_ft.  Its degree-3 Taylor tail is
+# taken at eta = xi / 2^20, where the O(eta^4) remainder is below float rounding.
+_FT_LEVELS = 20
+_FT_TAIL_TERMS = 4
+
+
+@lru_cache(maxsize=None)
+def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray]:
+    """Float taps of the symbol of the quarks of degree 0..q, and their Taylor tail.
+
+    Row t of the read-only tail is (2 pi)^{-1/2} (-i)^t / t! times the exact t-th moments.
+    """
+    taps = float_taps(refinement_masks(m, q).to_symbol())
+    moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
+    factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(_FT_TAIL_TERMS)]
+    tail = np.array(factors)[:, None] * moments
+    tail.flags.writeable = False
+    return taps, tail
+
+
+def quark_ft(m: int, q: int, xi):
+    """Fourier transform of the degree-q quark at xi, a float or an array (float diagnostic).
+
+    The refinement cascade F Phi(xi) = S(exp(-i xi / 2)) F Phi(xi / 2) of the
+    quarks of degree 0..q (symbol S from
+    :func:`quarklets.splines.refinement_masks`), run over 20 levels onto the
+    Taylor tail.  For m <= 12, q <= 10 and |xi| <= 30 the absolute error is
+    at most 1e-13 sup|F phi_q|; the relative error grows where the transform
+    decays.
+    """
+    taps, tail = _ft_cascade_data(m, q)
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.reshape(-1)
+    powers = np.power.outer(flat / 2**_FT_LEVELS, np.arange(_FT_TAIL_TERMS))
+    values = cascade(taps, 1.0, flat, _FT_LEVELS, powers @ tail)[:, q].reshape(xi.shape)
+    return complex(values) if xi.ndim == 0 else values
+
+
+# A minimum of |F| counts as a zero below this fraction of 1 + max |F| on the grid.
+_ZERO_RTOL = 1e-7
+
+
+def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
+    """Approximate real zeros of |F phi_q| on [lo, hi] (float diagnostic).
+
+    Brackets local minima of |F|^2 on a uniform grid of ``samples >= 3``
+    points, sharpens each bracket by ternary search, and reports minima whose
+    value is a numerical zero relative to the overall scale of |F| on the
+    interval.  Placement degrades with zero multiplicity: for quark(m, 0) on
+    [-20, 20] at 4000 samples the error at +-2 pi k grows from 0 (m = 1) to
+    1.5e-2 (m = 6), and m >= 7 gives spurious zeros.
+    """
+    if not (hi > lo) or not math.isfinite(lo) or not math.isfinite(hi):
+        raise ValueError("need a finite interval with lo < hi")
+    if samples < 3:
+        raise ValueError("need at least 3 samples: minima are bracketed by interior grid points")
+    xs = np.linspace(lo, hi, samples)
+    vals = np.abs(quark_ft(m, q, xs)) ** 2
+    scale = math.sqrt(float(vals.max()))
+    tol = _ZERO_RTOL * (1.0 + scale)
+    inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
+    a, b = xs[inner - 1], xs[inner + 1]
+    for _ in range(100):
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        h = np.abs(quark_ft(m, q, np.concatenate([m1, m2]))) ** 2
+        left = h[: inner.size] <= h[inner.size :]
+        a_next, b_next = np.where(left, a, m1), np.where(left, m2, b)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break  # a fixed point: the same brackets would map to themselves again
+        a, b = a_next, b_next
+    x = (a + b) / 2
+    zeros = x[np.abs(quark_ft(m, q, x)) < tol].tolist()
+    deduped: list[float] = []
+    step = (hi - lo) / samples
+    for z in sorted(zeros):
+        if not deduped or z - deduped[-1] > step:
+            deduped.append(z)
+    return deduped
+
+
+# -- generalized duals -----------------------------------------------------------------
 
 
 def dual_tail_slope(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
@@ -116,7 +239,7 @@ def dual_quark_ft(
     xi = _xi(pts)
     w = np.array([float(x) for x in dual_tail_slope(m, mt, p)])
     start = np.array([float(x) for x in v], dtype=complex) - 1j * np.multiply.outer(xi / 2**levels, w)
-    product = cascade(symbol.float_taps(), 2.0**-p, xi, levels, start)
+    product = cascade(float_taps(symbol), 2.0**-p, xi, levels, start)
     values = (1j ** p * xi**p)[:, None] * product
     return DualApproximation(m, mt, p, levels, pts, dict(zip(pts, values)), v)
 
@@ -128,7 +251,7 @@ def _xi(points: Sequence[Fraction]) -> np.ndarray:
 def _one_level(symbol: LaurentMatrix, approx: DualApproximation, points: Sequence[Fraction]) -> np.ndarray:
     """symbol(exp(-i xi / 2)) applied to the stored values at xi / 2, one row per point."""
     halves = np.array([approx.values[t / 2] for t in points]).reshape(-1, approx.p + 1)
-    return cascade(symbol.float_taps(), 1.0, _xi(points), 1, halves)
+    return cascade(float_taps(symbol), 1.0, _xi(points), 1, halves)
 
 
 def dual_quarklet_ft(approx: DualApproximation, points: Sequence[Fraction]) -> dict[Fraction, np.ndarray]:
@@ -200,39 +323,6 @@ def refinement_defect(approx: DualApproximation) -> float:
     symbol = build_modulation(approx.m, approx.mt, approx.p).dual_scaling_symbol
     stored = np.array([approx.values[t] for t in pts]).reshape(-1, approx.p + 1)
     return float(np.max(np.abs(_one_level(symbol, approx, pts) - stored), initial=0.0))
-
-
-def time_profile(values: np.ndarray, xi_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Approximate time-domain profile from uniform frequency samples.
-
-    ``values[k]`` are F f at xi_k = -xi_max + k * dxi (N samples, dxi =
-    2 xi_max / N) under the convention F f(0) = integral f.  A Hann window
-    confines truncation leakage near the support edges, which is what the
-    support diagnostics need.  Returns (x, f(x)) with x the FFT-dual grid.
-    """
-    values = np.asarray(values, dtype=complex)
-    n = values.size
-    dxi = 2 * xi_max / n
-    # the Hann mean is 1/2, so doubling keeps unit mass at the origin
-    spectrum = values * np.hanning(n) * 2.0
-    # f(x_m) = (dxi / 2 pi) sum_k F(xi_k) e^{i xi_k x_m}, x_m = 2 pi m / (n dxi)
-    shifted = np.fft.ifft(spectrum) * n * dxi / (2 * math.pi)
-    x = np.fft.fftfreq(n, d=dxi / (2 * math.pi))
-    phase = np.exp(-1j * xi_max * x)
-    f = shifted * phase
-    order = np.argsort(x)
-    return x[order], f[order]
-
-
-def mass_outside(x: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:
-    """Fraction of the L2 mass of the profile lying outside [lo, hi]."""
-    density = np.abs(f) ** 2
-    total = float(np.trapezoid(density, x))
-    inside = (x >= lo) & (x <= hi)
-    kept = float(np.trapezoid(np.where(inside, density, 0.0), x))
-    if total == 0:
-        return 0.0
-    return (total - kept) / total
 
 
 def eigen_residual(m: int, mt: int, p: int) -> tuple[Fraction, ...]:

@@ -13,10 +13,9 @@ checks and the frame transforms: a matrix product scales each row of the
 left factor and each column of the right one to integer numerators over one
 common denominator, accumulates every output entry in ``int`` and divides
 once per coefficient.  A polynomial product is its 1x1 case, and triangular
-inversion runs its forward substitution on the same kernel.
-
-Every Fourier-domain value of the package comes from :func:`cascade`, the
-float refinement product of a matrix symbol over a whole array of frequencies.
+inversion runs its forward substitution on the same kernel.  The module
+imports no numpy: the float taps of a Laurent matrix and every
+Fourier-domain value are taken in :mod:`quarklets.duals`.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 
 def as_rational(value) -> Fraction:
@@ -432,19 +429,6 @@ class LaurentMatrix:
                 inv[i][j] = _from_int(_dot(row[j:i], col), row_den * col_den)
         return LaurentMatrix(inv)
 
-    # -- evaluation ----------------------------------------------------------------------
-
-    def float_taps(self) -> tuple[int, np.ndarray]:
-        """(lo, C) for :func:`cascade`: C[k - lo] is the float z^k coefficient matrix (read-only)."""
-        lo, hi = self.exponent_range()
-        coeffs = np.zeros((hi - lo + 1, self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                for k, c in e.coeffs.items():
-                    coeffs[k - lo, i, j] = float(c)
-        coeffs.flags.writeable = False
-        return lo, coeffs
-
     # -- comparisons -----------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -471,32 +455,3 @@ def _coerce_entry(e) -> LaurentPoly:
     if isinstance(e, (int, Fraction)):
         return LaurentPoly({0: e})
     raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")
-
-
-# Points per cascade block are chosen so that its work arrays hold about this
-# many complex entries (512 KiB), whatever the grid, the depth or the matrix
-# size; larger blocks raise peak memory more than they save in numpy calls.
-_CASCADE_ENTRIES = 2**15
-
-
-def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) -> np.ndarray:
-    """prod_{j=1}^{levels} scale M(exp(-i xi / 2^j)) applied to ``start``, for every xi at once.
-
-    ``taps`` is :meth:`LaurentMatrix.float_taps` of a square M, ``xi`` a 1-d
-    float array and ``start`` a (len(xi) x n) array or one length-n vector.
-    The levels act innermost first (j = levels down to 1), as matrix-vector
-    products.
-    """
-    lo, coeffs = taps
-    n_taps, n = coeffs.shape[:2]
-    flat = scale * coeffs.reshape(n_taps, n * n)
-    halvings = -1j * np.multiply.outer(0.5 ** np.arange(1, levels + 1), np.arange(lo, lo + n_taps))
-    out = np.array(np.broadcast_to(start, (len(xi), n)), dtype=complex)
-    block = max(1, _CASCADE_ENTRIES // (levels * (n_taps + n * n)))
-    for s in range(0, len(xi), block):
-        mats = (np.exp(np.multiply.outer(xi[s : s + block], halvings)) @ flat).reshape(-1, levels, n, n)
-        v = out[s : s + block, :, None]
-        for j in range(levels - 1, -1, -1):
-            v = mats[:, j] @ v
-        out[s : s + block] = v[:, :, 0]
-    return out

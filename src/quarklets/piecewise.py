@@ -149,7 +149,10 @@ class PiecewisePoly:
         new_bps = [(bp - b) / a for bp in self.breakpoints]
         shifted = [taylor_shift(p, b) for p in self.pieces]
         if a != 1:
-            shifted = [_from_dict({k: c * a**k for k, c in p.coeffs.items()}) for p in shifted]
+            powers = [Fraction(1)]
+            for _ in range(max(max(p.coeffs, default=0) for p in shifted)):
+                powers.append(powers[-1] * a)
+            shifted = [_from_dict({k: c * powers[k] for k, c in p.coeffs.items()}) for p in shifted]
         return PiecewisePoly(new_bps, shifted)
 
     def translate(self, k) -> "PiecewisePoly":

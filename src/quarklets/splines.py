@@ -8,13 +8,9 @@ of [0, 1), built here exactly through the pointwise recursion
 Quarks are the symmetrized B-spline N_m(x + floor(m/2)) multiplied by the
 monomial (x / ceil(m/2))^q.  The quark vector (degree 0..p) satisfies an
 exact two-scale matrix refinement equation whose masks are produced by
-:func:`refinement_masks`.
-
-Fourier transforms use the unitary convention F f(xi) =
-(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx.  :func:`quark_ft` evaluates them
-in floats from the same masks, as the refinement cascade F Phi(xi) =
-S(exp(-i xi/2)) F Phi(xi/2) over a Taylor tail with exact moments; its error
-bound is absolute, against sup|F|.
+:func:`refinement_masks`.  Everything here is exact; the quark Fourier
+transform is computed from the same masks in floats by
+:func:`quarklets.duals.quark_ft`.
 """
 
 from __future__ import annotations
@@ -23,9 +19,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .laurent import cascade
 from .masks import MaskSequence, Mat
 from .piecewise import PiecewisePoly
 
@@ -115,42 +108,3 @@ def refinement_masks(m: int, p: int) -> MaskSequence:
             rows.append(tuple(row))
         out[k] = tuple(rows)
     return MaskSequence(p + 1, p + 1, out)
-
-
-# -- Fourier transform (float diagnostics) -----------------------------------------
-
-# Depth of the refinement cascade behind quark_ft.  Its degree-3 Taylor tail is
-# taken at eta = xi / 2^20, where the O(eta^4) remainder is below float rounding.
-_FT_LEVELS = 20
-_FT_TAIL_TERMS = 4
-
-
-@lru_cache(maxsize=None)
-def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray]:
-    """Float taps of the symbol of the quarks of degree 0..q, and their Taylor tail.
-
-    Row t of the read-only tail is (2 pi)^{-1/2} (-i)^t / t! times the exact t-th moments.
-    """
-    taps = refinement_masks(m, q).to_symbol().float_taps()
-    moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
-    factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(_FT_TAIL_TERMS)]
-    tail = np.array(factors)[:, None] * moments
-    tail.flags.writeable = False
-    return taps, tail
-
-
-def quark_ft(m: int, q: int, xi):
-    """Fourier transform of the degree-q quark at xi, a float or an array (float diagnostic).
-
-    The refinement cascade F Phi(xi) = S(exp(-i xi / 2)) F Phi(xi / 2) of the
-    quarks of degree 0..q (symbol S from :func:`refinement_masks`), run over
-    20 levels onto the Taylor tail.  For m <= 12, q <= 10 and |xi| <= 30 the
-    absolute error is at most 1e-13 sup|F phi_q|; the relative error grows
-    where the transform decays.
-    """
-    taps, tail = _ft_cascade_data(m, q)
-    xi = np.asarray(xi, dtype=float)
-    flat = xi.reshape(-1)
-    powers = np.power.outer(flat / 2**_FT_LEVELS, np.arange(_FT_TAIL_TERMS))
-    values = cascade(taps, 1.0, flat, _FT_LEVELS, powers @ tail)[:, q].reshape(xi.shape)
-    return complex(values) if xi.ndim == 0 else values

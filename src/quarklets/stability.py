@@ -6,25 +6,24 @@ positive on the circle; a vector of such functions is stable iff the
 determinant of its Gram-symbol matrix never vanishes.  Both criteria are
 decided exactly here via Sturm root isolation in the Chebyshev variable.
 
-Also included: a frequency-domain zero scan for individual quark transforms
-(float diagnostic) and exact Condition E / eigenvalue read-offs for the dual
-refinement symbol at z = 1, St(1) = S(1)^{-T}, which is upper triangular.
+Also included: exact Condition E / eigenvalue read-offs for the dual
+refinement symbol at z = 1, St(1) = S(1)^{-T}, which is upper triangular, and
+its exact eigenvector for the eigenvalue 2^p.  The module is exact and imports
+no numpy; ``stability.ft_zero_scan``, the float zero scan of a quark
+transform, resolves to :func:`quarklets.duals.ft_zero_scan` on first use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .cdf import validate_orders
 from .laurent import LaurentMatrix, LaurentPoly, _dot, _from_int, _int_cores, as_rational
 from .masks import Mat
-from .splines import quark, quark_ft, refinement_masks
+from .splines import quark, refinement_masks
 from .trig import _gram_from_pieces, _local_pieces, is_positive_on_circle, shift_gram_symbol
 
 
@@ -147,49 +146,6 @@ def stability_table(max_m: int, max_p: int) -> dict[tuple[int, int], bool]:
     }
 
 
-# A minimum of |F| counts as a zero below this fraction of 1 + max |F| on the grid.
-_ZERO_RTOL = 1e-7
-
-
-def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
-    """Approximate real zeros of |F phi_q| on [lo, hi] (float diagnostic).
-
-    Brackets local minima of |F|^2 on a uniform grid of ``samples >= 3``
-    points, sharpens each bracket by ternary search, and reports minima whose
-    value is a numerical zero relative to the overall scale of |F| on the
-    interval.  Placement degrades with zero multiplicity: for quark(m, 0) on
-    [-20, 20] at 4000 samples the error at +-2 pi k grows from 0 (m = 1) to
-    1.5e-2 (m = 6), and m >= 7 gives spurious zeros.
-    """
-    if not (hi > lo) or not math.isfinite(lo) or not math.isfinite(hi):
-        raise ValueError("need a finite interval with lo < hi")
-    if samples < 3:
-        raise ValueError("need at least 3 samples: minima are bracketed by interior grid points")
-    xs = np.linspace(lo, hi, samples)
-    vals = np.abs(quark_ft(m, q, xs)) ** 2
-    scale = math.sqrt(float(vals.max()))
-    tol = _ZERO_RTOL * (1.0 + scale)
-    inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
-    a, b = xs[inner - 1], xs[inner + 1]
-    for _ in range(100):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        h = np.abs(quark_ft(m, q, np.concatenate([m1, m2]))) ** 2
-        left = h[: inner.size] <= h[inner.size :]
-        a_next, b_next = np.where(left, a, m1), np.where(left, m2, b)
-        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
-            break  # a fixed point: the same brackets would map to themselves again
-        a, b = a_next, b_next
-    x = (a + b) / 2
-    zeros = x[np.abs(quark_ft(m, q, x)) < tol].tolist()
-    deduped: list[float] = []
-    step = (hi - lo) / samples
-    for z in sorted(zeros):
-        if not deduped or z - deduped[-1] > step:
-            deduped.append(z)
-    return deduped
-
-
 def condition_e(matrix) -> bool:
     """True iff 1 is a simple eigenvalue and every other eigenvalue has modulus < 1.
 
@@ -231,3 +187,27 @@ def dual_symbol_eigenvalues(m: int, mt: int, p: int) -> list[Fraction]:
     """Exact eigenvalues of the dual scaling symbol at z = 1 (diagonal read-off)."""
     mat = dual_symbol_at_one(m, mt, p)
     return sorted(mat[i][i] for i in range(len(mat)))
+
+
+def dual_eigenvector(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
+    """Exact right eigenvector v of 2^{-p} St(1) for eigenvalue 1, last component 1.
+
+    2^{-p} St(1) is upper triangular with diagonal 2^{q-p}, q = 0..p, so the
+    eigenvalue 1 sits in the last position and back-substitution suffices.
+    """
+    mat = dual_symbol_at_one(m, mt, p)
+    v = [Fraction(0)] * p + [Fraction(1)]
+    for i in range(p - 1, -1, -1):
+        if mat[i][i] == 2**p:
+            raise AssertionError("unexpected repeated eigenvalue 1 in the dual symbol")
+        v[i] = sum((mat[i][j] * v[j] for j in range(i + 1, p + 1)), Fraction(0)) / (2**p - mat[i][i])
+    return tuple(v)
+
+
+def __getattr__(name: str):
+    # the float zero scan lives with the rest of numpy in duals (PEP 562)
+    if name == "ft_zero_scan":
+        from .duals import ft_zero_scan
+
+        return ft_zero_scan
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

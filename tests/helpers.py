@@ -16,6 +16,8 @@ read-off of ``condition_e``), the truncated dual product point by point
 (reference for the refinement cascade; its raw form, without the first-order
 tail, is the only raw product left and backs the truncation-floor tests), the
 quark Fourier transform by mpmath quadrature (reference for ``quark_ft``),
+the Hann-windowed FFT profile of sampled transform values and its L2 mass
+outside an interval (the oracle for the support of the generalized duals),
 and small oracles that no library code needs: closed-interval root counts,
 the two-scale refinement of a quark vector, the dual modulation matrix and
 exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
@@ -36,7 +38,7 @@ from mpmath import mp
 
 from quarklets import realroots
 from quarklets.cdf import CdfPair, scalar_pr_defect
-from quarklets.duals import dual_eigenvector, dual_tail_slope
+from quarklets.duals import _ZERO_RTOL, dual_tail_slope, quark_ft
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import (
@@ -45,8 +47,8 @@ from quarklets.modulation import (
     build_modulation,
 )
 from quarklets.piecewise import PiecewisePoly, inner_product
-from quarklets.splines import bspline_mask, quark_ft
-from quarklets.stability import _ZERO_RTOL
+from quarklets.splines import bspline_mask
+from quarklets.stability import dual_eigenvector
 from quarklets.transform import CoefficientFrame
 
 Vec = tuple[Fraction, ...]
@@ -492,6 +494,39 @@ def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
                       for k in range(max(piece.coeffs, default=-1), -1, -1)]
             total += mp.quad(lambda s: mp.polyval(coeffs, s) * mp.expj(-s * x), [a, b])
         return complex(total / mp.sqrt(2 * mp.pi))
+
+
+def time_profile(values: np.ndarray, xi_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate time-domain profile from uniform frequency samples.
+
+    ``values[k]`` are F f at xi_k = -xi_max + k * dxi (N samples, dxi =
+    2 xi_max / N) under the convention F f(0) = integral f.  A Hann window
+    confines truncation leakage near the support edges, which is what the
+    support diagnostics need.  Returns (x, f(x)) with x the FFT-dual grid.
+    """
+    values = np.asarray(values, dtype=complex)
+    n = values.size
+    dxi = 2 * xi_max / n
+    # the Hann mean is 1/2, so doubling keeps unit mass at the origin
+    spectrum = values * np.hanning(n) * 2.0
+    # f(x_m) = (dxi / 2 pi) sum_k F(xi_k) e^{i xi_k x_m}, x_m = 2 pi m / (n dxi)
+    shifted = np.fft.ifft(spectrum) * n * dxi / (2 * math.pi)
+    x = np.fft.fftfreq(n, d=dxi / (2 * math.pi))
+    phase = np.exp(-1j * xi_max * x)
+    f = shifted * phase
+    order = np.argsort(x)
+    return x[order], f[order]
+
+
+def mass_outside(x: np.ndarray, f: np.ndarray, lo: float, hi: float) -> float:
+    """Fraction of the L2 mass of the profile lying outside [lo, hi]."""
+    density = np.abs(f) ** 2
+    total = float(np.trapezoid(density, x))
+    inside = (x >= lo) & (x <= hi)
+    kept = float(np.trapezoid(np.where(inside, density, 0.0), x))
+    if total == 0:
+        return 0.0
+    return (total - kept) / total
 
 
 # -- the exact stability decision, the way it was first written ------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +165,7 @@ class TestFtZeros:
         def never(*args):
             raise AssertionError("no transform value is needed to refuse the grid")
 
-        monkeypatch.setattr(stability, "quark_ft", never)
+        monkeypatch.setattr(duals, "quark_ft", never)
         code, out, err = run(
             capsys, "ft-zeros", "--m", "2", "--q", "2", "--lo", "-12", "--hi", "12", "--samples", samples
         )
@@ -573,3 +577,46 @@ class TestOrthogonalizeAndSample:
         )
         assert code == 2
         assert "error: malformed input" in err
+
+
+class TestNumpyFree:
+    """The exact commands run in a fresh interpreter without ever importing numpy."""
+
+    FRAME = {"level": 1, "width": 2, "coefficients": [[0, [[1, 1], [1, 3]]], [3, [[-2, 3], [0, 1]]]]}
+    PROBE = "import sys\n{body}\nsys.stderr.write('numpy loaded: %s' % ('numpy' in sys.modules))\n"
+    MAIN = "from quarklets.cli import main\nassert main(sys.argv[1:]) == 0"
+
+    def probe(self, tmp_path, body, *argv):
+        (tmp_path / "c.json").write_text(json.dumps(self.FRAME))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(body=body), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stderr.rsplit("numpy loaded: ", 1)[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["filters", "--m", "3", "--mt", "5", "--p", "2", "--dual"],
+        ["verify-pr", "--m", "2", "--mt", "2", "--p", "2"],
+        ["stability-table", "--max-m", "3", "--max-p", "2"],
+        ["eigen", "--m", "3", "--mt", "5", "--p", "3"],
+        ["decompose", "--m", "2", "--mt", "2", "--input", "c.json", "--out-scaling", "s.json",
+         "--out-detail", "d.json"],
+        ["reconstruct", "--m", "2", "--mt", "2", "--scaling", "c.json", "--detail", "c.json"],
+        ["orthogonalize", "--mt", "1", "--p", "2"],
+        ["orthogonalize", "--mt", "1", "--p", "2", "--format", "csv", "--samples", "8"],
+        ["sample", "--function", "quarklet", "--m", "1", "--mt", "1", "--q", "1",
+         "--start", "-1", "--end", "2", "--count", "9"],
+    ])
+    def test_exact_command(self, tmp_path, argv):
+        assert self.probe(tmp_path, self.MAIN, *argv) == "False"
+
+    def test_bare_import(self, tmp_path):
+        assert self.probe(tmp_path, "import quarklets") == "False"
+
+    def test_float_command_loads_numpy(self, tmp_path):
+        # the control: the probe does see numpy once a float command runs
+        argv = ["dual", "--m", "1", "--mt", "1", "--p", "0", "--grid-span", "1", "--grid-depth", "1"]
+        assert self.probe(tmp_path, self.MAIN, *argv) == "True"

@@ -1,28 +1,28 @@
 """Generalized dual quark/quarklet approximation."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dual_quark_ft_loop, eval_rational, symbol_at
+from helpers import dual_quark_ft_loop, eval_rational, mass_outside, symbol_at, time_profile
 
-from quarklets import stability
+import quarklets
+from quarklets import duals, stability
 from quarklets.duals import (
     convergence_probe,
-    dual_eigenvector,
     dual_quark_ft,
     dual_quarklet_ft,
     dual_tail_slope,
     dyadic_grid,
     eigen_residual,
-    mass_outside,
     refinement_defect,
-    time_profile,
     with_halves,
 )
 from quarklets.modulation import build_modulation
-from quarklets.stability import dual_symbol_at_one
+from quarklets.stability import dual_eigenvector, dual_symbol_at_one
 
 PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
 # the design box: m <= 5, m <= mt <= 7, m + mt even
@@ -290,3 +290,33 @@ class TestTimeProfile:
         x, f = time_profile(vals, xi_max)
         assert mass_outside(x, f, -2.1, 2.1) < 1e-6
         assert mass_outside(x, f, -1.5, 1.5) > 1e-4
+
+
+class TestNumpyBoundary:
+    def test_only_duals_imports_numpy(self):
+        # every float routine lives in duals; the exact modules import no numpy, at any depth
+        offenders = []
+        for path in sorted((Path(__file__).parent.parent / "src/quarklets").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    offenders.append(path.name)
+        assert set(offenders) == {"duals.py"}
+
+    def test_lazy_exports_resolve(self):
+        for name in quarklets.__all__:
+            assert getattr(quarklets, name) is not None
+        assert quarklets.quark_ft is duals.quark_ft
+        assert quarklets.ft_zero_scan is duals.ft_zero_scan
+        assert stability.ft_zero_scan is duals.ft_zero_scan
+
+    @pytest.mark.parametrize("module", [quarklets, stability])
+    def test_unknown_attribute_raises(self, module):
+        with pytest.raises(AttributeError):
+            getattr(module, "no_such_name")
+        assert not hasattr(module, "cascade")

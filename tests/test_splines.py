@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from helpers import bspline_truncated_power, quark_ft_mpmath, refine_vector
 
+from quarklets.duals import quark_ft
 from quarklets.piecewise import PiecewisePoly
 from quarklets.splines import (
     bspline,
     bspline_mask,
     quark,
     quark_family,
-    quark_ft,
     refinement_masks,
     symmetrized_bspline,
 )
