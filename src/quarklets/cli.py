@@ -35,7 +35,7 @@ MAX_LEVELS = 64
 MAX_TABLE_ORDER = 10
 # Largest --m and --mt, and largest --p, --q and frame width - 1 (of ``decompose``
 # and ``reconstruct``): at this corner the slowest command at its default options,
-# ``verify-pr --m 16 --mt 16 --p 14``, takes about 13 s on a 2-core x86_64 host.
+# ``verify-pr --m 16 --mt 16 --p 14``, takes about 5 s on a 2-core x86_64 host.
 MAX_ORDER = 16
 MAX_DEGREE = 14
 # Largest points x levels x (p + 1) of ``dual``.  The cascade costs each point

@@ -17,6 +17,11 @@ For orders (m, mt) and maximal degree p the bundle collects:
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by exponent parity, with no product.
 
+One product per bundle, P P^{-1} on entries with half the taps of X's,
+certifies both X X^{-1} = Id and P's invertibility: if P = X E and the bottom
+block row of X^{-1} is its top one at -z, X X^{-1} = (X E)(E^{-1} X^{-1}) =
+P P^{-1}.  A bundle failing either (a perturbed copy) multiplies out X X^{-1}.
+
 Everything is exact rational arithmetic; verification routines return the
 residual entries instead of asserting.
 """
@@ -86,6 +91,16 @@ class ModulationBundle:
              for r in (0, 1) for row in top]
         )
 
+    @cached_property
+    def factorization_holds(self) -> bool:
+        """P == X E, checked exactly, on first use."""
+        return self.synthesis_matrix == self.modulation @ parity_exchange_matrix(self.size)
+
+    @cached_property
+    def polyphase_residuals(self) -> tuple[tuple[int, int, LaurentPoly], ...]:
+        """Nonzero entries of P P^{-1} - Id, on first use."""
+        return check_product_is_identity(self.synthesis_matrix, self.polyphase_inv)
+
 
 def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
     """Assemble the full modulation bundle for (m, mt, p), exactly."""
@@ -112,7 +127,9 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
         ]
     )
 
-    block_det = scaling_symbol * b_neg - scaling_symbol.substitute_neg() * b
+    # S(-z) b(z) is U(-z) for U = S(z) b(-z)
+    u = scaling_symbol * b_neg
+    block_det = u - u.substitute_neg()
     for q in range(n):
         expected = LaurentPoly.monomial(Fraction(1, 2**q), 1)
         if block_det[q, q] != expected:
@@ -160,20 +177,36 @@ class ReconstructionReport:
 
 
 def check_product_is_identity(x: LaurentMatrix, xinv: LaurentMatrix) -> tuple[tuple[int, int, LaurentPoly], ...]:
-    product = x @ xinv
-    residual = product - LaurentMatrix.identity(x.rows)
-    out = []
-    for i in range(residual.rows):
-        for j in range(residual.cols):
-            if not residual[i, j].is_zero():
-                out.append((i, j, residual[i, j]))
-    return tuple(out)
+    residual = x @ xinv - LaurentMatrix.identity(x.rows)
+    return tuple((i, j, e) for i, row in enumerate(residual.entries) for j, e in enumerate(row) if e)
 
 
 def verify_perfect_reconstruction(bundle: ModulationBundle) -> ReconstructionReport:
-    """Check X(z) conj(Xt(z))^T = Id exactly; conj(Xt)^T is the stored inverse."""
-    residuals = check_product_is_identity(bundle.modulation, bundle.modulation_inv)
+    """Check X(z) conj(Xt(z))^T = Id exactly; conj(Xt)^T is the stored inverse X^{-1}.
+
+    Certificate: P = X E (``factorization_holds``) and X^{-1}'s bottom block row
+    is its top one at -z, so the read-off P^{-1} is E^{-1} X^{-1} and the
+    residuals of X X^{-1} are the cached ``polyphase_residuals`` of P P^{-1}.
+    Fallback, when either fails: the product X X^{-1} itself.
+    """
+    n = bundle.size
+    inv = bundle.modulation_inv.entries
+    if bundle.factorization_holds and all(
+        _is_at_neg(t, b) for top, bottom in zip(inv[:n], inv[n:]) for t, b in zip(top, bottom)
+    ):
+        residuals = bundle.polyphase_residuals
+    else:
+        residuals = check_product_is_identity(bundle.modulation, bundle.modulation_inv)
     return ReconstructionReport(bundle.m, bundle.mt, bundle.p, not residuals, residuals)
+
+
+def _is_at_neg(p: LaurentPoly, q: LaurentPoly) -> bool:
+    """Whether q(z) = p(-z), i.e. q_k = (-1)^k p_k, compared on numerators and denominators."""
+    qc = q.coeffs
+    return qc.keys() == p.coeffs.keys() and all(
+        qc[k].numerator == (-c.numerator if k & 1 else c.numerator) and qc[k].denominator == c.denominator
+        for k, c in p.coeffs.items()
+    )
 
 
 def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -213,13 +246,9 @@ class PolyphaseFactorization:
 
 def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
     """Polyphase matrix of the filter bank plus its exact invertibility certificate."""
-    n = bundle.size
-    pp = bundle.synthesis_matrix
-    exchange = parity_exchange_matrix(n)
-    holds = pp == bundle.modulation @ exchange
-    inv = bundle.polyphase_inv
-    invertible = not check_product_is_identity(pp, inv)
-    return PolyphaseFactorization(pp, exchange, inv, holds, invertible)
+    return PolyphaseFactorization(bundle.synthesis_matrix, parity_exchange_matrix(bundle.size),
+                                  bundle.polyphase_inv, bundle.factorization_holds,
+                                  not bundle.polyphase_residuals)
 
 
 @dataclass(frozen=True)

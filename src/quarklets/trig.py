@@ -38,28 +38,32 @@ def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
 def _gram_from_pieces(f_local: list[tuple], g_local: list[tuple]) -> LaurentPoly:
     """:func:`shift_gram_symbol` of two functions given by their :func:`_local_pieces`."""
     out: dict[int, Fraction] = {}
-    for a, wa, p in f_local:
-        for b, wb, q in g_local:
+    for a, wa, p, pc in f_local:
+        for b, wb, q, qc in g_local:
             for n in range(math.floor(a - b - wb) + 1, math.ceil(a + wa - b)):
                 e = b + n - a
                 lo = max(e, 0)
-                v = _overlap_integral(taylor_shift(p, lo), taylor_shift(q, lo - e), min(wa, wb + e) - lo)
+                v = _overlap_integral(
+                    pc if lo == 0 else _int_cores((taylor_shift(p, lo),)),
+                    qc if lo == e else _int_cores((taylor_shift(q, lo - e),)),
+                    min(wa, wb + e) - lo,
+                )
                 out[n] = out.get(n, 0) + v
     return LaurentPoly(out)
 
 
 def _local_pieces(f: PiecewisePoly) -> list[tuple]:
-    """(left breakpoint, width, piece in t = x - left) for every nonzero piece of f."""
+    """(left breakpoint, width, piece in t = x - left, its integer core) for every nonzero piece of f."""
     # integral breakpoints as ints keep Fraction arithmetic out of the overlap loop
     bps = [b.numerator if b.denominator == 1 else b for b in f.breakpoints]
-    return [(lo, hi - lo, taylor_shift(p, lo)) for p, lo, hi in zip(f.pieces, bps, bps[1:]) if p]
+    local = [(lo, hi - lo, taylor_shift(p, lo)) for p, lo, hi in zip(f.pieces, bps, bps[1:]) if p]
+    return [(lo, w, p, _int_cores((p,))) for lo, w, p in local]
 
 
-def _overlap_integral(p: LaurentPoly, q: LaurentPoly, w: Fraction) -> Fraction:
-    """Integral of p(t) q(t) over [0, w): sum_k P_k w^(k+1)/(k+1), on the integer core."""
-    (np_,), dp = _int_cores((p,))
-    (nq,), dq = _int_cores((q,))
-    prod = _dot([np_], [nq])
+def _overlap_integral(p_core: tuple, q_core: tuple, w: Fraction) -> Fraction:
+    """Integral of p(t) q(t) over [0, w), from the integer cores of p and q: sum_k P_k w^(k+1)/(k+1)."""
+    (np_, dp), (nq, dq) = p_core, q_core
+    prod = _dot(np_, nq)
     top = max(prod)
     den, u, v = math.lcm(*range(1, top + 2)), w.numerator, w.denominator
     acc = sum(c * (den // (k + 1)) * u ** (k + 1) * v ** (top - k) for k, c in prod.items())

@@ -183,6 +183,81 @@ class TestPerfectReconstruction:
         assert dual_modulation(b).conj_transpose() == b.modulation_inv
 
 
+# every (m, mt) pair of the design box m <= 5, m <= mt <= 7, m + mt even
+BOX_PAIRS = [(m, mt) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0]
+
+
+def _with_inverse_entry(bundle, i, j, delta):
+    rows = [list(row) for row in bundle.modulation_inv.entries]
+    rows[i][j] = rows[i][j] + delta
+    return replace(bundle, modulation_inv=LaurentMatrix(rows))
+
+
+class TestOneProductCertificate:
+    """verify_perfect_reconstruction reports X X^{-1}'s residuals off the half-length P P^{-1}."""
+
+    @pytest.mark.parametrize("m,mt,p", [(m, mt, p) for m, mt in BOX_PAIRS for p in range(4)] + [(5, 7, 8)])
+    def test_residuals_equal_the_full_product(self, m, mt, p):
+        b = build_modulation(m, mt, p)
+        report = verify_perfect_reconstruction(b)
+        assert report.residuals == check_product_is_identity(b.modulation, b.modulation_inv) == ()
+        assert report.identity_holds
+
+    @staticmethod
+    def _count_products(monkeypatch) -> list:
+        calls = []
+        product = modulation.check_product_is_identity
+        monkeypatch.setattr(modulation, "check_product_is_identity",
+                            lambda x, xinv: calls.append((x, xinv)) or product(x, xinv))
+        return calls
+
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 1), (2, 4, 3), (3, 5, 2)])
+    def test_negative_controls_fall_back_to_the_full_product(self, m, mt, p, monkeypatch):
+        b = build_modulation(m, mt, p)
+        shifted = replace(b, modulation_inv=b.modulation_inv * LaurentPoly.monomial(1, 1))
+        calls = self._count_products(monkeypatch)
+        for bad in (perturb_detail_block(b), perturb_detail_block(b, p, 0), shifted):
+            calls.clear()
+            report = verify_perfect_reconstruction(bad)
+            assert [(x is bad.modulation, xinv is bad.modulation_inv) for x, xinv in calls] == [(True, True)]
+            assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
+            assert report.residuals and not report.identity_holds
+
+    def test_symmetric_perturbation_takes_the_polyphase_product(self, monkeypatch):
+        # nudging X^{-1}'s entry (0, 0) by d(z) and (n, 0) by d(-z) keeps both conditions,
+        # so the residuals come off P P^{-1}, and they are still those of X X^{-1}
+        b = build_modulation(2, 2, 2)
+        n, d = b.size, LaurentPoly({-1: Fraction(1, 3), 2: Fraction(-2, 5)})
+        bad = _with_inverse_entry(_with_inverse_entry(b, 0, 0, d), n, 0, d.substitute_neg())
+        calls = self._count_products(monkeypatch)
+        report = verify_perfect_reconstruction(bad)
+        assert calls == [(bad.synthesis_matrix, bad.polyphase_inv)] and bad.factorization_holds
+        assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
+        assert not report.identity_holds
+
+    def test_one_identity_check_per_fresh_bundle(self, monkeypatch):
+        calls = self._count_products(monkeypatch)
+        b = replace(build_modulation(3, 5, 4))  # a fresh copy: no cached residuals
+        report = verify_perfect_reconstruction(b)
+        pf = polyphase(b)
+        assert report.identity_holds and pf.factorization_holds and pf.invertible
+        assert calls == [(b.synthesis_matrix, b.polyphase_inv)]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    st.sampled_from([(1, 1, 0), (1, 3, 2), (2, 2, 1), (3, 3, 2)]),
+    st.integers(0, 7), st.integers(0, 7), st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(bool),
+)
+def test_perturbed_inverse_reports_the_full_product(design, i, j, k, c):
+    b = build_modulation(*design)
+    bad = _with_inverse_entry(b, i % b.modulation.rows, j % b.modulation.rows, LaurentPoly.monomial(c, k))
+    report = verify_perfect_reconstruction(bad)
+    assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
+    assert not report.identity_holds
+
+
 class TestSubSymbolsAndPolyphase:
     def test_haar_scalar_sub_symbols(self):
         b = build_modulation(1, 1, 0)
