@@ -31,7 +31,8 @@ MAX_GRID_POINTS = 2**17 + 1
 # At 64 levels the tail error (xi / 2^J)^2 is below 2^-90 on every accepted grid.
 MAX_LEVELS = 64
 # Largest --max-m and --max-p of ``stability-table``: a 10 x 10 table takes
-# about 1.4 s wall time on a 2-core x86_64 host, and each Sturm decision grows with m + p.
+# about 0.8 s wall time on a 2-core x86_64 host, and each Gram symbol and
+# positivity decision grows with m + p.
 MAX_TABLE_ORDER = 10
 # Largest --m and --mt, and largest --p, --q and frame width - 1 (of ``decompose``
 # and ``reconstruct``): at this corner the slowest command at its default options,

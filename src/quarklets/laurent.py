@@ -12,10 +12,12 @@ coefficient convolution dominates the cost of the perfect-reconstruction
 checks and the frame transforms: a matrix product scales each row of the
 left factor and each column of the right one to integer numerators over one
 common denominator, accumulates every output entry in ``int`` and divides
-once per coefficient.  A polynomial product is its 1x1 case, and triangular
-inversion runs its forward substitution on the same kernel.  The module
-imports no numpy: the float taps of a Laurent matrix and every
-Fourier-domain value are taken in :mod:`quarklets.duals`.
+once per coefficient.  A right factor applied many times, such as a filter
+bank's polyphase matrix, keeps its column cores (``keep_column_cores``).  A
+polynomial product is its 1x1 case, and triangular inversion runs its forward
+substitution on the same kernel.  The module imports no numpy: the float taps
+of a Laurent matrix and every Fourier-domain value are taken in
+:mod:`quarklets.duals`.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def _from_dict(coeffs: dict[int, Fraction]) -> LaurentPoly:
 class LaurentMatrix:
     """Rectangular matrix with LaurentPoly entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_col_cores")
 
     def __init__(self, entries: Sequence[Sequence[object]]):
         grid = []
@@ -280,6 +282,7 @@ class LaurentMatrix:
         self.entries: tuple[tuple[LaurentPoly, ...], ...] = tuple(grid)
         self.rows = len(grid)
         self.cols = width
+        self._col_cores = None  # integer cores of the columns, set by keep_column_cores
 
     # -- constructors -----------------------------------------------------------
 
@@ -370,8 +373,14 @@ class LaurentMatrix:
         # each row of self and each column of other over one denominator, so every
         # output entry is one integer accumulation and one division per coefficient
         rows = [_int_cores(row) for row in self.entries]
-        cols = [_int_cores(col) for col in zip(*other.entries)]
+        cols = other._col_cores or [_int_cores(col) for col in zip(*other.entries)]
         return LaurentMatrix([[_from_int(_dot(ra, cb), da * db) for cb, db in cols] for ra, da in rows])
+
+    def keep_column_cores(self) -> "LaurentMatrix":
+        """This matrix, holding its columns' integer cores for every later product with it on the right."""
+        if self._col_cores is None:
+            self._col_cores = [_int_cores(col) for col in zip(*self.entries)]
+        return self
 
     def __mul__(self, other) -> "LaurentMatrix":
         if isinstance(other, (int, Fraction, LaurentPoly)):

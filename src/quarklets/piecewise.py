@@ -206,8 +206,14 @@ def taylor_shift(p: LaurentPoly, s: Fraction) -> LaurentPoly:
         return p
     (nums,), den = _int_cores((p,))
     top, u, v = max(nums), s.numerator, s.denominator
-    c = [nums.get(k, 0) * v ** (top - k) for k in range(top + 1)]
+    c = _shift_ints([nums.get(k, 0) * v ** (top - k) for k in range(top + 1)], u)
+    return _from_dict({j: Fraction(e, den * v ** (top - j)) for j, e in enumerate(c) if e})
+
+
+def _shift_ints(c: list[int], u: int) -> list[int]:
+    """Coefficients of x -> C(x + u) for the integer polynomial C = c (constant first), in place."""
+    top = len(c) - 1
     for i in range(top):
         for j in range(top - 1, i - 1, -1):
             c[j] += u * c[j + 1]
-    return _from_dict({j: Fraction(e, den * v ** (top - j)) for j, e in enumerate(c) if e})
+    return c

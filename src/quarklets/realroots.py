@@ -1,97 +1,118 @@
-"""Exact real-root counting and location for rational polynomials.
+"""Exact real-root location for rational polynomials, by Descartes bisection.
 
-Sturm-chain root isolation over the rationals, plus the Chebyshev polynomials
-that turn a trigonometric positivity question into a real-root question on
-[-1, 1] (see :mod:`quarklets.trig`).  Polynomials are :class:`LaurentPoly`
-with no negative exponents.
+``isolate_roots`` bisects [a, b] on the dyadic grid of its midpoints.  Each
+interval (lo, hi] gets the integer polynomial P(x) = c p(lo + (hi - lo) x),
+c > 0, and its Moebius transform (1 + y)^d P(1/(1 + y)), whose positive roots
+are the roots of p in the open interval (lo, hi).  By Descartes' rule of
+signs (Collins & Akritas, SYMSAC 1976) 0 sign variations exclude a root there
+and 1 proves exactly one simple root; the right end hi is decided by the exact
+value P(1).  A child interval's polynomial is the parent's at x/2, scaled to
+integers, and for the right child shifted by 1, so bisection runs on integer
+additions and shifts.  An isolated simple root is refined by the sign of p at
+the grid midpoints until its interval is at most 2^-40 wide.  Multiple roots
+never reach 0 or 1 variations, so an interval still open at a fixed depth goes
+on with the square-free part of p; by Vincent's theorem bisection then ends.
+
+Also here: the Chebyshev polynomials that turn a trigonometric positivity
+question into a real-root question on [-1, 1] (see :mod:`quarklets.trig`).
+Polynomials are :class:`LaurentPoly` with no negative exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from .laurent import LaurentPoly
-
-
-def gcd_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic greatest common divisor (zero only when a = b = 0)."""
-    while b:
-        a, b = b, divmod(a, b)[1]
-    return a * (1 / a[max(a.coeffs)]) if a else a
+from .laurent import LaurentPoly, _from_dict, _int_cores
+from .piecewise import _shift_ints, taylor_shift
 
 
 def square_free(p: LaurentPoly) -> LaurentPoly:
-    g = gcd_poly(p, p.derivative())
-    if not g or g == 1:
+    """p over its greatest common divisor with p': the same roots, each simple."""
+    g, r = p, p.derivative()
+    while r:  # Euclid's algorithm
+        g, r = r, divmod(g, r)[1]
+    if not g or max(g.coeffs) == 0:
         return p
-    q, r = divmod(p, g)
-    assert not r
+    q, rem = divmod(p, g)
+    assert not rem
     return q
-
-
-def sturm_chain(p: LaurentPoly) -> list[LaurentPoly]:
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        r = divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append(-r)
-    return [c for c in chain if c]
-
-
-def _variations(chain: list[LaurentPoly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p.eval_rational(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_half_open(chain: list[LaurentPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b] of the square-free polynomial behind `chain`."""
-    return _variations(chain, a) - _variations(chain, b)
 
 
 # Isolating intervals are bisected down to this width.
 _ROOT_TOL = Fraction(1, 2**40)
+# Bisection depth from which an interval with 2 or more variations goes on with
+# the square-free part: past the 41 levels that reach _ROOT_TOL on [-1, 1].
+_SQUARE_FREE_DEPTH = 64
 
 
 def isolate_roots(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
-    """Approximate locations (within 2^-40) of all distinct real roots of p in [a, b]."""
-    s = square_free(p)
-    if not s:
+    """Approximate locations (within 2^-40) of all distinct real roots of p in [a, b].
+
+    Each root r in (a, b] is reported as the right end of the shallowest
+    dyadic interval (lo, hi] of the bisection of (a, b] that is at most 2^-40
+    wide and holds no other root; a root at a is reported as a.
+    """
+    if not p:
         raise ValueError("zero polynomial has infinitely many roots")
-    if max(s.coeffs) == 0:
+    if not a < b:
+        raise ValueError(f"empty interval [{a}, {b}]: need a < b")
+    if max(p.coeffs) == 0:
         return []
-    chain = sturm_chain(s)
-    roots: list[Fraction] = []
-    if s.eval_rational(a) == 0:
-        roots.append(a)
+    fallback = cache(lambda: square_free(p))
 
-    def refine(lo: Fraction, hi: Fraction) -> Fraction:
-        # exactly one root in (lo, hi]
-        while hi - lo > _ROOT_TOL:
-            mid = (lo + hi) / 2
-            if count_roots_half_open(chain, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def split(lo: Fraction, hi: Fraction, n: int):
-        if n == 0:
-            return
-        if n == 1:
-            roots.append(refine(lo, hi))
-            return
+    def solve(c: list[int], base: LaurentPoly, lo: Fraction, hi: Fraction, depth: int) -> list[Fraction]:
+        # c: integer coefficients of base on (lo, hi] rescaled to (0, 1], constant first
+        at_hi = not sum(c)
+        changes = _sign_changes(_shift_ints(c[::-1], 1))
+        narrow = hi - lo <= _ROOT_TOL
+        if changes == 0:
+            return [hi] if at_hi else []
+        if changes == 1 and not at_hi:
+            return [hi if narrow else _refine(base, lo, hi)]
+        if depth == _SQUARE_FREE_DEPTH and base is p and fallback() is not p:
+            base = fallback()
+            c = _restrict(base, lo, hi)
+        top = len(c) - 1
+        half = [x << (top - k) for k, x in enumerate(c)]  # 2^d P(x/2)
         mid = (lo + hi) / 2
-        left = count_roots_half_open(chain, lo, mid)
-        split(lo, mid, left)
-        split(mid, hi, n - left)
+        right = _shift_ints(half[:], 1)  # 2^d P((x + 1)/2)
+        roots = solve(half, base, lo, mid, depth + 1) + solve(right, base, mid, hi, depth + 1)
+        return [hi] if narrow and len(roots) == 1 else roots
 
-    split(a, b, count_roots_half_open(chain, a, b))
-    return sorted(roots)
+    roots = solve(_restrict(p, a, b), p, a, b, 0)
+    return [a] + roots if p.eval_rational(a) == 0 else roots
+
+
+def _restrict(p: LaurentPoly, lo: Fraction, hi: Fraction) -> list[int]:
+    """Integer coefficients, constant first, of a positive multiple of x -> p(lo + (hi - lo) x)."""
+    w = hi - lo
+    shifted = taylor_shift(p, lo)
+    (nums,), _ = _int_cores((_from_dict({k: c * w**k for k, c in shifted.coeffs.items()}),))
+    return [nums.get(k, 0) for k in range(max(nums) + 1)]
+
+
+def _sign_changes(c: list[int]) -> int:
+    signs = [x > 0 for x in c if x]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _refine(p: LaurentPoly, lo: Fraction, hi: Fraction) -> Fraction:
+    """Right end of the grid interval, at most 2^-40 wide, holding p's one root in (lo, hi).
+
+    That root is simple and p(hi) != 0, so the sign of p at each midpoint tells its side.
+    """
+    positive_at_hi = p.eval_rational(hi) > 0
+    while hi - lo > _ROOT_TOL:
+        mid = (lo + hi) / 2
+        v = p.eval_rational(mid)
+        if not v:
+            return mid  # every later interval is (lo', mid]
+        if (v > 0) == positive_at_hi:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def chebyshev_t(n: int) -> LaurentPoly:

@@ -4,7 +4,8 @@ A compactly supported L2 function has L2-stable integer translates iff its
 autocorrelation symbol (the shift Gram symbol with itself) is strictly
 positive on the circle; a vector of such functions is stable iff the
 determinant of its Gram-symbol matrix never vanishes.  Both criteria are
-decided exactly here via Sturm root isolation in the Chebyshev variable.
+decided exactly here by :func:`quarklets.trig.is_positive_on_circle`: the
+exact value at t = 0, then Descartes bisection in the Chebyshev variable.
 
 Also included: exact Condition E / eigenvalue read-offs for the dual
 refinement symbol at z = 1, St(1) = S(1)^{-T}, which is upper triangular, and
@@ -120,9 +121,11 @@ def _exact_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
 def is_stable_vector(m: int, p: int) -> StabilityReport:
     """Exact L2-stability decision for the quark vector of degrees 0..p.
 
-    Runs up to p = 8 at least: (5, 8) decides in about 0.4 s on a 2-core
-    x86_64 host (Gram matrix 0.08 s, Bareiss determinant 0.24 s, Sturm
-    positivity 0.07 s).
+    Runs up to p = 8 at least: (5, 8) decides in about 0.25 s and (8, 8) in
+    0.6 to 1 s on a shared 2-core x86_64 host, all but about 1 ms of it Gram
+    matrix (0.04 and 0.1 s) and Bareiss determinant (0.12 to 0.22 s and 0.5
+    to 0.8 s); positivity is that 1 ms, since the determinant vanishes at
+    t = 0.
     """
     det = trig_determinant(gram_symbol_matrix(m, p))
     res = is_positive_on_circle(det)

@@ -90,7 +90,7 @@ def reconstruct(
         raise ValueError("frame width does not match the bundle degree")
     translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
     pairs = {2 * l: [scaling[l] + detail[l]] for l in translates}
-    out = LaurentMatrix.from_taps(1, 2 * width, pairs) @ bundle.synthesis_matrix
+    out = LaurentMatrix.from_taps(1, 2 * width, pairs) @ bundle.synthesis_matrix.keep_column_cores()
     # c_{e+r} is phase r at exponent e; P(z) has even powers only, so e is even
     coeffs = {e + r: tap[r * width : (r + 1) * width] for e, (tap,) in out.taps().items() for r in (0, 1)}
     return CoefficientFrame(scaling.level + 1, width, coeffs)
@@ -105,7 +105,7 @@ def decompose(
         raise ValueError("frame width does not match the filter degree")
     # the z^{2l} tap holds c_{2l} and c_{2l+1}; n - n % 2 is 2l for both, negative n included
     pairs = {e: [frame[e] + frame[e + 1]] for e in sorted({n - n % 2 for n in frame.coefficients})}
-    out = (LaurentMatrix.from_taps(1, 2 * width, pairs) @ filters.polyphase_inv).taps()
+    out = (LaurentMatrix.from_taps(1, 2 * width, pairs) @ filters.polyphase_inv.keep_column_cores()).taps()
     level = frame.level - 1
     return tuple(
         CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, (tap,) in out.items()})

@@ -18,6 +18,9 @@ tail, is the only raw product left and backs the truncation-floor tests), the
 quark Fourier transform by mpmath quadrature (reference for ``quark_ft``),
 the Hann-windowed FFT profile of sampled transform values and its L2 mass
 outside an interval (the oracle for the support of the generalized duals),
+the Sturm-chain root isolation on the same dyadic bisection and the
+positivity decision built on it with no endpoint shortcut (references for the
+Descartes bisection of ``isolate_roots`` and for ``is_positive_on_circle``),
 and small oracles that no library code needs: closed-interval root counts,
 the two-scale refinement of a quark vector, the dual modulation matrix and
 exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
@@ -50,6 +53,7 @@ from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import bspline_mask
 from quarklets.stability import dual_eigenvector
 from quarklets.transform import CoefficientFrame
+from quarklets.trig import CirclePositivity, _float_minimum, to_cosine_polynomial
 
 Vec = tuple[Fraction, ...]
 
@@ -408,6 +412,30 @@ def all_roots_in_open_unit_disk(p: Poly) -> bool:
 # -- small oracles ---------------------------------------------------------------------
 
 
+def sturm_chain(p: LaurentPoly) -> list[LaurentPoly]:
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        r = divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(-r)
+    return [c for c in chain if c]
+
+
+def _variations(chain: list[LaurentPoly], x: Fraction) -> int:
+    signs = []
+    for p in chain:
+        v = p.eval_rational(x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots_half_open(chain: list[LaurentPoly], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b] of the square-free polynomial behind `chain`."""
+    return _variations(chain, a) - _variations(chain, b)
+
+
 def count_roots_closed(p: LaurentPoly, a: Fraction, b: Fraction) -> int:
     """Distinct real roots of the polynomial p in the closed interval [a, b]."""
     s = realroots.square_free(p)
@@ -415,11 +443,63 @@ def count_roots_closed(p: LaurentPoly, a: Fraction, b: Fraction) -> int:
         raise ValueError("zero polynomial has infinitely many roots")
     if max(s.coeffs) == 0:
         return 0
-    chain = realroots.sturm_chain(s)
-    n = realroots.count_roots_half_open(chain, a, b)
+    n = count_roots_half_open(sturm_chain(s), a, b)
     if s.eval_rational(a) == 0:
         n += 1
     return n
+
+
+def isolate_roots_by_sturm(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
+    """``realroots.isolate_roots`` by Sturm-chain counts on the same dyadic bisection."""
+    s = realroots.square_free(p)
+    if not s:
+        raise ValueError("zero polynomial has infinitely many roots")
+    if max(s.coeffs) == 0:
+        return []
+    chain = sturm_chain(s)
+    roots: list[Fraction] = []
+    if s.eval_rational(a) == 0:
+        roots.append(a)
+
+    def refine(lo: Fraction, hi: Fraction) -> Fraction:
+        # exactly one root in (lo, hi]
+        while hi - lo > realroots._ROOT_TOL:
+            mid = (lo + hi) / 2
+            if count_roots_half_open(chain, lo, mid) == 1:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def split(lo: Fraction, hi: Fraction, n: int):
+        if n == 0:
+            return
+        if n == 1:
+            roots.append(refine(lo, hi))
+            return
+        mid = (lo + hi) / 2
+        left = count_roots_half_open(chain, lo, mid)
+        split(lo, mid, left)
+        split(mid, hi, n - left)
+
+    split(a, b, count_roots_half_open(chain, a, b))
+    return sorted(roots)
+
+
+def is_positive_on_circle_by_sturm(theta: LaurentPoly) -> CirclePositivity:
+    """``is_positive_on_circle`` with no endpoint shortcut and Sturm-chain root isolation."""
+    if theta.is_zero():
+        return CirclePositivity(False, 0.0, 0.0, "identically zero")
+    q = to_cosine_polynomial(theta)
+    roots = isolate_roots_by_sturm(q, Fraction(-1), Fraction(1))
+    if roots:
+        t = math.acos(max(-1.0, min(1.0, float(max(roots)))))
+        return CirclePositivity(False, t, 0.0, f"zero on the unit circle near t = {t:.6g}")
+    mid = q.eval_rational(0)
+    if mid < 0:
+        return CirclePositivity(False, math.pi / 2, float(mid), "negative on the whole circle")
+    loc, val = _float_minimum(q)
+    return CirclePositivity(True, loc, val, f"positive minimum {val:.6g} at t = {loc:.6g}")
 
 
 def refine_vector(family: tuple[PiecewisePoly, ...], masks: MaskSequence) -> tuple[PiecewisePoly, ...]:

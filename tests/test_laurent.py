@@ -11,6 +11,7 @@ from helpers import divmod_poly, evaluate, fraction_matmul, trim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quarklets import laurent
 from quarklets.duals import cascade, float_taps
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 
@@ -220,6 +221,19 @@ class TestIntegerCoreProduct:
         for _ in range(30):
             a, b = rand_sparse_poly(rng), rand_sparse_poly(rng)
             assert a * b == fraction_matmul(LaurentMatrix([[a]]), LaurentMatrix([[b]]))[0, 0]
+
+    def test_kept_column_cores_are_derived_once(self, monkeypatch):
+        # a right factor that keeps its column cores is not re-derived; a plain one is
+        rng = random.Random(47)
+        kept, plain = rand_matrix(rng, 3, 4), rand_matrix(rng, 3, 4)
+        lefts = [rand_matrix(rng, 2, 3) for _ in range(3)]
+        int_cores, seen = laurent._int_cores, []
+        monkeypatch.setattr(laurent, "_int_cores", lambda polys: seen.append(tuple(polys)) or int_cores(polys))
+        products = [(a @ kept.keep_column_cores(), a @ plain) for a in lefts]
+        monkeypatch.undo()
+        assert [seen.count(col) for col in zip(*kept.entries)] == [1] * kept.cols
+        assert [seen.count(col) for col in zip(*plain.entries)] == [len(lefts)] * plain.cols
+        assert products == [(fraction_matmul(a, kept), fraction_matmul(a, plain)) for a in lefts]
 
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((1, 4), (3, 8)), ((3, 1), (2, 1))])
     def test_dimension_mismatch(self, shapes):

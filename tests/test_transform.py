@@ -1,6 +1,7 @@
 """Frame transforms, orthogonalized quarklets, detail-space projection."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,6 +10,7 @@ from helpers import reference_decompose, reference_reconstruct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quarklets import laurent
 from quarklets.cdf import quarklets
 from quarklets.modulation import build_modulation, decomposition_filters
 from quarklets.piecewise import PiecewisePoly, inner_product
@@ -146,6 +148,20 @@ class TestPolyphaseTransform:
             assert decompose(c, filters) == reference_decompose(c, filters)
             s, d = random_frame(rng, p + 1, taps=5), random_frame(rng, p + 1, taps=5)
             assert reconstruct(s, d, bundle) == reference_reconstruct(s, d, bundle)
+
+    def test_polyphase_column_cores_are_derived_once(self, monkeypatch):
+        # fresh copies, so no earlier product has filled their caches
+        bundle = replace(build_modulation(3, 5, 2))
+        filters = replace(cached_filters(3, 5, 2), polyphase_inv=bundle.polyphase_inv)
+        columns = [*zip(*bundle.synthesis_matrix.entries), *zip(*filters.polyphase_inv.entries)]
+        int_cores, seen = laurent._int_cores, []
+        monkeypatch.setattr(laurent, "_int_cores", lambda polys: seen.append(tuple(polys)) or int_cores(polys))
+        rng = random.Random(5)
+        frames = [[random_frame(rng, 3, level=1, taps=6) for _ in range(3)] for _ in range(3)]
+        out = [(decompose(c, filters), reconstruct(s, d, bundle)) for c, s, d in frames]
+        monkeypatch.undo()
+        assert [seen.count(col) for col in columns] == [1] * len(columns)
+        assert out == [(reference_decompose(c, filters), reference_reconstruct(s, d, bundle)) for c, s, d in frames]
 
     def test_zero_frames(self):
         bundle = build_modulation(2, 2, 1)

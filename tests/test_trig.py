@@ -10,14 +10,20 @@ import pytest
 from helpers import (
     all_roots_in_open_unit_disk,
     count_roots_closed,
+    is_positive_on_circle_by_sturm,
+    isolate_roots_by_sturm,
     shift_gram_symbol_by_translates,
     trim,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quarklets import realroots
+from quarklets import realroots, trig
+from quarklets.cdf import quarklets
 from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import bspline, quark
+from quarklets.stability import gram_symbol_matrix, trig_determinant
 from quarklets.trig import is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
 
 
@@ -126,6 +132,113 @@ class TestPositivity:
         with pytest.raises(ValueError, match="symmetric"):
             to_cosine_polynomial(LaurentPoly({1: 1}))
 
+    def test_symmetry_is_checked_before_the_endpoint_value(self):
+        # theta(1) = 0, but theta is not even
+        with pytest.raises(ValueError, match="symmetric"):
+            is_positive_on_circle(LaurentPoly({0: -1, 1: 1}))
+
+    def test_zero_at_t_zero_needs_no_root_search(self, monkeypatch):
+        # (1 - cos t)^2 (2 + cos t): theta(1) = 0 decides before the cosine polynomial is built
+        def never(*args):
+            raise AssertionError("theta(1) = 0 must decide alone")
+
+        theta = cosine_factors([1, 1, -2])
+        expected = is_positive_on_circle_by_sturm(theta)
+        monkeypatch.setattr(trig, "to_cosine_polynomial", never)
+        monkeypatch.setattr(realroots, "isolate_roots", never)
+        res = is_positive_on_circle(theta)
+        assert res == expected == trig.CirclePositivity(False, 0.0, 0.0, "zero on the unit circle near t = 0")
+
+
+def cosine_factors(roots) -> LaurentPoly:
+    """prod_r (cos t - r) as a Laurent polynomial in z = exp(-i t)."""
+    out = LaurentPoly.one()
+    for r in roots:
+        out = out * LaurentPoly({-1: Fraction(1, 2), 0: -Fraction(r), 1: Fraction(1, 2)})
+    return out
+
+
+@pytest.fixture
+def square_free_calls(monkeypatch):
+    """Polynomials handed to ``realroots.square_free`` while the fixture is active."""
+    calls = []
+    original = realroots.square_free
+    monkeypatch.setattr(realroots, "square_free", lambda p: calls.append(p) or original(p))
+    return calls
+
+
+def decide_both_ways(theta: LaurentPoly, calls: list) -> tuple:
+    """(Descartes verdict, number of square-free fallbacks it took, Sturm verdict)."""
+    before = len(calls)
+    res = is_positive_on_circle(theta)
+    fallbacks = len(calls) - before
+    return res, fallbacks, is_positive_on_circle_by_sturm(theta)
+
+
+class TestDescartesAgainstSturm:
+    """Verdict, location, value and certificate ``==`` to the Sturm-chain path."""
+
+    def test_single_quarks(self, square_free_calls):
+        for m in range(1, 11):
+            for q in range(11):
+                phi = quark(m, q)
+                res, fallbacks, sturm = decide_both_ways(shift_gram_symbol(phi, phi), square_free_calls)
+                assert res == sturm, (m, q)
+                assert fallbacks == 0
+
+    def test_quark_vectors(self, square_free_calls):
+        for m in range(1, 7):
+            for p in range(7):
+                res, fallbacks, sturm = decide_both_ways(trig_determinant(gram_symbol_matrix(m, p)),
+                                                         square_free_calls)
+                assert res == sturm, (m, p)
+                assert res.positive == (m == 1 or p == 0)
+                assert fallbacks == 0
+
+    def test_quarklet_vector_gram_determinant(self, square_free_calls):
+        # stable but poorly conditioned: its minimum is about 1.7e-32, near t = 0.011
+        family = quarklets(3, 5, 5)
+        det = trig_determinant([[shift_gram_symbol(f, g) for g in family] for f in family])
+        res = is_positive_on_circle(det)
+        assert res.positive and not square_free_calls
+
+    @pytest.mark.parametrize("roots, fallback", [
+        ([Fraction(1, 3), Fraction(1, 3), 2], True),                      # interior double root
+        ([Fraction(-2, 5), Fraction(-2, 5), Fraction(5, 7), Fraction(5, 7)], True),
+        ([Fraction(1, 2), Fraction(1, 2), -3], False),                    # double root on a midpoint
+        ([Fraction(1, 2), Fraction(-1, 3)], False),                       # simple root on a midpoint
+        ([-1, Fraction(3, 8), 2], False),                                 # root at x = -1
+        ([-1, -1, 3], False),
+        ([1, Fraction(1, 5)], False),                                     # root at x = 1
+        ([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**45)], False),   # closer than 2^-40
+    ])
+    def test_cosine_products(self, roots, fallback, square_free_calls):
+        res, fallbacks, sturm = decide_both_ways(cosine_factors(roots), square_free_calls)
+        assert res == sturm
+        assert (fallbacks > 0) == fallback
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.lists(st.fractions(-1, 1, max_denominator=12), min_size=1, max_size=5),
+        st.lists(st.fractions(1, 3, max_denominator=6), max_size=2),
+        st.booleans(),
+        st.integers(0, 2),
+    )
+    def test_random_cosine_products(self, inside, outside, flip, doubled):
+        # factors with |r| > 1 have no zero on the circle; doubled roots are multiple roots of q
+        roots = inside + inside[:doubled] + [-r if flip else r for r in outside]
+        calls = []
+        original = realroots.square_free
+        realroots.square_free = lambda p: calls.append(p) or original(p)
+        try:
+            res, fallbacks, sturm = decide_both_ways(cosine_factors(roots), calls)
+        finally:
+            realroots.square_free = original
+        assert res == sturm
+        interior_double = any(-1 < r < 1 and r.denominator & (r.denominator - 1) for r in inside[:doubled])
+        if interior_double and 1 not in roots:
+            assert fallbacks > 0
+
 
 class TestRealRoots:
     def test_count_and_isolate_simple(self):
@@ -136,6 +249,11 @@ class TestRealRoots:
         assert len(roots) == 3
         for r, expected in zip(roots, [-0.75, 0.0, 0.5]):
             assert abs(float(r) - expected) < 1e-9
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 0)])
+    def test_empty_interval_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a < b"):
+            realroots.isolate_roots(LaurentPoly({0: -1, 1: 1}), Fraction(a), Fraction(b))
 
     def test_multiple_root_counted_once(self):
         # (x - 1/2)^2
@@ -169,6 +287,19 @@ class TestRealRoots:
             assert len(ours) == len(dedup)
             for a, b in zip(ours, dedup):
                 assert abs(a - b) < 1e-6
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        st.lists(st.fractions(-2, 2, max_denominator=16), min_size=1, max_size=6),
+        st.lists(st.integers(-9, 9), max_size=3),
+        st.sampled_from([(Fraction(-1), Fraction(1)), (Fraction(-1, 3), Fraction(5, 4)), (Fraction(0), Fraction(1, 2))]),
+    )
+    def test_isolation_equals_sturm_bisection(self, roots, extra, interval):
+        # (x - r) factors, with repeats, times a random integer polynomial
+        p = LaurentPoly(dict(enumerate(extra))) or LaurentPoly.one()
+        for r in roots + roots[:2]:
+            p = p * LaurentPoly({0: -r, 1: 1})
+        assert realroots.isolate_roots(p, *interval) == isolate_roots_by_sturm(p, *interval)
 
     def test_chebyshev_identity(self):
         # T_n(cos t) = cos(n t) at a few angles
