@@ -32,6 +32,7 @@ from .stability import (
     condition_e,
     dual_eigenvector,
     dual_symbol_eigenvalues,
+    is_stable,
     is_stable_single,
     is_stable_vector,
     stability_table,
@@ -93,6 +94,7 @@ __all__ = [
     "ft_zero_scan",
     "inner_product",
     "is_positive_on_circle",
+    "is_stable",
     "is_stable_single",
     "is_stable_vector",
     "orthogonalize_haar",

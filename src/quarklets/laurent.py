@@ -193,7 +193,7 @@ class LaurentPoly:
 
     def eval_rational(self, x: Fraction | int) -> Fraction:
         """Exact value at a rational point, by Horner's rule on the integer core."""
-        x = Fraction(x)
+        x = as_rational(x)
         if not self.coeffs:
             return Fraction(0)
         (nums,), den = _int_cores((self,))

@@ -8,13 +8,10 @@ signs (Collins & Akritas, SYMSAC 1976) 0 sign variations exclude a root there
 and 1 proves exactly one simple root; the right end hi is decided by the exact
 value P(1).  A child interval's polynomial is the parent's at x/2, scaled to
 integers, and for the right child shifted by 1, so bisection runs on integer
-additions and shifts.  An isolated simple root is refined by the sign of p at
-the grid midpoints until its interval is at most 2^-40 wide.  Multiple roots
-never reach 0 or 1 variations, so an interval still open at a fixed depth goes
-on with the square-free part of p; by Vincent's theorem bisection then ends.
-
-Also here: the Chebyshev polynomials that turn a trigonometric positivity
-question into a real-root question on [-1, 1] (see :mod:`quarklets.trig`).
+additions and shifts.  The same bisection goes on below an isolated simple
+root until its interval is at most 2^-40 wide.  Multiple roots never reach 0
+or 1 variations, so an interval still open at a fixed depth goes on with the
+square-free part of p; by Vincent's theorem bisection then ends.
 Polynomials are :class:`LaurentPoly` with no negative exponents.
 """
 
@@ -68,8 +65,8 @@ def isolate_roots(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
         narrow = hi - lo <= _ROOT_TOL
         if changes == 0:
             return [hi] if at_hi else []
-        if changes == 1 and not at_hi:
-            return [hi if narrow else _refine(base, lo, hi)]
+        if changes == 1 and not at_hi and narrow:
+            return [hi]
         if depth == _SQUARE_FREE_DEPTH and base is p and fallback() is not p:
             base = fallback()
             c = _restrict(base, lo, hi)
@@ -95,29 +92,3 @@ def _restrict(p: LaurentPoly, lo: Fraction, hi: Fraction) -> list[int]:
 def _sign_changes(c: list[int]) -> int:
     signs = [x > 0 for x in c if x]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def _refine(p: LaurentPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    """Right end of the grid interval, at most 2^-40 wide, holding p's one root in (lo, hi).
-
-    That root is simple and p(hi) != 0, so the sign of p at each midpoint tells its side.
-    """
-    positive_at_hi = p.eval_rational(hi) > 0
-    while hi - lo > _ROOT_TOL:
-        mid = (lo + hi) / 2
-        v = p.eval_rational(mid)
-        if not v:
-            return mid  # every later interval is (lo', mid]
-        if (v > 0) == positive_at_hi:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def chebyshev_t(n: int) -> LaurentPoly:
-    """The Chebyshev polynomial T_n, by T_{k+1} = 2x T_k - T_{k-1}."""
-    prev, cur = LaurentPoly.one(), LaurentPoly.monomial(Fraction(1), 1)
-    for _ in range(n):
-        prev, cur = cur, LaurentPoly.monomial(Fraction(2), 1) * cur - prev
-    return prev

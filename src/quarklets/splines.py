@@ -67,6 +67,8 @@ def _quark_cached(m: int, q: int) -> PiecewisePoly:
 
 def quark_family(m: int, p: int) -> tuple[PiecewisePoly, ...]:
     """The quarks of degree 0..p for one spline order."""
+    if p < 0:
+        raise ValueError("quark degree must be >= 0")
     return tuple(quark(m, q) for q in range(p + 1))
 
 

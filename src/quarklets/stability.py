@@ -1,11 +1,13 @@
-"""Shift-stability analysis of quarks and quark vectors.
+"""Shift-stability analysis of any finite family of functions: quarks, quark
+vectors, quarklets.
 
-A compactly supported L2 function has L2-stable integer translates iff its
-autocorrelation symbol (the shift Gram symbol with itself) is strictly
-positive on the circle; a vector of such functions is stable iff the
-determinant of its Gram-symbol matrix never vanishes.  Both criteria are
-decided exactly here by :func:`quarklets.trig.is_positive_on_circle`: the
-exact value at t = 0, then Descartes bisection in the Chebyshev variable.
+The integer translates of a family of compactly supported L2 functions are
+L2-stable iff the determinant of its Gram symbol matrix never vanishes on the
+circle; for one function that determinant is its autocorrelation symbol.
+:func:`is_stable` is the one exact decision: the Gram matrix
+(:func:`quarklets.trig.gram_matrix`), its Bareiss determinant, then
+:func:`quarklets.trig.is_positive_on_circle`, which checks the exact value at
+t = 0 and then runs Descartes bisection in the cosine variable.
 
 Also included: exact Condition E / eigenvalue read-offs for the dual
 refinement symbol at z = 1, St(1) = S(1)^{-T}, which is upper triangular, and
@@ -24,8 +26,9 @@ from typing import Sequence
 from .cdf import validate_orders
 from .laurent import LaurentMatrix, LaurentPoly, _dot, _from_int, _int_cores, as_rational
 from .masks import Mat
-from .splines import quark, refinement_masks
-from .trig import _gram_from_pieces, _local_pieces, is_positive_on_circle, shift_gram_symbol
+from .piecewise import PiecewisePoly
+from .splines import quark, quark_family, refinement_masks
+from .trig import gram_matrix, is_positive_on_circle
 
 
 @dataclass(frozen=True)
@@ -37,34 +40,36 @@ class StabilityReport:
     value: float
 
 
+def is_stable(functions: Sequence[PiecewisePoly], subject: str) -> StabilityReport:
+    """Exact L2-stability decision for the integer translates of a nonempty family.
+
+    Stable iff the Gram determinant is positive on the whole circle; the report
+    carries that determinant's positivity certificate.
+    """
+    res = is_positive_on_circle(trig_determinant(gram_matrix(functions)))
+    return StabilityReport(subject, res.positive, "Gram determinant: " + res.certificate, res.location, res.value)
+
+
 def is_stable_single(m: int, q: int) -> StabilityReport:
     """Exact L2-stability decision for the integer translates of one quark."""
-    phi = quark(m, q)
-    theta = shift_gram_symbol(phi, phi)
-    res = is_positive_on_circle(theta)
-    return StabilityReport(
-        subject=f"quark(m={m}, q={q})",
-        stable=res.positive,
-        certificate=res.certificate,
-        location=res.location,
-        value=res.value,
-    )
+    return is_stable((quark(m, q),), f"quark(m={m}, q={q})")
+
+
+def is_stable_vector(m: int, p: int) -> StabilityReport:
+    """Exact L2-stability decision for the quark vector of degrees 0..p.
+
+    Runs up to p = 8 at least: (5, 8) decides in about 0.25 s and (8, 8) in
+    0.6 to 1 s on a shared 2-core x86_64 host, all but about 1 ms of it Gram
+    matrix (0.04 and 0.1 s) and Bareiss determinant (0.12 to 0.22 s and 0.5
+    to 0.8 s); positivity is that 1 ms, since the determinant vanishes at
+    t = 0.
+    """
+    return is_stable(quark_family(m, p), f"quark vector(m={m}, p={p})")
 
 
 def gram_symbol_matrix(m: int, p: int) -> list[list[LaurentPoly]]:
-    """Matrix of shift Gram symbols of the quark vector (Hermitian in t).
-
-    Only the upper triangle is integrated: G[j][i] is G[i][j].conj_on_circle().
-    """
-    if p < 0:
-        raise ValueError("quark degree must be >= 0")
-    n = p + 1
-    local = [_local_pieces(quark(m, q)) for q in range(n)]
-    upper = {(i, j): _gram_from_pieces(local[i], local[j]) for i in range(n) for j in range(i, n)}
-    return [
-        [upper[i, j] if i <= j else upper[j, i].conj_on_circle() for j in range(n)]
-        for i in range(n)
-    ]
+    """:func:`quarklets.trig.gram_matrix` of the quark vector of degrees 0..p."""
+    return gram_matrix(quark_family(m, p))
 
 
 def trig_determinant(mat: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
@@ -116,26 +121,6 @@ def _exact_quotient(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
     if rem:
         raise ArithmeticError("Bareiss step left a nonzero remainder")
     return quot
-
-
-def is_stable_vector(m: int, p: int) -> StabilityReport:
-    """Exact L2-stability decision for the quark vector of degrees 0..p.
-
-    Runs up to p = 8 at least: (5, 8) decides in about 0.25 s and (8, 8) in
-    0.6 to 1 s on a shared 2-core x86_64 host, all but about 1 ms of it Gram
-    matrix (0.04 and 0.1 s) and Bareiss determinant (0.12 to 0.22 s and 0.5
-    to 0.8 s); positivity is that 1 ms, since the determinant vanishes at
-    t = 0.
-    """
-    det = trig_determinant(gram_symbol_matrix(m, p))
-    res = is_positive_on_circle(det)
-    return StabilityReport(
-        subject=f"quark vector(m={m}, p={p})",
-        stable=res.positive,
-        certificate="Gram determinant: " + res.certificate,
-        location=res.location,
-        value=res.value,
-    )
 
 
 def stability_table(max_m: int, max_p: int) -> dict[tuple[int, int], bool]:

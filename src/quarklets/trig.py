@@ -8,7 +8,8 @@ The central construction is the shift Gram symbol of two compactly supported
 functions f, g: the polynomial whose n-th coefficient is <f, g(. - n)>.  Up to
 one global positive constant (fixed by the Fourier normalization, and
 irrelevant for every positivity question asked here) it equals the periodized
-product sum_k Ff(t + 2 pi k) * conj(Fg(t + 2 pi k)).
+product sum_k Ff(t + 2 pi k) * conj(Fg(t + 2 pi k)).  The Gram matrix of a
+family holds the symbols of all its pairs.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import realroots
-from .laurent import LaurentPoly, _dot, _int_cores
+from .laurent import LaurentPoly, _dot, _from_int, _int_cores
 from .piecewise import PiecewisePoly, taylor_shift
 
 
@@ -33,6 +35,23 @@ def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
     as for quarks), are multiplied and integrated over [0, w).
     """
     return _gram_from_pieces(_local_pieces(f), _local_pieces(g))
+
+
+def gram_matrix(functions: Sequence[PiecewisePoly]) -> list[list[LaurentPoly]]:
+    """Matrix of the shift Gram symbols G[i][j] of a nonempty family (Hermitian in t).
+
+    Each function is rewritten in local coordinates once, and only the upper
+    triangle is integrated: G[j][i] is G[i][j].conj_on_circle().
+    """
+    if not functions:
+        raise ValueError("a Gram matrix needs at least one function")
+    local = [_local_pieces(f) for f in functions]
+    n = len(local)
+    upper = {(i, j): _gram_from_pieces(local[i], local[j]) for i in range(n) for j in range(i, n)}
+    return [
+        [upper[i, j] if i <= j else upper[j, i].conj_on_circle() for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _gram_from_pieces(f_local: list[tuple], g_local: list[tuple]) -> LaurentPoly:
@@ -85,11 +104,23 @@ def to_cosine_polynomial(theta: LaurentPoly) -> LaurentPoly:
 
     Requires symmetric coefficients (c_{-n} = c_n), which is exactly the
     shape of autocorrelation symbols and Gram determinants of real-valued
-    functions.
+    functions.  q = c_0 + sum_n 2 c_n T_n, summed on the integer core while
+    T_{n+1} = 2x T_n - T_{n-1} builds each Chebyshev polynomial from the last two.
     """
     _require_even(theta)
-    terms = (2 * c * realroots.chebyshev_t(n) for n, c in theta.coeffs.items() if n > 0)
-    return sum(terms, LaurentPoly.monomial(theta[0]))
+    (nums,), den = _int_cores((theta,))
+    d = max(nums, default=0)
+    q = [nums.get(0, 0)] + [0] * d
+    prev, cur = [1], [0, 1]  # T_0, T_1: integer coefficients, constant first
+    for n in range(1, d + 1):
+        if c := 2 * nums.get(n, 0):
+            for k, t in enumerate(cur):
+                q[k] += c * t
+        nxt = [0] + [2 * t for t in cur]
+        for k, t in enumerate(prev):
+            nxt[k] -= t
+        prev, cur = cur, nxt
+    return _from_int(dict(enumerate(q)), den)
 
 
 def _require_even(theta: LaurentPoly) -> None:

@@ -21,6 +21,8 @@ outside an interval (the oracle for the support of the generalized duals),
 the Sturm-chain root isolation on the same dyadic bisection and the
 positivity decision built on it with no endpoint shortcut (references for the
 Descartes bisection of ``isolate_roots`` and for ``is_positive_on_circle``),
+the Chebyshev polynomials T_n one at a time and the cosine polynomial as the
+sum of 2 c_n T_n (references for the one-pass ``to_cosine_polynomial``),
 and small oracles that no library code needs: closed-interval root counts,
 the two-scale refinement of a quark vector, the dual modulation matrix and
 exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
@@ -53,7 +55,7 @@ from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import bspline_mask
 from quarklets.stability import dual_eigenvector
 from quarklets.transform import CoefficientFrame
-from quarklets.trig import CirclePositivity, _float_minimum, to_cosine_polynomial
+from quarklets.trig import CirclePositivity, _float_minimum, _require_even
 
 Vec = tuple[Fraction, ...]
 
@@ -486,11 +488,27 @@ def isolate_roots_by_sturm(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fra
     return sorted(roots)
 
 
+def chebyshev_t(n: int) -> LaurentPoly:
+    """The Chebyshev polynomial T_n, by T_{k+1} = 2x T_k - T_{k-1}."""
+    prev, cur = LaurentPoly.one(), LaurentPoly.monomial(Fraction(1), 1)
+    for _ in range(n):
+        prev, cur = cur, LaurentPoly.monomial(Fraction(2), 1) * cur - prev
+    return prev
+
+
+def cosine_polynomial_by_chebyshev(theta: LaurentPoly) -> LaurentPoly:
+    """``to_cosine_polynomial`` as c_0 + sum_n 2 c_n T_n, each T_n built from scratch."""
+    _require_even(theta)
+    terms = (2 * c * chebyshev_t(n) for n, c in theta.coeffs.items() if n > 0)
+    return sum(terms, LaurentPoly.monomial(theta[0]))
+
+
 def is_positive_on_circle_by_sturm(theta: LaurentPoly) -> CirclePositivity:
-    """``is_positive_on_circle`` with no endpoint shortcut and Sturm-chain root isolation."""
+    """``is_positive_on_circle`` with no endpoint shortcut, the cosine polynomial from
+    :func:`cosine_polynomial_by_chebyshev` and Sturm-chain root isolation."""
     if theta.is_zero():
         return CirclePositivity(False, 0.0, 0.0, "identically zero")
-    q = to_cosine_polynomial(theta)
+    q = cosine_polynomial_by_chebyshev(theta)
     roots = isolate_roots_by_sturm(q, Fraction(-1), Fraction(1))
     if roots:
         t = math.acos(max(-1.0, min(1.0, float(max(roots)))))

@@ -263,6 +263,12 @@ class TestPowers:
         with pytest.raises(ZeroDivisionError):
             p.eval_rational(0)
 
+    @pytest.mark.parametrize("x", [0.1, "1/3"])
+    def test_rational_evaluation_rejects_floats_and_strings(self, x):
+        # Fraction(x) reads 0.1 as the binary fraction 3602879701896397/2^55 and parses strings
+        with pytest.raises(TypeError, match="exact rational"):
+            P({0: 1, 1: 1}).eval_rational(x)
+
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 

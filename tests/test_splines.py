@@ -87,6 +87,11 @@ class TestQuark:
             for q in range(0, 4):
                 assert quark(m, q).support() == (-(m // 2), (m + 1) // 2)
 
+    def test_family_rejects_negative_degree(self):
+        # as quark(m, q) and quarklets(m, mt, p) do
+        with pytest.raises(ValueError, match="quark degree must be >= 0"):
+            quark_family(2, -1)
+
 
 class TestRefinementMasks:
     def test_haar_scalar_collapse(self):

@@ -16,6 +16,7 @@ from helpers import (
 )
 
 from quarklets import stability
+from quarklets.cdf import quarklets
 from quarklets.laurent import LaurentPoly
 from quarklets.splines import quark
 from quarklets.trig import is_positive_on_circle, shift_gram_symbol
@@ -194,6 +195,32 @@ class TestBareiss:
         report = is_stable_vector(m, 8)
         assert not report.stable
         assert report.certificate.startswith("Gram determinant: zero on the unit circle")
+
+
+class TestFamily:
+    @pytest.mark.parametrize("m,mt", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
+    def test_quarklet_families_are_stable(self, m, mt, monkeypatch):
+        # each determinant is nonzero at t = 0, so Descartes bisection decides every cell
+        dets = []
+        decide = stability.is_positive_on_circle
+        monkeypatch.setattr(stability, "is_positive_on_circle", lambda det: dets.append(det) or decide(det))
+        for p in range(5):
+            report = stability.is_stable(quarklets(m, mt, p), f"quarklets({m}, {mt}, {p})")
+            assert report.stable, p
+            assert report.certificate.startswith("Gram determinant: positive minimum")
+            assert sum(dets[-1].coeffs.values()) != 0
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_one_function_is_its_autocorrelation(self, m):
+        # the 1 x 1 Bareiss determinant is the entry itself
+        for q in range(7):
+            phi = quark(m, q)
+            report = stability.is_stable((phi,), f"quark(m={m}, q={q})")
+            res = is_positive_on_circle(shift_gram_symbol(phi, phi))
+            assert report == is_stable_single(m, q)
+            assert (report.stable, report.certificate, report.location, report.value) == (
+                res.positive, "Gram determinant: " + res.certificate, res.location, res.value
+            )
 
 
 class TestFtZeroScan:

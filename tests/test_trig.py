@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from helpers import (
     all_roots_in_open_unit_disk,
+    chebyshev_t,
+    cosine_polynomial_by_chebyshev,
     count_roots_closed,
     is_positive_on_circle_by_sturm,
     isolate_roots_by_sturm,
@@ -24,7 +26,7 @@ from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import bspline, quark
 from quarklets.stability import gram_symbol_matrix, trig_determinant
-from quarklets.trig import is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
+from quarklets.trig import gram_matrix, is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
 
 
 class TestShiftGramSymbol:
@@ -95,6 +97,19 @@ class TestGramAgainstTranslates:
         assert shift_gram_symbol(f, PiecewisePoly.zero()) == LaurentPoly.zero()
         assert shift_gram_symbol(PiecewisePoly.zero(), g) == LaurentPoly.zero()
 
+    def test_quarklet_gram_matrix(self):
+        # quarklet breakpoints are half-integers, so pieces overlap translates in part
+        family = quarklets(2, 2, 2)
+        assert any(b.denominator == 2 for f in family for b in f.breakpoints)
+        gram = gram_matrix(family)
+        for i, f in enumerate(family):
+            for j, g in enumerate(family):
+                assert gram[i][j] == shift_gram_symbol_by_translates(f, g), (i, j)
+
+    def test_gram_matrix_of_no_function_raises(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            gram_matrix(())
+
 
 class TestPositivity:
     def test_constant_one(self):
@@ -131,6 +146,20 @@ class TestPositivity:
     def test_asymmetric_coefficients_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             to_cosine_polynomial(LaurentPoly({1: 1}))
+
+    def test_cosine_polynomial_of_single_quarks_equals_the_chebyshev_sum(self):
+        # every autocorrelation symbol behind stability_table(10, 10)
+        for m in range(1, 11):
+            for q in range(11):
+                phi = quark(m, q)
+                theta = shift_gram_symbol(phi, phi)
+                assert to_cosine_polynomial(theta) == cosine_polynomial_by_chebyshev(theta), (m, q)
+
+    def test_cosine_polynomial_of_vector_determinants_equals_the_chebyshev_sum(self):
+        for m in range(1, 7):
+            for p in range(7):
+                det = trig_determinant(gram_symbol_matrix(m, p))
+                assert to_cosine_polynomial(det) == cosine_polynomial_by_chebyshev(det), (m, p)
 
     def test_symmetry_is_checked_before_the_endpoint_value(self):
         # theta(1) = 0, but theta is not even
@@ -304,7 +333,7 @@ class TestRealRoots:
     def test_chebyshev_identity(self):
         # T_n(cos t) = cos(n t) at a few angles
         for n in range(6):
-            tn = realroots.chebyshev_t(n)
+            tn = chebyshev_t(n)
             for t in (0.3, 1.1, 2.9):
                 assert abs(tn(math.cos(t)) - math.cos(n * t)) < 1e-12
 
