@@ -44,6 +44,12 @@ MAX_DEGREE = 14
 # accepted run, ``dual --m 16 --mt 16 --p 14 --levels 64 --grid-depth 9
 # --quarklets``, takes about 21 s on a 2-core x86_64 host.
 MAX_DUAL_WORK = 4_000_000
+# Largest |--lo| and |--hi| of ``ft-zeros``.  The cascade behind quark_ft runs
+# the smallest depth L with 2 ceil(m/2) max|xi| <= 2^L, so at m <= 16 every
+# accepted scan runs at most 20 levels.  At the corner ``ft-zeros --m 16 --q 14
+# --lo -30 --hi 30 --samples 131073`` (9 levels) took 3.8-6.6 s on a shared
+# 2-core x86_64 host, against 8.2-13.0 s with a fixed 20-level cascade.
+MAX_FT_FREQUENCY = 2**16
 # The upper bound of each option, checked before any work.
 _BOUNDS = {"m": MAX_ORDER, "mt": MAX_ORDER, "p": MAX_DEGREE, "q": MAX_DEGREE,
            "max_m": MAX_TABLE_ORDER, "max_p": MAX_TABLE_ORDER, "levels": MAX_LEVELS}
@@ -170,6 +176,8 @@ def cmd_stability_table(args) -> int:
 
 
 def cmd_ft_zeros(args) -> int:
+    if not (abs(args.lo) <= MAX_FT_FREQUENCY and abs(args.hi) <= MAX_FT_FREQUENCY):
+        raise UsageError(f"|--lo| and |--hi| must be at most {MAX_FT_FREQUENCY} (2^16)")
     if args.samples > MAX_GRID_POINTS:
         raise UsageError(f"--samples must be at most {MAX_GRID_POINTS} (2^17 + 1)")
     zeros = stability.ft_zero_scan(args.m, args.q, args.lo, args.hi, samples=args.samples)
@@ -335,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ft-zeros", help="scan a quark Fourier transform for zeros")
     p.add_argument("--m", type=int, required=True, help=f"spline order (at most {MAX_ORDER})")
     p.add_argument("--q", type=int, required=True, help=f"quark degree (at most {MAX_DEGREE})")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
+    p.add_argument("--lo", type=float, required=True, help="left end (|lo| at most 2^16)")
+    p.add_argument("--hi", type=float, required=True, help="right end (|hi| at most 2^16)")
     p.add_argument("--samples", type=int, default=4000,
                    help="grid points on [lo, hi] (at least 3, at most 2^17 + 1)")
     p.add_argument("--out", help="output path (default stdout)")

@@ -3,9 +3,12 @@
 :func:`cascade` is the float refinement product of a matrix symbol over a
 whole array of frequencies, on the taps that :func:`float_taps` reads off an
 exact Laurent matrix.  :func:`quark_ft` runs it on the quark refinement masks
-onto a Taylor tail with exact moments (unitary convention F f(xi) =
+onto a Taylor tail with 20 exact moments (unitary convention F f(xi) =
 (2 pi)^{-1/2} integral f(x) exp(-i x xi) dx), and :func:`ft_zero_scan` scans
-that transform for zeros.
+that transform for zeros.  The depth is the smallest L >= 1 with
+2 ceil(m/2) max|xi| <= 2^L over the call's points, where the dropped tail is
+at most 2 (2 pi)^{-1/2} 2^-20 / 20!; so one xi evaluated in different calls
+agrees to float rounding, not bit for bit.
 
 The dual refinement equation has a compactly supported distributional
 solution whose Fourier transform is, up to one global scalar,
@@ -67,6 +70,14 @@ def float_taps(matrix: LaurentMatrix) -> tuple[int, np.ndarray]:
 _CASCADE_ENTRIES = 2**15
 
 
+@lru_cache(maxsize=None)
+def _halvings(levels: int, lo: int, n_taps: int) -> np.ndarray:
+    """-i k / 2^j for j = 1..levels (rows) and k = lo..lo + n_taps - 1 (columns), read-only."""
+    out = -1j * np.multiply.outer(0.5 ** np.arange(1, levels + 1), np.arange(lo, lo + n_taps))
+    out.flags.writeable = False
+    return out
+
+
 def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) -> np.ndarray:
     """prod_{j=1}^{levels} scale M(exp(-i xi / 2^j)) applied to ``start``, for every xi at once.
 
@@ -77,8 +88,9 @@ def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) 
     lo, coeffs = taps
     n_taps, n = coeffs.shape[:2]
     flat = scale * coeffs.reshape(n_taps, n * n)
-    halvings = -1j * np.multiply.outer(0.5 ** np.arange(1, levels + 1), np.arange(lo, lo + n_taps))
-    out = np.array(np.broadcast_to(start, (len(xi), n)), dtype=complex)
+    halvings = _halvings(levels, lo, n_taps)
+    out = np.empty((len(xi), n), dtype=complex)
+    out[:] = start
     block = max(1, _CASCADE_ENTRIES // (levels * (n_taps + n * n)))
     for s in range(0, len(xi), block):
         mats = (np.exp(np.multiply.outer(xi[s : s + block], halvings)) @ flat).reshape(-1, levels, n, n)
@@ -91,10 +103,8 @@ def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) 
 
 # -- quark Fourier transforms ----------------------------------------------------------
 
-# Depth of the refinement cascade behind quark_ft.  Its degree-3 Taylor tail is
-# taken at eta = xi / 2^20, where the O(eta^4) remainder is below float rounding.
-_FT_LEVELS = 20
-_FT_TAIL_TERMS = 4
+# Exact moments in the Taylor tail behind quark_ft; its docstring bounds the remainder.
+_FT_TAIL_TERMS = 20
 
 
 @lru_cache(maxsize=None)
@@ -102,9 +112,13 @@ def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray
     """Float taps of the symbol of the quarks of degree 0..q, and their Taylor tail.
 
     Row t of the read-only tail is (2 pi)^{-1/2} (-i)^t / t! times the exact t-th moments.
+    The degree-l quark is (x / c)^l times the degree-0 one, c = ceil(m/2), so its
+    t-th moment is the (t + l)-th moment of the degree-0 quark over c^l.
     """
     taps = float_taps(refinement_masks(m, q).to_symbol())
-    moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
+    c = (m + 1) // 2
+    base = [quark(m, 0).moment(k) for k in range(_FT_TAIL_TERMS + q)]
+    moments = np.array([[float(base[t + l] / c**l) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
     factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(_FT_TAIL_TERMS)]
     tail = np.array(factors)[:, None] * moments
     tail.flags.writeable = False
@@ -116,16 +130,27 @@ def quark_ft(m: int, q: int, xi):
 
     The refinement cascade F Phi(xi) = S(exp(-i xi / 2)) F Phi(xi / 2) of the
     quarks of degree 0..q (symbol S from
-    :func:`quarklets.splines.refinement_masks`), run over 20 levels onto the
-    Taylor tail.  For m <= 12, q <= 10 and |xi| <= 30 the absolute error is
-    at most 1e-13 sup|F phi_q|; the relative error grows where the transform
-    decays.
+    :func:`quarklets.splines.refinement_masks`), run over L levels onto the
+    Taylor tail of F Phi at eta = xi / 2^L with 20 exact moments.  L is the
+    smallest depth >= 1 with 2 c max|xi| <= 2^L over the call's points,
+    c = ceil(m/2).  The quarks live on |x| <= c with |x / c|^q <= 1, so the
+    t-th moment is at most c^t and, at |eta| c <= 1/2, the dropped tail is at
+    most 2 (2 pi)^{-1/2} 2^-20 / 20!.  The depth follows the largest point, so
+    one xi evaluated in different calls agrees to float rounding, not bit for
+    bit.  For m <= 16, q <= 14 and |xi| <= 30 the absolute error is at most
+    1e-13 sup|F phi_q|; the relative error grows where the transform decays.
+    Raises ValueError for an infinite or NaN xi, and where 2 c |xi| overflows.
     """
     taps, tail = _ft_cascade_data(m, q)
     xi = np.asarray(xi, dtype=float)
     flat = xi.reshape(-1)
-    powers = np.power.outer(flat / 2**_FT_LEVELS, np.arange(_FT_TAIL_TERMS))
-    values = cascade(taps, 1.0, flat, _FT_LEVELS, powers @ tail)[:, q].reshape(xi.shape)
+    reach = 2 * ((m + 1) // 2) * float(np.max(np.abs(flat), initial=0.0))
+    if not math.isfinite(reach):  # an inf or NaN point, or one so large that reach overflows
+        raise ValueError("quark_ft needs finite frequencies with 2 ceil(m/2) |xi| below 2^1024")
+    frac, exp = math.frexp(reach)  # reach = frac 2^exp with 1/2 <= frac < 1, or 0
+    levels = max(1, exp - (frac == 0.5))
+    powers = np.vander(np.ldexp(flat, -levels), _FT_TAIL_TERMS, increasing=True)
+    values = cascade(taps, 1.0, flat, levels, powers @ tail)[:, q].reshape(xi.shape)
     return complex(values) if xi.ndim == 0 else values
 
 

@@ -127,9 +127,11 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
         ]
     )
 
-    # S(-z) b(z) is U(-z) for U = S(z) b(-z)
+    # S(-z) b(z) is U(-z) for U = S(z) b(-z), so T = U - U(-z) is twice the odd-exponent terms of U
     u = scaling_symbol * b_neg
-    block_det = u - u.substitute_neg()
+    block_det = LaurentMatrix(
+        [[LaurentPoly({k: 2 * c for k, c in e.coeffs.items() if k & 1}) for e in row] for row in u.entries]
+    )
     for q in range(n):
         expected = LaurentPoly.monomial(Fraction(1, 2**q), 1)
         if block_det[q, q] != expected:

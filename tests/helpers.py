@@ -15,7 +15,9 @@ characteristic polynomial and Schur-Cohn test (reference for the diagonal
 read-off of ``condition_e``), the truncated dual product point by point
 (reference for the refinement cascade; its raw form, without the first-order
 tail, is the only raw product left and backs the truncation-floor tests), the
-quark Fourier transform by mpmath quadrature (reference for ``quark_ft``),
+quark Fourier transform by mpmath quadrature and by the fixed-depth cascade
+of 20 levels onto a degree-3 Taylor tail (references for ``quark_ft`` and its
+adaptive depth),
 the Hann-windowed FFT profile of sampled transform values and its L2 mass
 outside an interval (the oracle for the support of the generalized duals),
 the Sturm-chain root isolation on the same dyadic bisection and the
@@ -37,13 +39,14 @@ early stop of ``ft_zero_scan``)."""
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
 
 from quarklets import realroots
 from quarklets.cdf import CdfPair, scalar_pr_defect
-from quarklets.duals import _ZERO_RTOL, dual_tail_slope, quark_ft
+from quarklets.duals import _ZERO_RTOL, cascade, dual_tail_slope, float_taps, quark_ft
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import (
@@ -52,7 +55,7 @@ from quarklets.modulation import (
     build_modulation,
 )
 from quarklets.piecewise import PiecewisePoly, inner_product
-from quarklets.splines import bspline_mask
+from quarklets.splines import bspline_mask, quark, refinement_masks
 from quarklets.stability import dual_eigenvector
 from quarklets.transform import CoefficientFrame
 from quarklets.trig import CirclePositivity, _float_minimum, _require_even
@@ -592,6 +595,24 @@ def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
                       for k in range(max(piece.coeffs, default=-1), -1, -1)]
             total += mp.quad(lambda s: mp.polyval(coeffs, s) * mp.expj(-s * x), [a, b])
         return complex(total / mp.sqrt(2 * mp.pi))
+
+
+@lru_cache(maxsize=None)
+def _fixed_depth_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray]:
+    taps = float_taps(refinement_masks(m, q).to_symbol())
+    moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(4)])
+    factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(4)]
+    return taps, np.array(factors)[:, None] * moments
+
+
+def quark_ft_fixed_depth(m: int, q: int, xi):
+    """``quark_ft`` by 20 cascade levels onto its degree-3 Taylor tail at xi / 2^20, whatever xi."""
+    taps, tail = _fixed_depth_data(m, q)
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.reshape(-1)
+    powers = np.power.outer(flat / 2**20, np.arange(4))
+    values = cascade(taps, 1.0, flat, 20, powers @ tail)[:, q].reshape(xi.shape)
+    return complex(values) if xi.ndim == 0 else values
 
 
 def time_profile(values: np.ndarray, xi_max: float) -> tuple[np.ndarray, np.ndarray]:

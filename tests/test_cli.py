@@ -11,7 +11,8 @@ import pytest
 
 from quarklets import cli, duals, stability
 from quarklets.cli import (
-    MAX_DEGREE, MAX_DUAL_WORK, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER, main,
+    MAX_DEGREE, MAX_DUAL_WORK, MAX_FT_FREQUENCY, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER,
+    main,
 )
 
 
@@ -185,6 +186,31 @@ class TestFtZeros:
         assert code == 2
         assert out == ""
         assert str(MAX_GRID_POINTS) in err
+
+    @pytest.mark.parametrize("lo,hi", [("-1e300", "1"), ("-1", "1e300"), ("-65537", "0"),
+                                       ("0", "65536.5"), ("-inf", "0"), ("nan", "1")])
+    def test_far_interval_exits_2_before_the_scan(self, capsys, monkeypatch, lo, hi):
+        def never(*args, **kwargs):
+            raise AssertionError("the scan must not run beyond the frequency bound")
+
+        monkeypatch.setattr(stability, "ft_zero_scan", never)
+        code, out, err = run(capsys, "ft-zeros", "--m", "2", "--q", "2", f"--lo={lo}", f"--hi={hi}")
+        assert code == 2
+        assert out == ""
+        assert str(MAX_FT_FREQUENCY) in err
+
+    def test_frequency_bound_keeps_the_cascade_at_twenty_levels(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(stability, "ft_zero_scan", lambda m, q, lo, hi, samples: seen.append((lo, hi)) or [])
+        code, out, _ = run(capsys, "ft-zeros", "--m", "2", "--q", "2",
+                           f"--lo={-MAX_FT_FREQUENCY}", f"--hi={MAX_FT_FREQUENCY}")
+        assert (code, out, seen) == (0, "zero\n", [(-MAX_FT_FREQUENCY, MAX_FT_FREQUENCY)])
+        levels = []
+        cascade = duals.cascade
+        monkeypatch.setattr(duals, "cascade", lambda taps, scale, xi, depth, start:
+                            levels.append(depth) or cascade(taps, scale, xi, depth, start))
+        duals.quark_ft(MAX_ORDER, 0, [-MAX_FT_FREQUENCY, MAX_FT_FREQUENCY])
+        assert levels == [20]
 
     def test_samples_at_the_limit_reach_the_scan(self, capsys, monkeypatch):
         seen = []

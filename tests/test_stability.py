@@ -12,10 +12,11 @@ from helpers import (
     cofactor_determinant,
     condition_e_reference,
     ft_zero_scan_fixed_steps,
+    quark_ft_fixed_depth,
     shift_gram_symbol_by_translates,
 )
 
-from quarklets import stability
+from quarklets import duals, stability
 from quarklets.cdf import quarklets
 from quarklets.laurent import LaurentPoly
 from quarklets.splines import quark
@@ -270,6 +271,33 @@ class TestFtZeroScan:
         ]
         for m, q, lo, hi, samples in cases:
             assert ft_zero_scan(m, q, lo, hi, samples) == ft_zero_scan_fixed_steps(m, q, lo, hi, samples)
+
+    def test_fixed_depth_transform_gives_the_same_zeros(self, monkeypatch):
+        # measured: equal on every fixed input but (4, 2, -11, 11), whose zero near 10.036
+        # moves by 4e-15; at most 1.3e-11 apart on the random ones
+        fixed = [(2, 2, -12, 12), (2, 3, -2 * math.pi, 2 * math.pi), (1, 1, -10, 10), (1, 2, -7, 7),
+                 (4, 2, -11, 11), (7, 0, -20, 20), (1, 1, -10, 10, 1000)] + [(m, 0, -20, 20) for m in range(1, 7)]
+        rng = random.Random(3)  # the random cases of test_early_stop_equals_the_full_ternary_loop
+        randomized = [
+            (rng.randint(1, 8), rng.randint(0, 6), -rng.uniform(1, 25), rng.uniform(1, 25),
+             rng.choice([50, 300, 1000]))
+            for _ in range(20)
+        ]
+        adaptive = [ft_zero_scan(*case) for case in fixed + randomized]
+        monkeypatch.setattr(duals, "quark_ft", quark_ft_fixed_depth)
+        for k, (case, zeros) in enumerate(zip(fixed + randomized, adaptive)):
+            reference = ft_zero_scan(*case)
+            assert len(reference) == len(zeros)
+            assert all(abs(a - b) <= (1e-14 if k < len(fixed) else 1e-9) for a, b in zip(reference, zeros))
+
+    def test_scan_runs_only_as_deep_as_its_interval(self, monkeypatch):
+        # 2 ceil(3/2) 10.5 = 42 <= 2^6
+        levels = []
+        cascade = duals.cascade
+        monkeypatch.setattr(duals, "cascade", lambda taps, scale, xi, depth, start:
+                            levels.append(depth) or cascade(taps, scale, xi, depth, start))
+        ft_zero_scan(3, 2, -10.5, 10.5, 1000)
+        assert levels and max(levels) <= 6
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
