@@ -53,9 +53,6 @@ class CdfPair:
     def dual_symbol(self) -> LaurentPoly:
         return self.dual.to_symbol()[0, 0]
 
-    def dual_wavelet_symbol(self) -> LaurentPoly:
-        return self.dual_wavelet.to_symbol()[0, 0]
-
 
 def validate_orders(m: int, mt: int):
     if m < 1 or mt < 1:

@@ -21,6 +21,7 @@ from . import serialize, stability, transform
 from .cdf import cdf_masks, quarklet, scalar_pr_defect, validate_orders
 from .modulation import build_modulation, decomposition_filters, verify_perfect_reconstruction
 from .splines import bspline, quark
+from .stability import MAX_FT_FREQUENCY
 from .transform import orthogonalize_haar
 
 
@@ -44,12 +45,6 @@ MAX_DEGREE = 14
 # accepted run, ``dual --m 16 --mt 16 --p 14 --levels 64 --grid-depth 9
 # --quarklets``, takes about 21 s on a 2-core x86_64 host.
 MAX_DUAL_WORK = 4_000_000
-# Largest |--lo| and |--hi| of ``ft-zeros``.  The cascade behind quark_ft runs
-# the smallest depth L with 2 ceil(m/2) max|xi| <= 2^L, so at m <= 16 every
-# accepted scan runs at most 20 levels.  At the corner ``ft-zeros --m 16 --q 14
-# --lo -30 --hi 30 --samples 131073`` (9 levels) took 3.8-6.6 s on a shared
-# 2-core x86_64 host, against 8.2-13.0 s with a fixed 20-level cascade.
-MAX_FT_FREQUENCY = 2**16
 # The upper bound of each option, checked before any work.
 _BOUNDS = {"m": MAX_ORDER, "mt": MAX_ORDER, "p": MAX_DEGREE, "q": MAX_DEGREE,
            "max_m": MAX_TABLE_ORDER, "max_p": MAX_TABLE_ORDER, "levels": MAX_LEVELS}
@@ -176,6 +171,7 @@ def cmd_stability_table(args) -> int:
 
 
 def cmd_ft_zeros(args) -> int:
+    # the library's own bound, checked here before any work
     if not (abs(args.lo) <= MAX_FT_FREQUENCY and abs(args.hi) <= MAX_FT_FREQUENCY):
         raise UsageError(f"|--lo| and |--hi| must be at most {MAX_FT_FREQUENCY} (2^16)")
     if args.samples > MAX_GRID_POINTS:

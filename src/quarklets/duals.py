@@ -43,10 +43,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .laurent import LaurentMatrix, _int_cores
+from .laurent import LaurentMatrix
 from .modulation import build_modulation
 from .splines import quark, refinement_masks
-from .stability import dual_eigenvector, dual_symbol_at_one
+from .stability import MAX_FT_FREQUENCY, dual_eigenvector, dual_symbol_at_one
 
 
 # -- the refinement cascade ----------------------------------------------------------
@@ -58,8 +58,8 @@ def float_taps(matrix: LaurentMatrix) -> tuple[int, np.ndarray]:
     coeffs = np.zeros((hi - lo + 1, matrix.rows, matrix.cols))
     for i, row in enumerate(matrix.entries):
         for j, e in enumerate(row):
-            for k, c in e.coeffs.items():
-                coeffs[k - lo, i, j] = float(c)
+            for k, n in e.nums.items():
+                coeffs[k - lo, i, j] = n / e.den
     coeffs.flags.writeable = False
     return lo, coeffs
 
@@ -139,14 +139,16 @@ def quark_ft(m: int, q: int, xi):
     one xi evaluated in different calls agrees to float rounding, not bit for
     bit.  For m <= 16, q <= 14 and |xi| <= 30 the absolute error is at most
     1e-13 sup|F phi_q|; the relative error grows where the transform decays.
-    Raises ValueError for an infinite or NaN xi, and where 2 c |xi| overflows.
+    Raises ValueError for an infinite or NaN xi and for |xi| above
+    ``MAX_FT_FREQUENCY`` (2^16), which keeps every call at m <= 16 within 20 levels.
     """
     taps, tail = _ft_cascade_data(m, q)
     xi = np.asarray(xi, dtype=float)
     flat = xi.reshape(-1)
-    reach = 2 * ((m + 1) // 2) * float(np.max(np.abs(flat), initial=0.0))
-    if not math.isfinite(reach):  # an inf or NaN point, or one so large that reach overflows
-        raise ValueError("quark_ft needs finite frequencies with 2 ceil(m/2) |xi| below 2^1024")
+    top = float(np.max(np.abs(flat), initial=0.0))
+    if not top <= MAX_FT_FREQUENCY:  # also an inf or NaN point
+        raise ValueError(f"quark_ft needs finite frequencies with |xi| at most {MAX_FT_FREQUENCY} (2^16)")
+    reach = 2 * ((m + 1) // 2) * top
     frac, exp = math.frexp(reach)  # reach = frac 2^exp with 1/2 <= frac < 1, or 0
     levels = max(1, exp - (frac == 0.5))
     powers = np.vander(np.ldexp(flat, -levels), _FT_TAIL_TERMS, increasing=True)
@@ -208,8 +210,8 @@ def dual_tail_slope(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     M = 2^{-p} St: differentiating G(2 eta) = M(exp(-i eta)) G(eta) at
     eta = 0, with G(0) = v, gives 2 G'(0) = -i M'(1) v + M(1) G'(0).  M(1) is
     upper triangular with diagonal 2^{q-p} <= 1, so 2I - M(1) is solved by
-    back-substitution.  M'(1) = sum_k k M_k is read off each row's integer
-    numerators over one common denominator.
+    back-substitution.  M'(1) = sum_k k M_k is read off each entry's integer
+    numerators over its denominator.
     """
     at_one = dual_symbol_at_one(m, mt, p)
     v = dual_eigenvector(m, mt, p)
@@ -217,11 +219,8 @@ def dual_tail_slope(m: int, mt: int, p: int) -> tuple[Fraction, ...]:
     scale = Fraction(1, 2**p)
     rhs = []
     for row in symbol.entries:
-        cores, den = _int_cores(row)
-        acc = Fraction(0)
-        for nums, vj in zip(cores, v):
-            acc += Fraction(sum(k * n for k, n in nums.items()), den) * vj
-        rhs.append(acc * scale)
+        slopes = (Fraction(sum(k * n for k, n in e.nums.items()), e.den) for e in row)
+        rhs.append(sum((s * vj for s, vj in zip(slopes, v)), Fraction(0)) * scale)
     n = len(rhs)
     w = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):

@@ -1,30 +1,33 @@
 """Laurent polynomials over the rationals, and matrices of them.
 
 A Laurent polynomial sum_k c_k z^k with finitely many nonzero c_k is stored as
-a sparse map ``{exponent: coefficient}`` with no zero entries.  On the unit
+integer numerators over one denominator: ``nums = {exponent: numerator}``
+with no zero entries and ``den > 0``, in lowest terms (gcd(den, *nums) = 1).
+That form is canonical, so ``==`` and ``hash`` compare it structurally, and
+``coeffs`` is a read-only ``Fraction`` view built on demand.  On the unit
 circle |z| = 1 conjugation acts by c_k z^{-k} (the coefficients are real),
 which is what :meth:`LaurentPoly.conj_on_circle` implements.  Evaluated at
 z = exp(-i t), the same object is the trigonometric polynomial
 sum_k c_k exp(-i k t).
 
-All arithmetic is exact.  Every product runs on an integer core, because
-coefficient convolution dominates the cost of the perfect-reconstruction
-checks and the frame transforms: a matrix product scales each row of the
-left factor and each column of the right one to integer numerators over one
-common denominator, accumulates every output entry in ``int`` and divides
-once per coefficient.  A right factor applied many times, such as a filter
-bank's polyphase matrix, keeps its column cores (``keep_column_cores``).  A
-polynomial product is its 1x1 case, and triangular inversion runs its forward
-substitution on the same kernel.  The module imports no numpy: the float taps
-of a Laurent matrix and every Fourier-domain value are taken in
-:mod:`quarklets.duals`.
+All arithmetic is exact and runs on integers, with one gcd per result: sums,
+scalar multiples, z -> -z, z -> 1/z and the derivative act on the numerators.
+A matrix product scales each row of the left factor and each column of the
+right one to one common denominator (``_int_cores``), accumulates every
+output entry in ``int`` (``_dot``) and reduces it once (``_from_int``).  A
+polynomial product is its 1x1 case, triangular inversion runs its forward
+substitution on the same kernel, and :func:`row_taps_product` applies a
+matrix, given by its column cores, to a row given by rational taps.  The
+module imports no numpy: the float taps of a Laurent matrix and every
+Fourier-domain value are taken in :mod:`quarklets.duals`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 
@@ -38,18 +41,21 @@ def as_rational(value) -> Fraction:
 
 
 class LaurentPoly:
-    """Finitely supported Laurent polynomial sum_k c_k z^k."""
+    """Finitely supported Laurent polynomial sum_k (nums[k] / den) z^k, in lowest terms."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
         clean: dict[int, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
                 c = as_rational(c)
-                if c != 0:
+                if c:
                     clean[operator.index(k)] = c
-        self.coeffs = clean
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -59,7 +65,7 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(1)})
+        return _raw({0: 1}, 1)
 
     @staticmethod
     def monomial(c, k: int = 0) -> "LaurentPoly":
@@ -67,72 +73,58 @@ class LaurentPoly:
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """Read-only view {exponent: coefficient}, one Fraction per nonzero term."""
+        den = self.den
+        return MappingProxyType({k: Fraction(n, den) for k, n in self.nums.items()})
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+        return Fraction(self.nums.get(k, 0), self.den)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self.coeffs.items()))
 
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.nums) == 1
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _from_dict(out)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __neg__(self):
-        return _from_dict({k: -c for k, c in self.coeffs.items()})
+        return _raw({k: -n for k, n in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_rational(other)
-            if c == 0:
-                return LaurentPoly.zero()
-            return _from_dict({k: v * c for k, v in self.coeffs.items()})
+            return _from_int({k: n * c.numerator for k, n in self.nums.items()}, self.den * c.denominator)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        na, da = _int_cores((self,))
-        nb, db = _int_cores((other,))
-        return _from_int(_dot(na, nb), da * db)
+        return _from_int(_dot((self.nums,), (other.nums,)), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             if self.is_monomial():
-                k, c = next(iter(self.coeffs.items()))
-                return LaurentPoly({-k: Fraction(1) / c}) ** (-n)
+                k, c = next(iter(self.nums.items()))
+                return LaurentPoly({-k: Fraction(self.den, c)}) ** (-n)
             raise ValueError("negative powers require a monomial")
         out = LaurentPoly.one()
         base = self
@@ -155,48 +147,53 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.coeffs:
+        if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        top, terms = max(other.coeffs), other.coeffs.items()
-        lead = other.coeffs[top]
+        terms = other.coeffs
+        top = max(terms)
+        lead = terms[top]
         rem, quot = dict(self.coeffs), {}
-        floor = min(0, min(rem) - min(other.coeffs)) if rem and min(rem) < 0 else 0
+        floor = min(0, min(rem) - min(terms)) if rem and min(rem) < 0 else 0
         while rem and max(rem) - top >= floor:
             shift = max(rem) - top
             f = quot[shift] = rem[top + shift] / lead
-            for k, c in terms:
+            for k, c in terms.items():
                 v = rem.get(k + shift, 0) - f * c
                 if v:
                     rem[k + shift] = v
                 else:
                     del rem[k + shift]
-        return _from_dict(quot), _from_dict(rem)
+        return LaurentPoly(quot), LaurentPoly(rem)
 
     # -- structural operations ------------------------------------------------
 
+    def shift(self, d: int) -> "LaurentPoly":
+        """z^d times this polynomial."""
+        return _raw({k + d: n for k, n in self.nums.items()}, self.den)
+
     def derivative(self) -> "LaurentPoly":
         """d/dz, term by term."""
-        return _from_dict({k - 1: k * c for k, c in self.coeffs.items() if k})
+        return _from_int({k - 1: k * n for k, n in self.nums.items() if k}, self.den)
 
     def substitute_neg(self) -> "LaurentPoly":
         """z -> -z: flip the sign of every odd-exponent coefficient."""
-        return _from_dict({k: (-c if k & 1 else c) for k, c in self.coeffs.items()})
+        return _raw({k: (-n if k & 1 else n) for k, n in self.nums.items()}, self.den)
 
     def conj_on_circle(self) -> "LaurentPoly":
         """Pointwise conjugate on |z| = 1, i.e. the reflection c_k z^k -> c_k z^{-k}."""
-        return _from_dict({-k: c for k, c in self.coeffs.items()})
+        return _raw({-k: n for k, n in self.nums.items()}, self.den)
 
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
-        return sum(float(c) * z**k for k, c in self.coeffs.items())
+        return sum(n / self.den * z**k for k, n in self.nums.items())
 
     def eval_rational(self, x: Fraction | int) -> Fraction:
-        """Exact value at a rational point, by Horner's rule on the integer core."""
+        """Exact value at a rational point, by Horner's rule on the integer numerators."""
         x = as_rational(x)
-        if not self.coeffs:
+        nums = self.nums
+        if not nums:
             return Fraction(0)
-        (nums,), den = _int_cores((self,))
         exps = sorted(nums, reverse=True)
         p, q = x.numerator, x.denominator
         # acc = sum_k nums[k] p^(k - lo) q^(hi - k), from the top exponent down
@@ -205,7 +202,7 @@ class LaurentPoly:
             q_pow *= q ** (prev - k)
             acc = acc * p ** (prev - k) + nums[k] * q_pow
             prev = k
-        return Fraction(acc, den * q_pow) * x**prev
+        return Fraction(acc, self.den * q_pow) * x**prev
 
     # -- comparisons -----------------------------------------------------------
 
@@ -213,13 +210,13 @@ class LaurentPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "LaurentPoly(0)"
         terms = " + ".join(f"({c})z^{k}" if k else f"({c})" for k, c in self.items())
         return f"LaurentPoly({terms})"
@@ -233,10 +230,22 @@ def _as_poly(value):
     return NotImplemented
 
 
+def _add(p: LaurentPoly, other, sign: int):
+    """p + sign * other on the numerators over one denominator; NotImplemented for a non-rational other."""
+    other = _as_poly(other)
+    if other is NotImplemented:
+        return NotImplemented
+    (a, b), den = _int_cores((p, other))
+    out = dict(a)
+    for k, n in b.items():
+        out[k] = out.get(k, 0) + sign * n
+    return _from_int(out, den)
+
+
 def _int_cores(polys: Sequence[LaurentPoly]) -> tuple[list[dict[int, int]], int]:
-    """Integer numerators of every polynomial over one common denominator of them all."""
-    den = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
-    return [{k: c.numerator * (den // c.denominator) for k, c in p.coeffs.items()} for p in polys], den
+    """Numerators of every polynomial over the lcm of their denominators, and that lcm (shared, not copied)."""
+    den = lcm(*(p.den for p in polys))
+    return [p.nums if p.den == den else {k: n * (den // p.den) for k, n in p.nums.items()} for p in polys], den
 
 
 def _dot(row: Sequence[dict[int, int]], col: Sequence[dict[int, int]]) -> dict[int, int]:
@@ -254,21 +263,60 @@ def _dot(row: Sequence[dict[int, int]], col: Sequence[dict[int, int]]) -> dict[i
 
 
 def _from_int(nums: Mapping[int, int], den: int) -> LaurentPoly:
-    """The polynomial sum_k (nums[k] / den) z^k; zero numerators are dropped."""
-    return _from_dict({k: Fraction(n, den) for k, n in nums.items() if n})
+    """The polynomial sum_k (nums[k] / den) z^k for any nonzero den, reduced by one gcd; zeros are dropped."""
+    nums = {k: n for k, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = {k: n // g for k, n in nums.items()}
+        den //= g
+    return _raw(nums, den)
 
 
-def _from_dict(coeffs: dict[int, Fraction]) -> LaurentPoly:
-    """A LaurentPoly around ``coeffs``, which must hold nonzero Fractions only."""
+def _raw(nums: dict[int, int], den: int) -> LaurentPoly:
+    """A LaurentPoly around ``nums`` over ``den``, which must already be canonical."""
     res = LaurentPoly.__new__(LaurentPoly)
-    res.coeffs = coeffs
+    res.nums, res.den = nums, den
     return res
+
+
+def row_taps_product(taps: Mapping[int, Sequence[Fraction]],
+                     columns: Sequence[tuple[list[dict[int, int]], int]]) -> dict[int, list[Fraction]]:
+    """The taps of r @ M, r = sum_k taps[k] z^k a one-row matrix and M given by :func:`column_cores`.
+
+    ``(LaurentMatrix.from_taps(1, n, {k: [t] for k, t in taps.items()}) @ M).taps()`` with the
+    row picked out of every tap, but the row's integer numerators come straight from the taps
+    over one lcm, and each output coefficient is one Fraction.
+    """
+    den = lcm(*(c.denominator for tap in taps.values() for c in tap))
+    row: list[dict[int, int]] = [{} for _ in columns[0][0]]
+    for k, tap in taps.items():
+        for j, c in enumerate(tap):
+            if c:
+                row[j][k] = c.numerator * (den // c.denominator)
+    zero, width = Fraction(0), len(columns)
+    out: dict[int, list[Fraction]] = {}
+    for j, (col, col_den) in enumerate(columns):
+        scale = den * col_den
+        for k, n in _dot(row, col).items():
+            if n:
+                tap = out.get(k)
+                if tap is None:
+                    tap = out[k] = [zero] * width
+                tap[j] = Fraction(n, scale)
+    return out
+
+
+def column_cores(matrix: "LaurentMatrix") -> list[tuple[list[dict[int, int]], int]]:
+    """The integer cores of every column of ``matrix``, for :func:`row_taps_product`."""
+    return [_int_cores(col) for col in zip(*matrix.entries)]
 
 
 class LaurentMatrix:
     """Rectangular matrix with LaurentPoly entries."""
 
-    __slots__ = ("rows", "cols", "entries", "_col_cores")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[object]]):
         grid = []
@@ -282,7 +330,6 @@ class LaurentMatrix:
         self.entries: tuple[tuple[LaurentPoly, ...], ...] = tuple(grid)
         self.rows = len(grid)
         self.cols = width
-        self._col_cores = None  # integer cores of the columns, set by keep_column_cores
 
     # -- constructors -----------------------------------------------------------
 
@@ -342,16 +389,17 @@ class LaurentMatrix:
         out: dict[int, list[list[Fraction]]] = {}
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                for k, c in e.coeffs.items():
+                den = e.den
+                for k, n in e.nums.items():
                     tap = out.get(k)
                     if tap is None:
                         tap = out[k] = [[zero] * self.cols for _ in range(self.rows)]
-                    tap[i][j] = c
+                    tap[i][j] = Fraction(n, den)
         return out
 
     def exponent_range(self) -> tuple[int, int]:
         """Lowest and highest exponent over all entries; (0, 0) for the zero matrix."""
-        exps = [k for row in self.entries for e in row for k in e.coeffs]
+        exps = [k for row in self.entries for e in row for k in e.nums]
         return (min(exps), max(exps)) if exps else (0, 0)
 
     # -- arithmetic -----------------------------------------------------------------
@@ -371,16 +419,10 @@ class LaurentMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         # each row of self and each column of other over one denominator, so every
-        # output entry is one integer accumulation and one division per coefficient
+        # output entry is one integer accumulation and one gcd
         rows = [_int_cores(row) for row in self.entries]
-        cols = other._col_cores or [_int_cores(col) for col in zip(*other.entries)]
+        cols = column_cores(other)
         return LaurentMatrix([[_from_int(_dot(ra, cb), da * db) for cb, db in cols] for ra, da in rows])
-
-    def keep_column_cores(self) -> "LaurentMatrix":
-        """This matrix, holding its columns' integer cores for every later product with it on the right."""
-        if self._col_cores is None:
-            self._col_cores = [_int_cores(col) for col in zip(*self.entries)]
-        return self
 
     def __mul__(self, other) -> "LaurentMatrix":
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -422,8 +464,8 @@ class LaurentMatrix:
             if not d.is_monomial():
                 raise ValueError(f"diagonal entry ({i},{i}) is not a monomial; "
                                  "matrix is not invertible over Laurent polynomials")
-            k, c = next(iter(d.coeffs.items()))
-            diag_inv.append(LaurentPoly.monomial(1 / c, -k))
+            k, c = next(iter(d.nums.items()))
+            diag_inv.append(LaurentPoly.monomial(Fraction(d.den, c), -k))
         zero = LaurentPoly.zero()
         inv: list[list[LaurentPoly]] = [[zero] * n for _ in range(n)]
         for i in range(n):

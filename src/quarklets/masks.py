@@ -41,10 +41,20 @@ class MaskSequence:
         return MaskSequence(1, 1, {k: ((as_rational(v),),) for k, v in values.items()})
 
     @staticmethod
+    def from_taps(rows: int, cols: int, taps: Mapping[int, Sequence[Sequence[Fraction]]]) -> "MaskSequence":
+        """The mask of ``LaurentMatrix.taps`` of a rows x cols matrix, taken without re-validation.
+
+        Every tap must be a nonzero rows x cols matrix of Fractions, as ``taps`` gives them.
+        """
+        mask = MaskSequence.__new__(MaskSequence)
+        mask.rows, mask.cols = rows, cols
+        mask.entries = MappingProxyType({k: tuple(map(tuple, taps[k])) for k in sorted(taps)})
+        return mask
+
+    @staticmethod
     def from_symbol(symbol: LaurentMatrix) -> "MaskSequence":
         """Masks M_k = 2 * (z^k coefficient of the symbol), read off the nonzero terms only."""
-        taps = (symbol * 2).taps()
-        return MaskSequence(symbol.rows, symbol.cols, {k: taps[k] for k in sorted(taps)})
+        return MaskSequence.from_taps(symbol.rows, symbol.cols, (symbol * 2).taps())
 
     def to_symbol(self) -> LaurentMatrix:
         """The symbol, the Laurent matrix (1/2) sum_k M_k z^k."""

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cdf import CdfPair, cdf_masks, quarklets
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, _from_int, column_cores
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
 from .splines import quark_family, refinement_masks
@@ -87,14 +87,27 @@ class ModulationBundle:
         """
         top = self.modulation_inv.entries[: self.size]
         return LaurentMatrix(
-            [[LaurentPoly({k + r: c for k, c in e.coeffs.items() if k % 2 == r}) for e in row]
+            [[_from_int({k + r: c for k, c in e.nums.items() if k % 2 == r}, e.den) for e in row]
              for r in (0, 1) for row in top]
         )
 
     @cached_property
+    def synthesis_cores(self) -> list:
+        """The column cores of P(z), kept for every ``transform.reconstruct`` with this bundle."""
+        return column_cores(self.synthesis_matrix)
+
+    @cached_property
     def factorization_holds(self) -> bool:
-        """P == X E, checked exactly, on first use."""
-        return self.synthesis_matrix == self.modulation @ parity_exchange_matrix(self.size)
+        """P == X E, checked exactly, on first use.
+
+        E = [[Id, z^-1 Id], [Id, -z^-1 Id]], so row [x, y] of X, split in halves,
+        gives row [x + y, z^-1 (x - y)] of X E: sums and differences, no product.
+        """
+        n = self.size
+        halves = [(row[:n], row[n:]) for row in self.modulation.entries]
+        return self.synthesis_matrix == LaurentMatrix(
+            [[a + b for a, b in zip(x, y)] + [(a - b).shift(-1) for a, b in zip(x, y)] for x, y in halves]
+        )
 
     @cached_property
     def polyphase_residuals(self) -> tuple[tuple[int, int, LaurentPoly], ...]:
@@ -130,7 +143,7 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
     # S(-z) b(z) is U(-z) for U = S(z) b(-z), so T = U - U(-z) is twice the odd-exponent terms of U
     u = scaling_symbol * b_neg
     block_det = LaurentMatrix(
-        [[LaurentPoly({k: 2 * c for k, c in e.coeffs.items() if k & 1}) for e in row] for row in u.entries]
+        [[_from_int({k: 2 * c for k, c in e.nums.items() if k & 1}, e.den) for e in row] for row in u.entries]
     )
     for q in range(n):
         expected = LaurentPoly.monomial(Fraction(1, 2**q), 1)
@@ -179,8 +192,9 @@ class ReconstructionReport:
 
 
 def check_product_is_identity(x: LaurentMatrix, xinv: LaurentMatrix) -> tuple[tuple[int, int, LaurentPoly], ...]:
-    residual = x @ xinv - LaurentMatrix.identity(x.rows)
-    return tuple((i, j, e) for i, row in enumerate(residual.entries) for j, e in enumerate(row) if e)
+    one = LaurentPoly.one()
+    residual = ((i, j, e - one if i == j else e) for i, row in enumerate((x @ xinv).entries) for j, e in enumerate(row))
+    return tuple((i, j, e) for i, j, e in residual if e)
 
 
 def verify_perfect_reconstruction(bundle: ModulationBundle) -> ReconstructionReport:
@@ -194,21 +208,12 @@ def verify_perfect_reconstruction(bundle: ModulationBundle) -> ReconstructionRep
     n = bundle.size
     inv = bundle.modulation_inv.entries
     if bundle.factorization_holds and all(
-        _is_at_neg(t, b) for top, bottom in zip(inv[:n], inv[n:]) for t, b in zip(top, bottom)
+        b == t.substitute_neg() for top, bottom in zip(inv[:n], inv[n:]) for t, b in zip(top, bottom)
     ):
         residuals = bundle.polyphase_residuals
     else:
         residuals = check_product_is_identity(bundle.modulation, bundle.modulation_inv)
     return ReconstructionReport(bundle.m, bundle.mt, bundle.p, not residuals, residuals)
-
-
-def _is_at_neg(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """Whether q(z) = p(-z), i.e. q_k = (-1)^k p_k, compared on numerators and denominators."""
-    qc = q.coeffs
-    return qc.keys() == p.coeffs.keys() and all(
-        qc[k].numerator == (-c.numerator if k & 1 else c.numerator) and qc[k].denominator == c.denominator
-        for k, c in p.coeffs.items()
-    )
 
 
 def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -267,6 +272,11 @@ class DecompositionFilters:
     detail: MaskSequence  # D_n, n in Z
     polyphase_inv: LaurentMatrix  # P(z)^{-1} = [[C_0, D_0], [C_1, D_1]], applied by decompose
 
+    @cached_property
+    def analysis_cores(self) -> list:
+        """The column cores of P(z)^{-1}, kept for every ``transform.decompose`` with these filters."""
+        return column_cores(self.polyphase_inv)
+
 
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
     """Read the splitting filters off P(z)^{-1} = E(z)^{-1} X(z)^{-1}.
@@ -278,10 +288,12 @@ def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
     """
     n = bundle.size
     inv = bundle.polyphase_inv
-    block_rows = (LaurentMatrix(inv.entries[r * n : (r + 1) * n]).taps() for r in (0, 1))
-    both = {e + r: tap for r, taps in enumerate(block_rows) for e, tap in taps.items()}  # k -> [C_k, D_k]
+    rows = (inv.entries[:n], inv.entries[n:])
     coarse, detail = (
-        MaskSequence(n, n, {k: tuple(row[c : c + n] for row in both[k]) for k in sorted(both)})
+        MaskSequence.from_taps(n, n, {
+            e + r: tap for r in (0, 1)
+            for e, tap in LaurentMatrix([row[c : c + n] for row in rows[r]]).taps().items()
+        })
         for c in (0, n)
     )
     return DecompositionFilters(bundle.m, bundle.mt, bundle.p, coarse, detail, inv)

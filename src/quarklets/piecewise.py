@@ -16,7 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPoly, _from_dict, _int_cores, as_rational
+from .laurent import LaurentPoly, _from_int, as_rational
 
 _ZERO = LaurentPoly.zero()
 
@@ -41,7 +41,7 @@ class PiecewisePoly:
                 raise ValueError(f"breakpoint {b} is not dyadic")
         polys = [p if isinstance(p, LaurentPoly) else LaurentPoly(dict(enumerate(p)))
                  for p in pieces]
-        if any(k < 0 for p in polys for k in p.coeffs):
+        if any(k < 0 for p in polys for k in p.nums):
             raise ValueError("a piece has a negative exponent")
         # canonical form: drop identically-zero end pieces, merge equal neighbours
         while polys and not polys[0]:
@@ -147,12 +147,7 @@ class PiecewisePoly:
             return self
         # a*x + b in [b_i, b_{i+1})  <=>  x in [(b_i - b)/a, (b_{i+1} - b)/a)
         new_bps = [(bp - b) / a for bp in self.breakpoints]
-        shifted = [taylor_shift(p, b) for p in self.pieces]
-        if a != 1:
-            powers = [Fraction(1)]
-            for _ in range(max(max(p.coeffs, default=0) for p in shifted)):
-                powers.append(powers[-1] * a)
-            shifted = [_from_dict({k: c * powers[k] for k, c in p.coeffs.items()}) for p in shifted]
+        shifted = [dilate(taylor_shift(p, b), a) for p in self.pieces]
         return PiecewisePoly(new_bps, shifted)
 
     def translate(self, k) -> "PiecewisePoly":
@@ -197,17 +192,28 @@ def inner_product(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
 
 
 def taylor_shift(p: LaurentPoly, s: Fraction) -> LaurentPoly:
-    """The polynomial x -> p(x + s), by synthetic division on the integer core.
+    """The polynomial x -> p(x + s), by synthetic division on the integer numerators.
 
     With s = u/v and p = (1/d) sum_k n_k x^k, v^top p(x + s) is the integer
-    polynomial sum_k n_k v^(top-k) (y + u)^k in y = v x.
+    polynomial sum_k n_k v^(top-k) (y + u)^k = sum_j c_j y^j in y = v x, so
+    p(x + s) has the numerators c_j v^j over d v^top.
     """
     if not s or not p:
         return p
-    (nums,), den = _int_cores((p,))
-    top, u, v = max(nums), s.numerator, s.denominator
+    nums, top, u, v = p.nums, max(p.nums), s.numerator, s.denominator
     c = _shift_ints([nums.get(k, 0) * v ** (top - k) for k in range(top + 1)], u)
-    return _from_dict({j: Fraction(e, den * v ** (top - j)) for j, e in enumerate(c) if e})
+    return _from_int({j: e * v**j for j, e in enumerate(c)}, p.den * v**top)
+
+
+def dilate(p: LaurentPoly, a: Fraction) -> LaurentPoly:
+    """The polynomial x -> p(a x) for a nonzero rational a, on the integer numerators.
+
+    With a = u/v, v^top p(a x) has the numerators n_k u^k v^(top-k) over the same denominator.
+    """
+    if a == 1 or not p:
+        return p
+    top, u, v = max(p.nums), a.numerator, a.denominator
+    return _from_int({k: n * u**k * v ** (top - k) for k, n in p.nums.items()}, p.den * v**top)
 
 
 def _shift_ints(c: list[int], u: int) -> list[int]:

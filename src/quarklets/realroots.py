@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .laurent import LaurentPoly, _from_dict, _int_cores
-from .piecewise import _shift_ints, taylor_shift
+from .laurent import LaurentPoly
+from .piecewise import _shift_ints, dilate, taylor_shift
 
 
 def square_free(p: LaurentPoly) -> LaurentPoly:
@@ -29,7 +29,7 @@ def square_free(p: LaurentPoly) -> LaurentPoly:
     g, r = p, p.derivative()
     while r:  # Euclid's algorithm
         g, r = r, divmod(g, r)[1]
-    if not g or max(g.coeffs) == 0:
+    if not g or max(g.nums) == 0:
         return p
     q, rem = divmod(p, g)
     assert not rem
@@ -54,7 +54,7 @@ def isolate_roots(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
         raise ValueError("zero polynomial has infinitely many roots")
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]: need a < b")
-    if max(p.coeffs) == 0:
+    if max(p.nums) == 0:
         return []
     fallback = cache(lambda: square_free(p))
 
@@ -83,9 +83,7 @@ def isolate_roots(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
 
 def _restrict(p: LaurentPoly, lo: Fraction, hi: Fraction) -> list[int]:
     """Integer coefficients, constant first, of a positive multiple of x -> p(lo + (hi - lo) x)."""
-    w = hi - lo
-    shifted = taylor_shift(p, lo)
-    (nums,), _ = _int_cores((_from_dict({k: c * w**k for k, c in shifted.coeffs.items()}),))
+    nums = dilate(taylor_shift(p, lo), hi - lo).nums
     return [nums.get(k, 0) for k in range(max(nums) + 1)]
 
 

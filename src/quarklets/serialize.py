@@ -16,7 +16,7 @@ from .transform import CoefficientFrame
 
 
 def rational_json(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
+    return [*x.as_integer_ratio()]
 
 
 def rational_from_json(obj) -> Fraction:
@@ -55,7 +55,7 @@ def laurent_poly_from_json(obj) -> LaurentPoly:
 
 
 def matrix_json(mat) -> list:
-    return [[rational_json(x) for x in row] for row in mat]
+    return [[[*x.as_integer_ratio()] for x in row] for row in mat]
 
 
 def matrix_from_json(obj):
@@ -87,16 +87,9 @@ def piecewise_json(f: PiecewisePoly) -> dict:
     return {
         "breakpoints": [rational_json(b) for b in f.breakpoints],
         "pieces": [
-            [rational_json(p[k]) for k in range(max(p.coeffs, default=-1) + 1)] for p in f.pieces
+            [rational_json(p[k]) for k in range(max(p.nums, default=-1) + 1)] for p in f.pieces
         ],
     }
-
-
-def piecewise_from_json(obj) -> PiecewisePoly:
-    return PiecewisePoly(
-        [rational_from_json(b) for b in obj["breakpoints"]],
-        [[rational_from_json(c) for c in piece] for piece in obj["pieces"]],
-    )
 
 
 def frame_json(frame: CoefficientFrame) -> dict:

@@ -5,7 +5,7 @@ A coefficient frame stores finitely many rational coefficient vectors c_k of
 length p+1 at one dyadic level j; it represents sum_k c_k^T Phi(2^j x - k)
 for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.
 
-Each transform step is one exact ``LaurentMatrix`` product on the polyphase
+Each transform step is one exact row-times-matrix product on the polyphase
 form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
 the fine frame and s(z^2), d(z^2) of the coarse ones, vectors of Laurent
 polynomials.  P(z) is the polyphase matrix of the two-scale masks, built
@@ -16,6 +16,10 @@ certifies P P^{-1} = Id, so the two steps are exact inverses:
 
     reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
     decompose:    [s^T, d^T](z^2) = [c_0^T, c_1^T](z^2) P(z)^{-1}.
+
+The frame row goes straight to integer numerators over one lcm, meets the
+matrix's column cores, kept by the bundle and the filters, and each output
+coefficient is one Fraction (``laurent.row_taps_product``).
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt; the resulting functions
@@ -33,7 +37,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import LaurentMatrix, LaurentPoly, as_rational
+from .laurent import LaurentMatrix, LaurentPoly, as_rational, row_taps_product
 from .masks import Mat
 from .modulation import DecompositionFilters, ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
@@ -89,10 +93,10 @@ def reconstruct(
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
     translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
-    pairs = {2 * l: [scaling[l] + detail[l]] for l in translates}
-    out = LaurentMatrix.from_taps(1, 2 * width, pairs) @ bundle.synthesis_matrix.keep_column_cores()
+    pairs = {2 * l: scaling[l] + detail[l] for l in translates}
+    out = row_taps_product(pairs, bundle.synthesis_cores)
     # c_{e+r} is phase r at exponent e; P(z) has even powers only, so e is even
-    coeffs = {e + r: tap[r * width : (r + 1) * width] for e, (tap,) in out.taps().items() for r in (0, 1)}
+    coeffs = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
     return CoefficientFrame(scaling.level + 1, width, coeffs)
 
 
@@ -104,11 +108,11 @@ def decompose(
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
     # the z^{2l} tap holds c_{2l} and c_{2l+1}; n - n % 2 is 2l for both, negative n included
-    pairs = {e: [frame[e] + frame[e + 1]] for e in sorted({n - n % 2 for n in frame.coefficients})}
-    out = (LaurentMatrix.from_taps(1, 2 * width, pairs) @ filters.polyphase_inv.keep_column_cores()).taps()
+    pairs = {e: frame[e] + frame[e + 1] for e in sorted({n - n % 2 for n in frame.coefficients})}
+    out = row_taps_product(pairs, filters.analysis_cores)
     level = frame.level - 1
     return tuple(
-        CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, (tap,) in out.items()})
+        CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, tap in out.items()})
         for c in (0, width)
     )
 
@@ -204,7 +208,7 @@ def to_orthogonal_frames(
     if frame.width != ortho.p + 1:
         raise ValueError("frame width does not match the family")
     row = LaurentMatrix.from_taps(1, frame.width, {k: [vec] for k, vec in frame.coefficients.items()})
-    return [poly.coeffs for poly in (row @ LaurentMatrix(ortho.from_plain)).entries[0]]
+    return [dict(poly.coeffs) for poly in (row @ LaurentMatrix(ortho.from_plain)).entries[0]]
 
 
 def from_orthogonal_frames(

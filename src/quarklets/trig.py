@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import realroots
-from .laurent import LaurentPoly, _dot, _from_int, _int_cores
+from .laurent import LaurentPoly, _dot, _from_int
 from .piecewise import PiecewisePoly, taylor_shift
 
 
@@ -57,14 +57,14 @@ def gram_matrix(functions: Sequence[PiecewisePoly]) -> list[list[LaurentPoly]]:
 def _gram_from_pieces(f_local: list[tuple], g_local: list[tuple]) -> LaurentPoly:
     """:func:`shift_gram_symbol` of two functions given by their :func:`_local_pieces`."""
     out: dict[int, Fraction] = {}
-    for a, wa, p, pc in f_local:
-        for b, wb, q, qc in g_local:
+    for a, wa, p in f_local:
+        for b, wb, q in g_local:
             for n in range(math.floor(a - b - wb) + 1, math.ceil(a + wa - b)):
                 e = b + n - a
                 lo = max(e, 0)
                 v = _overlap_integral(
-                    pc if lo == 0 else _int_cores((taylor_shift(p, lo),)),
-                    qc if lo == e else _int_cores((taylor_shift(q, lo - e),)),
+                    p if lo == 0 else taylor_shift(p, lo),
+                    q if lo == e else taylor_shift(q, lo - e),
                     min(wa, wb + e) - lo,
                 )
                 out[n] = out.get(n, 0) + v
@@ -72,21 +72,19 @@ def _gram_from_pieces(f_local: list[tuple], g_local: list[tuple]) -> LaurentPoly
 
 
 def _local_pieces(f: PiecewisePoly) -> list[tuple]:
-    """(left breakpoint, width, piece in t = x - left, its integer core) for every nonzero piece of f."""
+    """(left breakpoint, width, piece in t = x - left) for every nonzero piece of f."""
     # integral breakpoints as ints keep Fraction arithmetic out of the overlap loop
     bps = [b.numerator if b.denominator == 1 else b for b in f.breakpoints]
-    local = [(lo, hi - lo, taylor_shift(p, lo)) for p, lo, hi in zip(f.pieces, bps, bps[1:]) if p]
-    return [(lo, w, p, _int_cores((p,))) for lo, w, p in local]
+    return [(lo, hi - lo, taylor_shift(p, lo)) for p, lo, hi in zip(f.pieces, bps, bps[1:]) if p]
 
 
-def _overlap_integral(p_core: tuple, q_core: tuple, w: Fraction) -> Fraction:
-    """Integral of p(t) q(t) over [0, w), from the integer cores of p and q: sum_k P_k w^(k+1)/(k+1)."""
-    (np_, dp), (nq, dq) = p_core, q_core
-    prod = _dot(np_, nq)
+def _overlap_integral(p: LaurentPoly, q: LaurentPoly, w: Fraction) -> Fraction:
+    """Integral of p(t) q(t) over [0, w), on the integer numerators of p and q: sum_k P_k w^(k+1)/(k+1)."""
+    prod = _dot((p.nums,), (q.nums,))
     top = max(prod)
     den, u, v = math.lcm(*range(1, top + 2)), w.numerator, w.denominator
     acc = sum(c * (den // (k + 1)) * u ** (k + 1) * v ** (top - k) for k, c in prod.items())
-    return Fraction(acc, dp * dq * den * v ** (top + 1))
+    return Fraction(acc, p.den * q.den * den * v ** (top + 1))
 
 
 @dataclass(frozen=True)
@@ -104,11 +102,11 @@ def to_cosine_polynomial(theta: LaurentPoly) -> LaurentPoly:
 
     Requires symmetric coefficients (c_{-n} = c_n), which is exactly the
     shape of autocorrelation symbols and Gram determinants of real-valued
-    functions.  q = c_0 + sum_n 2 c_n T_n, summed on the integer core while
+    functions.  q = c_0 + sum_n 2 c_n T_n, summed on the integer numerators while
     T_{n+1} = 2x T_n - T_{n-1} builds each Chebyshev polynomial from the last two.
     """
     _require_even(theta)
-    (nums,), den = _int_cores((theta,))
+    nums = theta.nums
     d = max(nums, default=0)
     q = [nums.get(0, 0)] + [0] * d
     prev, cur = [1], [0, 1]  # T_0, T_1: integer coefficients, constant first
@@ -120,7 +118,7 @@ def to_cosine_polynomial(theta: LaurentPoly) -> LaurentPoly:
         for k, t in enumerate(prev):
             nxt[k] -= t
         prev, cur = cur, nxt
-    return _from_int(dict(enumerate(q)), den)
+    return _from_int(dict(enumerate(q)), theta.den)
 
 
 def _require_even(theta: LaurentPoly) -> None:
@@ -151,7 +149,7 @@ def is_positive_on_circle(theta: LaurentPoly) -> CirclePositivity:
     if theta.is_zero():
         return CirclePositivity(False, 0.0, 0.0, "identically zero")
     _require_even(theta)
-    if not sum(theta.coeffs.values()):
+    if not sum(theta.nums.values()):
         # the largest root of q is x = 1 exactly, so t = acos(1) = 0
         return CirclePositivity(False, 0.0, 0.0, "zero on the unit circle near t = 0")
     q = to_cosine_polynomial(theta)
@@ -170,7 +168,7 @@ def is_positive_on_circle(theta: LaurentPoly) -> CirclePositivity:
 def _float_minimum(q: LaurentPoly) -> tuple[float, float]:
     """Approximate minimum of q(cos t) over [0, pi] (diagnostic only)."""
     samples = 512
-    coeffs = [float(q[k]) for k in range(max(q.coeffs), -1, -1)]
+    coeffs = [q.nums.get(k, 0) / q.den for k in range(max(q.nums), -1, -1)]
 
     def val(t: float) -> float:
         acc, x = 0.0, math.cos(t)

@@ -10,7 +10,8 @@ scan that read the splitting filters off E^{-1} X^{-1} (reference for
 ``decomposition_filters``), the per-translate transform loops (reference
 for the polyphase transform), dense polynomial long division and Horner
 evaluation on Fraction tuples (references for ``LaurentPoly.__divmod__`` and
-``eval_rational``), Condition E for general rational matrices by
+``eval_rational``), every ``LaurentPoly`` operation on plain Fraction dicts
+(the differential oracle for the integer-numerator form), Condition E for general rational matrices by
 characteristic polynomial and Schur-Cohn test (reference for the diagonal
 read-off of ``condition_e``), the truncated dual product point by point
 (reference for the refinement cascade; its raw form, without the first-order
@@ -303,6 +304,57 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
             a[shift + i] -= factor * c
         a.pop()
     return trim(q), trim(a)
+
+
+# -- Laurent polynomials as plain Fraction dicts ------------------------------------
+#
+# The oracle for the integer-numerator ``LaurentPoly``: {exponent: Fraction} with no
+# zero values, every operation summed coefficient by coefficient in Fractions.
+
+
+def fpoly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def fpoly_neg(a: dict) -> dict:
+    return {k: -c for k, c in a.items()}
+
+
+def fpoly_mul(a: dict, b: dict) -> dict:
+    out: dict[int, Fraction] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, Fraction(0)) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def fpoly_scale(a: dict, c: Fraction) -> dict:
+    return {k: v * c for k, v in a.items() if c}
+
+
+def fpoly_substitute_neg(a: dict) -> dict:
+    return {k: -c if k % 2 else c for k, c in a.items()}
+
+
+def fpoly_conj(a: dict) -> dict:
+    return {-k: c for k, c in a.items()}
+
+
+def fpoly_derivative(a: dict) -> dict:
+    return {k - 1: k * c for k, c in a.items() if k}
+
+
+def fpoly_eval(a: dict, x: Fraction) -> Fraction:
+    return sum((c * x**k for k, c in a.items()), Fraction(0))
+
+
+def fpoly_divmod(a: dict, b: dict) -> tuple[dict, dict]:
+    """Polynomial division of polynomials (no negative exponents) by :func:`divmod_poly`."""
+    q, r = divmod_poly(*(tuple(p.get(k, Fraction(0)) for k in range(max(p, default=-1) + 1)) for p in (a, b)))
+    return ({k: c for k, c in enumerate(q) if c}, {k: c for k, c in enumerate(r) if c})
 
 
 # -- Condition E for general rational matrices ---------------------------------------

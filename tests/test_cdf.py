@@ -138,7 +138,7 @@ class TestCdfMasks:
     def test_dual_wavelet_symbol_relation(self, m, mt):
         # bt(-z) = z * a(1/z)
         pair = cdf_masks(m, mt)
-        bt = pair.dual_wavelet_symbol()
+        bt = pair.dual_wavelet.to_symbol()[0, 0]
         a = pair.primal_symbol()
         assert bt.substitute_neg() == LaurentPoly({1: 1}) * a.conj_on_circle()
 

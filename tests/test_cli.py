@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -646,3 +647,41 @@ class TestNumpyFree:
         # the control: the probe does see numpy once a float command runs
         argv = ["dual", "--m", "1", "--mt", "1", "--p", "0", "--grid-span", "1", "--grid-depth", "1"]
         assert self.probe(tmp_path, self.MAIN, *argv) == "True"
+
+
+class TestBytePins:
+    """sha256 of exact outputs, pinned so that a change of representation keeps every byte."""
+
+    # a (2,2,2) frame at level 2 with mixed signs, denominators and a gap at translate 2
+    FRAME = {"level": 2, "width": 3, "coefficients": [
+        [-3, [[1, 3], [-5, 7], [0, 1]]], [-1, [[2, 1], [1, 64], [-9, 11]]], [0, [[7, 5], [0, 1], [1, 2]]],
+        [1, [[-1, 6], [4, 9], [3, 8]]], [3, [[5, 1], [-2, 3], [1, 1]]], [4, [[0, 1], [11, 13], [-1, 4]]],
+    ]}
+
+    @staticmethod
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["filters", "--m", "3", "--mt", "5", "--p", "5", "--dual"], "af789372690d16c9994930f97bb39364792b76b54250443d0e330babf52cb618"),
+        (["verify-pr", "--m", "3", "--mt", "5", "--p", "5"], "0bf1b92f9b007b32885575bf98931065b4fe6959a95fb1afe9393e0abeaeb5fc"),
+    ])
+    def test_stdout(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert self.sha(out) == digest
+
+    def test_decompose_then_reconstruct(self, capsys, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps(self.FRAME))
+        s, d = tmp_path / "s.json", tmp_path / "d.json"
+        code, _, _ = run(capsys, "decompose", "--m", "2", "--mt", "2", "--input", str(tmp_path / "c.json"),
+                         "--out-scaling", str(s), "--out-detail", str(d))
+        assert code == 0
+        # the scaling frame twice: a synthesis whose output is no earlier input
+        code, out, _ = run(capsys, "reconstruct", "--m", "2", "--mt", "2", "--scaling", str(s), "--detail", str(s))
+        assert code == 0
+        assert [self.sha(s.read_text()), self.sha(d.read_text()), self.sha(out)] == [
+            "96a956ca05dfb74120f902d94262a62b3fa62a83216e1d1c2e974d9c1e527aca",
+            "0378a88777f0c7c4d225507b8126dfa9ce76223eb265b14fb17dc466bba7d48a",
+            "60e34ad40cc4313f73e036669edab039078abf837c35bf750166586749a5262c",
+        ]

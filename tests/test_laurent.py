@@ -1,13 +1,28 @@
 """Laurent polynomial and Laurent matrix algebra."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import divmod_poly, evaluate, fraction_matmul, trim
+from helpers import (
+    divmod_poly,
+    evaluate,
+    fpoly_add,
+    fpoly_conj,
+    fpoly_derivative,
+    fpoly_divmod,
+    fpoly_eval,
+    fpoly_mul,
+    fpoly_neg,
+    fpoly_scale,
+    fpoly_substitute_neg,
+    fraction_matmul,
+    trim,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,18 +237,17 @@ class TestIntegerCoreProduct:
             a, b = rand_sparse_poly(rng), rand_sparse_poly(rng)
             assert a * b == fraction_matmul(LaurentMatrix([[a]]), LaurentMatrix([[b]]))[0, 0]
 
-    def test_kept_column_cores_are_derived_once(self, monkeypatch):
-        # a right factor that keeps its column cores is not re-derived; a plain one is
-        rng = random.Random(47)
-        kept, plain = rand_matrix(rng, 3, 4), rand_matrix(rng, 3, 4)
-        lefts = [rand_matrix(rng, 2, 3) for _ in range(3)]
-        int_cores, seen = laurent._int_cores, []
-        monkeypatch.setattr(laurent, "_int_cores", lambda polys: seen.append(tuple(polys)) or int_cores(polys))
-        products = [(a @ kept.keep_column_cores(), a @ plain) for a in lefts]
-        monkeypatch.undo()
-        assert [seen.count(col) for col in zip(*kept.entries)] == [1] * kept.cols
-        assert [seen.count(col) for col in zip(*plain.entries)] == [len(lefts)] * plain.cols
-        assert products == [(fraction_matmul(a, kept), fraction_matmul(a, plain)) for a in lefts]
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 2), (5, 5)])
+    def test_row_taps_product_equals_the_matrix_product(self, shape):
+        # a one-row matrix given by rational taps, zero taps and zero entries included
+        rng = random.Random(47 + 10 * shape[0] + shape[1])
+        for _ in range(6):
+            row, mat = rand_matrix(rng, 1, shape[0]), rand_matrix(rng, *shape)
+            taps = {k: tap[0] for k, tap in row.taps().items()}
+            taps[99] = [Fraction(0)] * shape[0]
+            got = laurent.row_taps_product(taps, laurent.column_cores(mat))
+            assert got == {k: tap[0] for k, tap in fraction_matmul(row, mat).taps().items()}
+            assert all(type(c) is Fraction for tap in got.values() for c in tap)
 
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((1, 4), (3, 8)), ((3, 1), (2, 1))])
     def test_dimension_mismatch(self, shapes):
@@ -417,3 +431,62 @@ class TestCascade:
         expected = (np.exp(-0.5j * xi * (1 - 2.0**-levels)) * np.sin(xi / 2)
                     / (2**levels * np.sin(xi / 2 ** (levels + 1))))
         assert np.max(np.abs(got - expected)) < 1e-14
+
+
+# mixed small and large denominators, zero numerators included (they must be dropped)
+wide_rationals = st.builds(Fraction, st.integers(-10**20, 10**20) | st.integers(-3, 3), st.sampled_from(DENOMINATORS))
+fraction_dicts = st.dictionaries(st.integers(-6, 6), wide_rationals, max_size=8)
+
+
+def assert_canonical(p: LaurentPoly):
+    """Integer numerators, none zero, over a positive denominator, in lowest terms."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+class TestAgainstFractionDicts:
+    """Every operation of the integer-numerator form against the Fraction-dict oracle."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(fraction_dicts, fraction_dicts, wide_rationals)
+    def test_operations_equal_the_oracle(self, a, b, c):
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        a, b = ({k: v for k, v in d.items() if v} for d in (a, b))
+        cases = [
+            (p, a), (p + q, fpoly_add(a, b)), (p - q, fpoly_add(a, fpoly_neg(b))), (-p, fpoly_neg(a)),
+            (p * q, fpoly_mul(a, b)), (p * c, fpoly_scale(a, c)), (c * p, fpoly_scale(a, c)),
+            (p + c, fpoly_add(a, {0: c} if c else {})), (c - p, fpoly_add({0: c} if c else {}, fpoly_neg(a))),
+            (p.substitute_neg(), fpoly_substitute_neg(a)), (p.conj_on_circle(), fpoly_conj(a)),
+            (p.derivative(), fpoly_derivative(a)),
+        ]
+        if b:
+            # shifted to polynomials, where division is plain long division
+            dividend, divisor = (r * LaurentPoly.monomial(1, 6) for r in (p, q))
+            want = fpoly_divmod(*({k + 6: v for k, v in d.items()} for d in (a, b)))
+            cases += zip(divmod(dividend, divisor), want)
+        for got, want in cases:
+            assert dict(got.coeffs) == want
+            assert_canonical(got)
+        if c:
+            assert p.eval_rational(c) == fpoly_eval(a, c)
+        assert (p == q) == (a == b)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(fraction_dicts, fraction_dicts, wide_rationals.filter(bool))
+    def test_equal_polynomials_hash_equal(self, a, b, c):
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        for same in ((p + q) - q, (p * c) * (1 / c), LaurentPoly(dict(p.coeffs)), -(-p)):
+            assert same == p and hash(same) == hash(p)
+            assert (same.nums, same.den) == (p.nums, p.den)
+
+    def test_coeffs_view_is_read_only(self):
+        p = LaurentPoly({-1: Fraction(1, 3), 2: 5})
+        view = p.coeffs
+        with pytest.raises(TypeError):
+            view[0] = Fraction(1)
+        with pytest.raises(TypeError):
+            del view[2]
+        with pytest.raises(AttributeError):
+            p.coeffs = {}
+        assert p == LaurentPoly({-1: Fraction(1, 3), 2: 5}) and dict(view) == {-1: Fraction(1, 3), 2: Fraction(5)}

@@ -10,7 +10,7 @@ from quarklets import serialize
 from quarklets.laurent import LaurentPoly
 from quarklets.masks import MaskSequence
 from quarklets.piecewise import PiecewisePoly
-from quarklets.splines import bspline, refinement_masks
+from quarklets.splines import refinement_masks
 from quarklets.transform import CoefficientFrame
 
 
@@ -73,11 +73,6 @@ class TestCompound:
         p = LaurentPoly({-2: Fraction(1, 3), 0: -4, 5: Fraction(-7, 2)})
         back = serialize.laurent_poly_from_json(through_json(serialize.laurent_poly_json(p)))
         assert back == p
-
-    def test_piecewise(self):
-        f = bspline(3)
-        back = serialize.piecewise_from_json(through_json(serialize.piecewise_json(f)))
-        assert back == f
 
     def test_piece_layout_is_dense_constant_term_first(self):
         # the interior zero piece is an empty list; zeros below the top coefficient are kept

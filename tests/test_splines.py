@@ -11,6 +11,7 @@ from helpers import bspline_truncated_power, quark_ft_fixed_depth, quark_ft_mpma
 
 from quarklets.duals import quark_ft
 from quarklets.piecewise import PiecewisePoly
+from quarklets.stability import MAX_FT_FREQUENCY
 from quarklets.splines import (
     bspline,
     bspline_mask,
@@ -196,6 +197,14 @@ class TestQuarkFt:
                 quark_ft(3, 2, bad)
             with pytest.raises(ValueError, match="finite"):
                 quark_ft(3, 2, np.array([0.0, 1.0, bad]))
+
+    def test_frequency_above_the_bound_raises(self):
+        # 1e300 is finite, but its cascade would run 998 levels
+        with pytest.raises(ValueError, match=str(MAX_FT_FREQUENCY)):
+            quark_ft(1, 0, 1e300)
+        with pytest.raises(ValueError, match=str(MAX_FT_FREQUENCY)):
+            quark_ft(3, 2, np.array([0.0, math.nextafter(MAX_FT_FREQUENCY, math.inf)]))
+        assert math.isfinite(abs(quark_ft(3, 2, -MAX_FT_FREQUENCY)))
 
     def test_array_input_keeps_its_shape(self):
         xi = np.array([[0.0, 0.7], [2.9, -8.3]])
