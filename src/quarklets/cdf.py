@@ -29,7 +29,7 @@ from functools import lru_cache
 from .laurent import LaurentMatrix, LaurentPoly
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
-from .splines import bspline_mask, quark
+from .splines import quark, refinement_symbol
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def cdf_masks(m: int, mt: int) -> CdfPair:
 
 @lru_cache(maxsize=None)
 def _cdf_cached(m: int, mt: int) -> CdfPair:
-    primal = bspline_mask(m)
-    a = primal.to_symbol()[0, 0]
+    a_sym = refinement_symbol(m, 0)
+    a = a_sym[0, 0]
 
     ell = (m + mt) // 2
     y = LaurentPoly({-1: Fraction(-1, 4), 0: Fraction(1, 2), 1: Fraction(-1, 4)})
@@ -101,7 +101,8 @@ def _cdf_cached(m: int, mt: int) -> CdfPair:
         MaskSequence.from_symbol(LaurentMatrix([[minus_z * s.conj_on_circle().substitute_neg()]]))
         for s in (at, a)
     )
-    return CdfPair(m, mt, primal, MaskSequence.from_symbol(LaurentMatrix([[at]])), wavelet, dual_wavelet)
+    return CdfPair(m, mt, MaskSequence.from_symbol(a_sym), MaskSequence.from_symbol(LaurentMatrix([[at]])),
+                   wavelet, dual_wavelet)
 
 
 def quarklet(m: int, mt: int, q: int) -> PiecewisePoly:

@@ -2,7 +2,7 @@
 
 :func:`cascade` is the float refinement product of a matrix symbol over a
 whole array of frequencies, on the taps that :func:`float_taps` reads off an
-exact Laurent matrix.  :func:`quark_ft` runs it on the quark refinement masks
+exact Laurent matrix.  :func:`quark_ft` runs it on the quark refinement symbol
 onto a Taylor tail with 20 exact moments (unitary convention F f(xi) =
 (2 pi)^{-1/2} integral f(x) exp(-i x xi) dx), and :func:`ft_zero_scan` scans
 that transform for zeros.  The depth is the smallest L >= 1 with
@@ -45,7 +45,7 @@ import numpy as np
 
 from .laurent import LaurentMatrix
 from .modulation import build_modulation
-from .splines import quark, refinement_masks
+from .splines import quark, refinement_symbol
 from .stability import MAX_FT_FREQUENCY, dual_eigenvector, dual_symbol_at_one
 
 
@@ -115,7 +115,7 @@ def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray
     The degree-l quark is (x / c)^l times the degree-0 one, c = ceil(m/2), so its
     t-th moment is the (t + l)-th moment of the degree-0 quark over c^l.
     """
-    taps = float_taps(refinement_masks(m, q).to_symbol())
+    taps = float_taps(refinement_symbol(m, q))
     c = (m + 1) // 2
     base = [quark(m, 0).moment(k) for k in range(_FT_TAIL_TERMS + q)]
     moments = np.array([[float(base[t + l] / c**l) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
@@ -130,7 +130,7 @@ def quark_ft(m: int, q: int, xi):
 
     The refinement cascade F Phi(xi) = S(exp(-i xi / 2)) F Phi(xi / 2) of the
     quarks of degree 0..q (symbol S from
-    :func:`quarklets.splines.refinement_masks`), run over L levels onto the
+    :func:`quarklets.splines.refinement_symbol`), run over L levels onto the
     Taylor tail of F Phi at eta = xi / 2^L with 20 exact moments.  L is the
     smallest depth >= 1 with 2 c max|xi| <= 2^L over the call's points,
     c = ceil(m/2).  The quarks live on |x| <= c with |x / c|^q <= 1, so the

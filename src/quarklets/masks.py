@@ -37,10 +37,6 @@ class MaskSequence:
         self.entries = MappingProxyType(clean)
 
     @staticmethod
-    def from_scalars(values: Mapping[int, object]) -> "MaskSequence":
-        return MaskSequence(1, 1, {k: ((as_rational(v),),) for k, v in values.items()})
-
-    @staticmethod
     def from_taps(rows: int, cols: int, taps: Mapping[int, Sequence[Sequence[Fraction]]]) -> "MaskSequence":
         """The mask of ``LaurentMatrix.taps`` of a rows x cols matrix, taken without re-validation.
 

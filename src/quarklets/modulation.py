@@ -2,7 +2,9 @@
 
 For orders (m, mt) and maximal degree p the bundle collects:
 
-*  the scaling symbol  S(z) = (1/2) sum_k A_k z^k   ((p+1) square),
+*  the scaling symbol  S(z) = (1/2) sum_k A_k z^k   ((p+1) square), taken
+   from :func:`quarklets.splines.refinement_symbol`, and the masks A_k read
+   off it,
 *  the detail symbol   W(z) = b(z) Id               (scalar wavelet symbol),
 *  the modulation matrix  X(z) = [[S(z), S(-z)], [W(z), W(-z)]],
 *  the block determinant  T(z) = S(z) b(-z) - b(z) S(-z),  which is lower
@@ -21,6 +23,8 @@ One product per bundle, P P^{-1} on entries with half the taps of X's,
 certifies both X X^{-1} = Id and P's invertibility: if P = X E and the bottom
 block row of X^{-1} is its top one at -z, X X^{-1} = (X E)(E^{-1} X^{-1}) =
 P P^{-1}.  A bundle failing either (a perturbed copy) multiplies out X X^{-1}.
+The exchange matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] is never formed:
+P = X E is checked by block sums and differences of X's columns.
 
 Everything is exact rational arithmetic; verification routines return the
 residual entries instead of asserting.
@@ -36,7 +40,7 @@ from .cdf import CdfPair, cdf_masks, quarklets
 from .laurent import LaurentMatrix, LaurentPoly, _from_int, column_cores
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
-from .splines import quark_family, refinement_masks
+from .splines import quark_family, refinement_symbol
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,8 @@ def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
 def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
     filters = cdf_masks(m, mt)
     n = p + 1
-    scaling_masks = refinement_masks(m, p)
-    scaling_symbol = scaling_masks.to_symbol()
+    scaling_symbol = refinement_symbol(m, p)
+    scaling_masks = MaskSequence.from_symbol(scaling_symbol)
     b = filters.wavelet_symbol()
     b_neg = b.substitute_neg()
     detail_symbol = LaurentMatrix.scalar(b, n)
@@ -231,21 +235,9 @@ def _sub_symbol(masks: MaskSequence, parity: int) -> LaurentMatrix:
     return LaurentMatrix.from_taps(masks.rows, masks.cols, picked)
 
 
-def parity_exchange_matrix(n: int) -> LaurentMatrix:
-    """The block matrix [[Id, z^{-1} Id], [Id, -z^{-1} Id]] of size 2n."""
-    z_inv = LaurentPoly.monomial(Fraction(1), -1)
-    return LaurentMatrix.block(
-        [
-            [LaurentMatrix.identity(n), LaurentMatrix.scalar(z_inv, n)],
-            [LaurentMatrix.identity(n), LaurentMatrix.scalar(-z_inv, n)],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class PolyphaseFactorization:
     polyphase: LaurentMatrix          # P(z) of the sub-symbols
-    exchange: LaurentMatrix           # E(z) with P = X E
     inverse: LaurentMatrix            # P(z)^{-1} = E^{-1} X^{-1}
     factorization_holds: bool         # P == X E, checked exactly
     invertible: bool                  # P P^{-1} == Id, checked exactly
@@ -253,9 +245,8 @@ class PolyphaseFactorization:
 
 def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
     """Polyphase matrix of the filter bank plus its exact invertibility certificate."""
-    return PolyphaseFactorization(bundle.synthesis_matrix, parity_exchange_matrix(bundle.size),
-                                  bundle.polyphase_inv, bundle.factorization_holds,
-                                  not bundle.polyphase_residuals)
+    return PolyphaseFactorization(bundle.synthesis_matrix, bundle.polyphase_inv,
+                                  bundle.factorization_holds, not bundle.polyphase_residuals)
 
 
 @dataclass(frozen=True)

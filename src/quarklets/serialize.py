@@ -2,7 +2,8 @@
 
 Rationals are ``[numerator, denominator]`` integer pairs.  Sparse
 integer-indexed collections are emitted as sorted ``[index, value]`` pair
-lists so output is byte-stable.
+lists so output is byte-stable.  The one reader, :func:`frame_from_json`, is
+for frames, the only JSON input of the command line; it is strict.
 """
 
 from __future__ import annotations
@@ -50,16 +51,8 @@ def laurent_poly_json(p: LaurentPoly) -> dict:
     return {"terms": [[k, rational_json(c)] for k, c in p.items()]}
 
 
-def laurent_poly_from_json(obj) -> LaurentPoly:
-    return LaurentPoly({k: rational_from_json(c) for k, c in _entries(obj["terms"])})
-
-
 def matrix_json(mat) -> list:
     return [[[*x.as_integer_ratio()] for x in row] for row in mat]
-
-
-def matrix_from_json(obj):
-    return tuple(tuple(rational_from_json(x) for x in row) for row in obj)
 
 
 def mask_json(mask: MaskSequence) -> dict:
@@ -71,16 +64,6 @@ def mask_json(mask: MaskSequence) -> dict:
         "cols": mask.cols,
         "taps": [[k, matrix_json(m)] for k, m in mask.items()],
     }
-
-
-def mask_from_json(obj) -> MaskSequence:
-    if obj["kind"] == "scalar":
-        return MaskSequence.from_scalars({k: rational_from_json(v) for k, v in _entries(obj["taps"])})
-    return MaskSequence(
-        _int(obj["rows"]),
-        _int(obj["cols"]),
-        {k: matrix_from_json(m) for k, m in _entries(obj["taps"])},
-    )
 
 
 def piecewise_json(f: PiecewisePoly) -> dict:

@@ -7,10 +7,11 @@ of [0, 1), built here exactly through the pointwise recursion
 
 Quarks are the symmetrized B-spline N_m(x + floor(m/2)) multiplied by the
 monomial (x / ceil(m/2))^q.  The quark vector (degree 0..p) satisfies an
-exact two-scale matrix refinement equation whose masks are produced by
-:func:`refinement_masks`.  Everything here is exact; the quark Fourier
-transform is computed from the same masks in floats by
-:func:`quarklets.duals.quark_ft`.
+exact two-scale matrix refinement equation.  Its symbol S(z) = (1/2) sum_k A_k z^k
+is built by :func:`refinement_symbol` from a closed form, one integer
+polynomial over one denominator per entry, and :func:`refinement_masks` reads
+the masks A_k off it.  Everything here is exact; the quark Fourier transform
+is computed from the same symbol in floats by :func:`quarklets.duals.quark_ft`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .masks import MaskSequence, Mat
+from .laurent import LaurentMatrix, LaurentPoly, _from_int
+from .masks import MaskSequence
 from .piecewise import PiecewisePoly
 
 
@@ -72,41 +74,28 @@ def quark_family(m: int, p: int) -> tuple[PiecewisePoly, ...]:
     return tuple(quark(m, q) for q in range(p + 1))
 
 
-def bspline_mask(m: int) -> MaskSequence:
-    """Scalar refinement mask of the symmetrized B-spline: a_k = 2^{1-m} C(m, k + floor(m/2))."""
-    half = m // 2
-    vals = {k: Fraction(math.comb(m, k + half), 2 ** (m - 1)) for k in range(-half, m - half + 1)}
-    return MaskSequence.from_scalars(vals)
+def refinement_symbol(m: int, p: int) -> LaurentMatrix:
+    """Exact symbol S(z) = (1/2) sum_k A_k z^k of the quark-vector two-scale relation.
 
+    With h = floor(m/2), c = ceil(m/2) and 0-based degrees q, l in {0, .., p},
 
-def refinement_masks(m: int, p: int) -> MaskSequence:
-    """Exact masks A_k of the quark-vector two-scale relation.
+        S_{q,l}(z) = C(q, l) sum_k C(m, k + h) k^{q-l} z^k / (2^{m+q} c^{q-l}),
 
-    With 1-based indices q, l in {1, .., p+1} and the scalar mask a_k,
-
-        (A_k)_{q,l} = 2^{1-q} ceil(m/2)^{l-q} a_k C(q-1, l-1) k^{q-l},
-
-    which is lower triangular since C(q-1, l-1) vanishes for l > q.
+    one integer polynomial over one denominator per entry, lower triangular
+    since C(q, l) vanishes for l > q.
     """
     if m < 1 or p < 0:
         raise ValueError("need m >= 1 and p >= 0")
-    half_up = (m + 1) // 2
-    out: dict[int, Mat] = {}
-    for k, ak in bspline_mask(m).scalars().items():
-        rows = []
-        for q in range(1, p + 2):
-            row = []
-            for l in range(1, p + 2):
-                if l > q:
-                    row.append(Fraction(0))
-                else:
-                    row.append(
-                        Fraction(1, 2 ** (q - 1))
-                        * Fraction(half_up) ** (l - q)
-                        * ak
-                        * math.comb(q - 1, l - 1)
-                        * Fraction(k) ** (q - l)
-                    )
-            rows.append(tuple(row))
-        out[k] = tuple(rows)
-    return MaskSequence(p + 1, p + 1, out)
+    half, half_up = m // 2, (m + 1) // 2
+    binom = {k: math.comb(m, k + half) for k in range(-half, m - half + 1)}
+    zero = LaurentPoly.zero()
+    return LaurentMatrix([
+        [_from_int({k: math.comb(q, l) * b * k ** (q - l) for k, b in binom.items()},
+                   2 ** (m + q) * half_up ** (q - l)) if l <= q else zero for l in range(p + 1)]
+        for q in range(p + 1)
+    ])
+
+
+def refinement_masks(m: int, p: int) -> MaskSequence:
+    """The masks A_k = 2 (z^k coefficient of :func:`refinement_symbol`) of the quark vector."""
+    return MaskSequence.from_symbol(refinement_symbol(m, p))

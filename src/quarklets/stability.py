@@ -27,7 +27,7 @@ from .cdf import validate_orders
 from .laurent import LaurentMatrix, LaurentPoly, _dot, _from_int, _int_cores, as_rational
 from .masks import Mat
 from .piecewise import PiecewisePoly
-from .splines import quark, quark_family, refinement_masks
+from .splines import quark, quark_family, refinement_symbol
 from .trig import gram_matrix, is_positive_on_circle
 
 
@@ -174,8 +174,7 @@ def dual_symbol_at_one(m: int, mt: int, p: int) -> Mat:
 @lru_cache(maxsize=None)
 def _symbol_at_one(m: int, p: int) -> Mat:
     """S(1)^{-T} with S(1) = (1/2) sum_k A_k, lower triangular with diagonal 2^{-q}."""
-    masks = refinement_masks(m, p).entries.values()
-    at_one = LaurentMatrix([[sum(a[i][j] for a in masks) / 2 for j in range(p + 1)] for i in range(p + 1)])
+    at_one = LaurentMatrix([[e.eval_rational(1) for e in row] for row in refinement_symbol(m, p).entries])
     return tuple(tuple(e[0] for e in col) for col in zip(*at_one.invert_lower_triangular().entries))
 
 

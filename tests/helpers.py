@@ -2,10 +2,12 @@
 coefficient over Fractions (reference for the integer-core kernel of
 ``LaurentMatrix.__matmul__``), an independent B-spline closed form, the CDF
 dual mask found by scanning monomial shifts (reference for the closed-form
-shift of ``cdf_masks``), a deliberately broken modulation bundle (negative
-control), X^{-1} multiplied out block by block and P^{-1} = E^{-1} X^{-1} as a
-matrix product with the exact parity-exchange inverse (references for the
-z -> -z read-offs of ``build_modulation`` and ``polyphase_inv``), the exponent
+shift of ``cdf_masks``), the quark refinement masks as Fraction chains
+(reference for the closed form of ``refinement_symbol``), a deliberately
+broken modulation bundle (negative control), X^{-1} multiplied out block by
+block and P^{-1} = E^{-1} X^{-1} as a matrix product with the exact
+parity-exchange inverse, next to E itself (references for the z -> -z
+read-offs of ``build_modulation`` and ``polyphase_inv``), the exponent
 scan that read the splitting filters off E^{-1} X^{-1} (reference for
 ``decomposition_filters``), the per-translate transform loops (reference
 for the polyphase transform), dense polynomial long division and Horner
@@ -56,7 +58,7 @@ from quarklets.modulation import (
     build_modulation,
 )
 from quarklets.piecewise import PiecewisePoly, inner_product
-from quarklets.splines import bspline_mask, quark, refinement_masks
+from quarklets.splines import quark, refinement_masks
 from quarklets.stability import dual_eigenvector
 from quarklets.transform import CoefficientFrame
 from quarklets.trig import CirclePositivity, _float_minimum, _require_even
@@ -94,7 +96,7 @@ def cdf_masks_by_scan(m: int, mt: int) -> CdfPair:
     passes the scalar PR identity; the wavelet masks are the alternating flips
     b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}.
     """
-    primal = bspline_mask(m)
+    primal = refinement_masks_by_formula(m, 0)
     a = primal.to_symbol()[0, 0]
     ell = (m + mt) // 2
     y = LaurentPoly({-1: Fraction(-1, 4), 0: Fraction(1, 2), 1: Fraction(-1, 4)})
@@ -109,7 +111,7 @@ def cdf_masks_by_scan(m: int, mt: int) -> CdfPair:
     dual = MaskSequence.from_symbol(LaurentMatrix([[at]]))
 
     def flip(scalars: dict[int, Fraction]) -> MaskSequence:
-        return MaskSequence.from_scalars({1 - k: (-1) ** ((1 - k) % 2) * c for k, c in scalars.items()})
+        return MaskSequence(1, 1, {1 - k: (((-1) ** ((1 - k) % 2) * c,),) for k, c in scalars.items()})
 
     return CdfPair(m, mt, primal, dual, flip(dual.scalars()), flip(primal.scalars()))
 
@@ -130,6 +132,41 @@ def fraction_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
             out_row.append(LaurentPoly(acc))
         out.append(out_row)
     return LaurentMatrix(out)
+
+
+def refinement_masks_by_formula(m: int, p: int) -> MaskSequence:
+    """The masks A_k entry by entry as Fraction chains (reference for ``refinement_symbol``).
+
+    With 1-based indices q, l in {1, .., p+1} and a_k = 2^{1-m} C(m, k + floor(m/2)),
+
+        (A_k)_{q,l} = 2^{1-q} ceil(m/2)^{l-q} a_k C(q-1, l-1) k^{q-l},
+
+    which is lower triangular since C(q-1, l-1) vanishes for l > q.
+    """
+    half, half_up = m // 2, (m + 1) // 2
+    out = {}
+    for k in range(-half, m - half + 1):
+        ak = Fraction(math.comb(m, k + half), 2 ** (m - 1))
+        out[k] = tuple(
+            tuple(
+                Fraction(1, 2 ** (q - 1)) * Fraction(half_up) ** (l - q) * ak
+                * math.comb(q - 1, l - 1) * Fraction(k) ** (q - l) if l <= q else Fraction(0)
+                for l in range(1, p + 2)
+            )
+            for q in range(1, p + 2)
+        )
+    return MaskSequence(p + 1, p + 1, out)
+
+
+def parity_exchange_matrix(n: int) -> LaurentMatrix:
+    """The block matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] of size 2n, with P = X E."""
+    z_inv = LaurentPoly.monomial(Fraction(1), -1)
+    return LaurentMatrix.block(
+        [
+            [LaurentMatrix.identity(n), LaurentMatrix.scalar(z_inv, n)],
+            [LaurentMatrix.identity(n), LaurentMatrix.scalar(-z_inv, n)],
+        ]
+    )
 
 
 def parity_exchange_inverse(n: int) -> LaurentMatrix:

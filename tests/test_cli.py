@@ -665,6 +665,8 @@ class TestBytePins:
     @pytest.mark.parametrize("argv,digest", [
         (["filters", "--m", "3", "--mt", "5", "--p", "5", "--dual"], "af789372690d16c9994930f97bb39364792b76b54250443d0e330babf52cb618"),
         (["verify-pr", "--m", "3", "--mt", "5", "--p", "5"], "0bf1b92f9b007b32885575bf98931065b4fe6959a95fb1afe9393e0abeaeb5fc"),
+        # the design-box corner: the longest masks the benchmark prints
+        (["filters", "--m", "5", "--mt", "7", "--p", "8", "--dual"], "16070715df22cdecfb72b72208216f9dddec4a5f513c0842e78e3e3bc4a0076a"),
     ])
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -44,12 +44,12 @@ class TestMaskSequence:
             matrix_mask.scalars()
 
     def test_length_counts_span(self):
-        masks = MaskSequence.from_scalars({-2: Fraction(1), 3: Fraction(1)})
+        masks = MaskSequence(1, 1, {-2: ((1,),), 3: ((1,),)})
         assert masks.length() == 6
         assert MaskSequence(1, 1).length() == 0
 
     def test_weighted_symbol(self):
-        masks = MaskSequence.from_scalars({0: Fraction(1), 1: Fraction(1)})
+        masks = MaskSequence(1, 1, {0: ((1,),), 1: ((1,),)})
         sym = masks.to_symbol()  # (1/2)(1 + z)
         assert sym == LaurentMatrix([[LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})]])
 

@@ -12,6 +12,7 @@ from helpers import (
     fraction_matmul,
     modulation_inv_by_blocks,
     parity_exchange_inverse,
+    parity_exchange_matrix,
     perturb_detail_block,
     polyphase_inv_by_product,
     reference_splitting_masks,
@@ -24,7 +25,6 @@ from quarklets.modulation import (
     build_modulation,
     check_product_is_identity,
     decomposition_filters,
-    parity_exchange_matrix,
     polyphase,
     splitting_identity_defect,
     sub_symbols,

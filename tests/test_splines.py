@@ -7,17 +7,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import bspline_truncated_power, quark_ft_fixed_depth, quark_ft_mpmath, refine_vector
+from helpers import (
+    bspline_truncated_power,
+    quark_ft_fixed_depth,
+    quark_ft_mpmath,
+    refine_vector,
+    refinement_masks_by_formula,
+)
 
 from quarklets.duals import quark_ft
 from quarklets.piecewise import PiecewisePoly
 from quarklets.stability import MAX_FT_FREQUENCY
 from quarklets.splines import (
     bspline,
-    bspline_mask,
     quark,
     quark_family,
     refinement_masks,
+    refinement_symbol,
     symmetrized_bspline,
 )
 
@@ -107,7 +113,7 @@ class TestRefinementMasks:
         assert rm[1] == ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)))
 
     def test_order_two_scalar_mask(self):
-        assert bspline_mask(2).scalars() == {
+        assert refinement_masks(2, 0).scalars() == {
             -1: Fraction(1, 2),
             0: Fraction(1),
             1: Fraction(1, 2),
@@ -119,6 +125,14 @@ class TestRefinementMasks:
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert mat[i][j] == 0
+
+    def test_symbol_equals_fraction_chain_formula(self):
+        # the closed-form integer symbol against the entrywise Fraction chains, over the CLI box
+        for m in range(1, 17):
+            for p in range(0, 15):
+                masks = refinement_masks(m, p)
+                assert masks == refinement_masks_by_formula(m, p), (m, p)
+                assert refinement_symbol(m, p) == masks.to_symbol(), (m, p)
 
     @pytest.mark.parametrize("m", range(1, 6))
     @pytest.mark.parametrize("p", range(0, 5))
