@@ -37,7 +37,7 @@ MAX_LEVELS = 64
 MAX_TABLE_ORDER = 10
 # Largest --m and --mt, and largest --p, --q and frame width - 1 (of ``decompose``
 # and ``reconstruct``): at this corner the slowest command at its default options,
-# ``verify-pr --m 16 --mt 16 --p 14``, takes about 5 s on a 2-core x86_64 host.
+# ``verify-pr --m 16 --mt 16 --p 14``, takes 2.2-4.1 s wall time on a shared 2-core x86_64 host.
 MAX_ORDER = 16
 MAX_DEGREE = 14
 # Largest points x levels x (p + 1) of ``dual``.  The cascade costs each point
@@ -275,6 +275,8 @@ def cmd_orthogonalize(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not (math.isfinite(args.start) and math.isfinite(args.end)):
+        raise UsageError("--start and --end must be finite")
     if not 2 <= args.count <= MAX_GRID_POINTS:
         raise UsageError(f"--count must be between 2 and {MAX_GRID_POINTS} (2^17 + 1)")
     if args.function == "bspline":

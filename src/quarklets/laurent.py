@@ -15,10 +15,13 @@ scalar multiples, z -> -z, z -> 1/z and the derivative act on the numerators.
 A matrix product scales each row of the left factor and each column of the
 right one to one common denominator (``_int_cores``), accumulates every
 output entry in ``int`` (``_dot``) and reduces it once (``_from_int``).  A
-polynomial product is its 1x1 case, triangular inversion runs its forward
-substitution on the same kernel, and :func:`row_taps_product` applies a
+polynomial product is its 1x1 case, and :func:`row_taps_product` applies a
 matrix, given by its column cores, to a row given by rational taps.  The
-module imports no numpy: the float taps of a Laurent matrix and every
+Pascal-type matrices M_g = [C(i, j) g_{i-j}] multiply as M_g M_h = M_{g * h},
+(g * h)_n = sum_s C(n, s) g_{n-s} h_s (Call & Velleman, Amer. Math. Monthly 100,
+1993), so :func:`pascal_product` and :func:`pascal_inverse` run on the p + 1
+polynomials g_n, on the same kernel, and :func:`pascal_matrix` expands them.
+The module imports no numpy: the float taps of a Laurent matrix and every
 Fourier-domain value are taken in :mod:`quarklets.duals`.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -184,9 +187,6 @@ class LaurentPoly:
         return _raw({-k: n for k, n in self.nums.items()}, self.den)
 
     # -- evaluation ------------------------------------------------------------
-
-    def __call__(self, z: complex) -> complex:
-        return sum(n / self.den * z**k for k, n in self.nums.items())
 
     def eval_rational(self, x: Fraction | int) -> Fraction:
         """Exact value at a rational point, by Horner's rule on the integer numerators."""
@@ -374,15 +374,6 @@ class LaurentMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def is_lower_triangular(self) -> bool:
-        return all(
-            self.entries[i][j].is_zero() for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
-
-    def coefficient_matrix(self, k: int) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational matrix of z^k coefficients."""
-        return tuple(tuple(e[k] for e in row) for row in self.entries)
-
     def taps(self) -> dict[int, list[list[Fraction]]]:
         """Exponent -> dense coefficient matrix, for every exponent with a nonzero coefficient."""
         zero = Fraction(0)
@@ -447,39 +438,6 @@ class LaurentMatrix:
         """conj(M)^T on the unit circle."""
         return self.conj_on_circle().transpose()
 
-    def invert_lower_triangular(self) -> "LaurentMatrix":
-        """Exact inverse of a lower-triangular matrix with monomial diagonal.
-
-        Monomials c z^d are the only units of the Laurent polynomial ring, so
-        this precondition is exactly invertibility-with-Laurent-inverse.
-        """
-        if self.rows != self.cols:
-            raise ValueError("matrix must be square")
-        if not self.is_lower_triangular():
-            raise ValueError("matrix must be lower triangular")
-        n = self.rows
-        diag_inv = []
-        for i in range(n):
-            d = self.entries[i][i]
-            if not d.is_monomial():
-                raise ValueError(f"diagonal entry ({i},{i}) is not a monomial; "
-                                 "matrix is not invertible over Laurent polynomials")
-            k, c = next(iter(d.nums.items()))
-            diag_inv.append(LaurentPoly.monomial(Fraction(d.den, c), -k))
-        zero = LaurentPoly.zero()
-        inv: list[list[LaurentPoly]] = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            inv[i][i] = diag_inv[i]
-        # forward substitution, column by column:
-        # inv[i][j] = sum_{j <= k < i} (-d_i^{-1} T[i][k]) inv[k][j]
-        scaled = [_int_cores([-(diag_inv[i] * e) for e in self.entries[i][:i]]) for i in range(n)]
-        for j in range(n):
-            for i in range(j + 1, n):
-                row, row_den = scaled[i]
-                col, col_den = _int_cores([inv[k][j] for k in range(j, i)])
-                inv[i][j] = _from_int(_dot(row[j:i], col), row_den * col_den)
-        return LaurentMatrix(inv)
-
     # -- comparisons -----------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -506,3 +464,39 @@ def _coerce_entry(e) -> LaurentPoly:
     if isinstance(e, (int, Fraction)):
         return LaurentPoly({0: e})
     raise TypeError(f"cannot use {type(e).__name__} as a matrix entry")
+
+
+# -- Pascal-type matrices M_g = [C(i, j) g_{i-j}] ----------------------------------------------
+
+
+def pascal_product(g: Sequence[LaurentPoly], h: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """The binomial convolution (g * h)_n = sum_s C(n, s) g_{n-s} h_s, so M_g M_h = M_{g * h}."""
+    (gc, gd), (hc, hd) = _int_cores(g), _int_cores(h)
+    return [
+        _from_int(_dot(gc[n::-1], [{k: comb(n, s) * c for k, c in hc[s].items()} for s in range(n + 1)]), gd * hd)
+        for n in range(min(len(g), len(h)))
+    ]
+
+
+def pascal_inverse(h: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """k with M_k = M_h^{-1}: k_0 = 1/h_0 and k_n = -k_0 sum_{j=1..n} C(n, j) h_j k_{n-j}.
+
+    h_0 must be a unit of the Laurent polynomials, a monomial c z^d.
+    """
+    if not h[0].is_monomial():
+        raise ValueError(f"h_0 = {h[0]!r} is not a monomial; M_h is not invertible over Laurent polynomials")
+    hc, hd = _int_cores(h)
+    k = [h[0] ** -1]
+    for n in range(1, len(h)):
+        kc, kd = _int_cores(k[::-1])
+        acc = _dot([{e: comb(n, j) * v for e, v in hc[j].items()} for j in range(1, n + 1)], kc)
+        k.append(-k[0] * _from_int(acc, hd * kd))
+    return k
+
+
+def pascal_matrix(seq: Sequence[LaurentPoly], row: int | Fraction = 1, col: int | Fraction = 1) -> LaurentMatrix:
+    """The dense lower-triangular [C(i, j) row^i col^j seq[i-j]], i.e. diag(row^i) M_seq diag(col^j)."""
+    n = len(seq)
+    return LaurentMatrix([[seq[i - j] * (comb(i, j) * row**i * col**j) if j <= i else 0 for j in range(n)]
+                          for i in range(n)])
+

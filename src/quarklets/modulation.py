@@ -8,16 +8,20 @@ For orders (m, mt) and maximal degree p the bundle collects:
 *  the detail symbol   W(z) = b(z) Id               (scalar wavelet symbol),
 *  the modulation matrix  X(z) = [[S(z), S(-z)], [W(z), W(-z)]],
 *  the block determinant  T(z) = S(z) b(-z) - b(z) S(-z),  which is lower
-   triangular with monomial diagonal 2^{1-q} z, hence exactly invertible
-   over Laurent polynomials,
+   triangular with monomial diagonal 2^{-q} z,
 *  the exact inverse  X(z)^{-1} = [[L(z), R(-z)], [L(-z), R(z)]]  with
    L = b(-z) T^{-1} and R = T^{-1} S(z): T is odd, so the bottom-left and
-   top-right blocks are the other two at -z and R is the only matrix product,
+   top-right blocks are the other two at -z,
 *  dual symbols read off from X^{-1}:  conj(St(z))^T = L(z) and
    conj(Wt(z))^T = R(-z), and their mask sequences on first use,
 *  the polyphase matrix P(z) of the masks, on first use,
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by exponent parity, with no product.
+
+With D = diag(2^{-q}) and the Pascal-type M_g = [C(i, j) g_{i-j}] of :mod:`quarklets.laurent`,
+S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z) b(-z), so
+T^{-1} = M_k D^{-1} for k the inverse of h (h_0 = z), L = b(-z) M_k D^{-1} and R = M_{k * g}:
+p + 1 polynomials fix each of them, and no matrix product is taken.
 
 One product per bundle, P P^{-1} on entries with half the taps of X's,
 certifies both X X^{-1} = Id and P's invertibility: if P = X E and the bottom
@@ -37,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .cdf import CdfPair, cdf_masks, quarklets
-from .laurent import LaurentMatrix, LaurentPoly, _from_int, column_cores
+from .laurent import LaurentMatrix, LaurentPoly, _from_int, column_cores, pascal_inverse, pascal_matrix, pascal_product
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
 from .splines import quark_family, refinement_symbol
@@ -144,23 +148,18 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
         ]
     )
 
-    # S(-z) b(z) is U(-z) for U = S(z) b(-z), so T = U - U(-z) is twice the odd-exponent terms of U
-    u = scaling_symbol * b_neg
-    block_det = LaurentMatrix(
-        [[_from_int({k: 2 * c for k, c in e.nums.items() if k & 1}, e.den) for e in row] for row in u.entries]
-    )
-    for q in range(n):
-        expected = LaurentPoly.monomial(Fraction(1, 2**q), 1)
-        if block_det[q, q] != expected:
-            raise AssertionError(
-                f"block determinant diagonal ({q},{q}) is {block_det[q, q]!r}, "
-                f"expected {expected!r}; filter construction is inconsistent"
-            )
-    block_det_inv = block_det.invert_lower_triangular()
+    # S(-z) b(z) is U(-z) for U = S(z) b(-z), so T = U - U(-z) = D M_h with h_j twice the odd part of g_j b(-z)
+    g = [scaling_symbol[j, 0] * 2**j for j in range(n)]
+    h = [_from_int({k: 2 * c for k, c in e.nums.items() if k & 1}, e.den) for e in (x * b_neg for x in g)]
+    if h[0] != LaurentPoly.monomial(1, 1):
+        raise AssertionError(f"block determinant diagonal {h[0]!r} 2^-q is not z 2^-q; inconsistent filters")
+    k = pascal_inverse(h)
+    block_det = pascal_matrix(h, row=Fraction(1, 2))
+    block_det_inv = pascal_matrix(k, col=2)  # M_k D^-1
 
     # T^{-1}(-z) = -T^{-1}(z), so -b(z) T^{-1} = left(-z) and -T^{-1} S(-z) = right(-z)
-    left = block_det_inv * b_neg
-    right = block_det_inv @ scaling_symbol
+    left = pascal_matrix([b_neg * e for e in k], col=2)  # b(-z) T^{-1}
+    right = pascal_matrix(pascal_product(k, g))  # T^{-1} S = M_k D^-1 D M_g
     right_neg = right.substitute_neg()
     modulation_inv = LaurentMatrix.block([[left, right_neg], [left.substitute_neg(), right]])
 

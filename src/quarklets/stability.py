@@ -9,11 +9,11 @@ circle; for one function that determinant is its autocorrelation symbol.
 :func:`quarklets.trig.is_positive_on_circle`, which checks the exact value at
 t = 0 and then runs Descartes bisection in the cosine variable.
 
-Also included: exact Condition E / eigenvalue read-offs for the dual
-refinement symbol at z = 1, St(1) = S(1)^{-T}, which is upper triangular, and
-its exact eigenvector for the eigenvalue 2^p.  The module is exact and imports
-no numpy; ``stability.ft_zero_scan``, the float zero scan of a quark
-transform, resolves to :func:`quarklets.duals.ft_zero_scan` on first use.
+Also included: exact Condition E / eigenvalue read-offs for the dual refinement
+symbol at z = 1, St(1) = S(1)^{-T}, upper triangular and built from p + 1 constants
+by :func:`quarklets.laurent.pascal_inverse`, and its exact eigenvector for the
+eigenvalue 2^p.  The module is exact and imports no numpy: ``stability.ft_zero_scan``,
+the float zero scan, resolves to :func:`quarklets.duals.ft_zero_scan` on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cdf import validate_orders
-from .laurent import LaurentMatrix, LaurentPoly, _dot, _from_int, _int_cores, as_rational
+from .laurent import LaurentPoly, _dot, _from_int, _int_cores, as_rational, pascal_inverse, pascal_matrix
 from .masks import Mat
 from .piecewise import PiecewisePoly
 from .splines import quark, quark_family, refinement_symbol
@@ -173,9 +173,10 @@ def dual_symbol_at_one(m: int, mt: int, p: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def _symbol_at_one(m: int, p: int) -> Mat:
-    """S(1)^{-T} with S(1) = (1/2) sum_k A_k, lower triangular with diagonal 2^{-q}."""
-    at_one = LaurentMatrix([[e.eval_rational(1) for e in row] for row in refinement_symbol(m, p).entries])
-    return tuple(tuple(e[0] for e in col) for col in zip(*at_one.invert_lower_triangular().entries))
+    """S(1)^{-T}: S(1) = (1/2) sum_k A_k = D M_g with D = diag(2^-q), g_j = 2^j S_{j0}(1), so S(1)^{-1} = M_k D^{-1}."""
+    symbol = refinement_symbol(m, p)
+    k = pascal_inverse([LaurentPoly.monomial(symbol[j, 0].eval_rational(1) * 2**j) for j in range(p + 1)])
+    return tuple(tuple(e[0] for e in col) for col in zip(*pascal_matrix(k, col=2).entries))
 
 
 def dual_symbol_eigenvalues(m: int, mt: int, p: int) -> list[Fraction]:

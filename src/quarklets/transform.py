@@ -158,13 +158,16 @@ def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
     family = quarklets(1, mt, p)
     members: list[PiecewisePoly] = []
     rows: list[tuple[Fraction, ...]] = []
+    lines: list[tuple[Fraction, ...]] = []
     norms: list[Fraction] = []
     for q in range(p + 1):
-        # psi*_q = psi_q - sum_l row[l] psi*_l, so row is line q of from_plain
+        # psi*_q = psi_q - sum_l row[l] psi*_l: row is line q of from_plain, e_q - sum_l row[l] lines[l] that of to_plain
         row = [inner_product(family[q], members[l]) / norms[l] for l in range(q)]
         f = family[q] - sum((g * c for g, c in zip(members, row) if c), PiecewisePoly.zero())
         members.append(f)
         rows.append((*row, Fraction(1)) + (Fraction(0),) * (p - q))
+        lines.append(tuple(Fraction(int(i == q)) - sum((c * line[i] for c, line in zip(row, lines)), Fraction(0))
+                           for i in range(p + 1)))
         norm = inner_product(f, f)
         if norm == 0:
             raise AssertionError(f"degenerate quarklet family: member {q} vanished")
@@ -174,7 +177,7 @@ def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
         p=p,
         members=tuple(members),
         norms=tuple(norms),
-        to_plain=LaurentMatrix(rows).invert_lower_triangular().coefficient_matrix(0),
+        to_plain=tuple(lines),
         from_plain=tuple(rows),
         plain=family,
     )

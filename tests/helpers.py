@@ -1,6 +1,8 @@
 """Test-only reference code: the Laurent matrix product summed coefficient by
 coefficient over Fractions (reference for the integer-core kernel of
-``LaurentMatrix.__matmul__``), an independent B-spline closed form, the CDF
+``LaurentMatrix.__matmul__``), forward substitution on a lower-triangular
+Laurent matrix (reference for ``pascal_inverse`` and the bundle's T^{-1} and
+S(1)^{-1}), an independent B-spline closed form, the CDF
 dual mask found by scanning monomial shifts (reference for the closed-form
 shift of ``cdf_masks``), the quark refinement masks as Fraction chains
 (reference for the closed form of ``refinement_symbol``), a deliberately
@@ -28,8 +30,9 @@ positivity decision built on it with no endpoint shortcut (references for the
 Descartes bisection of ``isolate_roots`` and for ``is_positive_on_circle``),
 the Chebyshev polynomials T_n one at a time and the cosine polynomial as the
 sum of 2 c_n T_n (references for the one-pass ``to_cosine_polynomial``),
-and small oracles that no library code needs: closed-interval root counts,
-the two-scale refinement of a quark vector, the dual modulation matrix and
+and small oracles that no library code needs: the z^k coefficient matrix of a
+Laurent matrix, the float value of a Laurent polynomial, closed-interval root
+counts, the two-scale refinement of a quark vector, the dual modulation matrix and
 exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
 for ``dual_symbol_at_one``), Horner's rule in a*x + b on whole Laurent
 products (reference for the Taylor shift of ``compose_linear``), the shift
@@ -134,6 +137,44 @@ def fraction_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return LaurentMatrix(out)
 
 
+def invert_lower_triangular(matrix: LaurentMatrix) -> LaurentMatrix:
+    """Exact inverse of a lower-triangular matrix with monomial diagonal, by forward substitution.
+
+    inv[i][j] = -d_i^{-1} sum_{j <= k < i} T[i][k] inv[k][j] with d_i = T[i][i], on
+    plain ``LaurentPoly`` products (reference for ``laurent.pascal_inverse``).
+    Monomials c z^d are the only units of the Laurent polynomial ring.
+    """
+    if matrix.rows != matrix.cols:
+        raise ValueError("matrix must be square")
+    if not is_lower_triangular(matrix):
+        raise ValueError("matrix must be lower triangular")
+    n, t = matrix.rows, matrix.entries
+    inv = [[LaurentPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        if not t[i][i].is_monomial():
+            raise ValueError(f"diagonal entry ({i},{i}) is not a monomial; "
+                             "matrix is not invertible over Laurent polynomials")
+        d_inv = t[i][i] ** -1
+        inv[i][i] = d_inv
+        for j in range(i):
+            inv[i][j] = -d_inv * sum((t[i][k] * inv[k][j] for k in range(j, i)), LaurentPoly.zero())
+    return LaurentMatrix(inv)
+
+
+def is_lower_triangular(matrix: LaurentMatrix) -> bool:
+    return all(matrix[i, j].is_zero() for i in range(matrix.rows) for j in range(i + 1, matrix.cols))
+
+
+def coefficient_matrix(matrix: LaurentMatrix, k: int) -> Mat:
+    """The rational matrix of z^k coefficients."""
+    return tuple(tuple(e[k] for e in row) for row in matrix.entries)
+
+
+def poly_value(poly: LaurentPoly, z: complex) -> complex:
+    """Float value sum_k c_k z^k of a Laurent polynomial at one point."""
+    return sum(n / poly.den * z**k for k, n in poly.nums.items())
+
+
 def refinement_masks_by_formula(m: int, p: int) -> MaskSequence:
     """The masks A_k entry by entry as Fraction chains (reference for ``refinement_symbol``).
 
@@ -225,7 +266,7 @@ def reference_splitting_masks(bundle: ModulationBundle) -> tuple[MaskSequence, M
             part = LaurentMatrix([row[col : col + n] for row in rows])
             lo, hi = part.exponent_range()
             for e in range(lo, hi + 1):
-                mat = part.coefficient_matrix(e)
+                mat = coefficient_matrix(part, e)
                 if any(any(row) for row in mat):
                     if e % 2:
                         raise AssertionError(
@@ -649,7 +690,7 @@ def eval_rational(matrix: LaurentMatrix, x: Fraction | int) -> Mat:
 
 def symbol_at(matrix: LaurentMatrix, z: complex) -> np.ndarray:
     """Float value of a Laurent matrix at one complex point, entry by entry."""
-    return np.array([[e(z) for e in row] for row in matrix.entries], dtype=complex)
+    return np.array([[poly_value(e, z) for e in row] for row in matrix.entries], dtype=complex)
 
 
 def dual_quark_ft_loop(m: int, mt: int, p: int, levels: int, grid, tail: str = "first-order") -> dict:

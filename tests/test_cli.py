@@ -550,6 +550,17 @@ class TestOrthogonalizeAndSample:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("start,end", [("inf", "1"), ("0", "1e400"), ("1", "inf"), ("0", "nan")])
+    def test_sample_non_finite_range_refused_before_the_function_is_built(self, capsys, monkeypatch, start, end):
+        def never(*args):
+            raise AssertionError("nothing may be built for a non-finite range")
+
+        monkeypatch.setattr(cli, "bspline", never)
+        code, out, err = run(capsys, "sample", "--function", "bspline", "--start", start, "--end", end)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_sample_bad_range(self, capsys):
         code, _, _ = run(
             capsys, "sample", "--function", "bspline", "--m", "1",
@@ -667,6 +678,12 @@ class TestBytePins:
         (["verify-pr", "--m", "3", "--mt", "5", "--p", "5"], "0bf1b92f9b007b32885575bf98931065b4fe6959a95fb1afe9393e0abeaeb5fc"),
         # the design-box corner: the longest masks the benchmark prints
         (["filters", "--m", "5", "--mt", "7", "--p", "8", "--dual"], "16070715df22cdecfb72b72208216f9dddec4a5f513c0842e78e3e3bc4a0076a"),
+        # St(1) = S(1)^{-T}, the Gram-Schmidt to_plain, and St on a grid: the exact inverses behind eigen,
+        # orthogonalize and dual
+        (["eigen", "--m", "5", "--mt", "7", "--p", "8"], "8bd050f35e7caafde1420b45f077fa3be287333dc20e456fab85455b8baf8850"),
+        (["orthogonalize", "--mt", "3", "--p", "5"], "acf17dd88933d6290ac3a69a3e9a718bce25eafaf3b333c359101268bea2f44f"),
+        (["dual", "--m", "3", "--mt", "5", "--p", "3", "--grid-span", "1", "--grid-depth", "2"],
+         "06204fcc0317c6484fdab39788bb4c1a1efd3adb38caac4a2f48fbe71e55d84c"),
     ])
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dual_quark_ft_loop, eval_rational, mass_outside, symbol_at, time_profile
+from helpers import coefficient_matrix, dual_quark_ft_loop, eval_rational, mass_outside, symbol_at, time_profile
 
 import quarklets
 from quarklets import duals, stability
@@ -83,7 +83,7 @@ class TestEigenvector:
         at_one = [[Fraction(0)] * n for _ in range(n)]
         slope = [[Fraction(0)] * n for _ in range(n)]
         for k in range(lo, hi + 1):
-            coeff = symbol.coefficient_matrix(k)
+            coeff = coefficient_matrix(symbol, k)
             for i in range(n):
                 for j in range(n):
                     at_one[i][j] += coeff[i][j] * scale

@@ -21,6 +21,9 @@ from helpers import (
     fpoly_scale,
     fpoly_substitute_neg,
     fraction_matmul,
+    invert_lower_triangular,
+    is_lower_triangular,
+    poly_value,
     trim,
 )
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 
 from quarklets import laurent
 from quarklets.duals import cascade, float_taps
-from quarklets.laurent import LaurentMatrix, LaurentPoly
+from quarklets.laurent import LaurentMatrix, LaurentPoly, pascal_inverse, pascal_matrix, pascal_product
 
 
 def P(coeffs):
@@ -105,7 +108,7 @@ class TestConjOnCircle:
         import cmath
 
         z = cmath.exp(-0.7j)
-        assert abs(p.conj_on_circle()(z) - p(z).conjugate()) < 1e-12
+        assert abs(poly_value(p.conj_on_circle(), z) - poly_value(p, z).conjugate()) < 1e-12
 
 
 class TestMatrix:
@@ -128,19 +131,19 @@ class TestMatrix:
         m = LaurentMatrix(
             [[P({1: 2}), P({})], [P({}), P({1: 1})]]
         )
-        inv = m.invert_lower_triangular()
+        inv = invert_lower_triangular(m)
         assert inv == LaurentMatrix([[P({-1: Fraction(1, 2)}), P({})], [P({}), P({-1: 1})]])
 
     def test_invert_forward_substitution(self):
         # [[z, 0], [1, z]]^{-1} = [[1/z, 0], [-1/z^2, 1/z]] by hand substitution
         m = LaurentMatrix([[P({1: 1}), P({})], [P({0: 1}), P({1: 1})]])
-        inv = m.invert_lower_triangular()
+        inv = invert_lower_triangular(m)
         assert inv == LaurentMatrix([[P({-1: 1}), P({})], [P({-2: -1}), P({-1: 1})]])
 
     def test_invert_requires_monomial_diagonal(self):
         m = LaurentMatrix([[P({0: 1, 1: 1}), P({})], [P({0: 1}), P({1: 1})]])
         with pytest.raises(ValueError, match="monomial"):
-            m.invert_lower_triangular()
+            invert_lower_triangular(m)
 
     def test_invert_random_lower_triangular(self):
         rng = random.Random(17)
@@ -153,7 +156,7 @@ class TestMatrix:
                 row.extend(P({}) for _ in range(n - i - 1))
                 rows.append(row)
             m = LaurentMatrix(rows)
-            inv = m.invert_lower_triangular()
+            inv = invert_lower_triangular(m)
             assert inv @ m == LaurentMatrix.identity(n)
             assert m @ inv == LaurentMatrix.identity(n)
 
@@ -295,6 +298,39 @@ def laurent_polys(lo=-4, hi=4, min_size=0):
 
 polynomials = laurent_polys(lo=0, hi=7)
 nonzero = laurent_polys(min_size=1).filter(bool)
+
+
+short_polys = st.dictionaries(st.integers(-2, 2), rationals, max_size=3).map(LaurentPoly)
+pascal_sequences = st.lists(short_polys, min_size=1, max_size=5)
+units = st.builds(LaurentPoly.monomial, rationals.filter(bool), st.integers(-2, 2))
+
+
+class TestPascalRing:
+    """M_g = [C(i, j) g_{i-j}] multiplies as M_g M_h = M_{g * h}."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(pascal_sequences, pascal_sequences)
+    def test_product_expands_to_the_matrix_product(self, g, h):
+        n = min(len(g), len(h))
+        got = pascal_matrix(pascal_product(g, h))
+        assert got == pascal_matrix(g[:n]) @ pascal_matrix(h[:n])
+        assert is_lower_triangular(got)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(units, pascal_sequences)
+    def test_inverse_expands_to_the_matrix_inverse(self, head, tail):
+        h = [head, *tail[:4]]
+        k = pascal_inverse(h)
+        n = len(h)
+        assert pascal_matrix(k) @ pascal_matrix(h) == LaurentMatrix.identity(n)
+        # (D M_h)^{-1} = M_k D^{-1} for D = diag(2^-i), as the bundle's T and T^{-1}
+        assert pascal_matrix(k, col=2) == invert_lower_triangular(pascal_matrix(h, row=Fraction(1, 2)))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(pascal_sequences.filter(lambda h: not h[0].is_monomial()))
+    def test_inverse_needs_a_monomial_head(self, h):
+        with pytest.raises(ValueError, match="monomial"):
+            pascal_inverse(h)
 
 
 def dense(p: LaurentPoly) -> tuple[Fraction, ...]:

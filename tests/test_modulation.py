@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    coefficient_matrix,
     dual_modulation,
     eval_rational,
     fraction_matmul,
+    invert_lower_triangular,
+    is_lower_triangular,
     modulation_inv_by_blocks,
     parity_exchange_inverse,
     parity_exchange_matrix,
@@ -48,7 +51,7 @@ class TestBundleStructure:
         for (m, mt) in PAIRS:
             b = build_modulation(m, mt, 3)
             t = b.block_det
-            assert t.is_lower_triangular()
+            assert is_lower_triangular(t)
             assert t.substitute_neg() == -t
             for q in range(4):
                 assert t[q, q] == LaurentPoly({1: Fraction(1, 2**q)})
@@ -56,19 +59,29 @@ class TestBundleStructure:
     def test_block_det_inverse_is_laurent_and_odd(self):
         b = build_modulation(2, 2, 3)
         tinv = b.block_det_inv
-        assert tinv.is_lower_triangular()
+        assert is_lower_triangular(tinv)
         assert tinv.substitute_neg() == -tinv
         assert tinv @ b.block_det == LaurentMatrix.identity(4)
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     @pytest.mark.parametrize("p", range(6))
     def test_inverting_block_det_on_the_integer_core(self, m, mt, p):
-        # the forward substitution convolves on integer cores; the kernel product and
-        # the Fraction-accumulating one both certify its result
-        t = build_modulation(m, mt, p).block_det
-        inv = t.invert_lower_triangular()
+        # T^{-1} comes from the binomial-convolution inverse on integer cores; the kernel
+        # product and the Fraction-accumulating one both certify it, and it is the
+        # forward-substitution inverse
+        b = build_modulation(m, mt, p)
+        t, inv = b.block_det, b.block_det_inv
         assert inv @ t == LaurentMatrix.identity(p + 1)
         assert fraction_matmul(inv, t) == LaurentMatrix.identity(p + 1)
+        assert inv == invert_lower_triangular(t)
+
+    def test_block_det_inv_is_the_forward_substitution_on_the_design_box(self):
+        # every (m, mt, p) with m <= 5, m <= mt <= 7, m + mt even and p <= 8
+        box = [(m, mt, p) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0 for p in range(9)]
+        assert len(box) == 126
+        for design in box:
+            b = build_modulation(*design)
+            assert b.block_det_inv == invert_lower_triangular(b.block_det), design
 
     def test_sign_identities_of_inverse_blocks(self):
         # b(z) Tinv(-z) = -b(z) Tinv(z)  and  -Tinv(-z) S(z) = Tinv(z) S(z)
@@ -280,7 +293,7 @@ class TestSubSymbolsAndPolyphase:
             lo, hi = mat.exponent_range()
             for e in range(lo, hi + 1):
                 if e % 2:
-                    assert not any(any(row) for row in mat.coefficient_matrix(e))
+                    assert not any(any(row) for row in coefficient_matrix(mat, e))
 
     def test_exchange_inverse(self):
         for n in (1, 2, 3):
@@ -316,7 +329,7 @@ class TestSubSymbolsAndPolyphase:
         assert pf.inverse is filters.polyphase_inv is b.polyphase_inv
 
     def test_one_matrix_product_per_cold_bundle(self, monkeypatch):
-        # T^{-1} @ S is the only product: the rest of X^{-1} and all of P^{-1} are read off
+        # T, T^{-1}, L and R = T^{-1} S are expanded from binomial convolutions, and P^{-1} is read off
         calls = []
         product = LaurentMatrix.__matmul__
 
@@ -328,7 +341,7 @@ class TestSubSymbolsAndPolyphase:
         modulation._build_cached.cache_clear()
         cdf._cdf_cached.cache_clear()
         decomposition_filters(build_modulation(3, 5, 4))
-        assert calls == [(5, 5, 5, 5)]
+        assert calls == []
 
 
 class TestReadOnlyCaches:

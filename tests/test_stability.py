@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 from helpers import (
     cofactor_determinant,
+    coefficient_matrix,
     condition_e_reference,
+    eval_rational,
     ft_zero_scan_fixed_steps,
+    invert_lower_triangular,
     quark_ft_fixed_depth,
     shift_gram_symbol_by_translates,
 )
 
 from quarklets import duals, stability
 from quarklets.cdf import quarklets
-from quarklets.laurent import LaurentPoly
-from quarklets.splines import quark
+from quarklets.laurent import LaurentMatrix, LaurentPoly
+from quarklets.splines import quark, refinement_symbol
 from quarklets.trig import is_positive_on_circle, shift_gram_symbol
 from quarklets.stability import (
     condition_e,
@@ -425,6 +428,15 @@ class TestDualSpectrum:
     def test_parameter_independent(self, m, mt):
         for p in range(4):
             assert dual_symbol_eigenvalues(m, mt, p) == [Fraction(2) ** q for q in range(p + 1)]
+
+    def test_symbol_at_one_is_the_forward_substitution_inverse(self):
+        # S(1)^{-1} from the binomial-convolution inverse of g_j(1) against forward
+        # substitution on the dense S(1), over the CLI's whole (m, p) range
+        for m in range(1, 17):
+            for p in range(15):
+                s_one = LaurentMatrix(eval_rational(refinement_symbol(m, p), 1))
+                st_one = coefficient_matrix(invert_lower_triangular(s_one).transpose(), 0)
+                assert dual_symbol_at_one(m, m, p) == st_one, (m, p)
 
     @pytest.mark.parametrize("m,mt", [(0, 2), (2, 1), (2, 3)])
     def test_orders_validated_although_mt_is_unused(self, m, mt):
