@@ -22,7 +22,6 @@ from .modulation import (
     build_modulation,
     decomposition_filters,
     polyphase,
-    sub_symbols,
     verify_perfect_reconstruction,
 )
 from .piecewise import PiecewisePoly, inner_product
@@ -110,7 +109,6 @@ __all__ = [
     "scalar_pr_defect",
     "shift_gram_symbol",
     "stability_table",
-    "sub_symbols",
     "to_orthogonal_frames",
     "verify_perfect_reconstruction",
     "with_halves",

@@ -11,9 +11,10 @@ perfect-reconstruction identity (checked once, as a certificate)
 
     a(z) at(1/z) + a(-z) at(-1/z) = 1.
 
-Wavelet masks follow the standard alternating-flip convention
-b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}; they are read off the symbols
-b(z) = -z at(-1/z) and bt(z) = -z a(-1/z).
+The pair stores the four symbols a, at, b and bt.  The wavelet symbols are
+b(z) = -z at(-1/z) and bt(z) = -z a(-1/z), so their masks follow the standard
+alternating-flip convention b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k};
+all four masks are read off the symbols on first use.
 
 Quarklets are the finite combinations psi_q = sum_k b_k phi_q(2x - k) of
 dilated quark translates, assembled exactly as piecewise polynomials.
@@ -26,32 +27,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import LaurentMatrix, LaurentPoly
-from .masks import MaskSequence
+from .laurent import LaurentPoly
+from .masks import mask_view
 from .piecewise import PiecewisePoly
 from .splines import quark, refinement_symbol
 
 
 @dataclass(frozen=True)
 class CdfPair:
-    """Primal/dual scaling masks and the two wavelet masks, all exact."""
+    """The four scalar symbols of an (m, mt) pair, exact; their masks are read off on first use."""
 
     m: int
     mt: int
-    primal: MaskSequence        # a_k
-    dual: MaskSequence          # at_k
-    wavelet: MaskSequence       # b_k
-    dual_wavelet: MaskSequence  # bt_k
+    primal_symbol: LaurentPoly        # a(z) = (1/2) sum_k a_k z^k
+    dual_symbol: LaurentPoly          # at(z)
+    wavelet_symbol: LaurentPoly       # b(z) = -z at(-1/z)
+    dual_wavelet_symbol: LaurentPoly  # bt(z) = -z a(-1/z)
 
-    def wavelet_symbol(self) -> LaurentPoly:
-        """b(z) = (1/2) sum_k b_k z^k."""
-        return self.wavelet.to_symbol()[0, 0]
-
-    def primal_symbol(self) -> LaurentPoly:
-        return self.primal.to_symbol()[0, 0]
-
-    def dual_symbol(self) -> LaurentPoly:
-        return self.dual.to_symbol()[0, 0]
+    primal = mask_view("primal_symbol", "a_k, read off a(z).")
+    dual = mask_view("dual_symbol", "at_k, read off at(z).")
+    wavelet = mask_view("wavelet_symbol", "b_k, read off b(z).")
+    dual_wavelet = mask_view("dual_wavelet_symbol", "bt_k, read off bt(z).")
 
 
 def validate_orders(m: int, mt: int):
@@ -77,8 +73,7 @@ def cdf_masks(m: int, mt: int) -> CdfPair:
 
 @lru_cache(maxsize=None)
 def _cdf_cached(m: int, mt: int) -> CdfPair:
-    a_sym = refinement_symbol(m, 0)
-    a = a_sym[0, 0]
+    a = refinement_symbol(m, 0)[0, 0]
 
     ell = (m + mt) // 2
     y = LaurentPoly({-1: Fraction(-1, 4), 0: Fraction(1, 2), 1: Fraction(-1, 4)})
@@ -97,12 +92,7 @@ def _cdf_cached(m: int, mt: int) -> CdfPair:
         raise AssertionError(f"dual mask for (m, mt) = ({m}, {mt}) leaves PR defect {defect!r}; derivation bug")
 
     minus_z = LaurentPoly.monomial(-1, 1)
-    wavelet, dual_wavelet = (
-        MaskSequence.from_symbol(LaurentMatrix([[minus_z * s.conj_on_circle().substitute_neg()]]))
-        for s in (at, a)
-    )
-    return CdfPair(m, mt, MaskSequence.from_symbol(a_sym), MaskSequence.from_symbol(LaurentMatrix([[at]])),
-                   wavelet, dual_wavelet)
+    return CdfPair(m, mt, a, at, *(minus_z * s.conj_on_circle().substitute_neg() for s in (at, a)))
 
 
 def quarklet(m: int, mt: int, q: int) -> PiecewisePoly:

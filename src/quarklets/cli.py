@@ -128,9 +128,7 @@ def cmd_verify_pr(args) -> int:
     validate_orders(args.m, args.mt)
     bundle = build_modulation(args.m, args.mt, args.p)
     report = verify_perfect_reconstruction(bundle)
-    scalar_defect = scalar_pr_defect(
-        bundle.filters.primal_symbol(), bundle.filters.dual_symbol()
-    )
+    scalar_defect = scalar_pr_defect(bundle.filters.primal_symbol, bundle.filters.dual_symbol)
     payload = {
         "m": args.m,
         "mt": args.mt,
@@ -250,15 +248,17 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_orthogonalize(args) -> int:
-    if args.format == "csv" and not 1 <= args.samples <= MAX_GRID_POINTS:
-        raise UsageError(f"--samples must be between 1 and {MAX_GRID_POINTS} (2^17 + 1)")
+    # order-1 quarklets live on [(1 - mt)/2, (1 + mt)/2], sampled at samples * mt + 1 points
+    count = args.samples
+    if args.format == "csv" and not (count >= 1 and count * args.mt + 1 <= MAX_GRID_POINTS):
+        raise UsageError(f"--samples must be at least 1 and --samples x --mt + 1 at most {MAX_GRID_POINTS}")
     ortho = orthogonalize_haar(args.mt, args.p)
     if args.format == "csv":
         rows = []
-        count = args.samples
+        lo = Fraction(1 - args.mt, 2)
         for q, member in enumerate(ortho.members):
-            for i in range(count + 1):
-                x = Fraction(i, count)
+            for i in range(count * args.mt + 1):
+                x = lo + Fraction(i, count)
                 rows.append([q, _fmt_float(float(x)), _fmt_float(float(member(x)))])
         _write(_csv_text(rows, ["degree", "x", "value"]), args.out)
         return 0
@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mt", type=int, required=True, help=f"dual spline order (at most {MAX_ORDER})")
     p.add_argument("--p", type=int, required=True, help=f"maximal degree (at most {MAX_DEGREE})")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--samples", type=int, default=256, help="samples per unit for csv output (1 to 2^17 + 1)")
+    p.add_argument("--samples", type=int, default=256, help="csv samples per unit over the support "
+                   "[(1 - mt)/2, (1 + mt)/2] (samples x mt + 1 at most 2^17 + 1)")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_orthogonalize)
 

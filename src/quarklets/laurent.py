@@ -334,16 +334,6 @@ class LaurentMatrix:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "LaurentMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return LaurentMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "LaurentMatrix":
-        z = LaurentPoly.zero()
-        return LaurentMatrix([[z] * cols for _ in range(rows)])
-
-    @staticmethod
     def scalar(poly: LaurentPoly, n: int) -> "LaurentMatrix":
         """poly times the n-by-n identity."""
         zero = LaurentPoly.zero()

@@ -1,18 +1,21 @@
 """Finitely supported integer-indexed sequences of rational matrices.
 
 A mask {M_k} collects the coefficients of a two-scale relation.  The attached
-symbol is the Laurent matrix (1/2) sum_k M_k z^k; masks and symbols convert
-losslessly in both directions.  Scalar masks are stored as 1x1 matrices.
+symbol is the Laurent matrix (1/2) sum_k M_k z^k.  The library stores every
+filter as its symbol and reads masks off it, M_k = 2 * (z^k coefficient),
+only where a caller asks for them (:func:`mask_view`); nothing converts
+back.  Scalar masks are stored as 1x1 matrices.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .laurent import LaurentMatrix, as_rational
+from .laurent import LaurentMatrix, LaurentPoly, as_rational
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -52,10 +55,6 @@ class MaskSequence:
         """Masks M_k = 2 * (z^k coefficient of the symbol), read off the nonzero terms only."""
         return MaskSequence.from_taps(symbol.rows, symbol.cols, (symbol * 2).taps())
 
-    def to_symbol(self) -> LaurentMatrix:
-        """The symbol, the Laurent matrix (1/2) sum_k M_k z^k."""
-        return LaurentMatrix.from_taps(self.rows, self.cols, self.entries) * Fraction(1, 2)
-
     def __getitem__(self, k: int) -> Mat:
         return self.entries.get(k, ((Fraction(0),) * self.cols,) * self.rows)
 
@@ -94,3 +93,14 @@ class MaskSequence:
     def __repr__(self):
         lo, hi = self.support()
         return f"MaskSequence({self.rows}x{self.cols}, support [{lo},{hi}])"
+
+
+def mask_view(symbol_field: str, doc: str) -> cached_property:
+    """A cached property: the masks of the symbol in ``symbol_field`` (a scalar symbol as 1x1), on first read."""
+
+    def read(self) -> MaskSequence:
+        symbol = getattr(self, symbol_field)
+        return MaskSequence.from_symbol(LaurentMatrix([[symbol]]) if isinstance(symbol, LaurentPoly) else symbol)
+
+    read.__doc__ = doc
+    return cached_property(read)

@@ -3,8 +3,7 @@
 For orders (m, mt) and maximal degree p the bundle collects:
 
 *  the scaling symbol  S(z) = (1/2) sum_k A_k z^k   ((p+1) square), taken
-   from :func:`quarklets.splines.refinement_symbol`, and the masks A_k read
-   off it,
+   from :func:`quarklets.splines.refinement_symbol`,
 *  the detail symbol   W(z) = b(z) Id               (scalar wavelet symbol),
 *  the modulation matrix  X(z) = [[S(z), S(-z)], [W(z), W(-z)]],
 *  the block determinant  T(z) = S(z) b(-z) - b(z) S(-z),  which is lower
@@ -13,10 +12,12 @@ For orders (m, mt) and maximal degree p the bundle collects:
    L = b(-z) T^{-1} and R = T^{-1} S(z): T is odd, so the bottom-left and
    top-right blocks are the other two at -z,
 *  dual symbols read off from X^{-1}:  conj(St(z))^T = L(z) and
-   conj(Wt(z))^T = R(-z), and their mask sequences on first use,
-*  the polyphase matrix P(z) of the masks, on first use,
+   conj(Wt(z))^T = R(-z),
+*  the polyphase matrix P(z) = [[S_0, S_1], [W_0, W_1]], read off S and b by
+   exponent parity on first use (S_r(z) = sum_k A_{2k+r} z^{2k}),
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
-   block row [L, R(-z)] by exponent parity, with no product.
+   block row [L, R(-z)] by the same parity split, with no product,
+*  the masks A_k, B_k, At_k and Bt_k, read off their symbols on first use.
 
 With D = diag(2^{-q}) and the Pascal-type M_g = [C(i, j) g_{i-j}] of :mod:`quarklets.laurent`,
 S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z) b(-z), so
@@ -39,10 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
 from .laurent import LaurentMatrix, LaurentPoly, _from_int, column_cores, pascal_inverse, pascal_matrix, pascal_product
-from .masks import MaskSequence
+from .masks import MaskSequence, mask_view
 from .piecewise import PiecewisePoly
 from .splines import quark_family, refinement_symbol
 
@@ -53,8 +55,6 @@ class ModulationBundle:
     mt: int
     p: int
     filters: CdfPair
-    scaling_masks: MaskSequence        # A_k
-    detail_masks: MaskSequence         # B_k = b_k Id
     scaling_symbol: LaurentMatrix      # S(z)
     detail_symbol: LaurentMatrix       # W(z) = b(z) Id
     modulation: LaurentMatrix          # X(z), size 2(p+1)
@@ -64,26 +64,26 @@ class ModulationBundle:
     dual_scaling_symbol: LaurentMatrix  # St(z)
     dual_detail_symbol: LaurentMatrix   # Wt(z)
 
+    scaling_masks = mask_view("scaling_symbol", "A_k, read off S(z) on first use.")
+    detail_masks = mask_view("detail_symbol", "B_k = b_k Id, read off W(z) on first use.")
+    dual_scaling_masks = mask_view("dual_scaling_symbol", "At_k, read off St(z) on first use.")
+    dual_detail_masks = mask_view("dual_detail_symbol", "Bt_k, read off Wt(z) on first use.")
+
     @property
     def size(self) -> int:
         return self.p + 1
 
     @cached_property
-    def dual_scaling_masks(self) -> MaskSequence:
-        """At_k, read off St(z) on first use."""
-        return MaskSequence.from_symbol(self.dual_scaling_symbol)
-
-    @cached_property
-    def dual_detail_masks(self) -> MaskSequence:
-        """Bt_k, read off Wt(z) on first use."""
-        return MaskSequence.from_symbol(self.dual_detail_symbol)
-
-    @cached_property
     def synthesis_matrix(self) -> LaurentMatrix:
-        """P(z) = [[S_0, S_1], [W_0, W_1]] of the even/odd sub-symbols of the masks, on first use."""
-        s0, w0 = sub_symbols(self, 0)
-        s1, w1 = sub_symbols(self, 1)
-        return LaurentMatrix.block([[s0, s1], [w0, w1]])
+        """P(z) = [[S_0, S_1], [W_0, W_1]], read off S and the filters' b on first use.
+
+        S_r(z) = sum_k A_{2k+r} z^{2k} with A_k = 2 (z^k coefficient of S): block
+        column r keeps twice the r-parity powers of S, moved down by r; the same
+        for W = b Id.  W comes from the filters, not from ``detail_symbol``, so
+        a bundle whose stored W was changed fails ``factorization_holds``.
+        """
+        rows = self.scaling_symbol.entries + LaurentMatrix.scalar(self.filters.wavelet_symbol, self.size).entries
+        return LaurentMatrix([_parity_part(row, 0, 0, 2) + _parity_part(row, 1, -1, 2) for row in rows])
 
     @cached_property
     def polyphase_inv(self) -> LaurentMatrix:
@@ -94,10 +94,7 @@ class ModulationBundle:
         that row, block row 1 its odd powers moved up by one.
         """
         top = self.modulation_inv.entries[: self.size]
-        return LaurentMatrix(
-            [[_from_int({k + r: c for k, c in e.nums.items() if k % 2 == r}, e.den) for e in row]
-             for r in (0, 1) for row in top]
-        )
+        return LaurentMatrix([_parity_part(row, r, r) for r in (0, 1) for row in top])
 
     @cached_property
     def synthesis_cores(self) -> list:
@@ -123,6 +120,11 @@ class ModulationBundle:
         return check_product_is_identity(self.synthesis_matrix, self.polyphase_inv)
 
 
+def _parity_part(row: Sequence[LaurentPoly], parity: int, shift: int, factor: int = 1) -> list[LaurentPoly]:
+    """factor z^shift times the terms of each entry whose exponent has the given parity, on numerators."""
+    return [_from_int({k + shift: factor * c for k, c in e.nums.items() if k % 2 == parity}, e.den) for e in row]
+
+
 def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
     """Assemble the full modulation bundle for (m, mt, p), exactly."""
     if p < 0:
@@ -135,11 +137,9 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
     filters = cdf_masks(m, mt)
     n = p + 1
     scaling_symbol = refinement_symbol(m, p)
-    scaling_masks = MaskSequence.from_symbol(scaling_symbol)
-    b = filters.wavelet_symbol()
+    b = filters.wavelet_symbol
     b_neg = b.substitute_neg()
     detail_symbol = LaurentMatrix.scalar(b, n)
-    detail_masks = MaskSequence.from_symbol(detail_symbol)
 
     modulation = LaurentMatrix.block(
         [
@@ -170,8 +170,6 @@ def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
         mt=mt,
         p=p,
         filters=filters,
-        scaling_masks=scaling_masks,
-        detail_masks=detail_masks,
         scaling_symbol=scaling_symbol,
         detail_symbol=detail_symbol,
         modulation=modulation,
@@ -219,24 +217,9 @@ def verify_perfect_reconstruction(bundle: ModulationBundle) -> ReconstructionRep
     return ReconstructionReport(bundle.m, bundle.mt, bundle.p, not residuals, residuals)
 
 
-def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """Even/odd sub-symbols sum_k M_{2k+parity} z^{2k} of the scaling and detail masks."""
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    return (
-        _sub_symbol(bundle.scaling_masks, parity),
-        _sub_symbol(bundle.detail_masks, parity),
-    )
-
-
-def _sub_symbol(masks: MaskSequence, parity: int) -> LaurentMatrix:
-    picked = {k - parity: m for k, m in masks.entries.items() if (k - parity) % 2 == 0}
-    return LaurentMatrix.from_taps(masks.rows, masks.cols, picked)
-
-
 @dataclass(frozen=True)
 class PolyphaseFactorization:
-    polyphase: LaurentMatrix          # P(z) of the sub-symbols
+    polyphase: LaurentMatrix          # P(z) = [[S_0, S_1], [W_0, W_1]]
     inverse: LaurentMatrix            # P(z)^{-1} = E^{-1} X^{-1}
     factorization_holds: bool         # P == X E, checked exactly
     invertible: bool                  # P P^{-1} == Id, checked exactly
@@ -253,40 +236,44 @@ class DecompositionFilters:
     """Exact two-scale splitting filters: Phi(2x - r) expanded over coarse quarks/quarklets.
 
     For r in {0, 1}:  Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k).
+    Block row r of P(z)^{-1} is [C_r(z), D_r(z)] with C_r(z) = sum_k C_{2k+r} z^{2k},
+    so the z^e coefficient of block row r is [C_{e+r}, D_{e+r}]; the masks are
+    read off it on first use.
     """
 
     m: int
     mt: int
     p: int
-    coarse: MaskSequence  # C_n, n in Z
-    detail: MaskSequence  # D_n, n in Z
     polyphase_inv: LaurentMatrix  # P(z)^{-1} = [[C_0, D_0], [C_1, D_1]], applied by decompose
+
+    @cached_property
+    def coarse(self) -> MaskSequence:
+        """C_n, n in Z, read off block column 0 of P^{-1} on first use."""
+        return self._block_masks(0)
+
+    @cached_property
+    def detail(self) -> MaskSequence:
+        """D_n, n in Z, read off block column 1 of P^{-1} on first use."""
+        return self._block_masks(self.p + 1)
 
     @cached_property
     def analysis_cores(self) -> list:
         """The column cores of P(z)^{-1}, kept for every ``transform.decompose`` with these filters."""
         return column_cores(self.polyphase_inv)
 
-
-def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
-    """Read the splitting filters off P(z)^{-1} = E(z)^{-1} X(z)^{-1}.
-
-    Block row r of P^{-1} is [C_r(z), D_r(z)] with C_r(z) = sum_k C_{2k+r} z^{2k},
-    so the z^e coefficient of block row r is [C_{e+r}, D_{e+r}].  P^{-1} is read
-    off X^{-1} by exponent parity (``ModulationBundle.polyphase_inv``), so it
-    holds even powers of z only, which keeps the two rows' masks apart.
-    """
-    n = bundle.size
-    inv = bundle.polyphase_inv
-    rows = (inv.entries[:n], inv.entries[n:])
-    coarse, detail = (
-        MaskSequence.from_taps(n, n, {
+    def _block_masks(self, c: int) -> MaskSequence:
+        # P^{-1} holds even powers of z only, which keeps the two block rows' masks apart
+        n = self.p + 1
+        rows = (self.polyphase_inv.entries[:n], self.polyphase_inv.entries[n:])
+        return MaskSequence.from_taps(n, n, {
             e + r: tap for r in (0, 1)
             for e, tap in LaurentMatrix([row[c : c + n] for row in rows[r]]).taps().items()
         })
-        for c in (0, n)
-    )
-    return DecompositionFilters(bundle.m, bundle.mt, bundle.p, coarse, detail, inv)
+
+
+def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
+    """The splitting filters of P(z)^{-1} = E(z)^{-1} X(z)^{-1} (``ModulationBundle.polyphase_inv``)."""
+    return DecompositionFilters(bundle.m, bundle.mt, bundle.p, bundle.polyphase_inv)
 
 
 def splitting_identity_defect(

@@ -8,9 +8,9 @@ for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.
 Each transform step is one exact row-times-matrix product on the polyphase
 form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
 the fine frame and s(z^2), d(z^2) of the coarse ones, vectors of Laurent
-polynomials.  P(z) is the polyphase matrix of the two-scale masks, built
-once per bundle (``ModulationBundle.synthesis_matrix``), P(z)^{-1} =
-E(z)^{-1} X(z)^{-1} is the bundle's one analysis matrix, carried by the
+polynomials.  P(z) is the polyphase matrix of the two-scale masks, read
+off the symbols once per bundle (``ModulationBundle.synthesis_matrix``),
+P(z)^{-1} = E(z)^{-1} X(z)^{-1} is the bundle's one analysis matrix, carried by the
 splitting filters (``DecompositionFilters.polyphase_inv``), and ``modulation.polyphase``
 certifies P P^{-1} = Id, so the two steps are exact inverses:
 

@@ -38,9 +38,12 @@ for ``dual_symbol_at_one``), Horner's rule in a*x + b on whole Laurent
 products (reference for the Taylor shift of ``compose_linear``), the shift
 Gram symbol by translating g and integrating f * g(. - n) for every n
 (reference for the local-coordinate ``shift_gram_symbol``), the cofactor
-expansion of a determinant (reference for the Bareiss ``trig_determinant``)
-and the Fourier zero scan with all 100 ternary steps (reference for the
-early stop of ``ft_zero_scan``)."""
+expansion of a determinant (reference for the Bareiss ``trig_determinant``),
+the Fourier zero scan with all 100 ternary steps (reference for the
+early stop of ``ft_zero_scan``), the symbol of a mask built tap by tap and
+P assembled from the masks' even/odd sub-symbols (references for
+``MaskSequence.from_symbol`` and the parity read-off of
+``synthesis_matrix``), and the Laurent identity and zero matrices."""
 
 import math
 from dataclasses import replace
@@ -96,11 +99,10 @@ def cdf_masks_by_scan(m: int, mt: int) -> CdfPair:
     """The CDF quadruple with the dual shift kappa found by trying every |kappa| <= m + mt.
 
     The dual symbol z^kappa ((1+z)/2)^mt P_L(y) is kept at the first shift that
-    passes the scalar PR identity; the wavelet masks are the alternating flips
-    b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}.
+    passes the scalar PR identity; the wavelet symbols are the alternating flips
+    b_k = (-1)^k at_{1-k} and bt_k = (-1)^k a_{1-k}, coefficient by coefficient.
     """
-    primal = refinement_masks_by_formula(m, 0)
-    a = primal.to_symbol()[0, 0]
+    a = mask_to_symbol(refinement_masks_by_formula(m, 0))[0, 0]
     ell = (m + mt) // 2
     y = LaurentPoly({-1: Fraction(-1, 4), 0: Fraction(1, 2), 1: Fraction(-1, 4)})
     bezout = sum((y**n * math.comb(ell - 1 + n, n) for n in range(ell)), LaurentPoly.zero())
@@ -111,12 +113,11 @@ def cdf_masks_by_scan(m: int, mt: int) -> CdfPair:
             break
     else:
         raise ValueError(f"no monomial shift satisfies perfect reconstruction for ({m}, {mt})")
-    dual = MaskSequence.from_symbol(LaurentMatrix([[at]]))
 
-    def flip(scalars: dict[int, Fraction]) -> MaskSequence:
-        return MaskSequence(1, 1, {1 - k: (((-1) ** ((1 - k) % 2) * c,),) for k, c in scalars.items()})
+    def flip(symbol: LaurentPoly) -> LaurentPoly:
+        return LaurentPoly({1 - k: (-1) ** ((1 - k) % 2) * c for k, c in symbol.items()})
 
-    return CdfPair(m, mt, primal, dual, flip(dual.scalars()), flip(primal.scalars()))
+    return CdfPair(m, mt, a, at, flip(at), flip(a))
 
 
 def fraction_matmul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -199,13 +200,47 @@ def refinement_masks_by_formula(m: int, p: int) -> MaskSequence:
     return MaskSequence(p + 1, p + 1, out)
 
 
+def laurent_identity(n: int) -> LaurentMatrix:
+    """The n x n identity as a Laurent matrix."""
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return LaurentMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def laurent_zero(rows: int, cols: int) -> LaurentMatrix:
+    """The rows x cols zero Laurent matrix."""
+    return LaurentMatrix([[LaurentPoly.zero()] * cols for _ in range(rows)])
+
+
+def mask_to_symbol(masks: MaskSequence) -> LaurentMatrix:
+    """The symbol (1/2) sum_k M_k z^k of a mask, built tap by tap (reference for ``MaskSequence.from_symbol``)."""
+    return LaurentMatrix.from_taps(masks.rows, masks.cols, masks.entries) * Fraction(1, 2)
+
+
+def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
+    """Even/odd sub-symbols sum_k M_{2k+parity} z^{2k} of the scaling and detail masks."""
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    return _sub_symbol(bundle.scaling_masks, parity), _sub_symbol(bundle.detail_masks, parity)
+
+
+def _sub_symbol(masks: MaskSequence, parity: int) -> LaurentMatrix:
+    picked = {k - parity: m for k, m in masks.entries.items() if (k - parity) % 2 == 0}
+    return LaurentMatrix.from_taps(masks.rows, masks.cols, picked)
+
+
+def polyphase_by_masks(bundle: ModulationBundle) -> LaurentMatrix:
+    """P(z) = [[S_0, S_1], [W_0, W_1]] assembled from the masks' sub-symbols (reference for ``synthesis_matrix``)."""
+    (s0, w0), (s1, w1) = sub_symbols(bundle, 0), sub_symbols(bundle, 1)
+    return LaurentMatrix.block([[s0, s1], [w0, w1]])
+
+
 def parity_exchange_matrix(n: int) -> LaurentMatrix:
     """The block matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] of size 2n, with P = X E."""
     z_inv = LaurentPoly.monomial(Fraction(1), -1)
     return LaurentMatrix.block(
         [
-            [LaurentMatrix.identity(n), LaurentMatrix.scalar(z_inv, n)],
-            [LaurentMatrix.identity(n), LaurentMatrix.scalar(-z_inv, n)],
+            [laurent_identity(n), LaurentMatrix.scalar(z_inv, n)],
+            [laurent_identity(n), LaurentMatrix.scalar(-z_inv, n)],
         ]
     )
 
@@ -225,7 +260,7 @@ def parity_exchange_inverse(n: int) -> LaurentMatrix:
 def modulation_inv_by_blocks(bundle: ModulationBundle) -> LaurentMatrix:
     """X(z)^{-1} = [[b(-z) T^{-1}, -T^{-1} S(-z)], [-b(z) T^{-1}, T^{-1} S(z)]], each block multiplied out."""
     tinv, s = bundle.block_det_inv, bundle.scaling_symbol
-    b = bundle.filters.wavelet_symbol()
+    b = bundle.filters.wavelet_symbol
     return LaurentMatrix.block(
         [
             [tinv * b.substitute_neg(), -(tinv @ s.substitute_neg())],
@@ -729,7 +764,7 @@ def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
 
 @lru_cache(maxsize=None)
 def _fixed_depth_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray]:
-    taps = float_taps(refinement_masks(m, q).to_symbol())
+    taps = float_taps(mask_to_symbol(refinement_masks(m, q)))
     moments = np.array([[float(quark(m, l).moment(t)) for l in range(q + 1)] for t in range(4)])
     factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(4)]
     return taps, np.array(factors)[:, None] * moments

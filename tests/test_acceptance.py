@@ -264,8 +264,8 @@ def test_criterion_11_scalar_cdf_sanity():
     ok = True
     for m, mt in PAIRS:
         pair = cdf_masks(m, mt)
-        ok &= scalar_pr_defect(pair.primal_symbol(), pair.dual_symbol()).is_zero()
-        ok &= pair.dual_symbol().eval_rational(1) == 1
+        ok &= scalar_pr_defect(pair.primal_symbol, pair.dual_symbol).is_zero()
+        ok &= pair.dual_symbol.eval_rational(1) == 1
         psi0 = quarklets(m, mt, 0)[0]
         ok &= all(psi0.moment(n) == 0 for n in range(mt))
         ok &= psi0.moment(mt) != 0

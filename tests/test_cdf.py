@@ -90,7 +90,7 @@ class TestCdfMasks:
         assert pair.primal.scalars() == {0: 1, 1: 1}
         assert pair.dual.scalars() == {0: 1, 1: 1}
         assert pair.wavelet.scalars() == {0: 1, 1: -1}
-        assert pair.wavelet_symbol() == LaurentPoly({0: Fraction(1, 2), 1: Fraction(-1, 2)})
+        assert pair.wavelet_symbol == LaurentPoly({0: Fraction(1, 2), 1: Fraction(-1, 2)})
 
     def test_order_two_dual_matches_bezout_oracle(self):
         pair = cdf_masks(2, 2)
@@ -118,28 +118,28 @@ class TestCdfMasks:
     @pytest.mark.parametrize("m,mt", PAIRS)
     def test_scalar_pr_identity_exact(self, m, mt):
         pair = cdf_masks(m, mt)
-        assert scalar_pr_defect(pair.primal_symbol(), pair.dual_symbol()).is_zero()
+        assert scalar_pr_defect(pair.primal_symbol, pair.dual_symbol).is_zero()
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     def test_dual_normalization(self, m, mt):
         pair = cdf_masks(m, mt)
-        assert pair.dual_symbol().eval_rational(1) == 1
+        assert pair.dual_symbol.eval_rational(1) == 1
         assert sum(pair.dual.scalars().values()) == 2
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     def test_wavelet_symbol_relation(self, m, mt):
         # b(-z) = z * at(1/z): the alternating-flip identity at symbol level
         pair = cdf_masks(m, mt)
-        b = pair.wavelet_symbol()
-        at = pair.dual_symbol()
+        b = pair.wavelet_symbol
+        at = pair.dual_symbol
         assert b.substitute_neg() == LaurentPoly({1: 1}) * at.conj_on_circle()
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     def test_dual_wavelet_symbol_relation(self, m, mt):
         # bt(-z) = z * a(1/z)
         pair = cdf_masks(m, mt)
-        bt = pair.dual_wavelet.to_symbol()[0, 0]
-        a = pair.primal_symbol()
+        bt = pair.dual_wavelet_symbol
+        a = pair.primal_symbol
         assert bt.substitute_neg() == LaurentPoly({1: 1}) * a.conj_on_circle()
 
 

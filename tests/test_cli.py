@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quarklets import cli, duals, stability
+from quarklets.transform import orthogonalize_haar
 from quarklets.cli import (
     MAX_DEGREE, MAX_DUAL_WORK, MAX_FT_FREQUENCY, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER,
     main,
@@ -518,6 +520,35 @@ class TestOrthogonalizeAndSample:
         assert out == ""
         assert str(MAX_GRID_POINTS) in err
 
+    def test_orthogonalize_csv_covers_the_support(self, capsys):
+        # at mt = 3 the members live on [-1, 2], where the order-1 quarklet takes -1/8 and 1/8 outside [0, 1]
+        code, out, _ = run(
+            capsys, "orthogonalize", "--mt", "3", "--p", "1", "--format", "csv", "--samples", "4"
+        )
+        assert code == 0
+        members = orthogonalize_haar(3, 1).members
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 2 * (4 * 3 + 1)
+        for q, member in enumerate(members):
+            assert member.breakpoints[0] >= -1 and member.breakpoints[-1] <= 2
+            xs = [Fraction(x) for d, x, _ in rows if int(d) == q]
+            assert xs == [Fraction(-1) + Fraction(i, 4) for i in range(13)]
+            assert [float(v) for d, _, v in rows if int(d) == q] == [float(member(x)) for x in xs]
+        assert {float(v) for d, x, v in rows if d == "0" and -1 < float(x) < 0} == {-1 / 8}
+
+    def test_orthogonalize_csv_cap_counts_the_support(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("nothing may be built for a refused sample count")
+
+        monkeypatch.setattr(cli, "orthogonalize_haar", never)
+        samples = str((MAX_GRID_POINTS - 1) // 3 + 1)
+        code, out, err = run(
+            capsys, "orthogonalize", "--mt", "3", "--p", "2", "--format", "csv", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert str(MAX_GRID_POINTS) in err
+
     def test_sample_bspline(self, capsys):
         code, out, _ = run(
             capsys, "sample", "--function", "bspline", "--m", "2",
@@ -684,6 +715,8 @@ class TestBytePins:
         (["orthogonalize", "--mt", "3", "--p", "5"], "acf17dd88933d6290ac3a69a3e9a718bce25eafaf3b333c359101268bea2f44f"),
         (["dual", "--m", "3", "--mt", "5", "--p", "3", "--grid-span", "1", "--grid-depth", "2"],
          "06204fcc0317c6484fdab39788bb4c1a1efd3adb38caac4a2f48fbe71e55d84c"),
+        # the CLI corner: S and every CDF mask at the largest orders and degree
+        (["filters", "--m", "16", "--mt", "16", "--p", "14"], "82dbb1e4c02b7c1ed633286b1a9f5d4ffb9fc3dc46bbb8de70f2557c8300b983"),
     ])
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

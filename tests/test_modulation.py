@@ -1,6 +1,6 @@
 """Modulation matrix assembly, inversion, duals, polyphase, splitting filters."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -13,15 +13,18 @@ from helpers import (
     fraction_matmul,
     invert_lower_triangular,
     is_lower_triangular,
+    laurent_identity,
     modulation_inv_by_blocks,
     parity_exchange_inverse,
     parity_exchange_matrix,
     perturb_detail_block,
+    polyphase_by_masks,
     polyphase_inv_by_product,
     reference_splitting_masks,
+    sub_symbols,
 )
 
-from quarklets import cdf, modulation
+from quarklets import cdf, modulation, splines
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.masks import MaskSequence
 from quarklets.modulation import (
@@ -30,10 +33,9 @@ from quarklets.modulation import (
     decomposition_filters,
     polyphase,
     splitting_identity_defect,
-    sub_symbols,
     verify_perfect_reconstruction,
 )
-from quarklets.transform import CoefficientFrame, decompose
+from quarklets.transform import CoefficientFrame, decompose, reconstruct
 
 PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]
 
@@ -61,7 +63,7 @@ class TestBundleStructure:
         tinv = b.block_det_inv
         assert is_lower_triangular(tinv)
         assert tinv.substitute_neg() == -tinv
-        assert tinv @ b.block_det == LaurentMatrix.identity(4)
+        assert tinv @ b.block_det == laurent_identity(4)
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     @pytest.mark.parametrize("p", range(6))
@@ -71,8 +73,8 @@ class TestBundleStructure:
         # forward-substitution inverse
         b = build_modulation(m, mt, p)
         t, inv = b.block_det, b.block_det_inv
-        assert inv @ t == LaurentMatrix.identity(p + 1)
-        assert fraction_matmul(inv, t) == LaurentMatrix.identity(p + 1)
+        assert inv @ t == laurent_identity(p + 1)
+        assert fraction_matmul(inv, t) == laurent_identity(p + 1)
         assert inv == invert_lower_triangular(t)
 
     def test_block_det_inv_is_the_forward_substitution_on_the_design_box(self):
@@ -86,7 +88,7 @@ class TestBundleStructure:
     def test_sign_identities_of_inverse_blocks(self):
         # b(z) Tinv(-z) = -b(z) Tinv(z)  and  -Tinv(-z) S(z) = Tinv(z) S(z)
         b = build_modulation(1, 1, 2)
-        bz = b.filters.wavelet_symbol()
+        bz = b.filters.wavelet_symbol
         tinv = b.block_det_inv
         assert tinv.substitute_neg() * bz == -(tinv * bz)
         lhs = -(tinv.substitute_neg() @ b.scaling_symbol)
@@ -94,7 +96,7 @@ class TestBundleStructure:
 
     def test_detail_block_is_scalar_wavelet_symbol(self):
         b = build_modulation(2, 4, 2)
-        bz = b.filters.wavelet_symbol()
+        bz = b.filters.wavelet_symbol
         assert b.detail_symbol == LaurentMatrix.scalar(bz, 3)
         for _, mat in b.detail_masks.items():
             for i in range(3):
@@ -299,8 +301,8 @@ class TestSubSymbolsAndPolyphase:
         for n in (1, 2, 3):
             e = parity_exchange_matrix(n)
             einv = parity_exchange_inverse(n)
-            assert e @ einv == LaurentMatrix.identity(2 * n)
-            assert einv @ e == LaurentMatrix.identity(2 * n)
+            assert e @ einv == laurent_identity(2 * n)
+            assert einv @ e == laurent_identity(2 * n)
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 1), (2, 2, 2), (3, 3, 1)])
     def test_polyphase_factorization(self, m, mt, p):
@@ -344,6 +346,48 @@ class TestSubSymbolsAndPolyphase:
         assert calls == []
 
 
+DESIGN_BOX = [(m, mt, p) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0 for p in range(9)]
+
+
+class TestSymbolsOnly:
+    """Every filter is stored as its symbol; masks are read off on first use, never turned back into symbols."""
+
+    def test_synthesis_matrix_equals_the_masks_polyphase_matrix(self):
+        # the parity read-off of S and b against P assembled from the masks' sub-symbols
+        assert len(DESIGN_BOX) == 126
+        for design in DESIGN_BOX + [(16, 16, 14)]:
+            bundle = replace(build_modulation(*design))
+            assert bundle.synthesis_matrix == polyphase_by_masks(bundle), design
+
+    def test_no_stored_field_is_a_mask(self):
+        bundle = build_modulation(2, 4, 2)
+        for obj in (bundle.filters, bundle, decomposition_filters(bundle)):
+            assert not any(isinstance(getattr(obj, f.name), MaskSequence) for f in fields(obj)), obj
+
+    def test_cold_verify_and_transform_build_no_mask(self, monkeypatch):
+        calls = []
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, staticmethod(lambda *a: calls.append(name) or original(*a)))
+
+        counting(MaskSequence, "from_symbol")
+        counting(MaskSequence, "from_taps")
+        counting(LaurentMatrix, "from_taps")
+        for module in (cdf, modulation, splines):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        bundle = build_modulation(3, 5, 3)
+        assert verify_perfect_reconstruction(bundle).identity_holds
+        assert polyphase(bundle).invertible
+        filters = decomposition_filters(bundle)
+        frame = CoefficientFrame(2, 4, {-3: (1, 2, 3, 4), 0: (Fraction(1, 3), 0, -1, 5), 5: (0, 0, 7, 1)})
+        assert reconstruct(*decompose(frame, filters), bundle) == frame
+        assert calls == []
+        assert filters.coarse.length() > 0 and calls == ["from_taps"]
+
+
 class TestReadOnlyCaches:
     def test_cached_masks_reject_assignment(self):
         bundle = build_modulation(2, 2, 1)
@@ -362,12 +406,12 @@ class TestReadOnlyCaches:
         monkeypatch.setattr(MaskSequence, "from_symbol",
                             staticmethod(lambda symbol: read.append(symbol) or from_symbol(symbol)))
         modulation._build_cached.cache_clear()
+        cdf._cdf_cached.cache_clear()
         bundle = build_modulation(2, 4, 2)
-        cold = len(read)  # the detail masks, and the CDF dual mask if that was cold too
-        assert bundle.dual_scaling_symbol not in read and bundle.dual_detail_symbol not in read
+        assert read == []  # every mask is read off its symbol on first use
         masks = bundle.dual_scaling_masks
         assert bundle.dual_scaling_masks is masks and bundle.dual_detail_masks is bundle.dual_detail_masks
-        assert read[cold:] == [bundle.dual_scaling_symbol, bundle.dual_detail_symbol]
+        assert read == [bundle.dual_scaling_symbol, bundle.dual_detail_symbol]
         assert bundle.synthesis_matrix is bundle.synthesis_matrix
         with pytest.raises(AttributeError):
             bundle.dual_scaling_masks = masks

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from helpers import (
     bspline_truncated_power,
+    mask_to_symbol,
     quark_ft_fixed_depth,
     quark_ft_mpmath,
     refine_vector,
@@ -132,7 +133,7 @@ class TestRefinementMasks:
             for p in range(0, 15):
                 masks = refinement_masks(m, p)
                 assert masks == refinement_masks_by_formula(m, p), (m, p)
-                assert refinement_symbol(m, p) == masks.to_symbol(), (m, p)
+                assert refinement_symbol(m, p) == mask_to_symbol(masks), (m, p)
 
     @pytest.mark.parametrize("m", range(1, 6))
     @pytest.mark.parametrize("p", range(0, 5))
