@@ -285,9 +285,8 @@ def row_taps_product(taps: Mapping[int, Sequence[Fraction]],
                      columns: Sequence[tuple[list[dict[int, int]], int]]) -> dict[int, list[Fraction]]:
     """The taps of r @ M, r = sum_k taps[k] z^k a one-row matrix and M given by :func:`column_cores`.
 
-    ``(LaurentMatrix.from_taps(1, n, {k: [t] for k, t in taps.items()}) @ M).taps()`` with the
-    row picked out of every tap, but the row's integer numerators come straight from the taps
-    over one lcm, and each output coefficient is one Fraction.
+    ``taps`` holds Fractions.  The row's integer numerators come straight from the taps over
+    one lcm, and each output coefficient is one Fraction; taps that come out zero are left out.
     """
     den = lcm(*(c.denominator for tap in taps.values() for c in tap))
     row: list[dict[int, int]] = [{} for _ in columns[0][0]]
@@ -338,14 +337,6 @@ class LaurentMatrix:
         """poly times the n-by-n identity."""
         zero = LaurentPoly.zero()
         return LaurentMatrix([[poly if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_taps(rows: int, cols: int, taps: Mapping[int, Sequence[Sequence[object]]]) -> "LaurentMatrix":
-        """The matrix sum_k taps[k] z^k of dense rows x cols taps; zero coefficients are dropped."""
-        items = taps.items()
-        return LaurentMatrix(
-            [[LaurentPoly({k: tap[i][j] for k, tap in items}) for j in range(cols)] for i in range(rows)]
-        )
 
     @staticmethod
     def block(blocks: Sequence[Sequence["LaurentMatrix"]]) -> "LaurentMatrix":

@@ -1,23 +1,24 @@
 """Modulation-matrix algebra for the quark/quarklet filter bank.
 
-For orders (m, mt) and maximal degree p the bundle collects:
+For orders (m, mt) and maximal degree p the bundle stores the scaling symbol
+S(z) = (1/2) sum_k A_k z^k ((p+1) square, from :func:`quarklets.splines.refinement_symbol`),
+the filters, which hold the scalar wavelet symbol b(z), and the p + 1
+polynomials h and k = h^{-1} below.  The rest is read off them on first use:
 
-*  the scaling symbol  S(z) = (1/2) sum_k A_k z^k   ((p+1) square), taken
-   from :func:`quarklets.splines.refinement_symbol`,
-*  the detail symbol   W(z) = b(z) Id               (scalar wavelet symbol),
+*  the detail symbol   W(z) = b(z) Id,
 *  the modulation matrix  X(z) = [[S(z), S(-z)], [W(z), W(-z)]],
 *  the block determinant  T(z) = S(z) b(-z) - b(z) S(-z),  which is lower
-   triangular with monomial diagonal 2^{-q} z,
+   triangular with monomial diagonal 2^{-q} z, and its inverse T(z)^{-1},
 *  the exact inverse  X(z)^{-1} = [[L(z), R(-z)], [L(-z), R(z)]]  with
    L = b(-z) T^{-1} and R = T^{-1} S(z): T is odd, so the bottom-left and
    top-right blocks are the other two at -z,
-*  dual symbols read off from X^{-1}:  conj(St(z))^T = L(z) and
-   conj(Wt(z))^T = R(-z),
+*  the dual symbols, blocks of X^{-1}:  conj(St(z))^T = L(z) and
+   conj(Wt(z))^T = R(-z), so St needs L only,
 *  the polyphase matrix P(z) = [[S_0, S_1], [W_0, W_1]], read off S and b by
-   exponent parity on first use (S_r(z) = sum_k A_{2k+r} z^{2k}),
+   exponent parity (S_r(z) = sum_k A_{2k+r} z^{2k}),
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by the same parity split, with no product,
-*  the masks A_k, B_k, At_k and Bt_k, read off their symbols on first use.
+*  the masks A_k, B_k, At_k and Bt_k, read off their symbols.
 
 With D = diag(2^{-q}) and the Pascal-type M_g = [C(i, j) g_{i-j}] of :mod:`quarklets.laurent`,
 S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z) b(-z), so
@@ -55,14 +56,9 @@ class ModulationBundle:
     mt: int
     p: int
     filters: CdfPair
-    scaling_symbol: LaurentMatrix      # S(z)
-    detail_symbol: LaurentMatrix       # W(z) = b(z) Id
-    modulation: LaurentMatrix          # X(z), size 2(p+1)
-    block_det: LaurentMatrix           # T(z)
-    block_det_inv: LaurentMatrix       # T(z)^{-1}
-    modulation_inv: LaurentMatrix      # X(z)^{-1}
-    dual_scaling_symbol: LaurentMatrix  # St(z)
-    dual_detail_symbol: LaurentMatrix   # Wt(z)
+    scaling_symbol: LaurentMatrix    # S(z) = D M_g
+    h: tuple[LaurentPoly, ...]       # T(z) = D M_h
+    k: tuple[LaurentPoly, ...]       # T(z)^{-1} = M_k D^{-1}, k the inverse of h
 
     scaling_masks = mask_view("scaling_symbol", "A_k, read off S(z) on first use.")
     detail_masks = mask_view("detail_symbol", "B_k = b_k Id, read off W(z) on first use.")
@@ -72,6 +68,46 @@ class ModulationBundle:
     @property
     def size(self) -> int:
         return self.p + 1
+
+    @cached_property
+    def detail_symbol(self) -> LaurentMatrix:  # W(z) = b(z) Id
+        return LaurentMatrix.scalar(self.filters.wavelet_symbol, self.size)
+
+    @cached_property
+    def modulation(self) -> LaurentMatrix:  # X(z), size 2(p+1)
+        s, w = self.scaling_symbol, self.detail_symbol
+        return LaurentMatrix.block([[s, s.substitute_neg()], [w, w.substitute_neg()]])
+
+    @cached_property
+    def block_det(self) -> LaurentMatrix:  # T(z) = D M_h
+        return pascal_matrix(self.h, row=Fraction(1, 2))
+
+    @cached_property
+    def block_det_inv(self) -> LaurentMatrix:  # T(z)^{-1} = M_k D^{-1}
+        return pascal_matrix(self.k, col=2)
+
+    @cached_property
+    def _left(self) -> LaurentMatrix:  # L = b(-z) T^{-1}
+        b_neg = self.filters.wavelet_symbol.substitute_neg()
+        return pascal_matrix([b_neg * e for e in self.k], col=2)
+
+    @cached_property
+    def _right(self) -> LaurentMatrix:  # R = T^{-1} S = M_k D^{-1} D M_g
+        return pascal_matrix(pascal_product(self.k, [self.scaling_symbol[j, 0] * 2**j for j in range(self.size)]))
+
+    @cached_property
+    def modulation_inv(self) -> LaurentMatrix:  # X(z)^{-1}
+        # T^{-1}(-z) = -T^{-1}(z), so -b(z) T^{-1} = L(-z) and -T^{-1} S(-z) = R(-z)
+        left, right = self._left, self._right
+        return LaurentMatrix.block([[left, right.substitute_neg()], [left.substitute_neg(), right]])
+
+    @cached_property
+    def dual_scaling_symbol(self) -> LaurentMatrix:  # St(z) = conj(L(z))^T
+        return self._left.conj_transpose()
+
+    @cached_property
+    def dual_detail_symbol(self) -> LaurentMatrix:  # Wt(z) = conj(R(-z))^T
+        return self._right.substitute_neg().conj_transpose()
 
     @cached_property
     def synthesis_matrix(self) -> LaurentMatrix:
@@ -135,50 +171,13 @@ def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
 @lru_cache(maxsize=None)
 def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
     filters = cdf_masks(m, mt)
-    n = p + 1
     scaling_symbol = refinement_symbol(m, p)
-    b = filters.wavelet_symbol
-    b_neg = b.substitute_neg()
-    detail_symbol = LaurentMatrix.scalar(b, n)
-
-    modulation = LaurentMatrix.block(
-        [
-            [scaling_symbol, scaling_symbol.substitute_neg()],
-            [detail_symbol, detail_symbol.substitute_neg()],
-        ]
-    )
-
     # S(-z) b(z) is U(-z) for U = S(z) b(-z), so T = U - U(-z) = D M_h with h_j twice the odd part of g_j b(-z)
-    g = [scaling_symbol[j, 0] * 2**j for j in range(n)]
-    h = [_from_int({k: 2 * c for k, c in e.nums.items() if k & 1}, e.den) for e in (x * b_neg for x in g)]
+    b_neg = filters.wavelet_symbol.substitute_neg()
+    h = tuple(_parity_part([scaling_symbol[j, 0] * 2**j * b_neg for j in range(p + 1)], 1, 0, 2))
     if h[0] != LaurentPoly.monomial(1, 1):
         raise AssertionError(f"block determinant diagonal {h[0]!r} 2^-q is not z 2^-q; inconsistent filters")
-    k = pascal_inverse(h)
-    block_det = pascal_matrix(h, row=Fraction(1, 2))
-    block_det_inv = pascal_matrix(k, col=2)  # M_k D^-1
-
-    # T^{-1}(-z) = -T^{-1}(z), so -b(z) T^{-1} = left(-z) and -T^{-1} S(-z) = right(-z)
-    left = pascal_matrix([b_neg * e for e in k], col=2)  # b(-z) T^{-1}
-    right = pascal_matrix(pascal_product(k, g))  # T^{-1} S = M_k D^-1 D M_g
-    right_neg = right.substitute_neg()
-    modulation_inv = LaurentMatrix.block([[left, right_neg], [left.substitute_neg(), right]])
-
-    dual_scaling_symbol = left.conj_transpose()
-    dual_detail_symbol = right_neg.conj_transpose()
-    return ModulationBundle(
-        m=m,
-        mt=mt,
-        p=p,
-        filters=filters,
-        scaling_symbol=scaling_symbol,
-        detail_symbol=detail_symbol,
-        modulation=modulation,
-        block_det=block_det,
-        block_det_inv=block_det_inv,
-        modulation_inv=modulation_inv,
-        dual_scaling_symbol=dual_scaling_symbol,
-        dual_detail_symbol=dual_detail_symbol,
-    )
+    return ModulationBundle(m, mt, p, filters, scaling_symbol, h, tuple(pascal_inverse(h)))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import LaurentMatrix, LaurentPoly, as_rational, row_taps_product
+from .laurent import LaurentMatrix, as_rational, column_cores, row_taps_product
 from .masks import Mat
 from .modulation import DecompositionFilters, ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
@@ -210,8 +210,8 @@ def to_orthogonal_frames(
     """
     if frame.width != ortho.p + 1:
         raise ValueError("frame width does not match the family")
-    row = LaurentMatrix.from_taps(1, frame.width, {k: [vec] for k, vec in frame.coefficients.items()})
-    return [dict(poly.coeffs) for poly in (row @ LaurentMatrix(ortho.from_plain)).entries[0]]
+    out = row_taps_product(frame.coefficients, column_cores(LaurentMatrix(ortho.from_plain)))
+    return [{k: tap[q] for k, tap in out.items() if tap[q]} for q in range(frame.width)]
 
 
 def from_orthogonal_frames(
@@ -221,6 +221,5 @@ def from_orthogonal_frames(
     width = ortho.p + 1
     if len(frames) != width:
         raise ValueError("need one scalar frame per degree")
-    row = LaurentMatrix([[LaurentPoly(frame) for frame in frames]])
-    taps = (row @ LaurentMatrix(ortho.to_plain)).taps()
-    return CoefficientFrame(level, width, {k: tap for k, (tap,) in taps.items()})
+    taps = {k: [as_rational(frame.get(k, 0)) for frame in frames] for k in set().union(*frames)}
+    return CoefficientFrame(level, width, row_taps_product(taps, column_cores(LaurentMatrix(ortho.to_plain))))

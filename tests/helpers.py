@@ -43,7 +43,10 @@ the Fourier zero scan with all 100 ternary steps (reference for the
 early stop of ``ft_zero_scan``), the symbol of a mask built tap by tap and
 P assembled from the masks' even/odd sub-symbols (references for
 ``MaskSequence.from_symbol`` and the parity read-off of
-``synthesis_matrix``), and the Laurent identity and zero matrices."""
+``synthesis_matrix``), the Laurent identity and zero matrices, and the
+Laurent matrix sum_k M_k z^k of dense taps (the inverse of
+``LaurentMatrix.taps``); plus ``with_views``, a bundle copy with some of its
+read-on-first-use views preset (negative controls)."""
 
 import math
 from dataclasses import replace
@@ -211,9 +214,16 @@ def laurent_zero(rows: int, cols: int) -> LaurentMatrix:
     return LaurentMatrix([[LaurentPoly.zero()] * cols for _ in range(rows)])
 
 
+def laurent_from_taps(rows: int, cols: int, taps) -> LaurentMatrix:
+    """The matrix sum_k taps[k] z^k of dense rows x cols taps; zero coefficients are dropped."""
+    return LaurentMatrix(
+        [[LaurentPoly({k: tap[i][j] for k, tap in taps.items()}) for j in range(cols)] for i in range(rows)]
+    )
+
+
 def mask_to_symbol(masks: MaskSequence) -> LaurentMatrix:
     """The symbol (1/2) sum_k M_k z^k of a mask, built tap by tap (reference for ``MaskSequence.from_symbol``)."""
-    return LaurentMatrix.from_taps(masks.rows, masks.cols, masks.entries) * Fraction(1, 2)
+    return laurent_from_taps(masks.rows, masks.cols, masks.entries) * Fraction(1, 2)
 
 
 def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -225,7 +235,7 @@ def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, L
 
 def _sub_symbol(masks: MaskSequence, parity: int) -> LaurentMatrix:
     picked = {k - parity: m for k, m in masks.entries.items() if (k - parity) % 2 == 0}
-    return LaurentMatrix.from_taps(masks.rows, masks.cols, picked)
+    return laurent_from_taps(masks.rows, masks.cols, picked)
 
 
 def polyphase_by_masks(bundle: ModulationBundle) -> LaurentMatrix:
@@ -274,6 +284,16 @@ def polyphase_inv_by_product(bundle: ModulationBundle) -> LaurentMatrix:
     return parity_exchange_inverse(bundle.size) @ bundle.modulation_inv
 
 
+def with_views(bundle: ModulationBundle, **views) -> ModulationBundle:
+    """A fresh copy of the bundle whose named read-on-first-use views are preset to the given values.
+
+    ``replace`` cannot set a view; a ``cached_property`` reads its value from the instance ``__dict__``.
+    """
+    bad = replace(bundle)
+    bad.__dict__.update(views)
+    return bad
+
+
 def perturb_detail_block(bundle: ModulationBundle, i: int = 0, j: int = 0) -> ModulationBundle:
     """A copy of the bundle with W(z)[i][j] nudged by z/100 (negative control)."""
     n = bundle.size
@@ -286,7 +306,7 @@ def perturb_detail_block(bundle: ModulationBundle, i: int = 0, j: int = 0) -> Mo
             [bad_sym, bad_sym.substitute_neg()],
         ]
     )
-    return replace(bundle, detail_symbol=bad_sym, modulation=bad_x)
+    return with_views(bundle, detail_symbol=bad_sym, modulation=bad_x)
 
 
 def reference_splitting_masks(bundle: ModulationBundle) -> tuple[MaskSequence, MaskSequence]:

@@ -1,7 +1,11 @@
 """Modulation matrix assembly, inversion, duals, polyphase, splitting filters."""
 
+import ast
+import inspect
+import textwrap
 from dataclasses import fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +26,14 @@ from helpers import (
     polyphase_inv_by_product,
     reference_splitting_masks,
     sub_symbols,
+    with_views,
 )
 
-from quarklets import cdf, modulation, splines
+from quarklets import cdf, duals, modulation, splines
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.masks import MaskSequence
 from quarklets.modulation import (
+    ModulationBundle,
     build_modulation,
     check_product_is_identity,
     decomposition_filters,
@@ -205,7 +211,7 @@ BOX_PAIRS = [(m, mt) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 
 def _with_inverse_entry(bundle, i, j, delta):
     rows = [list(row) for row in bundle.modulation_inv.entries]
     rows[i][j] = rows[i][j] + delta
-    return replace(bundle, modulation_inv=LaurentMatrix(rows))
+    return with_views(bundle, modulation_inv=LaurentMatrix(rows))
 
 
 class TestOneProductCertificate:
@@ -229,7 +235,7 @@ class TestOneProductCertificate:
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 1), (2, 4, 3), (3, 5, 2)])
     def test_negative_controls_fall_back_to_the_full_product(self, m, mt, p, monkeypatch):
         b = build_modulation(m, mt, p)
-        shifted = replace(b, modulation_inv=b.modulation_inv * LaurentPoly.monomial(1, 1))
+        shifted = with_views(b, modulation_inv=b.modulation_inv * LaurentPoly.monomial(1, 1))
         calls = self._count_products(monkeypatch)
         for bad in (perturb_detail_block(b), perturb_detail_block(b, p, 0), shifted):
             calls.clear()
@@ -373,7 +379,6 @@ class TestSymbolsOnly:
 
         counting(MaskSequence, "from_symbol")
         counting(MaskSequence, "from_taps")
-        counting(LaurentMatrix, "from_taps")
         for module in (cdf, modulation, splines):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
@@ -386,6 +391,44 @@ class TestSymbolsOnly:
         assert reconstruct(*decompose(frame, filters), bundle) == frame
         assert calls == []
         assert filters.coarse.length() > 0 and calls == ["from_taps"]
+
+
+class TestViews:
+    """The bundle stores S, the filters, h and k; every dense matrix is read off them on first use."""
+
+    def test_the_bundle_stores_s_h_and_k_only(self):
+        assert [f.name for f in fields(ModulationBundle)] == ["m", "mt", "p", "filters", "scaling_symbol", "h", "k"]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(modulation._build_cached)))
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not names & {"pascal_matrix", "block"}
+
+    def test_dual_and_frame_paths_build_no_dense_determinant(self, monkeypatch):
+        bundle = replace(build_modulation(3, 5, 4))
+        monkeypatch.setattr(duals, "build_modulation", lambda m, mt, p: bundle)
+        stored = {f.name for f in fields(bundle)}
+
+        def built():
+            return vars(bundle).keys() - stored
+
+        grid = duals.dyadic_grid(1, 1)
+        approx = duals.dual_quark_ft(3, 5, 4, 3, duals.with_halves(grid))
+        assert built() == {"_left", "dual_scaling_symbol"}
+        duals.dual_quarklet_ft(approx, grid)
+        assert built() == {"_left", "_right", "dual_scaling_symbol", "dual_detail_symbol"}
+        frame = CoefficientFrame(1, 5, {-2: (1, 0, 2, 0, Fraction(1, 3)), 3: (0, -1, 0, 4, 1)})
+        assert reconstruct(*decompose(frame, decomposition_filters(bundle)), bundle) == frame
+        assert not built() & {"block_det", "block_det_inv", "modulation", "detail_symbol"}
+
+    def test_views_are_read_once_and_a_copy_reads_them_equal(self):
+        bundle = build_modulation(2, 4, 3)
+        views = [name for name, attr in vars(ModulationBundle).items() if isinstance(attr, cached_property)]
+        assert {"detail_symbol", "modulation", "block_det", "block_det_inv", "modulation_inv",
+                "dual_scaling_symbol", "dual_detail_symbol"} <= set(views)
+        copy = replace(bundle)
+        for name in views:
+            assert getattr(bundle, name) is getattr(bundle, name), name
+            assert getattr(copy, name) == getattr(bundle, name), name
 
 
 class TestReadOnlyCaches:
@@ -448,7 +491,7 @@ class TestDecompositionFilters:
         # z X^{-1} is no inverse; the parity read-off gives even powers whatever it is
         # handed, so the exact certificates are what catch it
         b = build_modulation(2, 2, 1)
-        shifted = replace(b, modulation_inv=b.modulation_inv * LaurentPoly.monomial(1, 1))
+        shifted = with_views(b, modulation_inv=b.modulation_inv * LaurentPoly.monomial(1, 1))
         assert not polyphase(shifted).invertible
         assert not verify_perfect_reconstruction(shifted).identity_holds
 
