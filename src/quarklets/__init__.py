@@ -40,12 +40,8 @@ from .transform import (
     CoefficientFrame,
     OrthoQuarklets,
     decompose,
-    frame_function,
-    from_orthogonal_frames,
     orthogonalize_haar,
-    project_detail,
     reconstruct,
-    to_orthogonal_frames,
 )
 from .trig import is_positive_on_circle, shift_gram_symbol
 
@@ -88,8 +84,6 @@ __all__ = [
     "dual_quarklet_ft",
     "dual_symbol_eigenvalues",
     "dyadic_grid",
-    "frame_function",
-    "from_orthogonal_frames",
     "ft_zero_scan",
     "inner_product",
     "is_positive_on_circle",
@@ -98,7 +92,6 @@ __all__ = [
     "is_stable_vector",
     "orthogonalize_haar",
     "polyphase",
-    "project_detail",
     "quark",
     "quark_family",
     "quark_ft",
@@ -109,7 +102,6 @@ __all__ = [
     "scalar_pr_defect",
     "shift_gram_symbol",
     "stability_table",
-    "to_orthogonal_frames",
     "verify_perfect_reconstruction",
     "with_halves",
 ]

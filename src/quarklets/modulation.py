@@ -18,7 +18,9 @@ polynomials h and k = h^{-1} below.  The rest is read off them on first use:
    exponent parity (S_r(z) = sum_k A_{2k+r} z^{2k}),
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by the same parity split, with no product,
-*  the masks A_k, B_k, At_k and Bt_k, read off their symbols.
+*  the masks A_k, B_k, At_k and Bt_k, read off their symbols, and the
+   splitting filters C_n, D_n, read off P^{-1}; each keeps its symbol's
+   integer numerators (:class:`quarklets.masks.MaskSequence`).
 
 With D = diag(2^{-q}) and the Pascal-type M_g = [C(i, j) g_{i-j}] of :mod:`quarklets.laurent`,
 S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z) b(-z), so
@@ -44,7 +46,8 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
-from .laurent import LaurentMatrix, LaurentPoly, _from_int, column_cores, pascal_inverse, pascal_matrix, pascal_product
+from .laurent import (LaurentMatrix, LaurentPoly, _from_int, _int_cores, _raw, column_cores, pascal_inverse,
+                      pascal_matrix, pascal_product)
 from .masks import MaskSequence, mask_view
 from .piecewise import PiecewisePoly
 from .splines import quark_family, refinement_symbol
@@ -237,7 +240,7 @@ class DecompositionFilters:
     For r in {0, 1}:  Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k).
     Block row r of P(z)^{-1} is [C_r(z), D_r(z)] with C_r(z) = sum_k C_{2k+r} z^{2k},
     so the z^e coefficient of block row r is [C_{e+r}, D_{e+r}]; the masks are
-    read off it on first use.
+    read off block row 0 plus z times block row 1 on first use.
     """
 
     m: int
@@ -261,13 +264,19 @@ class DecompositionFilters:
         return column_cores(self.polyphase_inv)
 
     def _block_masks(self, c: int) -> MaskSequence:
-        # P^{-1} holds even powers of z only, which keeps the two block rows' masks apart
+        # P^{-1} holds even powers of z only, so block row 0 plus z times block row 1 has
+        # C_n (or D_n) as its z^n coefficient, with no two terms on one exponent
         n = self.p + 1
-        rows = (self.polyphase_inv.entries[:n], self.polyphase_inv.entries[n:])
-        return MaskSequence.from_taps(n, n, {
-            e + r: tap for r in (0, 1)
-            for e, tap in LaurentMatrix([row[c : c + n] for row in rows[r]]).taps().items()
-        })
+        rows = self.polyphase_inv.entries
+        blocks = [zip(rows[i][c : c + n], rows[n + i][c : c + n]) for i in range(n)]
+        return MaskSequence.from_symbol(LaurentMatrix([[_even_plus_z_times(a, b) for a, b in row] for row in blocks]), 1)
+
+
+def _even_plus_z_times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a + z b for a, b in even powers only, over the lcm of their denominators: in lowest terms, as a prime
+    power q^e exactly dividing the lcm exactly divides a.den, say, and q divides not every numerator of a."""
+    (na, nb), den = _int_cores((a, b))
+    return _raw({**na, **{k + 1: n for k, n in nb.items()}}, den)
 
 
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:

@@ -8,10 +8,11 @@ signs (Collins & Akritas, SYMSAC 1976) 0 sign variations exclude a root there
 and 1 proves exactly one simple root; the right end hi is decided by the exact
 value P(1).  A child interval's polynomial is the parent's at x/2, scaled to
 integers, and for the right child shifted by 1, so bisection runs on integer
-additions and shifts.  The same bisection goes on below an isolated simple
-root until its interval is at most 2^-40 wide.  Multiple roots never reach 0
-or 1 variations, so an interval still open at a fixed depth goes on with the
-square-free part of p; by Vincent's theorem bisection then ends.
+additions and shifts.  Below an isolated simple root (1 variation and
+P(1) != 0) the interval is halved by the sign of p at its midpoint, one
+evaluation per level, until it is at most 2^-40 wide.  Multiple roots never
+reach 0 or 1 variations, so an interval still open at a fixed depth goes on
+with the square-free part of p; by Vincent's theorem bisection then ends.
 Polynomials are :class:`LaurentPoly` with no negative exponents.
 """
 
@@ -65,8 +66,8 @@ def isolate_roots(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
         narrow = hi - lo <= _ROOT_TOL
         if changes == 0:
             return [hi] if at_hi else []
-        if changes == 1 and not at_hi and narrow:
-            return [hi]
+        if changes == 1 and not at_hi:
+            return [_narrow(base, lo, hi, sum(c) > 0)]
         if depth == _SQUARE_FREE_DEPTH and base is p and fallback() is not p:
             base = fallback()
             c = _restrict(base, lo, hi)
@@ -79,6 +80,20 @@ def isolate_roots(p: LaurentPoly, a: Fraction, b: Fraction) -> list[Fraction]:
 
     roots = solve(_restrict(p, a, b), p, a, b, 0)
     return [a] + roots if p.eval_rational(a) == 0 else roots
+
+
+def _narrow(p: LaurentPoly, lo: Fraction, hi: Fraction, positive_at_hi: bool) -> Fraction:
+    """The right end of the dyadic interval at most 2^-40 wide that holds the one root of p in (lo, hi), p(hi) != 0."""
+    while hi - lo > _ROOT_TOL:
+        mid = (lo + hi) / 2
+        value = p.eval_rational(mid)
+        if not value:
+            return mid
+        if (value > 0) == positive_at_hi:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _restrict(p: LaurentPoly, lo: Fraction, hi: Fraction) -> list[int]:

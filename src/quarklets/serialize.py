@@ -2,13 +2,18 @@
 
 Rationals are ``[numerator, denominator]`` integer pairs.  Sparse
 integer-indexed collections are emitted as sorted ``[index, value]`` pair
-lists so output is byte-stable.  The one reader, :func:`frame_from_json`, is
-for frames, the only JSON input of the command line; it is strict.
+lists so output is byte-stable.  :func:`mask_json` renders a mask's pairs
+straight off its symbol's integer numerators, one gcd per nonzero tap entry,
+and pads the dense tap matrices with one shared immutable zero pair and zero
+row (``json`` prints a tuple as it prints a list); it builds no ``Fraction``.
+The one reader, :func:`frame_from_json`, is for frames, the only JSON input
+of the command line; it is strict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .laurent import LaurentPoly
 from .masks import MaskSequence
@@ -55,15 +60,28 @@ def matrix_json(mat) -> list:
     return [[[*x.as_integer_ratio()] for x in row] for row in mat]
 
 
+# the zero pair of every dense mask tap, shared; a tuple, so no payload can change it
+_ZERO_PAIR = (0, 1)
+
+
 def mask_json(mask: MaskSequence) -> dict:
+    f, grid = mask.factor, mask.symbol.entries
+    # a row of a tap stays the shared zero row until an entry of it is set
+    zero_row = (_ZERO_PAIR,) * mask.cols
+    taps = {k: [zero_row] * mask.rows for k in sorted({k for row in grid for e in row for k in e.nums})}
+    for i, row in enumerate(grid):
+        for j, e in enumerate(row):
+            den = e.den
+            for k, n in e.nums.items():
+                n *= f
+                g = gcd(n, den)
+                tap = taps[k]
+                if tap[i] is zero_row:
+                    tap[i] = list(zero_row)
+                tap[i][j] = [n // g, den // g]
     if mask.rows == 1 and mask.cols == 1:
-        return {"kind": "scalar", "taps": [[k, rational_json(v)] for k, v in mask.scalars().items()]}
-    return {
-        "kind": "matrix",
-        "rows": mask.rows,
-        "cols": mask.cols,
-        "taps": [[k, matrix_json(m)] for k, m in mask.items()],
-    }
+        return {"kind": "scalar", "taps": [[k, tap[0][0]] for k, tap in taps.items()]}
+    return {"kind": "matrix", "rows": mask.rows, "cols": mask.cols, "taps": [[k, tap] for k, tap in taps.items()]}
 
 
 def piecewise_json(f: PiecewisePoly) -> dict:

@@ -22,22 +22,19 @@ matrix's column cores, kept by the bundle and the filters, and each output
 coefficient is one Fraction (``laurent.row_taps_product``).
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
-degree by degree with plain rational Gram-Schmidt; the resulting functions
-give an orthogonal re-basing of quarklet frames and an orthogonal projection
-onto the detail space.
+degree by degree with plain rational Gram-Schmidt.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .cdf import quarklets
-from .laurent import LaurentMatrix, as_rational, column_cores, row_taps_product
+from .laurent import as_rational, row_taps_product
 from .masks import Mat
 from .modulation import DecompositionFilters, ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
@@ -117,14 +114,6 @@ def decompose(
     )
 
 
-def frame_function(frame: CoefficientFrame, members: Sequence[PiecewisePoly]) -> PiecewisePoly:
-    """The piecewise polynomial sum_k sum_q c_k[q] f_q(2^level x - k)."""
-    scale = Fraction(2) ** frame.level
-    terms = (members[q].compose_linear(scale, -Fraction(k)) * c
-             for k, vec in frame.items() for q, c in enumerate(vec) if c)
-    return sum(terms, PiecewisePoly.zero())
-
-
 # -- orthogonalized Haar quarklets ---------------------------------------------------
 
 
@@ -181,45 +170,3 @@ def orthogonalize_haar(mt: int, p: int) -> OrthoQuarklets:
         from_plain=tuple(rows),
         plain=family,
     )
-
-
-def project_detail(f: PiecewisePoly, ortho: OrthoQuarklets) -> PiecewisePoly:
-    """Orthogonal projection onto the detail space spanned by the translates.
-
-    Valid for mt = 1, where the orthogonalized quarklets and all their
-    translates form an orthogonal system (supports meet in measure zero).
-    """
-    if ortho.mt != 1:
-        raise ValueError("the translate system is orthogonal only for mt = 1")
-    if f.is_zero():
-        return f
-    lo, hi = f.support()
-    translates = [(member.translate(k), norm) for k in range(math.floor(lo), math.ceil(hi) + 1)
-                  for member, norm in zip(ortho.members, ortho.norms)]
-    return sum((g * (inner_product(f, g) / norm) for g, norm in translates), PiecewisePoly.zero())
-
-
-def to_orthogonal_frames(
-    frame: CoefficientFrame, ortho: OrthoQuarklets
-) -> list[dict[int, Fraction]]:
-    """Re-express a quarklet frame over the orthogonalized members, degree by degree.
-
-    Returns per-degree scalar frames out[q] = {k: coefficient of psi*_q(. - k)},
-    the row [c_0(z), ..., c_p(z)] of degree polynomials times ``from_plain``;
-    the represented function is unchanged.
-    """
-    if frame.width != ortho.p + 1:
-        raise ValueError("frame width does not match the family")
-    out = row_taps_product(frame.coefficients, column_cores(LaurentMatrix(ortho.from_plain)))
-    return [{k: tap[q] for k, tap in out.items() if tap[q]} for q in range(frame.width)]
-
-
-def from_orthogonal_frames(
-    frames: Sequence[Mapping[int, Fraction]], ortho: OrthoQuarklets, level: int = 0
-) -> CoefficientFrame:
-    """Inverse of :func:`to_orthogonal_frames`."""
-    width = ortho.p + 1
-    if len(frames) != width:
-        raise ValueError("need one scalar frame per degree")
-    taps = {k: [as_rational(frame.get(k, 0)) for frame in frames] for k in set().union(*frames)}
-    return CoefficientFrame(level, width, row_taps_product(taps, column_cores(LaurentMatrix(ortho.to_plain))))

@@ -41,25 +41,31 @@ Gram symbol by translating g and integrating f * g(. - n) for every n
 expansion of a determinant (reference for the Bareiss ``trig_determinant``),
 the Fourier zero scan with all 100 ternary steps (reference for the
 early stop of ``ft_zero_scan``), the symbol of a mask built tap by tap and
-P assembled from the masks' even/odd sub-symbols (references for
-``MaskSequence.from_symbol`` and the parity read-off of
+P assembled from the masks' even/odd sub-symbols (references for the
+``entries`` view of ``MaskSequence`` and the parity read-off of
 ``synthesis_matrix``), the Laurent identity and zero matrices, and the
 Laurent matrix sum_k M_k z^k of dense taps (the inverse of
-``LaurentMatrix.taps``); plus ``with_views``, a bundle copy with some of its
-read-on-first-use views preset (negative controls)."""
+``LaurentMatrix.taps``), the mask JSON rendered off dense ``Fraction`` taps
+(the byte oracle for the integer renderer of ``serialize.mask_json``); plus
+``with_views``, a bundle copy with some of its read-on-first-use views
+preset (negative controls); and the frame-level code that only tests reach:
+``frame_function``, the function a frame represents (the oracle for the
+V + W splitting), and the orthogonal projection onto the m = 1 detail space
+with the re-basing of quarklet frames onto the orthogonalized quarklets."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping, Sequence
 
 import numpy as np
 from mpmath import mp
 
-from quarklets import realroots
+from quarklets import realroots, serialize
 from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import _ZERO_RTOL, cascade, dual_tail_slope, float_taps, quark_ft
-from quarklets.laurent import LaurentMatrix, LaurentPoly
+from quarklets.laurent import LaurentMatrix, LaurentPoly, as_rational, column_cores, row_taps_product
 from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import (
     DecompositionFilters,
@@ -69,7 +75,7 @@ from quarklets.modulation import (
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import quark, refinement_masks
 from quarklets.stability import dual_eigenvector
-from quarklets.transform import CoefficientFrame
+from quarklets.transform import CoefficientFrame, OrthoQuarklets
 from quarklets.trig import CirclePositivity, _float_minimum, _require_even
 
 Vec = tuple[Fraction, ...]
@@ -222,8 +228,17 @@ def laurent_from_taps(rows: int, cols: int, taps) -> LaurentMatrix:
 
 
 def mask_to_symbol(masks: MaskSequence) -> LaurentMatrix:
-    """The symbol (1/2) sum_k M_k z^k of a mask, built tap by tap (reference for ``MaskSequence.from_symbol``)."""
+    """The symbol (1/2) sum_k M_k z^k of a mask, built off its ``entries`` tap by tap (reference for that view)."""
     return laurent_from_taps(masks.rows, masks.cols, masks.entries) * Fraction(1, 2)
+
+
+def mask_json_by_taps(mask: MaskSequence) -> dict:
+    """The JSON form of a mask off the dense Fraction taps of factor * symbol (oracle for ``serialize.mask_json``)."""
+    taps = (mask.symbol * mask.factor).taps()
+    if mask.rows == 1 and mask.cols == 1:
+        return {"kind": "scalar", "taps": [[k, serialize.rational_json(taps[k][0][0])] for k in sorted(taps)]}
+    return {"kind": "matrix", "rows": mask.rows, "cols": mask.cols,
+            "taps": [[k, serialize.matrix_json(taps[k])] for k in sorted(taps)]}
 
 
 def sub_symbols(bundle: ModulationBundle, parity: int) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -894,3 +909,53 @@ def ft_zero_scan_fixed_steps(m: int, q: int, lo: float, hi: float, samples: int 
         if not deduped or z - deduped[-1] > (hi - lo) / samples:
             deduped.append(z)
     return deduped
+
+
+def frame_function(frame: CoefficientFrame, members: Sequence[PiecewisePoly]) -> PiecewisePoly:
+    """The piecewise polynomial sum_k sum_q c_k[q] f_q(2^level x - k) (function-level oracle for the transform)."""
+    scale = Fraction(2) ** frame.level
+    terms = (members[q].compose_linear(scale, -Fraction(k)) * c
+             for k, vec in frame.items() for q, c in enumerate(vec) if c)
+    return sum(terms, PiecewisePoly.zero())
+
+
+def project_detail(f: PiecewisePoly, ortho: OrthoQuarklets) -> PiecewisePoly:
+    """Orthogonal projection onto the detail space spanned by the translates.
+
+    Valid for mt = 1, where the orthogonalized quarklets and all their
+    translates form an orthogonal system (supports meet in measure zero).
+    """
+    if ortho.mt != 1:
+        raise ValueError("the translate system is orthogonal only for mt = 1")
+    if f.is_zero():
+        return f
+    lo, hi = f.support()
+    translates = [(member.translate(k), norm) for k in range(math.floor(lo), math.ceil(hi) + 1)
+                  for member, norm in zip(ortho.members, ortho.norms)]
+    return sum((g * (inner_product(f, g) / norm) for g, norm in translates), PiecewisePoly.zero())
+
+
+def to_orthogonal_frames(
+    frame: CoefficientFrame, ortho: OrthoQuarklets
+) -> list[dict[int, Fraction]]:
+    """Re-express a quarklet frame over the orthogonalized members, degree by degree.
+
+    Returns per-degree scalar frames out[q] = {k: coefficient of psi*_q(. - k)},
+    the row [c_0(z), ..., c_p(z)] of degree polynomials times ``from_plain``;
+    the represented function is unchanged.
+    """
+    if frame.width != ortho.p + 1:
+        raise ValueError("frame width does not match the family")
+    out = row_taps_product(frame.coefficients, column_cores(LaurentMatrix(ortho.from_plain)))
+    return [{k: tap[q] for k, tap in out.items() if tap[q]} for q in range(frame.width)]
+
+
+def from_orthogonal_frames(
+    frames: Sequence[Mapping[int, Fraction]], ortho: OrthoQuarklets, level: int = 0
+) -> CoefficientFrame:
+    """Inverse of :func:`to_orthogonal_frames`."""
+    width = ortho.p + 1
+    if len(frames) != width:
+        raise ValueError("need one scalar frame per degree")
+    taps = {k: [as_rational(frame.get(k, 0)) for frame in frames] for k in set().union(*frames)}
+    return CoefficientFrame(level, width, row_taps_product(taps, column_cores(LaurentMatrix(ortho.to_plain))))

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import textwrap
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -18,6 +19,7 @@ from helpers import (
     invert_lower_triangular,
     is_lower_triangular,
     laurent_identity,
+    mask_json_by_taps,
     modulation_inv_by_blocks,
     parity_exchange_inverse,
     parity_exchange_matrix,
@@ -29,7 +31,8 @@ from helpers import (
     with_views,
 )
 
-from quarklets import cdf, duals, modulation, splines
+from quarklets import cdf, duals, modulation, serialize, splines
+from quarklets.cdf import cdf_masks
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.masks import MaskSequence
 from quarklets.modulation import (
@@ -371,14 +374,7 @@ class TestSymbolsOnly:
             assert not any(isinstance(getattr(obj, f.name), MaskSequence) for f in fields(obj)), obj
 
     def test_cold_verify_and_transform_build_no_mask(self, monkeypatch):
-        calls = []
-
-        def counting(cls, name):
-            original = getattr(cls, name)
-            monkeypatch.setattr(cls, name, staticmethod(lambda *a: calls.append(name) or original(*a)))
-
-        counting(MaskSequence, "from_symbol")
-        counting(MaskSequence, "from_taps")
+        made = counted_masks(monkeypatch)
         for module in (cdf, modulation, splines):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
@@ -389,8 +385,16 @@ class TestSymbolsOnly:
         filters = decomposition_filters(bundle)
         frame = CoefficientFrame(2, 4, {-3: (1, 2, 3, 4), 0: (Fraction(1, 3), 0, -1, 5), 5: (0, 0, 7, 1)})
         assert reconstruct(*decompose(frame, filters), bundle) == frame
-        assert calls == []
-        assert filters.coarse.length() > 0 and calls == ["from_taps"]
+        assert made == []
+        assert filters.coarse.length() > 0 and filters.coarse is filters.coarse and len(made) == 1
+
+
+def counted_masks(monkeypatch) -> list:
+    """The symbols of every MaskSequence made from here on, in order; each construction passes ``_init`` once."""
+    made = []
+    init = MaskSequence._init
+    monkeypatch.setattr(MaskSequence, "_init", lambda self, symbol, factor: made.append(symbol) or init(self, symbol, factor))
+    return made
 
 
 class TestViews:
@@ -431,6 +435,26 @@ class TestViews:
             assert getattr(copy, name) == getattr(bundle, name), name
 
 
+    def test_rendering_the_design_sweep_masks_builds_no_fraction_tap(self, monkeypatch):
+        # verify-pr plus filters --dual, cold: the dual, coarse and detail masks go to JSON off the integers
+        taps_read, fractions = [], []
+        taps = LaurentMatrix.taps
+        monkeypatch.setattr(LaurentMatrix, "taps", lambda self: taps_read.append(self) or taps(self))
+        modulation._build_cached.cache_clear()
+        cdf._cdf_cached.cache_clear()
+        bundle = build_modulation(5, 7, 8)
+        assert verify_perfect_reconstruction(bundle).identity_holds
+        filters = decomposition_filters(bundle)
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: fractions.append(a) or new(cls, *a, **kw))
+        masks = (bundle.dual_scaling_masks, bundle.dual_detail_masks, filters.coarse, filters.detail)
+        payloads = [serialize.mask_json(mask) for mask in masks]
+        assert taps_read == [] and fractions == []
+        monkeypatch.undo()
+        assert [json.dumps(p, indent=2, sort_keys=True) for p in payloads] == [
+            json.dumps(mask_json_by_taps(mask), indent=2, sort_keys=True) for mask in masks]
+
+
 class TestReadOnlyCaches:
     def test_cached_masks_reject_assignment(self):
         bundle = build_modulation(2, 2, 1)
@@ -444,10 +468,7 @@ class TestReadOnlyCaches:
         assert {name: dict(getattr(again, name).entries) for name in before} == before
 
     def test_dual_masks_and_polyphase_built_on_first_use_only(self, monkeypatch):
-        read = []
-        from_symbol = MaskSequence.from_symbol
-        monkeypatch.setattr(MaskSequence, "from_symbol",
-                            staticmethod(lambda symbol: read.append(symbol) or from_symbol(symbol)))
+        read = counted_masks(monkeypatch)
         modulation._build_cached.cache_clear()
         cdf._cdf_cached.cache_clear()
         bundle = build_modulation(2, 4, 2)
@@ -455,9 +476,57 @@ class TestReadOnlyCaches:
         masks = bundle.dual_scaling_masks
         assert bundle.dual_scaling_masks is masks and bundle.dual_detail_masks is bundle.dual_detail_masks
         assert read == [bundle.dual_scaling_symbol, bundle.dual_detail_symbol]
+        assert masks.symbol is bundle.dual_scaling_symbol  # kept as it is, not copied
         assert bundle.synthesis_matrix is bundle.synthesis_matrix
         with pytest.raises(AttributeError):
             bundle.dual_scaling_masks = masks
+
+    def test_stored_integer_form_and_entries_view_reject_mutation(self):
+        bundle = build_modulation(2, 2, 1)
+        filters = decomposition_filters(bundle)
+        for mask in (bundle.scaling_masks, bundle.dual_scaling_masks, filters.coarse, cdf_masks(2, 2).dual):
+            before = mask_json_by_taps(mask)
+            for name in ("symbol", "factor", "rows", "cols", "entries"):
+                with pytest.raises(AttributeError):
+                    setattr(mask, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(mask, name)
+            with pytest.raises(TypeError):
+                mask.symbol.entries[0] = mask.symbol.entries[0]
+            with pytest.raises(TypeError):
+                mask.symbol.entries[0][0] = LaurentPoly.one()
+            k, tap = next(iter(mask.entries.items()))
+            with pytest.raises(TypeError):
+                mask.entries[k + 100] = tap
+            with pytest.raises(TypeError):
+                tap[0] = tap[0]
+            with pytest.raises(TypeError):
+                tap[0][0] = Fraction(7)
+            assert mask.entries is mask.entries
+            assert mask_json_by_taps(mask) == before
+
+    def test_zero_pad_is_immutable_and_no_render_shares_an_edit(self):
+        mask = decomposition_filters(build_modulation(3, 5, 3)).detail
+        text = json.dumps(mask_json_by_taps(mask), indent=2, sort_keys=True)
+        first = serialize.mask_json(mask)
+        rows = [row for _, tap in first["taps"] for row in tap]
+        zeros = [x for row in rows for x in row if x == (0, 1)]
+        assert zeros and all(type(x) is tuple for x in zeros)
+        for pad in zeros[:3]:
+            with pytest.raises(TypeError):
+                pad[0] = 1
+        for row in rows:  # every editable part of the first payload
+            if isinstance(row, list):
+                for j, x in enumerate(row):
+                    if isinstance(x, list):
+                        x[0] += 1
+                    else:
+                        row[j] = [5, 7]
+            else:
+                with pytest.raises(TypeError):
+                    row[0] = [5, 7]
+        first["taps"].reverse()
+        assert json.dumps(serialize.mask_json(mask), indent=2, sort_keys=True) == text
 
     def test_filter_masks_reject_assignment(self):
         filt = decomposition_filters(build_modulation(1, 1, 0))

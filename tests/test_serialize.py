@@ -5,12 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import mask_json_by_taps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quarklets import serialize
+from quarklets.cdf import cdf_masks
 from quarklets.laurent import LaurentPoly
 from quarklets.masks import MaskSequence
+from quarklets.modulation import build_modulation, decomposition_filters
 from quarklets.piecewise import PiecewisePoly
 from quarklets.transform import CoefficientFrame
+
+
+DESIGN_BOX = [(m, mt, p) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0 for p in range(9)]
 
 
 def through_json(obj):
@@ -94,3 +102,56 @@ class TestCompound:
         taps = serialize.mask_json(mask)["taps"]
         assert [t[0] for t in taps] == [-3, 3]
 
+
+
+def same_bytes_as_fraction_taps(mask: MaskSequence):
+    """mask_json renders the integers to the bytes the dense Fraction taps render to."""
+    def text(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    assert text(serialize.mask_json(mask)) == text(mask_json_by_taps(mask))
+
+
+def design_masks(m, mt, p) -> dict:
+    bundle = build_modulation(m, mt, p)
+    filters = decomposition_filters(bundle)
+    return {"scaling": bundle.scaling_masks, "dual scaling": bundle.dual_scaling_masks,
+            "dual detail": bundle.dual_detail_masks, "coarse": filters.coarse, "detail": filters.detail}
+
+
+class TestMaskBytes:
+    """The integer mask renderer against the dense Fraction-tap renderer, byte for byte."""
+
+    @pytest.mark.parametrize("design", DESIGN_BOX, ids=str)
+    def test_design_box(self, design):
+        assert len(DESIGN_BOX) == 126
+        for mask in design_masks(*design).values():
+            same_bytes_as_fraction_taps(mask)
+
+    @pytest.mark.parametrize("name", ["scaling", "dual scaling", "dual detail", "coarse", "detail"])
+    def test_cli_corner(self, name):
+        same_bytes_as_fraction_taps(design_masks(16, 16, 14)[name])
+
+    @pytest.mark.parametrize("m,mt", sorted({(m, mt) for m, mt, _ in DESIGN_BOX} | {(16, 16)}))
+    def test_cdf_masks(self, m, mt):
+        pair = cdf_masks(m, mt)
+        for mask in (pair.primal, pair.dual, pair.wavelet, pair.dual_wavelet):
+            assert mask.rows == mask.cols == 1
+            same_bytes_as_fraction_taps(mask)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_random_masks(self, data):
+        rows, cols = data.draw(st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2)]))
+        rational = st.fractions(min_value=-4, max_value=4, max_denominator=12) | st.just(Fraction(0))
+        matrix = st.lists(st.lists(rational, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        taps = data.draw(st.dictionaries(st.integers(-7, 5), matrix, max_size=6))
+        mask = MaskSequence(rows, cols, taps)
+        assert mask.factor == 1 and dict(mask.entries) == {
+            k: tuple(map(tuple, tap)) for k, tap in taps.items() if any(map(any, tap))}
+        same_bytes_as_fraction_taps(mask)
+        factor = data.draw(st.sampled_from([2, -3]))
+        scaled = MaskSequence.from_symbol(mask.symbol, factor)
+        assert scaled.entries == {k: tuple(tuple(c * factor for c in row) for row in tap)
+                                  for k, tap in mask.entries.items()}
+        same_bytes_as_fraction_taps(scaled)

@@ -6,7 +6,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from helpers import reference_decompose, reference_reconstruct
+from helpers import (
+    frame_function,
+    from_orthogonal_frames,
+    project_detail,
+    reference_decompose,
+    reference_reconstruct,
+    to_orthogonal_frames,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,16 +22,7 @@ from quarklets.cdf import quarklets
 from quarklets.modulation import build_modulation, decomposition_filters
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import quark_family
-from quarklets.transform import (
-    CoefficientFrame,
-    decompose,
-    frame_function,
-    from_orthogonal_frames,
-    orthogonalize_haar,
-    project_detail,
-    reconstruct,
-    to_orthogonal_frames,
-)
+from quarklets.transform import CoefficientFrame, decompose, orthogonalize_haar, reconstruct
 
 
 PAIRS = [(1, 1), (2, 2), (3, 3), (2, 4), (3, 5)]

@@ -331,6 +331,21 @@ class TestRealRoots:
             p = p * LaurentPoly({0: -r, 1: 1})
         assert realroots.isolate_roots(p, *interval) == isolate_roots_by_sturm(p, *interval)
 
+    def test_simple_roots_narrowed_to_their_dyadic_interval(self):
+        # products of rational linear factors, repeats included: each distinct root r in (-1, 1] is the
+        # right end of its depth-41 dyadic interval of (-1, 1], width 2^-40; a root at -1 is -1 itself
+        rng = random.Random(26)
+        width = realroots._ROOT_TOL
+        for _ in range(150):
+            roots = [Fraction(rng.randint(-24, 24), rng.randint(1, 25)) for _ in range(rng.randint(3, 9))]
+            roots = [1 / r if abs(r) > 1 else r for r in roots]
+            p = LaurentPoly.one()
+            for r in roots:
+                c = rng.choice([1, Fraction(-2, 3), 5])
+                p = p * LaurentPoly({0: -r * c, 1: c})
+            expected = sorted({r if r == -1 else -1 + math.ceil((r + 1) / width) * width for r in roots})
+            assert realroots.isolate_roots(p, Fraction(-1), Fraction(1)) == expected, roots
+
     def test_chebyshev_identity(self):
         # T_n(cos t) = cos(n t) at a few angles
         for n in range(6):
