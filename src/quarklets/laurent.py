@@ -16,11 +16,12 @@ A matrix product scales each row of the left factor and each column of the
 right one to one common denominator (``_int_cores``), accumulates every
 output entry in ``int`` (``_dot``) and reduces it once (``_from_int``).  A
 polynomial product is its 1x1 case, and :func:`row_taps_product` applies a
-matrix, given by its column cores, to a row given by rational taps.  The
-Pascal-type matrices M_g = [C(i, j) g_{i-j}] multiply as M_g M_h = M_{g * h},
-(g * h)_n = sum_s C(n, s) g_{n-s} h_s (Call & Velleman, Amer. Math. Monthly 100,
-1993), so :func:`pascal_product` and :func:`pascal_inverse` run on the p + 1
-polynomials g_n, on the same kernel, and :func:`pascal_matrix` expands them.
+matrix, given by its column cores, to a row of integer taps, giving integer
+taps over one denominator.  The Pascal-type matrices M_g = [C(i, j) g_{i-j}]
+multiply as M_g M_h = M_{g * h}, (g * h)_n = sum_s C(n, s) g_{n-s} h_s
+(Call & Velleman, Amer. Math. Monthly 100, 1993), so :func:`pascal_product`
+and :func:`pascal_inverse` run on the p + 1 polynomials g_n, on the same
+kernel, and :func:`pascal_matrix` expands them.
 The module imports no numpy: the float taps of a Laurent matrix and every
 Fourier-domain value are taken in :mod:`quarklets.duals`.
 """
@@ -281,30 +282,30 @@ def _raw(nums: dict[int, int], den: int) -> LaurentPoly:
     return res
 
 
-def row_taps_product(taps: Mapping[int, Sequence[Fraction]],
-                     columns: Sequence[tuple[list[dict[int, int]], int]]) -> dict[int, list[Fraction]]:
-    """The taps of r @ M, r = sum_k taps[k] z^k a one-row matrix and M given by :func:`column_cores`.
+def row_taps_product(taps: Mapping[int, Sequence[int]],
+                     columns: Sequence[tuple[list[dict[int, int]], int]]) -> tuple[dict[int, list[int]], int]:
+    """r @ M as integer taps over one denominator, r = sum_k taps[k] z^k a one-row matrix of integers
+    and M given by :func:`column_cores`.
 
-    ``taps`` holds Fractions.  The row's integer numerators come straight from the taps over
-    one lcm, and each output coefficient is one Fraction; taps that come out zero are left out.
+    Returns ``(out, den)`` with r @ M = sum_k (out[k] / den) z^k and den the lcm of the column
+    denominators, not reduced; taps that come out zero are left out.
     """
-    den = lcm(*(c.denominator for tap in taps.values() for c in tap))
     row: list[dict[int, int]] = [{} for _ in columns[0][0]]
     for k, tap in taps.items():
-        for j, c in enumerate(tap):
-            if c:
-                row[j][k] = c.numerator * (den // c.denominator)
-    zero, width = Fraction(0), len(columns)
-    out: dict[int, list[Fraction]] = {}
+        for j, n in enumerate(tap):
+            if n:
+                row[j][k] = n
+    den, width = lcm(*(d for _, d in columns)), len(columns)
+    out: dict[int, list[int]] = {}
     for j, (col, col_den) in enumerate(columns):
-        scale = den * col_den
+        scale = den // col_den
         for k, n in _dot(row, col).items():
             if n:
                 tap = out.get(k)
                 if tap is None:
-                    tap = out[k] = [zero] * width
-                tap[j] = Fraction(n, scale)
-    return out
+                    tap = out[k] = [0] * width
+                tap[j] = n * scale
+    return out, den
 
 
 def column_cores(matrix: "LaurentMatrix") -> list[tuple[list[dict[int, int]], int]]:

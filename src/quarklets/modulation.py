@@ -3,12 +3,12 @@
 For orders (m, mt) and maximal degree p the bundle stores the scaling symbol
 S(z) = (1/2) sum_k A_k z^k ((p+1) square, from :func:`quarklets.splines.refinement_symbol`),
 the filters, which hold the scalar wavelet symbol b(z), and the p + 1
-polynomials h and k = h^{-1} below.  The rest is read off them on first use:
+polynomials h and k = h^{-1} below, which fix the block determinant
+T(z) = S(z) b(-z) - b(z) S(-z), lower triangular with monomial diagonal 2^{-q} z,
+and its inverse T(z)^{-1}.  The rest is read off them on first use:
 
 *  the detail symbol   W(z) = b(z) Id,
 *  the modulation matrix  X(z) = [[S(z), S(-z)], [W(z), W(-z)]],
-*  the block determinant  T(z) = S(z) b(-z) - b(z) S(-z),  which is lower
-   triangular with monomial diagonal 2^{-q} z, and its inverse T(z)^{-1},
 *  the exact inverse  X(z)^{-1} = [[L(z), R(-z)], [L(-z), R(z)]]  with
    L = b(-z) T^{-1} and R = T^{-1} S(z): T is odd, so the bottom-left and
    top-right blocks are the other two at -z,
@@ -80,14 +80,6 @@ class ModulationBundle:
     def modulation(self) -> LaurentMatrix:  # X(z), size 2(p+1)
         s, w = self.scaling_symbol, self.detail_symbol
         return LaurentMatrix.block([[s, s.substitute_neg()], [w, w.substitute_neg()]])
-
-    @cached_property
-    def block_det(self) -> LaurentMatrix:  # T(z) = D M_h
-        return pascal_matrix(self.h, row=Fraction(1, 2))
-
-    @cached_property
-    def block_det_inv(self) -> LaurentMatrix:  # T(z)^{-1} = M_k D^{-1}
-        return pascal_matrix(self.k, col=2)
 
     @cached_property
     def _left(self) -> LaurentMatrix:  # L = b(-z) T^{-1}

@@ -6,31 +6,34 @@ lists so output is byte-stable.  :func:`mask_json` renders a mask's pairs
 straight off its symbol's integer numerators, one gcd per nonzero tap entry,
 and pads the dense tap matrices with one shared immutable zero pair and zero
 row (``json`` prints a tuple as it prints a list); it builds no ``Fraction``.
-The one reader, :func:`frame_from_json`, is for frames, the only JSON input
-of the command line; it is strict.
+:func:`frame_json` renders a frame's pairs off its integer numerators in the
+same way, one gcd per coefficient.  The one reader, :func:`frame_from_json`,
+is for frames, the only JSON input of the command line; it is strict, and it
+builds the integer form directly: numerators over the lcm of the pairs'
+denominators, reduced by one gcd per frame.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .laurent import LaurentPoly
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
-from .transform import CoefficientFrame
+from .transform import CoefficientFrame, _checked_length, _frame
 
 
 def rational_json(x: Fraction) -> list[int]:
     return [*x.as_integer_ratio()]
 
 
-def rational_from_json(obj) -> Fraction:
-    """The rational of an ``[int, int]`` pair with a nonzero denominator; bools are not ints."""
+def _pair(obj) -> list[int]:
+    """An ``[int, int]`` pair with a nonzero denominator, as it is; bools are not ints."""
     pair = isinstance(obj, list) and len(obj) == 2 and all(type(x) is int for x in obj)
     if not pair or not obj[1]:
         raise ValueError(f"malformed input: {obj!r} is not an [int, int] pair, denominator nonzero")
-    return Fraction(*obj)
+    return obj
 
 
 def _int(obj) -> int:
@@ -94,18 +97,19 @@ def piecewise_json(f: PiecewisePoly) -> dict:
 
 
 def frame_json(frame: CoefficientFrame) -> dict:
+    den, nums = frame.den, frame.nums
     return {
         "level": frame.level,
         "width": frame.width,
-        "coefficients": [[k, [rational_json(c) for c in vec]] for k, vec in frame.items()],
+        "coefficients": [[k, [[n // (g := gcd(n, den)), den // g] for n in nums[k]]] for k in sorted(nums)],
     }
 
 
 def frame_from_json(obj) -> CoefficientFrame:
     if not isinstance(obj, dict):
         raise ValueError("malformed input: a frame is a JSON object")
-    return CoefficientFrame(
-        _int(obj["level"]),
-        _int(obj["width"]),
-        {k: tuple(rational_from_json(c) for c in vec) for k, vec in _entries(obj["coefficients"])},
-    )
+    level, width = _int(obj["level"]), _int(obj["width"])
+    pairs = {k: [_pair(c) for c in vec] for k, vec in _entries(obj["coefficients"])}
+    # over a common multiple of the denominators, reduced once
+    den = lcm(*(abs(d) for k, vec in pairs.items() for _, d in _checked_length(k, vec, width)))
+    return _frame(level, width, {k: [n * (den // d) for n, d in vec] for k, vec in pairs.items()}, den)

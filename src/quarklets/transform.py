@@ -3,7 +3,10 @@ orthogonalized Haar quarklets.
 
 A coefficient frame stores finitely many rational coefficient vectors c_k of
 length p+1 at one dyadic level j; it represents sum_k c_k^T Phi(2^j x - k)
-for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.
+for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.  It
+keeps them as integer numerator vectors over one positive denominator, in
+lowest terms, so ``==`` compares integers; the ``Fraction`` vectors are a
+read-only view built on first read.
 
 Each transform step is one exact row-times-matrix product on the polyphase
 form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
@@ -17,9 +20,11 @@ certifies P P^{-1} = Id, so the two steps are exact inverses:
     reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
     decompose:    [s^T, d^T](z^2) = [c_0^T, c_1^T](z^2) P(z)^{-1}.
 
-The frame row goes straight to integer numerators over one lcm, meets the
-matrix's column cores, kept by the bundle and the filters, and each output
-coefficient is one Fraction (``laurent.row_taps_product``).
+The frame's numerators are the row's integer taps as they are: they meet the
+matrix's column cores, kept by the bundle and the filters, in
+``laurent.row_taps_product``, and each output frame is its integer taps over
+the frame's denominator times the lcm of its block's column denominators,
+reduced by one gcd.  No step builds a ``Fraction``.
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt.
@@ -30,8 +35,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .cdf import quarklets
 from .laurent import as_rational, row_taps_product
@@ -42,23 +50,38 @@ from .piecewise import PiecewisePoly, inner_product
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoefficientFrame:
-    """Finitely supported map translate -> rational coefficient vector (read-only)."""
+    """Finitely supported map translate -> rational coefficient vector (read-only).
+
+    Stored as ``nums``, a read-only map translate -> tuple of integer numerators, over one
+    positive ``den``, in lowest terms (gcd(den, *every numerator) = 1) and with no all-zero
+    vector.  That form is canonical, so ``==`` compares it; ``coefficients`` is the read-only
+    ``Fraction`` view, built on first read.
+    """
 
     level: int
-    width: int  # vector length, p + 1
-    coefficients: Mapping[int, Vector]
+    width: int
+    nums: Mapping[int, tuple[int, ...]]
+    den: int
 
-    def __post_init__(self):
+    def __init__(self, level: int, width: int, coefficients: Mapping[int, Sequence]):
         clean = {}
-        for k, v in self.coefficients.items():
-            vec = tuple(as_rational(c) for c in v)
-            if len(vec) != self.width:
-                raise ValueError(f"coefficient at k={k} has length {len(vec)}, expected {self.width}")
+        for k, v in coefficients.items():
+            vec = _checked_length(k, tuple(as_rational(c) for c in v), width)
             if any(vec):
                 clean[operator.index(k)] = vec
-        object.__setattr__(self, "coefficients", MappingProxyType(clean))
+        den = lcm(*(c.denominator for vec in clean.values() for c in vec))
+        self._init(level, width, {k: [c.numerator * (den // c.denominator) for c in vec] for k, vec in clean.items()},
+                   den)
+
+    def _init(self, level: int, width: int, nums: Mapping[int, Sequence[int]], den: int):
+        """Set the frame translate k -> nums[k] / den (den > 0), all-zero vectors dropped, reduced by one gcd."""
+        nums = {k: vec for k, vec in nums.items() if any(vec)}
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        nums = MappingProxyType({k: tuple([n // g for n in vec]) for k, vec in nums.items()})
+        for name, value in (("level", level), ("width", width), ("nums", nums), ("den", den // g)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def zero(level: int, width: int) -> "CoefficientFrame":
@@ -66,9 +89,15 @@ class CoefficientFrame:
 
     @staticmethod
     def unit(level: int, width: int, k: int, component: int) -> "CoefficientFrame":
-        vec = [Fraction(0)] * width
-        vec[component] = Fraction(1)
-        return CoefficientFrame(level, width, {k: tuple(vec)})
+        vec = [0] * width
+        vec[component] = 1
+        return CoefficientFrame(level, width, {k: vec})
+
+    @cached_property
+    def coefficients(self) -> Mapping[int, Vector]:
+        """Read-only view translate -> Fraction vector, built on first read."""
+        den = self.den
+        return MappingProxyType({k: tuple(Fraction(n, den) for n in vec) for k, vec in self.nums.items()})
 
     def __getitem__(self, k: int) -> Vector:
         return self.coefficients.get(k, (Fraction(0),) * self.width)
@@ -77,7 +106,20 @@ class CoefficientFrame:
         return sorted(self.coefficients.items())
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.nums
+
+
+def _checked_length(k: int, vec: Sequence, width: int) -> Sequence:
+    if len(vec) != width:
+        raise ValueError(f"coefficient at k={k} has length {len(vec)}, expected {width}")
+    return vec
+
+
+def _frame(level: int, width: int, nums: Mapping[int, Sequence[int]], den: int) -> CoefficientFrame:
+    """The frame translate k -> nums[k] / den (den > 0), the library's own constructor: no checks."""
+    frame = CoefficientFrame.__new__(CoefficientFrame)
+    frame._init(level, width, nums, den)
+    return frame
 
 
 def reconstruct(
@@ -89,12 +131,15 @@ def reconstruct(
     width = bundle.size
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
-    translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
-    pairs = {2 * l: scaling[l] + detail[l] for l in translates}
-    out = row_taps_product(pairs, bundle.synthesis_cores)
+    den = lcm(scaling.den, detail.den)
+    s, d = (f.nums if f.den == den else {k: tuple(n * (den // f.den) for n in vec) for k, vec in f.nums.items()}
+            for f in (scaling, detail))
+    zero = (0,) * width
+    out, col_den = row_taps_product({2 * l: s.get(l, zero) + d.get(l, zero) for l in s.keys() | d.keys()},
+                                    bundle.synthesis_cores)
     # c_{e+r} is phase r at exponent e; P(z) has even powers only, so e is even
-    coeffs = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
-    return CoefficientFrame(scaling.level + 1, width, coeffs)
+    nums = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
+    return _frame(scaling.level + 1, width, nums, den * col_den)
 
 
 def decompose(
@@ -104,13 +149,14 @@ def decompose(
     width = filters.p + 1
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
+    nums, zero = frame.nums, (0,) * width
     # the z^{2l} tap holds c_{2l} and c_{2l+1}; n - n % 2 is 2l for both, negative n included
-    pairs = {e: frame[e] + frame[e + 1] for e in sorted({n - n % 2 for n in frame.coefficients})}
-    out = row_taps_product(pairs, filters.analysis_cores)
-    level = frame.level - 1
+    taps = {e: nums.get(e, zero) + nums.get(e + 1, zero) for e in {n - n % 2 for n in nums}}
+    cores, level = filters.analysis_cores, frame.level - 1
+    # one row product per block column, so each frame is over the lcm of its own columns
     return tuple(
-        CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, tap in out.items()})
-        for c in (0, width)
+        _frame(level, width, {e // 2: tap for e, tap in out.items()}, frame.den * col_den)
+        for out, col_den in (row_taps_product(taps, cores[c : c + width]) for c in (0, width))
     )
 
 

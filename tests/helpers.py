@@ -12,7 +12,11 @@ parity-exchange inverse, next to E itself (references for the z -> -z
 read-offs of ``build_modulation`` and ``polyphase_inv``), the exponent
 scan that read the splitting filters off E^{-1} X^{-1} (reference for
 ``decomposition_filters``), the per-translate transform loops (reference
-for the polyphase transform), dense polynomial long division and Horner
+for the polyphase transform), the Fraction path of the frame transforms
+and of the frame JSON reader and writer, one Fraction per coefficient
+(references for the integer frames of ``transform`` and ``serialize``), the
+block determinant T and its inverse expanded from the bundle's h and k
+(``block_det``, ``block_det_inv``), dense polynomial long division and Horner
 evaluation on Fraction tuples (references for ``LaurentPoly.__divmod__`` and
 ``eval_rational``), every ``LaurentPoly`` operation on plain Fraction dicts
 (the differential oracle for the integer-numerator form), Condition E for general rational matrices by
@@ -65,7 +69,8 @@ from mpmath import mp
 from quarklets import realroots, serialize
 from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import _ZERO_RTOL, cascade, dual_tail_slope, float_taps, quark_ft
-from quarklets.laurent import LaurentMatrix, LaurentPoly, as_rational, column_cores, row_taps_product
+from quarklets.laurent import (LaurentMatrix, LaurentPoly, _dot, as_rational, column_cores, pascal_matrix,
+                               row_taps_product)
 from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import (
     DecompositionFilters,
@@ -282,9 +287,19 @@ def parity_exchange_inverse(n: int) -> LaurentMatrix:
     )
 
 
+def block_det(bundle: ModulationBundle) -> LaurentMatrix:
+    """The block determinant T(z) = D M_h, D = diag(2^{-q}), expanded from the bundle's h."""
+    return pascal_matrix(bundle.h, row=Fraction(1, 2))
+
+
+def block_det_inv(bundle: ModulationBundle) -> LaurentMatrix:
+    """T(z)^{-1} = M_k D^{-1}, expanded from the bundle's k."""
+    return pascal_matrix(bundle.k, col=2)
+
+
 def modulation_inv_by_blocks(bundle: ModulationBundle) -> LaurentMatrix:
     """X(z)^{-1} = [[b(-z) T^{-1}, -T^{-1} S(-z)], [-b(z) T^{-1}, T^{-1} S(z)]], each block multiplied out."""
-    tinv, s = bundle.block_det_inv, bundle.scaling_symbol
+    tinv, s = block_det_inv(bundle), bundle.scaling_symbol
     b = bundle.filters.wavelet_symbol
     return LaurentMatrix.block(
         [
@@ -411,6 +426,101 @@ def reference_decompose(
         CoefficientFrame(level, width, {k: tuple(v) for k, v in s_out.items()}),
         CoefficientFrame(level, width, {k: tuple(v) for k, v in d_out.items()}),
     )
+
+
+def fraction_row_taps_product(taps: Mapping[int, Sequence[Fraction]], columns) -> dict[int, list[Fraction]]:
+    """The taps of r @ M, r = sum_k taps[k] z^k a one-row matrix of Fractions and M given by its
+    column cores, one Fraction per nonzero output coefficient (the Fraction path of the transforms)."""
+    den = math.lcm(*(c.denominator for tap in taps.values() for c in tap))
+    row: list[dict[int, int]] = [{} for _ in columns[0][0]]
+    for k, tap in taps.items():
+        for j, c in enumerate(tap):
+            if c:
+                row[j][k] = c.numerator * (den // c.denominator)
+    zero, width = Fraction(0), len(columns)
+    out: dict[int, list[Fraction]] = {}
+    for j, (col, col_den) in enumerate(columns):
+        scale = den * col_den
+        for k, n in _dot(row, col).items():
+            if n:
+                tap = out.get(k)
+                if tap is None:
+                    tap = out[k] = [zero] * width
+                tap[j] = Fraction(n, scale)
+    return out
+
+
+def fraction_reconstruct(
+    scaling: CoefficientFrame, detail: CoefficientFrame, bundle: ModulationBundle
+) -> CoefficientFrame:
+    """[s^T, d^T](z^2) P(z) on Fraction taps (reference for the integer-frame ``reconstruct``)."""
+    if scaling.level != detail.level:
+        raise ValueError("frames must live on the same level")
+    width = bundle.size
+    if scaling.width != width or detail.width != width:
+        raise ValueError("frame width does not match the bundle degree")
+    translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
+    pairs = {2 * l: scaling[l] + detail[l] for l in translates}
+    out = fraction_row_taps_product(pairs, bundle.synthesis_cores)
+    coeffs = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
+    return CoefficientFrame(scaling.level + 1, width, coeffs)
+
+
+def fraction_decompose(
+    frame: CoefficientFrame, filters: DecompositionFilters
+) -> tuple[CoefficientFrame, CoefficientFrame]:
+    """[c_0^T, c_1^T](z^2) P(z)^{-1} on Fraction taps (reference for the integer-frame ``decompose``)."""
+    width = filters.p + 1
+    if frame.width != width:
+        raise ValueError("frame width does not match the filter degree")
+    pairs = {e: frame[e] + frame[e + 1] for e in sorted({n - n % 2 for n in frame.coefficients})}
+    out = fraction_row_taps_product(pairs, filters.analysis_cores)
+    level = frame.level - 1
+    return tuple(
+        CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, tap in out.items()})
+        for c in (0, width)
+    )
+
+
+def frame_json_by_fractions(frame: CoefficientFrame) -> dict:
+    """The frame JSON rendered off the Fraction view (byte oracle for ``serialize.frame_json``)."""
+    return {
+        "level": frame.level,
+        "width": frame.width,
+        "coefficients": [[k, [serialize.rational_json(c) for c in vec]] for k, vec in frame.items()],
+    }
+
+
+def rational_from_json(obj) -> Fraction:
+    """The rational of a pair that the strict pair check of ``serialize`` accepts."""
+    return Fraction(*serialize._pair(obj))
+
+
+def frame_from_json_by_fractions(obj) -> CoefficientFrame:
+    """The strict frame reader through one Fraction per pair and the public constructor, with its
+    own copy of every check (reference for ``serialize.frame_from_json``)."""
+    def json_int(x):
+        if type(x) is not int:
+            raise ValueError(f"malformed input: {x!r} is not an int")
+        return x
+
+    def rational(x):
+        pair = isinstance(x, list) and len(x) == 2 and all(type(n) is int for n in x)
+        if not pair or not x[1]:
+            raise ValueError(f"malformed input: {x!r} is not an [int, int] pair, denominator nonzero")
+        return Fraction(*x)
+
+    if not isinstance(obj, dict):
+        raise ValueError("malformed input: a frame is a JSON object")
+    level, width, entries = json_int(obj["level"]), json_int(obj["width"]), obj["coefficients"]
+    seen = set()
+    for e in entries if isinstance(entries, list) else [entries]:
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)):
+            raise ValueError(f"malformed input: {e!r} is not an [int, list] entry")
+        if e[0] in seen:
+            raise ValueError(f"malformed input: index {e[0]} is repeated")
+        seen.add(e[0])
+    return CoefficientFrame(level, width, {k: tuple(rational(c) for c in vec) for k, vec in entries})
 
 
 # -- dense polynomials: tuples of Fractions, constant term first -----------------------
@@ -946,8 +1056,9 @@ def to_orthogonal_frames(
     """
     if frame.width != ortho.p + 1:
         raise ValueError("frame width does not match the family")
-    out = row_taps_product(frame.coefficients, column_cores(LaurentMatrix(ortho.from_plain)))
-    return [{k: tap[q] for k, tap in out.items() if tap[q]} for q in range(frame.width)]
+    out, den = row_taps_product(frame.nums, column_cores(LaurentMatrix(ortho.from_plain)))
+    den *= frame.den
+    return [{k: Fraction(tap[q], den) for k, tap in out.items() if tap[q]} for q in range(frame.width)]
 
 
 def from_orthogonal_frames(
@@ -958,4 +1069,7 @@ def from_orthogonal_frames(
     if len(frames) != width:
         raise ValueError("need one scalar frame per degree")
     taps = {k: [as_rational(frame.get(k, 0)) for frame in frames] for k in set().union(*frames)}
-    return CoefficientFrame(level, width, row_taps_product(taps, column_cores(LaurentMatrix(ortho.to_plain))))
+    den = math.lcm(*(c.denominator for tap in taps.values() for c in tap))
+    nums = {k: [c.numerator * (den // c.denominator) for c in tap] for k, tap in taps.items()}
+    out, col_den = row_taps_product(nums, column_cores(LaurentMatrix(ortho.to_plain)))
+    return CoefficientFrame(level, width, {k: [Fraction(n, den * col_den) for n in tap] for k, tap in out.items()})

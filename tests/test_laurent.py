@@ -250,10 +250,13 @@ class TestIntegerCoreProduct:
         for _ in range(6):
             row, mat = rand_matrix(rng, 1, shape[0]), rand_matrix(rng, *shape)
             taps = {k: tap[0] for k, tap in row.taps().items()}
-            taps[99] = [Fraction(0)] * shape[0]
-            got = laurent.row_taps_product(taps, laurent.column_cores(mat))
+            den = math.lcm(*(c.denominator for tap in taps.values() for c in tap))
+            nums = {k: [c.numerator * (den // c.denominator) for c in tap] for k, tap in taps.items()}
+            nums[99] = [0] * shape[0]
+            out, col_den = laurent.row_taps_product(nums, laurent.column_cores(mat))
+            got = {k: [Fraction(n, den * col_den) for n in tap] for k, tap in out.items()}
             assert got == {k: tap[0] for k, tap in fraction_matmul(row, mat).taps().items()}
-            assert all(type(c) is Fraction for tap in got.values() for c in tap)
+            assert all(type(n) is int for tap in out.values() for n in tap)
 
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((1, 4), (3, 8)), ((3, 1), (2, 1))])
     def test_dimension_mismatch(self, shapes):

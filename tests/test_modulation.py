@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    block_det,
+    block_det_inv,
     coefficient_matrix,
     dual_modulation,
     eval_rational,
@@ -61,7 +63,7 @@ class TestBundleStructure:
     def test_block_det_lower_triangular_and_odd(self):
         for (m, mt) in PAIRS:
             b = build_modulation(m, mt, 3)
-            t = b.block_det
+            t = block_det(b)
             assert is_lower_triangular(t)
             assert t.substitute_neg() == -t
             for q in range(4):
@@ -69,10 +71,10 @@ class TestBundleStructure:
 
     def test_block_det_inverse_is_laurent_and_odd(self):
         b = build_modulation(2, 2, 3)
-        tinv = b.block_det_inv
+        tinv = block_det_inv(b)
         assert is_lower_triangular(tinv)
         assert tinv.substitute_neg() == -tinv
-        assert tinv @ b.block_det == laurent_identity(4)
+        assert tinv @ block_det(b) == laurent_identity(4)
 
     @pytest.mark.parametrize("m,mt", PAIRS)
     @pytest.mark.parametrize("p", range(6))
@@ -81,7 +83,7 @@ class TestBundleStructure:
         # product and the Fraction-accumulating one both certify it, and it is the
         # forward-substitution inverse
         b = build_modulation(m, mt, p)
-        t, inv = b.block_det, b.block_det_inv
+        t, inv = block_det(b), block_det_inv(b)
         assert inv @ t == laurent_identity(p + 1)
         assert fraction_matmul(inv, t) == laurent_identity(p + 1)
         assert inv == invert_lower_triangular(t)
@@ -92,13 +94,13 @@ class TestBundleStructure:
         assert len(box) == 126
         for design in box:
             b = build_modulation(*design)
-            assert b.block_det_inv == invert_lower_triangular(b.block_det), design
+            assert block_det_inv(b) == invert_lower_triangular(block_det(b)), design
 
     def test_sign_identities_of_inverse_blocks(self):
         # b(z) Tinv(-z) = -b(z) Tinv(z)  and  -Tinv(-z) S(z) = Tinv(z) S(z)
         b = build_modulation(1, 1, 2)
         bz = b.filters.wavelet_symbol
-        tinv = b.block_det_inv
+        tinv = block_det_inv(b)
         assert tinv.substitute_neg() * bz == -(tinv * bz)
         lhs = -(tinv.substitute_neg() @ b.scaling_symbol)
         assert lhs == tinv @ b.scaling_symbol
@@ -422,12 +424,12 @@ class TestViews:
         assert built() == {"_left", "_right", "dual_scaling_symbol", "dual_detail_symbol"}
         frame = CoefficientFrame(1, 5, {-2: (1, 0, 2, 0, Fraction(1, 3)), 3: (0, -1, 0, 4, 1)})
         assert reconstruct(*decompose(frame, decomposition_filters(bundle)), bundle) == frame
-        assert not built() & {"block_det", "block_det_inv", "modulation", "detail_symbol"}
+        assert not built() & {"modulation", "detail_symbol"}
 
     def test_views_are_read_once_and_a_copy_reads_them_equal(self):
         bundle = build_modulation(2, 4, 3)
         views = [name for name, attr in vars(ModulationBundle).items() if isinstance(attr, cached_property)]
-        assert {"detail_symbol", "modulation", "block_det", "block_det_inv", "modulation_inv",
+        assert {"detail_symbol", "modulation", "modulation_inv",
                 "dual_scaling_symbol", "dual_detail_symbol"} <= set(views)
         copy = replace(bundle)
         for name in views:

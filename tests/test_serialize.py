@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import mask_json_by_taps
+from helpers import frame_from_json_by_fractions, frame_json_by_fractions, mask_json_by_taps, rational_from_json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,14 +33,14 @@ def frame_obj(coefficients, level=1, width=1):
 class TestScalars:
     def test_rational(self):
         x = Fraction(-3, 7)
-        assert serialize.rational_from_json(through_json(serialize.rational_json(x))) == x
+        assert rational_from_json(through_json(serialize.rational_json(x))) == x
 
     @pytest.mark.parametrize(
         "obj", [[1.5, 2], [1, 2.0], [1, 0], [True, 2], [1, False], 5, [1], [1, 2, 3], "1/2"]
     )
     def test_malformed_rational_rejected(self, obj):
         with pytest.raises(ValueError, match="malformed input"):
-            serialize.rational_from_json(obj)
+            rational_from_json(obj)
 
     @pytest.mark.parametrize(
         "obj",
@@ -102,6 +102,73 @@ class TestCompound:
         taps = serialize.mask_json(mask)["taps"]
         assert [t[0] for t in taps] == [-3, 3]
 
+
+
+def read_as_fraction_path(obj):
+    """frame_from_json gives the Fraction-path reader's frame, in JSON bytes too, or its error."""
+    try:
+        expected = frame_from_json_by_fractions(obj)
+    except (ValueError, TypeError, KeyError) as exc:
+        with pytest.raises(type(exc)) as got:
+            serialize.frame_from_json(obj)
+        assert str(got.value) == str(exc)
+        return None
+    frame = serialize.frame_from_json(obj)
+    assert frame == expected and (frame.nums, frame.den) == (expected.nums, expected.den)
+    text = json.dumps(serialize.frame_json(frame), indent=2, sort_keys=True)
+    assert text == json.dumps(frame_json_by_fractions(expected), indent=2, sort_keys=True)
+    return frame
+
+
+class TestFrameReader:
+    """The integer frame reader against the Fraction-path reader: the same frame or the same error."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            frame_obj([[0, [[2, 4], [6, 3]]]], width=2),
+            frame_obj([[0, [[1, -2], [-3, -9]]], [-1, [[0, -5], [4, -8]]]], width=2),
+            frame_obj([[0, [[True, 2]]]]),
+            frame_obj([[0, [[1, True]]]]),
+            frame_obj([[0, [[1, 0]]]]),
+            frame_obj([[0, [[0, 0]]]]),
+            frame_obj([[0, [[1, 2]]], [0, [[1, 3]]]]),
+            frame_obj([[0, [[1, 2], [1, 2]]]]),
+            frame_obj([[0, []]]),
+            frame_obj([[0, [[0, 3], [0, -1]]]], width=2),
+            frame_obj([[-4, [[0, 1]]], [2, [[5, 10]]]]),
+            frame_obj([[0, [[0, 1], [0, 1]]], [1, [[1, 1]]]]),
+            frame_obj([[0, [[1, 1], [1, 1]]], [1, [[1, 0]]]]),
+            frame_obj([[0, [[0, 1]]]], width=2),
+            frame_obj([]),
+            frame_obj([[0, [[1, 1]]]], width=-1),
+            {"level": 0, "coefficients": []},
+            [0, 1, []],
+        ],
+        ids=["unreduced", "negative denominators", "bool numerator", "bool denominator", "zero denominator",
+             "zero over zero", "repeated index", "long vector", "empty vector", "all-zero vector",
+             "all-zero beside nonzero", "all-zero vector too long", "bad pair after a long vector",
+             "all-zero vector too short", "no coefficients", "negative width", "no width", "not an object"],
+    )
+    def test_same_frame_or_error_as_the_fraction_path(self, obj):
+        read_as_fraction_path(obj)
+
+    def test_unreduced_and_negative_pairs_read_in_lowest_terms(self):
+        frame = read_as_fraction_path(frame_obj([[0, [[2, 4], [6, -3]]], [-1, [[0, -5], [0, 7]]]], width=2))
+        assert (dict(frame.nums), frame.den) == ({0: (1, -4)}, 2)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(1, 9).flatmap(lambda width: st.lists(
+        st.tuples(st.integers(-9, 9), st.lists(st.one_of(
+            st.tuples(st.just(0), st.integers(-3, 3).filter(bool)),
+            st.tuples(st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200).filter(bool))),
+            min_size=width, max_size=width)),
+        max_size=6, unique_by=lambda e: e[0]).map(lambda entries: (width, entries))))
+    def test_random_pairs(self, case):
+        width, entries = case
+        obj = through_json(frame_obj([[k, [list(pair) for pair in vec]] for k, vec in entries], width=width))
+        frame = read_as_fraction_path(obj)
+        assert serialize.frame_from_json(through_json(serialize.frame_json(frame))) == frame
 
 
 def same_bytes_as_fraction_taps(mask: MaskSequence):

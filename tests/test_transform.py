@@ -1,5 +1,7 @@
 """Frame transforms, orthogonalized quarklets, detail-space projection."""
 
+import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +9,10 @@ from functools import lru_cache
 
 import pytest
 from helpers import (
+    fraction_decompose,
+    fraction_reconstruct,
     frame_function,
+    frame_json_by_fractions,
     from_orthogonal_frames,
     project_detail,
     reference_decompose,
@@ -17,7 +22,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quarklets import laurent
+from quarklets import laurent, serialize
 from quarklets.cdf import quarklets
 from quarklets.modulation import build_modulation, decomposition_filters
 from quarklets.piecewise import PiecewisePoly, inner_product
@@ -172,6 +177,20 @@ class TestPolyphaseTransform:
         with pytest.raises(TypeError):
             frame.coefficients[3] = (Fraction(1), Fraction(1))
         assert frame == CoefficientFrame.unit(0, 2, 3, 1)
+        # the stored integer form too: no field can be set or deleted, the numerator map takes no write
+        frame = CoefficientFrame(0, 2, {-3: (Fraction(1, 2), 0), 4: (1, Fraction(-1, 3))})
+        for name, value in (("level", 1), ("width", 3), ("den", 1), ("nums", {}), ("coefficients", {})):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, value)
+            with pytest.raises(AttributeError):
+                delattr(frame, name)
+        for k in (-3, 5):
+            with pytest.raises(TypeError):
+                frame.nums[k] = (1, 1)
+        with pytest.raises(TypeError):
+            frame.coefficients[4] = (Fraction(1), Fraction(1))
+        assert (frame.nums, frame.den) == ({-3: (3, 0), 4: (6, -2)}, 6)
+        assert frame == CoefficientFrame(0, 2, {-3: (Fraction(1, 2), 0), 4: (1, Fraction(-1, 3))})
 
 
 ORDERS = [(m, mt) for m in (1, 2, 3) for mt in range(m, 6) if (m + mt) % 2 == 0]
@@ -341,3 +360,109 @@ class TestOrthogonalFrames:
         # the exact core takes no floats, not even a zero one
         with pytest.raises(TypeError):
             from_orthogonal_frames([{0: c}, {}], orthogonalize_haar(1, 1))
+
+
+# -- integer frames against the Fraction path ----------------------------------------------
+
+
+def json_bytes(payload) -> str:
+    """The CLI's rendering of a JSON payload."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def assert_canonical(frame: CoefficientFrame):
+    """Integer numerators over one positive denominator, in lowest terms, no all-zero vector."""
+    assert frame.den > 0 and math.gcd(frame.den, *(n for vec in frame.nums.values() for n in vec)) == 1
+    assert all(type(k) is int and type(vec) is tuple and len(vec) == frame.width and any(vec)
+               and all(type(n) is int for n in vec) for k, vec in frame.nums.items())
+
+
+def assert_as_fraction_path(frame: CoefficientFrame, expected: CoefficientFrame):
+    """The same frame as the Fraction path's, in canonical form, with the same JSON bytes."""
+    assert frame == expected
+    assert_canonical(frame)
+    assert frame.coefficients == expected.coefficients
+    assert json_bytes(serialize.frame_json(frame)) == json_bytes(frame_json_by_fractions(expected))
+
+
+def cascade_as_fraction_path(frame: CoefficientFrame, m: int, mt: int, levels: int):
+    """``levels`` decompositions, then as many reconstructions, each step checked against the
+    Fraction path on the same input; the round trip gives the input back."""
+    bundle, filters = build_modulation(m, mt, frame.width - 1), cached_filters(m, mt, frame.width - 1)
+    down, details = [frame], []
+    for _ in range(levels):
+        coarse, detail = decompose(down[-1], filters)
+        for got, expected in zip((coarse, detail), fraction_decompose(down[-1], filters)):
+            assert_as_fraction_path(got, expected)
+        down.append(coarse)
+        details.append(detail)
+    up = down[-1]
+    for detail in reversed(details):
+        expected = fraction_reconstruct(up, detail, bundle)
+        up = reconstruct(up, detail, bundle)
+        assert_as_fraction_path(up, expected)
+    assert up == frame
+
+
+def frame_spectral_frames() -> list[tuple[int, int, CoefficientFrame]]:
+    """The frame inputs of the benchmark's frame_spectral workload at seed 1: 36 dense (2,2,2)
+    frames of 32 translates and 6 dense (3,5,5) frames of 16, numerators in [-99, 99] over
+    denominators in [1, 64], at level 3, drawn in this order."""
+    rng, out = random.Random(1), []
+    for m, mt, p, translates, count in ((2, 2, 2, 32, 36), (3, 5, 5, 16, 6)):
+        for _ in range(count):
+            coeffs = {}
+            for k in range(translates):
+                vec = [Fraction(rng.randint(-99, 99), rng.randint(1, 64)) for _ in range(p + 1)]
+                if not any(vec):
+                    vec[0] = Fraction(1)
+                coeffs[k] = tuple(vec)
+            out.append((m, mt, CoefficientFrame(3, p + 1, coeffs)))
+    return out
+
+
+big_ints = st.integers(-(2**200), 2**200)
+
+
+@st.composite
+def wide_frames(draw):
+    """(m, mt, fine, detail): widths 1-9, negative translates, all-zero vectors, entries up to 200 bits."""
+    m, mt = draw(st.sampled_from([(1, 1), (2, 2), (2, 4), (3, 5)]))
+    width, level = draw(st.integers(1, 9)), draw(st.integers(-2, 2))
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, big_ints, st.integers(1, 2**200)))
+    vectors = st.one_of(st.just((0,) * width), st.tuples(*[entry] * width))
+    coeffs = st.dictionaries(st.integers(-9, 9), vectors, max_size=5)
+    return m, mt, CoefficientFrame(level, width, draw(coeffs)), CoefficientFrame(level, width, draw(coeffs))
+
+
+class TestIntegerFrames:
+    """Integer frames: every transform output == the Fraction path's, JSON byte for byte."""
+
+    def test_frame_spectral_inputs(self):
+        frames = frame_spectral_frames()
+        assert len(frames) == 42
+        assert [(m, f.width, len(f.nums)) for m, _, f in frames[35:37]] == [(2, 3, 32), (3, 6, 16)]
+        for m, mt, frame in frames:
+            text = json_bytes(serialize.frame_json(frame))
+            assert text == json_bytes(frame_json_by_fractions(frame))
+            assert serialize.frame_from_json(json.loads(text)) == frame
+            cascade_as_fraction_path(frame, m, mt, 3)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(wide_frames())
+    def test_wide_frames_with_large_entries(self, case):
+        m, mt, fine, detail = case
+        bundle, filters = build_modulation(m, mt, fine.width - 1), cached_filters(m, mt, fine.width - 1)
+        assert_canonical(fine)
+        cascade_as_fraction_path(fine, m, mt, 1)
+        c = reconstruct(fine, detail, bundle)
+        assert_as_fraction_path(c, fraction_reconstruct(fine, detail, bundle))
+        assert decompose(c, filters) == (fine, detail)
+
+    @pytest.mark.parametrize("m,mt,p", [(2, 2, 2), (3, 5, 5)])
+    def test_three_level_round_trips(self, m, mt, p):
+        rng = random.Random(10 * m + mt)
+        for _ in range(4):
+            coeffs = {rng.randint(-20, 20): tuple(Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 2**70))
+                                                  for _ in range(p + 1)) for _ in range(7)}
+            cascade_as_fraction_path(CoefficientFrame(3, p + 1, coeffs), m, mt, 3)
