@@ -67,10 +67,13 @@ def _check_bounds(args):
             raise UsageError(f"grid points x --levels x (p + 1) must be at most {MAX_DUAL_WORK}")
 
 
-def _check_width(frame):
-    if frame.width - 1 > MAX_DEGREE:
+def _read_frame(path: str):
+    with open(path) as handle:
+        obj = json.load(handle)
+    # bounded before the reader builds one polynomial per component
+    if isinstance(obj, dict) and type(obj.get("width")) is int and obj["width"] - 1 > MAX_DEGREE:
         raise UsageError(f"frame width must be at most {MAX_DEGREE + 1}")
-    return frame
+    return serialize.frame_from_json(obj)
 
 
 def _fmt_float(x: float) -> str:
@@ -223,8 +226,7 @@ def cmd_dual(args) -> int:
 
 def cmd_decompose(args) -> int:
     validate_orders(args.m, args.mt)
-    with open(args.input) as handle:
-        frame = _check_width(serialize.frame_from_json(json.load(handle)))
+    frame = _read_frame(args.input)
     bundle = build_modulation(args.m, args.mt, frame.width - 1)
     filters = decomposition_filters(bundle)
     s, d = transform.decompose(frame, filters)
@@ -235,10 +237,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     validate_orders(args.m, args.mt)
-    with open(args.scaling) as handle:
-        s = _check_width(serialize.frame_from_json(json.load(handle)))
-    with open(args.detail) as handle:
-        d = _check_width(serialize.frame_from_json(json.load(handle)))
+    s, d = _read_frame(args.scaling), _read_frame(args.detail)
     if s.width != d.width:
         raise UsageError("scaling and detail frames have different widths")
     bundle = build_modulation(args.m, args.mt, s.width - 1)

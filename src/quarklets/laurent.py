@@ -3,25 +3,25 @@
 A Laurent polynomial sum_k c_k z^k with finitely many nonzero c_k is stored as
 integer numerators over one denominator: ``nums = {exponent: numerator}``
 with no zero entries and ``den > 0``, in lowest terms (gcd(den, *nums) = 1).
-That form is canonical, so ``==`` and ``hash`` compare it structurally, and
-``coeffs`` is a read-only ``Fraction`` view built on demand.  On the unit
-circle |z| = 1 conjugation acts by c_k z^{-k} (the coefficients are real),
-which is what :meth:`LaurentPoly.conj_on_circle` implements.  Evaluated at
-z = exp(-i t), the same object is the trigonometric polynomial
-sum_k c_k exp(-i k t).
+Both fields are read-only.  That form is canonical, so ``==`` and ``hash``
+compare it structurally, and ``coeffs`` is a read-only ``Fraction`` view built
+on demand.  On the unit circle |z| = 1 conjugation acts by c_k z^{-k} (the
+coefficients are real), which is what :meth:`LaurentPoly.conj_on_circle`
+implements.  Evaluated at z = exp(-i t), the same object is the trigonometric
+polynomial sum_k c_k exp(-i k t).
 
 All arithmetic is exact and runs on integers, with one gcd per result: sums,
 scalar multiples, z -> -z, z -> 1/z and the derivative act on the numerators.
 A matrix product scales each row of the left factor and each column of the
 right one to one common denominator (``_int_cores``), accumulates every
-output entry in ``int`` (``_dot``) and reduces it once (``_from_int``).  A
-polynomial product is its 1x1 case, and :func:`row_taps_product` applies a
-matrix, given by its column cores, to a row of integer taps, giving integer
-taps over one denominator.  The Pascal-type matrices M_g = [C(i, j) g_{i-j}]
-multiply as M_g M_h = M_{g * h}, (g * h)_n = sum_s C(n, s) g_{n-s} h_s
-(Call & Velleman, Amer. Math. Monthly 100, 1993), so :func:`pascal_product`
-and :func:`pascal_inverse` run on the p + 1 polynomials g_n, on the same
-kernel, and :func:`pascal_matrix` expands them.
+output entry in ``int`` (``_dot``) and reduces it once (``_from_int``), row
+by row (``_row_times``, which also takes column cores kept from earlier).  A
+polynomial product is its 1x1 case.  The Pascal-type matrices
+M_g = [C(i, j) g_{i-j}] multiply as M_g M_h = M_{g * h},
+(g * h)_n = sum_s C(n, s) g_{n-s} h_s (Call & Velleman, Amer. Math. Monthly
+100, 1993), so :func:`pascal_product` and :func:`pascal_inverse` run on the
+p + 1 polynomials g_n, on the same kernel, and :func:`pascal_matrix` expands
+them.
 The module imports no numpy: the float taps of a Laurent matrix and every
 Fourier-domain value are taken in :mod:`quarklets.duals`.
 """
@@ -58,8 +58,16 @@ class LaurentPoly:
                     clean[operator.index(k)] = c
         # over the lcm of reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for c in clean.values()))
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
-        self.den = den
+        _set_nums(self, MappingProxyType({k: c.numerator * (den // c.denominator) for k, c in clean.items()}))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"LaurentPoly is read-only: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _raw, (dict(self.nums), self.den)
 
     # -- constructors -------------------------------------------------------
 
@@ -275,41 +283,34 @@ def _from_int(nums: Mapping[int, int], den: int) -> LaurentPoly:
     return _raw(nums, den)
 
 
-def _raw(nums: dict[int, int], den: int) -> LaurentPoly:
-    """A LaurentPoly around ``nums`` over ``den``, which must already be canonical."""
+def _interleave(a: LaurentPoly, b: LaurentPoly, step: int) -> LaurentPoly:
+    """a(z^step) + z b(z^step) over the lcm of the denominators, for step 2 or even a, b; in lowest
+    terms, as a prime power q^e exactly dividing the lcm exactly divides a.den, say, and q divides
+    not every numerator of a."""
+    (na, nb), den = _int_cores((a, b))
+    return _raw({**{step * k: n for k, n in na.items()}, **{step * k + 1: n for k, n in nb.items()}}, den)
+
+
+_set_nums, _set_den = LaurentPoly.nums.__set__, LaurentPoly.den.__set__
+
+
+def _raw(nums: Mapping[int, int], den: int) -> LaurentPoly:
+    """A LaurentPoly around ``nums`` (taken, not copied) over ``den``, which must already be canonical."""
     res = LaurentPoly.__new__(LaurentPoly)
-    res.nums, res.den = nums, den
+    _set_nums(res, MappingProxyType(nums))
+    _set_den(res, den)
     return res
 
 
-def row_taps_product(taps: Mapping[int, Sequence[int]],
-                     columns: Sequence[tuple[list[dict[int, int]], int]]) -> tuple[dict[int, list[int]], int]:
-    """r @ M as integer taps over one denominator, r = sum_k taps[k] z^k a one-row matrix of integers
-    and M given by :func:`column_cores`.
-
-    Returns ``(out, den)`` with r @ M = sum_k (out[k] / den) z^k and den the lcm of the column
-    denominators, not reduced; taps that come out zero are left out.
-    """
-    row: list[dict[int, int]] = [{} for _ in columns[0][0]]
-    for k, tap in taps.items():
-        for j, n in enumerate(tap):
-            if n:
-                row[j][k] = n
-    den, width = lcm(*(d for _, d in columns)), len(columns)
-    out: dict[int, list[int]] = {}
-    for j, (col, col_den) in enumerate(columns):
-        scale = den // col_den
-        for k, n in _dot(row, col).items():
-            if n:
-                tap = out.get(k)
-                if tap is None:
-                    tap = out[k] = [0] * width
-                tap[j] = n * scale
-    return out, den
+def _row_times(row: Sequence[dict[int, int]], den: int,
+               columns: Sequence[tuple[list[dict[int, int]], int]]) -> list[LaurentPoly]:
+    """The row with integer cores ``row`` over ``den`` times the matrix with these column cores,
+    one integer accumulation and one gcd per output entry."""
+    return [_from_int(_dot(row, col), den * col_den) for col, col_den in columns]
 
 
 def column_cores(matrix: "LaurentMatrix") -> list[tuple[list[dict[int, int]], int]]:
-    """The integer cores of every column of ``matrix``, for :func:`row_taps_product`."""
+    """The integer cores of every column of ``matrix``, for ``_row_times``."""
     return [_int_cores(col) for col in zip(*matrix.entries)]
 
 
@@ -391,11 +392,8 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # each row of self and each column of other over one denominator, so every
-        # output entry is one integer accumulation and one gcd
-        rows = [_int_cores(row) for row in self.entries]
         cols = column_cores(other)
-        return LaurentMatrix([[_from_int(_dot(ra, cb), da * db) for cb, db in cols] for ra, da in rows])
+        return LaurentMatrix([_row_times(*_int_cores(row), cols) for row in self.entries])
 
     def __mul__(self, other) -> "LaurentMatrix":
         if isinstance(other, (int, Fraction, LaurentPoly)):

@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
-from .laurent import (LaurentMatrix, LaurentPoly, _from_int, _int_cores, _raw, column_cores, pascal_inverse,
+from .laurent import (LaurentMatrix, LaurentPoly, _from_int, _interleave, column_cores, pascal_inverse,
                       pascal_matrix, pascal_product)
 from .masks import MaskSequence, mask_view
 from .piecewise import PiecewisePoly
@@ -129,8 +129,8 @@ class ModulationBundle:
 
     @cached_property
     def synthesis_cores(self) -> list:
-        """The column cores of P(z), kept for every ``transform.reconstruct`` with this bundle."""
-        return column_cores(self.synthesis_matrix)
+        """The column cores of P(z^{1/2}), kept for every ``transform.reconstruct`` with this bundle."""
+        return _halved_cores(self.synthesis_matrix)
 
     @cached_property
     def factorization_holds(self) -> bool:
@@ -154,6 +154,12 @@ class ModulationBundle:
 def _parity_part(row: Sequence[LaurentPoly], parity: int, shift: int, factor: int = 1) -> list[LaurentPoly]:
     """factor z^shift times the terms of each entry whose exponent has the given parity, on numerators."""
     return [_from_int({k + shift: factor * c for k, c in e.nums.items() if k % 2 == parity}, e.den) for e in row]
+
+
+def _halved_cores(matrix: LaurentMatrix) -> list:
+    """The column cores of M(z^{1/2}) for M in even powers of z only, as P and P^{-1} are."""
+    return [([{k >> 1: n for k, n in core.items()} for core in cores], den)
+            for cores, den in column_cores(matrix)]
 
 
 def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
@@ -252,8 +258,8 @@ class DecompositionFilters:
 
     @cached_property
     def analysis_cores(self) -> list:
-        """The column cores of P(z)^{-1}, kept for every ``transform.decompose`` with these filters."""
-        return column_cores(self.polyphase_inv)
+        """The column cores of P(z^{1/2})^{-1}, kept for every ``transform.decompose`` with these filters."""
+        return _halved_cores(self.polyphase_inv)
 
     def _block_masks(self, c: int) -> MaskSequence:
         # P^{-1} holds even powers of z only, so block row 0 plus z times block row 1 has
@@ -261,14 +267,7 @@ class DecompositionFilters:
         n = self.p + 1
         rows = self.polyphase_inv.entries
         blocks = [zip(rows[i][c : c + n], rows[n + i][c : c + n]) for i in range(n)]
-        return MaskSequence.from_symbol(LaurentMatrix([[_even_plus_z_times(a, b) for a, b in row] for row in blocks]), 1)
-
-
-def _even_plus_z_times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a + z b for a, b in even powers only, over the lcm of their denominators: in lowest terms, as a prime
-    power q^e exactly dividing the lcm exactly divides a.den, say, and q divides not every numerator of a."""
-    (na, nb), den = _int_cores((a, b))
-    return _raw({**na, **{k + 1: n for k, n in nb.items()}}, den)
+        return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b, 1) for a, b in row] for row in blocks]), 1)
 
 
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:

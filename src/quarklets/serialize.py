@@ -2,26 +2,24 @@
 
 Rationals are ``[numerator, denominator]`` integer pairs.  Sparse
 integer-indexed collections are emitted as sorted ``[index, value]`` pair
-lists so output is byte-stable.  :func:`mask_json` renders a mask's pairs
-straight off its symbol's integer numerators, one gcd per nonzero tap entry,
-and pads the dense tap matrices with one shared immutable zero pair and zero
-row (``json`` prints a tuple as it prints a list); it builds no ``Fraction``.
-:func:`frame_json` renders a frame's pairs off its integer numerators in the
-same way, one gcd per coefficient.  The one reader, :func:`frame_from_json`,
-is for frames, the only JSON input of the command line; it is strict, and it
-builds the integer form directly: numerators over the lcm of the pairs'
-denominators, reduced by one gcd per frame.
+lists so output is byte-stable.  A mask's symbol (:func:`mask_json`) and a
+frame's row (:func:`frame_json`, a 1 x width matrix) are rendered as dense tap
+matrices straight off the integer numerators, one gcd per nonzero entry, with
+no ``Fraction``; a mask pads with one shared immutable zero pair and zero row,
+a frame with ``[0, 1]`` lists.  The one reader, :func:`frame_from_json`, is
+strict and builds the row directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_int
 from .masks import MaskSequence
 from .piecewise import PiecewisePoly
-from .transform import CoefficientFrame, _checked_length, _frame
+from .transform import CoefficientFrame, _checked_length, _checked_width, _frame
 
 
 def rational_json(x: Fraction) -> list[int]:
@@ -63,25 +61,30 @@ def matrix_json(mat) -> list:
     return [[[*x.as_integer_ratio()] for x in row] for row in mat]
 
 
-# the zero pair of every dense mask tap, shared; a tuple, so no payload can change it
+# the zero pair of every dense tap, shared; a tuple, which no payload can change and ``json`` prints as a list
 _ZERO_PAIR = (0, 1)
 
 
-def mask_json(mask: MaskSequence) -> dict:
-    f, grid = mask.factor, mask.symbol.entries
+def _tap_pairs(grid: Sequence[Sequence[LaurentPoly]], factor: int) -> dict[int, list]:
+    """Exponent -> dense tap matrix of ``[num, den]`` pairs of factor times ``grid``, sorted by exponent."""
     # a row of a tap stays the shared zero row until an entry of it is set
-    zero_row = (_ZERO_PAIR,) * mask.cols
-    taps = {k: [zero_row] * mask.rows for k in sorted({k for row in grid for e in row for k in e.nums})}
+    zero_row = (_ZERO_PAIR,) * len(grid[0])
+    taps = {k: [zero_row] * len(grid) for k in sorted({k for row in grid for e in row for k in e.nums})}
     for i, row in enumerate(grid):
         for j, e in enumerate(row):
             den = e.den
             for k, n in e.nums.items():
-                n *= f
+                n *= factor
                 g = gcd(n, den)
                 tap = taps[k]
                 if tap[i] is zero_row:
                     tap[i] = list(zero_row)
                 tap[i][j] = [n // g, den // g]
+    return taps
+
+
+def mask_json(mask: MaskSequence) -> dict:
+    taps = _tap_pairs(mask.symbol.entries, mask.factor)
     if mask.rows == 1 and mask.cols == 1:
         return {"kind": "scalar", "taps": [[k, tap[0][0]] for k, tap in taps.items()]}
     return {"kind": "matrix", "rows": mask.rows, "cols": mask.cols, "taps": [[k, tap] for k, tap in taps.items()]}
@@ -97,19 +100,23 @@ def piecewise_json(f: PiecewisePoly) -> dict:
 
 
 def frame_json(frame: CoefficientFrame) -> dict:
-    den, nums = frame.den, frame.nums
-    return {
-        "level": frame.level,
-        "width": frame.width,
-        "coefficients": [[k, [[n // (g := gcd(n, den)), den // g] for n in nums[k]]] for k in sorted(nums)],
-    }
+    taps = _tap_pairs((frame.row,), 1)
+    # zero pairs as lists, so the object equals its JSON text's and reads back as it is
+    vecs = [[k, [[0, 1] if c is _ZERO_PAIR else c for c in tap[0]]] for k, tap in taps.items()]
+    return {"level": frame.level, "width": frame.width, "coefficients": vecs}
 
 
 def frame_from_json(obj) -> CoefficientFrame:
     if not isinstance(obj, dict):
         raise ValueError("malformed input: a frame is a JSON object")
-    level, width = _int(obj["level"]), _int(obj["width"])
+    level, width = _int(obj["level"]), _checked_width(_int(obj["width"]))
     pairs = {k: [_pair(c) for c in vec] for k, vec in _entries(obj["coefficients"])}
+    for k, vec in pairs.items():
+        _checked_length(k, vec, width)
+    return _frame(level, (_poly_from_pairs({k: vec[j] for k, vec in pairs.items()}) for j in range(width)))
+
+
+def _poly_from_pairs(pairs: dict[int, list[int]]) -> LaurentPoly:
     # over a common multiple of the denominators, reduced once
-    den = lcm(*(abs(d) for k, vec in pairs.items() for _, d in _checked_length(k, vec, width)))
-    return _frame(level, width, {k: [n * (den // d) for n, d in vec] for k, vec in pairs.items()}, den)
+    den = lcm(*(abs(d) for _, d in pairs.values()))
+    return _from_int({k: n * (den // d) for k, (n, d) in pairs.items()}, den)

@@ -1,30 +1,26 @@
 """Multiscale decomposition/reconstruction of coefficient frames, and
 orthogonalized Haar quarklets.
 
-A coefficient frame stores finitely many rational coefficient vectors c_k of
-length p+1 at one dyadic level j; it represents sum_k c_k^T Phi(2^j x - k)
-for a scaling frame or sum_k d_k^T Psi(2^j x - k) for a quarklet frame.  It
-keeps them as integer numerator vectors over one positive denominator, in
-lowest terms, so ``==`` compares integers; the ``Fraction`` vectors are a
-read-only view built on first read.
+A coefficient frame holds finitely many rational vectors c_k of length p+1 at
+one dyadic level j, for sum_k c_k^T Phi(2^j x - k) (scaling) or
+sum_k d_k^T Psi(2^j x - k) (quarklets), as its row c(z) = sum_k c_k z^k of
+Laurent polynomials (the row-vector polyphase form of Strang & Nguyen,
+*Wavelets and Filter Banks*, 1996).
 
-Each transform step is one exact row-times-matrix product on the polyphase
-form of the frames: the phases c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of
-the fine frame and s(z^2), d(z^2) of the coarse ones, vectors of Laurent
-polynomials.  P(z) is the polyphase matrix of the two-scale masks, read
-off the symbols once per bundle (``ModulationBundle.synthesis_matrix``),
-P(z)^{-1} = E(z)^{-1} X(z)^{-1} is the bundle's one analysis matrix, carried by the
-splitting filters (``DecompositionFilters.polyphase_inv``), and ``modulation.polyphase``
-certifies P P^{-1} = Id, so the two steps are exact inverses:
+Each transform step is one exact row-times-matrix product on the phases
+c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of the fine frame and s(z^2),
+d(z^2) of the coarse ones, with P(z) the polyphase matrix of the two-scale
+masks (``ModulationBundle.synthesis_matrix``) and P(z)^{-1} its exact inverse
+(``DecompositionFilters.polyphase_inv``; ``modulation.polyphase`` certifies
+P P^{-1} = Id):
 
     reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
     decompose:    [s^T, d^T](z^2) = [c_0^T, c_1^T](z^2) P(z)^{-1}.
 
-The frame's numerators are the row's integer taps as they are: they meet the
-matrix's column cores, kept by the bundle and the filters, in
-``laurent.row_taps_product``, and each output frame is its integer taps over
-the frame's denominator times the lcm of its block's column denominators,
-reduced by one gcd.  No step builds a ``Fraction``.
+P and P^{-1} hold even powers only, so the bundle and the filters keep the
+column cores of P(w^{1/2}) and its inverse, w = z^2.  ``decompose`` splits the
+row's integer cores by exponent parity, ``reconstruct`` merges the output
+phases, and the product between is the kernel of ``LaurentMatrix.__matmul__``.
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt.
@@ -36,13 +32,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import as_rational, row_taps_product
+from .laurent import LaurentPoly, _int_cores, _interleave, _row_times, as_rational
 from .masks import Mat
 from .modulation import DecompositionFilters, ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
@@ -54,34 +48,26 @@ Vector = tuple[Fraction, ...]
 class CoefficientFrame:
     """Finitely supported map translate -> rational coefficient vector (read-only).
 
-    Stored as ``nums``, a read-only map translate -> tuple of integer numerators, over one
-    positive ``den``, in lowest terms (gcd(den, *every numerator) = 1) and with no all-zero
-    vector.  That form is canonical, so ``==`` compares it; ``coefficients`` is the read-only
+    Stored as ``row``, the ``width`` Laurent polynomials c(z) = sum_k c_k z^k of its
+    components, which ``==`` and ``hash`` compare; ``coefficients`` is the read-only
     ``Fraction`` view, built on first read.
     """
 
     level: int
-    width: int
-    nums: Mapping[int, tuple[int, ...]]
-    den: int
+    row: tuple[LaurentPoly, ...]
 
     def __init__(self, level: int, width: int, coefficients: Mapping[int, Sequence]):
-        clean = {}
+        _checked_width(width)
+        vecs = {}
         for k, v in coefficients.items():
             vec = _checked_length(k, tuple(as_rational(c) for c in v), width)
             if any(vec):
-                clean[operator.index(k)] = vec
-        den = lcm(*(c.denominator for vec in clean.values() for c in vec))
-        self._init(level, width, {k: [c.numerator * (den // c.denominator) for c in vec] for k, vec in clean.items()},
-                   den)
+                vecs[operator.index(k)] = vec
+        row = (LaurentPoly({k: vec[j] for k, vec in vecs.items()}) for j in range(width))
+        self.__dict__.update(level=level, row=tuple(row))
 
-    def _init(self, level: int, width: int, nums: Mapping[int, Sequence[int]], den: int):
-        """Set the frame translate k -> nums[k] / den (den > 0), all-zero vectors dropped, reduced by one gcd."""
-        nums = {k: vec for k, vec in nums.items() if any(vec)}
-        g = gcd(den, *chain.from_iterable(nums.values()))
-        nums = MappingProxyType({k: tuple([n // g for n in vec]) for k, vec in nums.items()})
-        for name, value in (("level", level), ("width", width), ("nums", nums), ("den", den // g)):
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return _frame, (self.level, self.row)
 
     @staticmethod
     def zero(level: int, width: int) -> "CoefficientFrame":
@@ -93,11 +79,16 @@ class CoefficientFrame:
         vec[component] = 1
         return CoefficientFrame(level, width, {k: vec})
 
+    @property
+    def width(self) -> int:
+        return len(self.row)
+
     @cached_property
     def coefficients(self) -> Mapping[int, Vector]:
         """Read-only view translate -> Fraction vector, built on first read."""
-        den = self.den
-        return MappingProxyType({k: tuple(Fraction(n, den) for n in vec) for k, vec in self.nums.items()})
+        row = self.row
+        support = sorted(set().union(*(c.nums for c in row)))
+        return MappingProxyType({k: tuple(c[k] for c in row) for k in support})
 
     def __getitem__(self, k: int) -> Vector:
         return self.coefficients.get(k, (Fraction(0),) * self.width)
@@ -106,7 +97,13 @@ class CoefficientFrame:
         return sorted(self.coefficients.items())
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not any(self.row)
+
+
+def _checked_width(width: int) -> int:
+    if width < 1:
+        raise ValueError(f"frame width must be at least 1, got {width}")
+    return width
 
 
 def _checked_length(k: int, vec: Sequence, width: int) -> Sequence:
@@ -115,10 +112,10 @@ def _checked_length(k: int, vec: Sequence, width: int) -> Sequence:
     return vec
 
 
-def _frame(level: int, width: int, nums: Mapping[int, Sequence[int]], den: int) -> CoefficientFrame:
-    """The frame translate k -> nums[k] / den (den > 0), the library's own constructor: no checks."""
+def _frame(level: int, row: Iterable[LaurentPoly]) -> CoefficientFrame:
+    """The frame with this row, unchecked; the class is frozen, so fields go in its dict."""
     frame = CoefficientFrame.__new__(CoefficientFrame)
-    frame._init(level, width, nums, den)
+    frame.__dict__.update(level=level, row=tuple(row))
     return frame
 
 
@@ -131,15 +128,9 @@ def reconstruct(
     width = bundle.size
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
-    den = lcm(scaling.den, detail.den)
-    s, d = (f.nums if f.den == den else {k: tuple(n * (den // f.den) for n in vec) for k, vec in f.nums.items()}
-            for f in (scaling, detail))
-    zero = (0,) * width
-    out, col_den = row_taps_product({2 * l: s.get(l, zero) + d.get(l, zero) for l in s.keys() | d.keys()},
-                                    bundle.synthesis_cores)
-    # c_{e+r} is phase r at exponent e; P(z) has even powers only, so e is even
-    nums = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
-    return _frame(scaling.level + 1, width, nums, den * col_den)
+    out = _row_times(*_int_cores(scaling.row + detail.row), bundle.synthesis_cores)
+    # c(z) = c_0(z^2) + z c_1(z^2), the phases in w = z^2 being the two column blocks
+    return _frame(scaling.level + 1, (_interleave(c0, c1, 2) for c0, c1 in zip(out[:width], out[width:])))
 
 
 def decompose(
@@ -149,15 +140,11 @@ def decompose(
     width = filters.p + 1
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
-    nums, zero = frame.nums, (0,) * width
-    # the z^{2l} tap holds c_{2l} and c_{2l+1}; n - n % 2 is 2l for both, negative n included
-    taps = {e: nums.get(e, zero) + nums.get(e + 1, zero) for e in {n - n % 2 for n in nums}}
-    cores, level = filters.analysis_cores, frame.level - 1
-    # one row product per block column, so each frame is over the lcm of its own columns
-    return tuple(
-        _frame(level, width, {e // 2: tap for e, tap in out.items()}, frame.den * col_den)
-        for out, col_den in (row_taps_product(taps, cores[c : c + width]) for c in (0, width))
-    )
+    cores, den = _int_cores(frame.row)
+    # phase r holds the z^{2l+r} terms at w^l, w = z^2; k >> 1 is l for both parities, k < 0 too
+    phases = [{k >> 1: n for k, n in core.items() if k & 1 == r} for r in (0, 1) for core in cores]
+    out, level = _row_times(phases, den, filters.analysis_cores), frame.level - 1
+    return _frame(level, out[:width]), _frame(level, out[width:])
 
 
 # -- orthogonalized Haar quarklets ---------------------------------------------------

@@ -69,8 +69,7 @@ from mpmath import mp
 from quarklets import realroots, serialize
 from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import _ZERO_RTOL, cascade, dual_tail_slope, float_taps, quark_ft
-from quarklets.laurent import (LaurentMatrix, LaurentPoly, _dot, as_rational, column_cores, pascal_matrix,
-                               row_taps_product)
+from quarklets.laurent import LaurentMatrix, LaurentPoly, _dot, column_cores, pascal_matrix
 from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import (
     DecompositionFilters,
@@ -461,7 +460,7 @@ def fraction_reconstruct(
         raise ValueError("frame width does not match the bundle degree")
     translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
     pairs = {2 * l: scaling[l] + detail[l] for l in translates}
-    out = fraction_row_taps_product(pairs, bundle.synthesis_cores)
+    out = fraction_row_taps_product(pairs, column_cores(bundle.synthesis_matrix))
     coeffs = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
     return CoefficientFrame(scaling.level + 1, width, coeffs)
 
@@ -474,7 +473,7 @@ def fraction_decompose(
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
     pairs = {e: frame[e] + frame[e + 1] for e in sorted({n - n % 2 for n in frame.coefficients})}
-    out = fraction_row_taps_product(pairs, filters.analysis_cores)
+    out = fraction_row_taps_product(pairs, column_cores(filters.polyphase_inv))
     level = frame.level - 1
     return tuple(
         CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, tap in out.items()})
@@ -512,7 +511,10 @@ def frame_from_json_by_fractions(obj) -> CoefficientFrame:
 
     if not isinstance(obj, dict):
         raise ValueError("malformed input: a frame is a JSON object")
-    level, width, entries = json_int(obj["level"]), json_int(obj["width"]), obj["coefficients"]
+    level, width = json_int(obj["level"]), json_int(obj["width"])
+    if width < 1:
+        raise ValueError(f"frame width must be at least 1, got {width}")
+    entries = obj["coefficients"]
     seen = set()
     for e in entries if isinstance(entries, list) else [entries]:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)):
@@ -1056,9 +1058,7 @@ def to_orthogonal_frames(
     """
     if frame.width != ortho.p + 1:
         raise ValueError("frame width does not match the family")
-    out, den = row_taps_product(frame.nums, column_cores(LaurentMatrix(ortho.from_plain)))
-    den *= frame.den
-    return [{k: Fraction(tap[q], den) for k, tap in out.items() if tap[q]} for q in range(frame.width)]
+    return [dict(c.coeffs) for c in (LaurentMatrix([frame.row]) @ LaurentMatrix(ortho.from_plain)).entries[0]]
 
 
 def from_orthogonal_frames(
@@ -1068,8 +1068,5 @@ def from_orthogonal_frames(
     width = ortho.p + 1
     if len(frames) != width:
         raise ValueError("need one scalar frame per degree")
-    taps = {k: [as_rational(frame.get(k, 0)) for frame in frames] for k in set().union(*frames)}
-    den = math.lcm(*(c.denominator for tap in taps.values() for c in tap))
-    nums = {k: [c.numerator * (den // c.denominator) for c in tap] for k, tap in taps.items()}
-    out, col_den = row_taps_product(nums, column_cores(LaurentMatrix(ortho.to_plain)))
-    return CoefficientFrame(level, width, {k: [Fraction(n, den * col_den) for n in tap] for k, tap in out.items()})
+    (row,) = (LaurentMatrix([[LaurentPoly(frame) for frame in frames]]) @ LaurentMatrix(ortho.to_plain)).entries
+    return CoefficientFrame(level, width, {k: [c[k] for c in row] for k in set().union(*(c.nums for c in row))})

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quarklets import cli, duals, stability
+from quarklets import cli, duals, serialize, stability
 from quarklets.transform import orthogonalize_haar
 from quarklets.cli import (
     MAX_DEGREE, MAX_DUAL_WORK, MAX_FT_FREQUENCY, MAX_GRID_POINTS, MAX_LEVELS, MAX_ORDER, MAX_TABLE_ORDER,
@@ -448,18 +448,38 @@ class TestSizeBounds:
 
     @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
     def test_oversized_frame_width_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, command):
+        # refused before the reader builds one polynomial per component, however wide
+        monkeypatch.setattr(cli, "build_modulation", self.never)
+        monkeypatch.setattr(serialize, "frame_from_json", self.never)
+        src = tmp_path / "c.json"
+        if command == "decompose":
+            files = ["--input", str(src), "--out-scaling", str(tmp_path / "s.json"),
+                     "--out-detail", str(tmp_path / "d.json")]
+        else:
+            files = ["--scaling", str(src), "--detail", str(src), "--out", str(tmp_path / "out.json")]
+        for width in (MAX_DEGREE + 2, 10**9):
+            src.write_text(f'{{"level": 1, "width": {width}, "coefficients": []}}')
+            code, out, err = run(capsys, command, "--m", "1", "--mt", "1", *files)
+            assert code == 2
+            assert out == ""
+            assert "width" in err and str(MAX_DEGREE + 1) in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_frame_width_below_one_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, command, width):
+        # the frame's own error, not one about a degree flag the user never passed
         monkeypatch.setattr(cli, "build_modulation", self.never)
         src = tmp_path / "c.json"
-        src.write_text(f'{{"level": 1, "width": {MAX_DEGREE + 2}, "coefficients": []}}')
+        src.write_text(f'{{"level": 1, "width": {width}, "coefficients": [[0, [[1, 2]]]]}}')
         if command == "decompose":
             files = ["--input", str(src), "--out-scaling", str(tmp_path / "s.json"),
                      "--out-detail", str(tmp_path / "d.json")]
         else:
             files = ["--scaling", str(src), "--detail", str(src), "--out", str(tmp_path / "out.json")]
         code, out, err = run(capsys, command, "--m", "1", "--mt", "1", *files)
-        assert code == 2
-        assert out == ""
-        assert "width" in err and str(MAX_DEGREE + 1) in err
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: frame width must be at least 1, got {width}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_orders_and_degree_at_the_limit_run(self, capsys, monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 """Laurent polynomial and Laurent matrix algebra."""
 
 import ast
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -32,9 +34,10 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quarklets import laurent
+from quarklets import serialize
 from quarklets.duals import cascade, float_taps
 from quarklets.laurent import LaurentMatrix, LaurentPoly, pascal_inverse, pascal_matrix, pascal_product
+from quarklets.modulation import build_modulation
 
 
 def P(coeffs):
@@ -242,21 +245,6 @@ class TestIntegerCoreProduct:
         for _ in range(30):
             a, b = rand_sparse_poly(rng), rand_sparse_poly(rng)
             assert a * b == fraction_matmul(LaurentMatrix([[a]]), LaurentMatrix([[b]]))[0, 0]
-
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 2), (5, 5)])
-    def test_row_taps_product_equals_the_matrix_product(self, shape):
-        # a one-row matrix given by rational taps, zero taps and zero entries included
-        rng = random.Random(47 + 10 * shape[0] + shape[1])
-        for _ in range(6):
-            row, mat = rand_matrix(rng, 1, shape[0]), rand_matrix(rng, *shape)
-            taps = {k: tap[0] for k, tap in row.taps().items()}
-            den = math.lcm(*(c.denominator for tap in taps.values() for c in tap))
-            nums = {k: [c.numerator * (den // c.denominator) for c in tap] for k, tap in taps.items()}
-            nums[99] = [0] * shape[0]
-            out, col_den = laurent.row_taps_product(nums, laurent.column_cores(mat))
-            got = {k: [Fraction(n, den * col_den) for n in tap] for k, tap in out.items()}
-            assert got == {k: tap[0] for k, tap in fraction_matmul(row, mat).taps().items()}
-            assert all(type(n) is int for tap in out.values() for n in tap)
 
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((1, 4), (3, 8)), ((3, 1), (2, 1))])
     def test_dimension_mismatch(self, shapes):
@@ -532,3 +520,34 @@ class TestAgainstFractionDicts:
         with pytest.raises(AttributeError):
             p.coeffs = {}
         assert p == LaurentPoly({-1: Fraction(1, 3), 2: 5}) and dict(view) == {-1: Fraction(1, 3), 2: Fraction(5)}
+
+    def test_numerators_are_read_only(self):
+        p = LaurentPoly({-1: Fraction(1, 3), 2: 5})
+        # built by the constructor, by _raw (negation) and by _from_int (product)
+        for poly in (p, -p, p * p):
+            with pytest.raises(TypeError):
+                poly.nums[2] = 1
+            for name, value in (("nums", {}), ("den", 1)):
+                with pytest.raises(AttributeError):
+                    setattr(poly, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(poly, name)
+        assert (dict(p.nums), p.den) == ({-1: 1, 2: 15}, 3)
+
+    def test_cached_bundle_cannot_be_changed_through_a_numerator(self):
+        masks = build_modulation(2, 2, 1).dual_scaling_masks
+        before = json.dumps(serialize.mask_json(masks))
+        e = masks.symbol.entries[0][0]
+        with pytest.raises(TypeError):
+            e.nums[next(iter(e.nums))] += 1
+        assert json.dumps(serialize.mask_json(build_modulation(2, 2, 1).dual_scaling_masks)) == before
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(fraction_dicts)
+    def test_pickle_round_trip(self, a):
+        p = LaurentPoly(a)
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p)
+        assert_canonical(back)
+        with pytest.raises(TypeError):
+            back.nums[0] = 1

@@ -97,6 +97,13 @@ class TestCompound:
         back = serialize.frame_from_json(through_json(serialize.frame_json(frame)))
         assert back == frame
 
+    def test_frame_object_is_its_json_text_and_reads_back_without_it(self):
+        # zero components inside a nonzero vector render as lists too
+        frame = CoefficientFrame(0, 3, {0: (0, Fraction(1, 2), 0), -2: (3, 0, 0)})
+        obj = serialize.frame_json(frame)
+        assert obj == through_json(obj)
+        assert serialize.frame_from_json(obj) == frame
+
     def test_sorted_output_is_stable(self):
         mask = MaskSequence(1, 1, {3: ((1,),), -3: ((2,),)})
         taps = serialize.mask_json(mask)["taps"]
@@ -114,7 +121,9 @@ def read_as_fraction_path(obj):
         assert str(got.value) == str(exc)
         return None
     frame = serialize.frame_from_json(obj)
-    assert frame == expected and (frame.nums, frame.den) == (expected.nums, expected.den)
+    assert frame == expected and frame.row == expected.row
+    assert [dict(c.coeffs) for c in frame.row] == [
+        {k: vec[j] for k, vec in expected.coefficients.items() if vec[j]} for j in range(expected.width)]
     text = json.dumps(serialize.frame_json(frame), indent=2, sort_keys=True)
     assert text == json.dumps(frame_json_by_fractions(expected), indent=2, sort_keys=True)
     return frame
@@ -155,7 +164,10 @@ class TestFrameReader:
 
     def test_unreduced_and_negative_pairs_read_in_lowest_terms(self):
         frame = read_as_fraction_path(frame_obj([[0, [[2, 4], [6, -3]]], [-1, [[0, -5], [0, 7]]]], width=2))
-        assert (dict(frame.nums), frame.den) == ({0: (1, -4)}, 2)
+        assert [(dict(c.nums), c.den) for c in frame.row] == [({0: 1}, 2), ({0: -2}, 1)]
+        for c in frame.row:
+            with pytest.raises(TypeError):
+                c.nums[0] = 1
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(st.integers(1, 9).flatmap(lambda width: st.lists(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from quarklets import laurent, serialize
 from quarklets.cdf import quarklets
+from quarklets.laurent import LaurentPoly
 from quarklets.modulation import build_modulation, decomposition_filters
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import quark_family
@@ -177,20 +179,41 @@ class TestPolyphaseTransform:
         with pytest.raises(TypeError):
             frame.coefficients[3] = (Fraction(1), Fraction(1))
         assert frame == CoefficientFrame.unit(0, 2, 3, 1)
-        # the stored integer form too: no field can be set or deleted, the numerator map takes no write
+        # the stored row too: no field can be set or deleted, no component's numerator map takes a write
         frame = CoefficientFrame(0, 2, {-3: (Fraction(1, 2), 0), 4: (1, Fraction(-1, 3))})
-        for name, value in (("level", 1), ("width", 3), ("den", 1), ("nums", {}), ("coefficients", {})):
+        for name, value in (("level", 1), ("width", 3), ("row", ()), ("coefficients", {})):
             with pytest.raises(AttributeError):
                 setattr(frame, name, value)
             with pytest.raises(AttributeError):
                 delattr(frame, name)
-        for k in (-3, 5):
-            with pytest.raises(TypeError):
-                frame.nums[k] = (1, 1)
+        for component in frame.row:
+            for k in (-3, 4, 5):
+                with pytest.raises(TypeError):
+                    component.nums[k] = 1
         with pytest.raises(TypeError):
             frame.coefficients[4] = (Fraction(1), Fraction(1))
-        assert (frame.nums, frame.den) == ({-3: (3, 0), 4: (6, -2)}, 6)
+        assert frame.row == (LaurentPoly({-3: Fraction(1, 2), 4: 1}), LaurentPoly({4: Fraction(-1, 3)}))
         assert frame == CoefficientFrame(0, 2, {-3: (Fraction(1, 2), 0), 4: (1, Fraction(-1, 3))})
+
+    def test_equal_frames_hash_equal_and_pickle(self):
+        a, b = (random_frame(random.Random(13), 3, taps=6) for _ in range(2))  # equal, built apart
+        zero = CoefficientFrame.zero(2, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a, b, zero} == {a, zero} and len({a, b, zero}) == 2
+        # before the Fraction view is read, then after it is cached
+        for read in (False, True):
+            for frame in (a, zero):
+                if read:
+                    assert frame.coefficients is frame.coefficients
+                back = pickle.loads(pickle.dumps(frame))
+                assert back == frame and hash(back) == hash(frame) and back.coefficients == frame.coefficients
+
+    @pytest.mark.parametrize("width", [0, -2])
+    def test_width_at_least_one(self, width):
+        # before any other check: a float coefficient or a vector of the wrong length comes second
+        for coefficients in ({}, {0: (0.5,)}, {0: (1, 2, 3)}):
+            with pytest.raises(ValueError, match=f"frame width must be at least 1, got {width}"):
+                CoefficientFrame(0, width, coefficients)
 
 
 ORDERS = [(m, mt) for m in (1, 2, 3) for mt in range(m, 6) if (m + mt) % 2 == 0]
@@ -371,16 +394,21 @@ def json_bytes(payload) -> str:
 
 
 def assert_canonical(frame: CoefficientFrame):
-    """Integer numerators over one positive denominator, in lowest terms, no all-zero vector."""
-    assert frame.den > 0 and math.gcd(frame.den, *(n for vec in frame.nums.values() for n in vec)) == 1
-    assert all(type(k) is int and type(vec) is tuple and len(vec) == frame.width and any(vec)
-               and all(type(n) is int for n in vec) for k, vec in frame.nums.items())
+    """A row of ``width`` polynomials, each integer numerators over a positive denominator, in lowest terms."""
+    assert type(frame.row) is tuple and len(frame.row) == frame.width
+    for c in frame.row:
+        assert type(c) is LaurentPoly and type(c.den) is int and c.den > 0
+        assert all(type(k) is int and type(n) is int and n for k, n in c.nums.items())
+        assert math.gcd(c.den, *c.nums.values()) == 1
 
 
 def assert_as_fraction_path(frame: CoefficientFrame, expected: CoefficientFrame):
     """The same frame as the Fraction path's, in canonical form, with the same JSON bytes."""
     assert frame == expected
     assert_canonical(frame)
+    # component j is the Fraction path's j-th coefficients, translate by translate
+    assert [dict(c.coeffs) for c in frame.row] == [
+        {k: vec[j] for k, vec in expected.coefficients.items() if vec[j]} for j in range(expected.width)]
     assert frame.coefficients == expected.coefficients
     assert json_bytes(serialize.frame_json(frame)) == json_bytes(frame_json_by_fractions(expected))
 
@@ -436,12 +464,13 @@ def wide_frames(draw):
 
 
 class TestIntegerFrames:
-    """Integer frames: every transform output == the Fraction path's, JSON byte for byte."""
+    """Frames as rows of integer-numerator polynomials: every transform output == the Fraction path's,
+    component by component, JSON byte for byte."""
 
     def test_frame_spectral_inputs(self):
         frames = frame_spectral_frames()
         assert len(frames) == 42
-        assert [(m, f.width, len(f.nums)) for m, _, f in frames[35:37]] == [(2, 3, 32), (3, 6, 16)]
+        assert [(m, f.width, len(f.coefficients)) for m, _, f in frames[35:37]] == [(2, 3, 32), (3, 6, 16)]
         for m, mt, frame in frames:
             text = json_bytes(serialize.frame_json(frame))
             assert text == json_bytes(frame_json_by_fractions(frame))
