@@ -315,7 +315,7 @@ def column_cores(matrix: "LaurentMatrix") -> list[tuple[list[dict[int, int]], in
 
 
 class LaurentMatrix:
-    """Rectangular matrix with LaurentPoly entries."""
+    """Rectangular matrix with LaurentPoly entries; read-only, as its entries are."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -328,9 +328,17 @@ class LaurentMatrix:
         width = len(grid[0])
         if any(len(r) != width for r in grid):
             raise ValueError("ragged rows")
-        self.entries: tuple[tuple[LaurentPoly, ...], ...] = tuple(grid)
-        self.rows = len(grid)
-        self.cols = width
+        _set_entries(self, tuple(grid))
+        _set_rows(self, len(grid))
+        _set_cols(self, width)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"LaurentMatrix is read-only: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LaurentMatrix, (self.entries,)
 
     # -- constructors -----------------------------------------------------------
 
@@ -438,6 +446,9 @@ class LaurentMatrix:
             )
 
 
+_set_entries, _set_rows, _set_cols = (getattr(LaurentMatrix, name).__set__ for name in ("entries", "rows", "cols"))
+
+
 def _coerce_entry(e) -> LaurentPoly:
     if isinstance(e, LaurentPoly):
         return e
@@ -476,7 +487,7 @@ def pascal_inverse(h: Sequence[LaurentPoly]) -> list[LaurentPoly]:
 
 def pascal_matrix(seq: Sequence[LaurentPoly], row: int | Fraction = 1, col: int | Fraction = 1) -> LaurentMatrix:
     """The dense lower-triangular [C(i, j) row^i col^j seq[i-j]], i.e. diag(row^i) M_seq diag(col^j)."""
-    n = len(seq)
-    return LaurentMatrix([[seq[i - j] * (comb(i, j) * row**i * col**j) if j <= i else 0 for j in range(n)]
+    n, zero = len(seq), LaurentPoly.zero()
+    return LaurentMatrix([[seq[i - j] * (comb(i, j) * row**i * col**j) if j <= i else zero for j in range(n)]
                           for i in range(n)])
 

@@ -27,12 +27,12 @@ S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z
 T^{-1} = M_k D^{-1} for k the inverse of h (h_0 = z), L = b(-z) M_k D^{-1} and R = M_{k * g}:
 p + 1 polynomials fix each of them, and no matrix product is taken.
 
-One product per bundle, P P^{-1} on entries with half the taps of X's,
-certifies both X X^{-1} = Id and P's invertibility: if P = X E and the bottom
-block row of X^{-1} is its top one at -z, X X^{-1} = (X E)(E^{-1} X^{-1}) =
-P P^{-1}.  A bundle failing either (a perturbed copy) multiplies out X X^{-1}.
-The exchange matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] is never formed:
-P = X E is checked by block sums and differences of X's columns.
+No matrix product certifies X X^{-1} = Id and P's invertibility: as M_a M_b = M_{a * b},
+S = D M_g, h read off g and b as above, and h * k = (1, 0, ..., 0) prove both on the p + 1
+polynomials, for views read off S, b and k (``ModulationBundle.pr_certified``).  A bundle
+failing any condition (a perturbed copy) multiplies out X X^{-1} and P P^{-1}.  The exchange
+matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] is never formed: P = X E is checked by block
+sums and differences of X's columns.
 
 Everything is exact rational arithmetic; verification routines return the
 residual entries instead of asserting.
@@ -88,7 +88,7 @@ class ModulationBundle:
 
     @cached_property
     def _right(self) -> LaurentMatrix:  # R = T^{-1} S = M_k D^{-1} D M_g
-        return pascal_matrix(pascal_product(self.k, [self.scaling_symbol[j, 0] * 2**j for j in range(self.size)]))
+        return pascal_matrix(pascal_product(self.k, _scaling_sequence(self.scaling_symbol)))
 
     @cached_property
     def modulation_inv(self) -> LaurentMatrix:  # X(z)^{-1}
@@ -146,9 +146,43 @@ class ModulationBundle:
         )
 
     @cached_property
+    def pr_certified(self) -> bool:
+        """X X^{-1} = Id and P P^{-1} = Id, proved on the p + 1 polynomials g, h and k, on first use.
+
+        The blocks of X X^{-1} are U + U(-z) for U = S L = b(-z) D M_{g * k} D^{-1},
+        b R(-z) + b(-z) R, and two even parts of odd polynomials, which vanish; the
+        first two are [C(i, j) 2^{j-i} e_{i-j}] and [C(i, j) e_{i-j}] with
+        e_n = 2 even(b(-z) (g * k)_n) = (h * k)_n, as k is odd.  So S = D M_g, the
+        stored h read off g and b again, and h * k = (1, 0, ..., 0) prove the identity
+        for X, X^{-1} and P read off S, b and k, and the views are checked to be those:
+        P = X E, X^{-1}'s bottom block row is its top one at -z, its diagonal blocks L and R.
+        """
+        n, inv, g = self.size, self.modulation_inv.entries, _scaling_sequence(self.scaling_symbol)
+        return (
+            self.factorization_holds
+            and all(b == t.substitute_neg() for top, bottom in zip(inv[:n], inv[n:]) for t, b in zip(top, bottom))
+            and [row[:n] for row in inv[:n]] == list(self._left.entries)
+            and [row[n:] for row in inv[n:]] == list(self._right.entries)
+            and self.scaling_symbol == pascal_matrix(g, row=Fraction(1, 2))
+            and self.h == _determinant_sequence(g, self.filters.wavelet_symbol)
+            and pascal_product(self.h, self.k) == [LaurentPoly.one()] + [LaurentPoly.zero()] * self.p
+        )
+
+    @cached_property
     def polyphase_residuals(self) -> tuple[tuple[int, int, LaurentPoly], ...]:
-        """Nonzero entries of P P^{-1} - Id, on first use."""
-        return check_product_is_identity(self.synthesis_matrix, self.polyphase_inv)
+        """Nonzero entries of P P^{-1} - Id, on first use: none if ``pr_certified``, else by the product."""
+        return () if self.pr_certified else check_product_is_identity(self.synthesis_matrix, self.polyphase_inv)
+
+
+def _scaling_sequence(scaling_symbol: LaurentMatrix) -> list[LaurentPoly]:
+    """g with S = D M_g: g_j = 2^j S_{j0}."""
+    return [scaling_symbol[j, 0] * 2**j for j in range(scaling_symbol.rows)]
+
+
+def _determinant_sequence(g: Sequence[LaurentPoly], wavelet_symbol: LaurentPoly) -> tuple[LaurentPoly, ...]:
+    """h with T = D M_h: T = U - U(-z) for U = S(z) b(-z), so h_j is twice the odd part of g_j b(-z)."""
+    b_neg = wavelet_symbol.substitute_neg()
+    return tuple(_parity_part([e * b_neg for e in g], 1, 0, 2))
 
 
 def _parity_part(row: Sequence[LaurentPoly], parity: int, shift: int, factor: int = 1) -> list[LaurentPoly]:
@@ -173,9 +207,7 @@ def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
 def _build_cached(m: int, mt: int, p: int) -> ModulationBundle:
     filters = cdf_masks(m, mt)
     scaling_symbol = refinement_symbol(m, p)
-    # S(-z) b(z) is U(-z) for U = S(z) b(-z), so T = U - U(-z) = D M_h with h_j twice the odd part of g_j b(-z)
-    b_neg = filters.wavelet_symbol.substitute_neg()
-    h = tuple(_parity_part([scaling_symbol[j, 0] * 2**j * b_neg for j in range(p + 1)], 1, 0, 2))
+    h = _determinant_sequence(_scaling_sequence(scaling_symbol), filters.wavelet_symbol)
     if h[0] != LaurentPoly.monomial(1, 1):
         raise AssertionError(f"block determinant diagonal {h[0]!r} 2^-q is not z 2^-q; inconsistent filters")
     return ModulationBundle(m, mt, p, filters, scaling_symbol, h, tuple(pascal_inverse(h)))
@@ -201,19 +233,10 @@ def check_product_is_identity(x: LaurentMatrix, xinv: LaurentMatrix) -> tuple[tu
 def verify_perfect_reconstruction(bundle: ModulationBundle) -> ReconstructionReport:
     """Check X(z) conj(Xt(z))^T = Id exactly; conj(Xt)^T is the stored inverse X^{-1}.
 
-    Certificate: P = X E (``factorization_holds``) and X^{-1}'s bottom block row
-    is its top one at -z, so the read-off P^{-1} is E^{-1} X^{-1} and the
-    residuals of X X^{-1} are the cached ``polyphase_residuals`` of P P^{-1}.
-    Fallback, when either fails: the product X X^{-1} itself.
+    Certificate: ``pr_certified``, which leaves no residuals.  Fallback, when it
+    fails: the product X X^{-1} itself.
     """
-    n = bundle.size
-    inv = bundle.modulation_inv.entries
-    if bundle.factorization_holds and all(
-        b == t.substitute_neg() for top, bottom in zip(inv[:n], inv[n:]) for t, b in zip(top, bottom)
-    ):
-        residuals = bundle.polyphase_residuals
-    else:
-        residuals = check_product_is_identity(bundle.modulation, bundle.modulation_inv)
+    residuals = () if bundle.pr_certified else check_product_is_identity(bundle.modulation, bundle.modulation_inv)
     return ReconstructionReport(bundle.m, bundle.mt, bundle.p, not residuals, residuals)
 
 
@@ -222,7 +245,7 @@ class PolyphaseFactorization:
     polyphase: LaurentMatrix          # P(z) = [[S_0, S_1], [W_0, W_1]]
     inverse: LaurentMatrix            # P(z)^{-1} = E^{-1} X^{-1}
     factorization_holds: bool         # P == X E, checked exactly
-    invertible: bool                  # P P^{-1} == Id, checked exactly
+    invertible: bool                  # P P^{-1} == Id, exactly: pr_certified, else the product
 
 
 def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:

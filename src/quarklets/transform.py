@@ -75,6 +75,8 @@ class CoefficientFrame:
 
     @staticmethod
     def unit(level: int, width: int, k: int, component: int) -> "CoefficientFrame":
+        if not 0 <= component < _checked_width(width):
+            raise ValueError(f"component must lie in 0 .. {width - 1}, got {component}")
         vec = [0] * width
         vec[component] = 1
         return CoefficientFrame(level, width, {k: vec})

@@ -542,6 +542,30 @@ class TestAgainstFractionDicts:
             e.nums[next(iter(e.nums))] += 1
         assert json.dumps(serialize.mask_json(build_modulation(2, 2, 1).dual_scaling_masks)) == before
 
+    def test_matrix_fields_are_read_only(self):
+        m = LaurentMatrix([[1, LaurentPoly({1: Fraction(1, 2)})], [0, -1]])
+        for name, value in (("entries", ((LaurentPoly.one(),),)), ("rows", 1), ("cols", 1)):
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        with pytest.raises(TypeError):
+            m.entries[0] = m.entries[1]
+        assert (m.rows, m.cols) == (2, 2) and m == LaurentMatrix([[1, LaurentPoly({1: Fraction(1, 2)})], [0, -1]])
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == hash(m)
+        with pytest.raises(AttributeError):
+            back.entries = ()
+
+    def test_cached_bundle_cannot_be_changed_through_a_matrix_field(self):
+        bundle = build_modulation(2, 2, 1)
+        before = json.dumps(serialize.mask_json(bundle.scaling_masks))
+        with pytest.raises(AttributeError):
+            bundle.scaling_symbol.entries = bundle.scaling_symbol.entries[::-1]
+        again = build_modulation(2, 2, 1)
+        assert again is bundle
+        assert json.dumps(serialize.mask_json(again.scaling_masks)) == before
+
     @settings(max_examples=100, deadline=None, database=None)
     @given(fraction_dicts)
     def test_pickle_round_trip(self, a):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
     block_det,
@@ -35,7 +35,7 @@ from helpers import (
 
 from quarklets import cdf, duals, modulation, serialize, splines
 from quarklets.cdf import cdf_masks
-from quarklets.laurent import LaurentMatrix, LaurentPoly
+from quarklets.laurent import LaurentMatrix, LaurentPoly, pascal_product
 from quarklets.masks import MaskSequence
 from quarklets.modulation import (
     ModulationBundle,
@@ -211,6 +211,7 @@ class TestPerfectReconstruction:
 
 # every (m, mt) pair of the design box m <= 5, m <= mt <= 7, m + mt even
 BOX_PAIRS = [(m, mt) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0]
+DESIGN_BOX = [(m, mt, p) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0 for p in range(9)]
 
 
 def _with_inverse_entry(bundle, i, j, delta):
@@ -219,8 +220,13 @@ def _with_inverse_entry(bundle, i, j, delta):
     return with_views(bundle, modulation_inv=LaurentMatrix(rows))
 
 
+def even_part(poly):
+    return LaurentPoly({k: c for k, c in poly.coeffs.items() if k % 2 == 0})
+
+
 class TestOneProductCertificate:
-    """verify_perfect_reconstruction reports X X^{-1}'s residuals off the half-length P P^{-1}."""
+    """X X^{-1} = Id is proved on the p + 1 Pascal sequences g, h and k; a bundle failing any
+    condition of that proof reports the residuals of the full product X X^{-1}."""
 
     @pytest.mark.parametrize("m,mt,p", [(m, mt, p) for m, mt in BOX_PAIRS for p in range(4)] + [(5, 7, 8)])
     def test_residuals_equal_the_full_product(self, m, mt, p):
@@ -228,6 +234,17 @@ class TestOneProductCertificate:
         report = verify_perfect_reconstruction(b)
         assert report.residuals == check_product_is_identity(b.modulation, b.modulation_inv) == ()
         assert report.identity_holds
+
+    @pytest.mark.parametrize("design", DESIGN_BOX + [(16, 16, 14)])
+    def test_the_certificate_holds_on_the_design_box(self, design):
+        b = build_modulation(*design)
+        delta = [LaurentPoly.one()] + [LaurentPoly.zero()] * b.p
+        g = [b.scaling_symbol[j, 0] * 2**j for j in range(b.size)]
+        b_neg = b.filters.wavelet_symbol.substitute_neg()
+        # the diagonal blocks of X X^{-1} are Pascal-type in e_n = 2 even(b(-z) (g * k)_n)
+        e = [2 * even_part(b_neg * gk) for gk in pascal_product(g, b.k)]
+        assert e == pascal_product(b.h, b.k) == delta
+        assert b.pr_certified
 
     @staticmethod
     def _count_products(monkeypatch) -> list:
@@ -249,25 +266,31 @@ class TestOneProductCertificate:
             assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
             assert report.residuals and not report.identity_holds
 
-    def test_symmetric_perturbation_takes_the_polyphase_product(self, monkeypatch):
-        # nudging X^{-1}'s entry (0, 0) by d(z) and (n, 0) by d(-z) keeps both conditions,
-        # so the residuals come off P P^{-1}, and they are still those of X X^{-1}
+    def test_symmetric_perturbation_takes_the_full_product(self, monkeypatch):
+        # nudging X^{-1}'s entry (0, c) by d(z) and (n, c) by d(-z) keeps P = X E and the -z
+        # symmetry, but the top-left block is no longer L (c = 0) or the bottom-right one no
+        # longer R (c = n): the full product X X^{-1} runs
         b = build_modulation(2, 2, 2)
         n, d = b.size, LaurentPoly({-1: Fraction(1, 3), 2: Fraction(-2, 5)})
-        bad = _with_inverse_entry(_with_inverse_entry(b, 0, 0, d), n, 0, d.substitute_neg())
         calls = self._count_products(monkeypatch)
-        report = verify_perfect_reconstruction(bad)
-        assert calls == [(bad.synthesis_matrix, bad.polyphase_inv)] and bad.factorization_holds
-        assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
-        assert not report.identity_holds
+        for c in (0, n):
+            calls.clear()
+            bad = _with_inverse_entry(_with_inverse_entry(b, 0, c, d), n, c, d.substitute_neg())
+            report = verify_perfect_reconstruction(bad)
+            assert calls == [(bad.modulation, bad.modulation_inv)] and bad.factorization_holds
+            assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
+            assert not report.identity_holds and not bad.pr_certified
 
-    def test_one_identity_check_per_fresh_bundle(self, monkeypatch):
+    def test_no_matrix_product_on_a_fresh_bundle(self, monkeypatch):
         calls = self._count_products(monkeypatch)
-        b = replace(build_modulation(3, 5, 4))  # a fresh copy: no cached residuals
+        matmuls = []
+        matmul = LaurentMatrix.__matmul__
+        monkeypatch.setattr(LaurentMatrix, "__matmul__", lambda a, b: matmuls.append(a) or matmul(a, b))
+        b = replace(build_modulation(3, 5, 4))  # a fresh copy: no cached certificate
         report = verify_perfect_reconstruction(b)
         pf = polyphase(b)
         assert report.identity_holds and pf.factorization_holds and pf.invertible
-        assert calls == [(b.synthesis_matrix, b.polyphase_inv)]
+        assert calls == [] and matmuls == []
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -282,6 +305,36 @@ def test_perturbed_inverse_reports_the_full_product(design, i, j, k, c):
     report = verify_perfect_reconstruction(bad)
     assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
     assert not report.identity_holds
+
+
+def _with_field_entry(bundle, name, i, j, delta):
+    """A copy of the bundle with ``delta`` added to entry i of h or k, or to entry (i, j) of S."""
+    n = bundle.size
+    if name == "scaling_symbol":
+        rows = [list(row) for row in bundle.scaling_symbol.entries]
+        rows[i % n][j % n] += delta
+        return replace(bundle, scaling_symbol=LaurentMatrix(rows))
+    seq = list(getattr(bundle, name))
+    seq[i % n] += delta
+    return replace(bundle, **{name: tuple(seq)})
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@example((3, 3, 2), "scaling_symbol", 2, 0, 0, Fraction(1))  # S = D M_g still holds, h is stale
+@example((3, 3, 2), "scaling_symbol", 2, 1, 1, Fraction(1))  # g and h unchanged, S is no D M_g
+@given(
+    st.sampled_from([(1, 1, 0), (1, 3, 2), (2, 2, 1), (3, 3, 2)]),
+    st.sampled_from(["h", "k", "scaling_symbol"]), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(bool),
+)
+def test_perturbed_pascal_sequence_reports_the_full_product(design, name, i, j, k, c):
+    bad = _with_field_entry(build_modulation(*design), name, i, j, LaurentPoly.monomial(c, k))
+    report = verify_perfect_reconstruction(bad)
+    assert not bad.pr_certified
+    assert report.residuals == check_product_is_identity(bad.modulation, bad.modulation_inv)
+    assert polyphase(bad).invertible == (not check_product_is_identity(bad.synthesis_matrix, bad.polyphase_inv))
+    # X and X^{-1} are read off S, b and k, never off h: a perturbed h keeps the identity
+    assert report.identity_holds == (name == "h")
 
 
 class TestSubSymbolsAndPolyphase:
@@ -355,9 +408,6 @@ class TestSubSymbolsAndPolyphase:
         cdf._cdf_cached.cache_clear()
         decomposition_filters(build_modulation(3, 5, 4))
         assert calls == []
-
-
-DESIGN_BOX = [(m, mt, p) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0 for p in range(9)]
 
 
 class TestSymbolsOnly:

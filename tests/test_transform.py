@@ -208,6 +208,11 @@ class TestPolyphaseTransform:
                 back = pickle.loads(pickle.dumps(frame))
                 assert back == frame and hash(back) == hash(frame) and back.coefficients == frame.coefficients
 
+    @pytest.mark.parametrize("component", [-1, 3])
+    def test_unit_component_within_the_width(self, component):
+        with pytest.raises(ValueError, match=f"component must lie in 0 .. 2, got {component}"):
+            CoefficientFrame.unit(0, 3, 0, component)
+
     @pytest.mark.parametrize("width", [0, -2])
     def test_width_at_least_one(self, width):
         # before any other check: a float coefficient or a vector of the wrong length comes second
