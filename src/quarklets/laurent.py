@@ -10,8 +10,9 @@ coefficients are real), which is what :meth:`LaurentPoly.conj_on_circle`
 implements.  Evaluated at z = exp(-i t), the same object is the trigonometric
 polynomial sum_k c_k exp(-i k t).
 
-All arithmetic is exact and runs on integers, with one gcd per result: sums,
-scalar multiples, z -> -z, z -> 1/z and the derivative act on the numerators.
+All arithmetic is exact and runs on integers, with one reduction per result: sums,
+scalar multiples, z -> -z, z -> 1/z and the derivative act on the numerators, and a
+scalar a/b needs only gcd(den, a) and gcd(b, *nums) for it.
 A matrix product scales each row of the left factor and each column of the
 right one to one common denominator (``_int_cores``), accumulates every
 output entry in ``int`` (``_dot``) and reduces it once (``_from_int``), row
@@ -124,8 +125,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return _from_int({k: n * c.numerator for k, n in self.nums.items()}, self.den * c.denominator)
+            # gcd(den, *nums) = 1 and other = a/b in lowest terms, so gcd(den, a) gcd(b, *nums) is the
+            # gcd of den b and every n a: one gcd each, no pass to find it
+            a, b = other.numerator, other.denominator
+            ga, gb = gcd(self.den, a), gcd(b, *self.nums.values())
+            a //= ga
+            return _raw({k: n // gb * a for k, n in self.nums.items()} if a else {}, self.den // ga * (b // gb))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return _from_int(_dot((self.nums,), (other.nums,)), self.den * other.den)

@@ -31,8 +31,9 @@ No matrix product certifies X X^{-1} = Id and P's invertibility: as M_a M_b = M_
 S = D M_g, h read off g and b as above, and h * k = (1, 0, ..., 0) prove both on the p + 1
 polynomials, for views read off S, b and k (``ModulationBundle.pr_certified``).  A bundle
 failing any condition (a perturbed copy) multiplies out X X^{-1} and P P^{-1}.  The exchange
-matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] is never formed: P = X E is checked by block
-sums and differences of X's columns.
+matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] is never formed: P = X E is checked row by row,
+y = x(-z) for each row [x, y] of X and P's halves twice the even and odd parts of x.
+``transform.decompose`` applies X^{-1} through g, h and b; P^{-1} is read for C_n, D_n only.
 
 Everything is exact rational arithmetic; verification routines return the
 residual entries instead of asserting.
@@ -43,7 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from math import comb, lcm
+from typing import Mapping, Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
 from .laurent import (LaurentMatrix, LaurentPoly, _from_int, _interleave, column_cores, pascal_inverse,
@@ -129,20 +131,25 @@ class ModulationBundle:
 
     @cached_property
     def synthesis_cores(self) -> list:
-        """The column cores of P(z^{1/2}), kept for every ``transform.reconstruct`` with this bundle."""
-        return _halved_cores(self.synthesis_matrix)
+        """The column cores of P(z^{1/2}) (P holds even powers only), kept for every ``transform.reconstruct``."""
+        return [([{k >> 1: n for k, n in core.items()} for core in cores], den)
+                for cores, den in column_cores(self.synthesis_matrix)]
 
     @cached_property
     def factorization_holds(self) -> bool:
-        """P == X E, checked exactly, on first use.
+        """P == X E, checked exactly on first use by the row-parity condition.
 
-        E = [[Id, z^-1 Id], [Id, -z^-1 Id]], so row [x, y] of X, split in halves,
-        gives row [x + y, z^-1 (x - y)] of X E: sums and differences, no product.
+        E = [[Id, z^-1 Id], [Id, -z^-1 Id]] turns row [x, y] of X into [x + y, z^-1 (x - y)], which is
+        [2 even(x), 2 z^-1 odd(x)] when y = x(-z).  So each row of X is checked for y = x(-z), and
+        the row of P against the parity read-off of x, as ``synthesis_matrix`` reads P off S and b:
+        no sum and no lcm.  The condition implies P = X E, and follows from it when P holds even
+        powers only.
         """
         n = self.size
-        halves = [(row[:n], row[n:]) for row in self.modulation.entries]
-        return self.synthesis_matrix == LaurentMatrix(
-            [[a + b for a, b in zip(x, y)] + [(a - b).shift(-1) for a, b in zip(x, y)] for x, y in halves]
+        return all(
+            all(b == a.substitute_neg() for a, b in zip(x[:n], x[n:]))
+            and list(row) == _parity_part(x[:n], 0, 0, 2) + _parity_part(x[:n], 1, -1, 2)
+            for row, x in zip(self.synthesis_matrix.entries, self.modulation.entries)
         )
 
     @cached_property
@@ -188,12 +195,6 @@ def _determinant_sequence(g: Sequence[LaurentPoly], wavelet_symbol: LaurentPoly)
 def _parity_part(row: Sequence[LaurentPoly], parity: int, shift: int, factor: int = 1) -> list[LaurentPoly]:
     """factor z^shift times the terms of each entry whose exponent has the given parity, on numerators."""
     return [_from_int({k + shift: factor * c for k, c in e.nums.items() if k % 2 == parity}, e.den) for e in row]
-
-
-def _halved_cores(matrix: LaurentMatrix) -> list:
-    """The column cores of M(z^{1/2}) for M in even powers of z only, as P and P^{-1} are."""
-    return [([{k >> 1: n for k, n in core.items()} for core in cores], den)
-            for cores, den in column_cores(matrix)]
 
 
 def build_modulation(m: int, mt: int, p: int) -> ModulationBundle:
@@ -261,13 +262,16 @@ class DecompositionFilters:
     For r in {0, 1}:  Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k).
     Block row r of P(z)^{-1} is [C_r(z), D_r(z)] with C_r(z) = sum_k C_{2k+r} z^{2k},
     so the z^e coefficient of block row r is [C_{e+r}, D_{e+r}]; the masks are
-    read off block row 0 plus z times block row 1 on first use.
+    read off block row 0 plus z times block row 1 on first use.  ``transform.decompose``
+    never reads P^{-1}: it applies the factored inverse through g, h and b (``lifting_cores``).
     """
 
-    m: int
-    mt: int
-    p: int
-    polyphase_inv: LaurentMatrix  # P(z)^{-1} = [[C_0, D_0], [C_1, D_1]], applied by decompose
+    bundle: ModulationBundle
+
+    m = property(lambda self: self.bundle.m)
+    mt = property(lambda self: self.bundle.mt)
+    p = property(lambda self: self.bundle.p)
+    polyphase_inv = property(lambda self: self.bundle.polyphase_inv, doc="P(z)^{-1} = [[C_0, D_0], [C_1, D_1]].")
 
     @cached_property
     def coarse(self) -> MaskSequence:
@@ -280,9 +284,31 @@ class DecompositionFilters:
         return self._block_masks(self.p + 1)
 
     @cached_property
-    def analysis_cores(self) -> list:
-        """The column cores of P(z^{1/2})^{-1}, kept for every ``transform.decompose`` with these filters."""
-        return _halved_cores(self.polyphase_inv)
+    def lifting_cores(self) -> list[tuple[list, list, list, int, int]]:
+        """Per output j, the integer cores that ``transform.decompose`` applies, from g, h and b on first use.
+
+        decompose keeps u_j = z y_j over the frame's denominator times r_j, with r_p = 1 and r_j the
+        lcm of den(h_{i-j}) r_i over i > j, so every factor below is an integer.  For each j: the back
+        substitution's column [r_j, -C(i, j) r_j / (den(h_{i-j}) r_i) z^{-1} h_{i-j} (i > j)] for
+        [c_j, u_{j+1}, ..., u_p]; the halves of 2^j b(-z) (coarse) and of -C(i, j) q_j / (den(g_{i-j}) r_i)
+        g_{i-j}(-z), i >= j (detail), q_j the lcm of those den(g_{i-j}) r_i, odd half first, which takes
+        z^{-1} off u_j; and the denominators r_j den(b) of s_j and q_j of d_j over the frame's.
+        """
+        bundle, n = self.bundle, self.bundle.size
+        h, b = bundle.h, bundle.filters.wavelet_symbol.substitute_neg()
+        g = [e.substitute_neg() for e in _scaling_sequence(bundle.scaling_symbol)]
+        r = [1] * n
+        for j in reversed(range(n - 1)):
+            r[j] = lcm(*(h[i - j].den * r[i] for i in range(j + 1, n)))
+        columns = []
+        for j in range(n):
+            lift = [{0: r[j]}] + [_scaled(h[i - j].nums, -comb(i, j) * r[j] // (h[i - j].den * r[i]), -1)
+                                  for i in range(j + 1, n)]
+            q = lcm(*(g[i - j].den * r[i] for i in range(j, n)))
+            detail = [half for i in range(j, n)
+                      for half in _halves(_scaled(g[i - j].nums, -comb(i, j) * q // (g[i - j].den * r[i])))[::-1]]
+            columns.append((lift, _halves(_scaled(b.nums, 2**j))[::-1], detail, r[j] * b.den, q))
+        return columns
 
     def _block_masks(self, c: int) -> MaskSequence:
         # P^{-1} holds even powers of z only, so block row 0 plus z times block row 1 has
@@ -293,9 +319,19 @@ class DecompositionFilters:
         return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b, 1) for a, b in row] for row in blocks]), 1)
 
 
+def _halves(core: dict[int, int]) -> list[dict[int, int]]:
+    """The even and the odd terms of an integer core, z^{2l} and z^{2l+1} both keyed by l."""
+    return [{k >> 1: n for k, n in core.items() if not k & 1}, {k >> 1: n for k, n in core.items() if k & 1}]
+
+
+def _scaled(core: Mapping[int, int], c: int, shift: int = 0) -> dict[int, int]:
+    """c z^shift times an integer core."""
+    return {k + shift: c * n for k, n in core.items()}
+
+
 def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
-    """The splitting filters of P(z)^{-1} = E(z)^{-1} X(z)^{-1} (``ModulationBundle.polyphase_inv``)."""
-    return DecompositionFilters(bundle.m, bundle.mt, bundle.p, bundle.polyphase_inv)
+    """The splitting filters of ``bundle``; P(z)^{-1} and the lifting cores are read off on first use."""
+    return DecompositionFilters(bundle)
 
 
 def splitting_identity_defect(

@@ -7,20 +7,19 @@ sum_k d_k^T Psi(2^j x - k) (quarklets), as its row c(z) = sum_k c_k z^k of
 Laurent polynomials (the row-vector polyphase form of Strang & Nguyen,
 *Wavelets and Filter Banks*, 1996).
 
-Each transform step is one exact row-times-matrix product on the phases
+Synthesis is one exact row-times-matrix product on the phases
 c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of the fine frame and s(z^2),
 d(z^2) of the coarse ones, with P(z) the polyphase matrix of the two-scale
-masks (``ModulationBundle.synthesis_matrix``) and P(z)^{-1} its exact inverse
-(``DecompositionFilters.polyphase_inv``; ``modulation.polyphase`` certifies
-P P^{-1} = Id):
+masks (``ModulationBundle.synthesis_matrix``):
 
-    reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z),
-    decompose:    [s^T, d^T](z^2) = [c_0^T, c_1^T](z^2) P(z)^{-1}.
+    reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z).
 
-P and P^{-1} hold even powers only, so the bundle and the filters keep the
-column cores of P(w^{1/2}) and its inverse, w = z^2.  ``decompose`` splits the
-row's integer cores by exponent parity, ``reconstruct`` merges the output
-phases, and the product between is the kernel of ``LaurentMatrix.__matmul__``.
+P holds even powers only, so the bundle keeps the column cores of P(w^{1/2}),
+w = z^2, for the kernel of ``LaurentMatrix.__matmul__``.  Analysis never forms
+P(z)^{-1}: ``decompose`` applies the factors of X(z)^{-1} (:mod:`quarklets.modulation`)
+by back substitution on the p + 1 short polynomials h, then keeps the even powers
+of the products with b(-z) and g(-z), on integer cores: lifting (Daubechies &
+Sweldens, J. Fourier Anal. Appl. 4, 1998) in the Pascal ring.
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt.
@@ -36,9 +35,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import LaurentPoly, _int_cores, _interleave, _row_times, as_rational
+from .laurent import LaurentPoly, _dot, _from_int, _int_cores, _interleave, _row_times, as_rational
 from .masks import Mat
-from .modulation import DecompositionFilters, ModulationBundle
+from .modulation import DecompositionFilters, ModulationBundle, _halves
 from .piecewise import PiecewisePoly, inner_product
 
 Vector = tuple[Fraction, ...]
@@ -138,15 +137,27 @@ def reconstruct(
 def decompose(
     frame: CoefficientFrame, filters: DecompositionFilters
 ) -> tuple[CoefficientFrame, CoefficientFrame]:
-    """One analysis step, the exact product [c_0^T, c_1^T](z^2) P(z)^{-1}."""
+    """One analysis step, [s^T, d^T](z^2) = (1/2) [c^T(z), c^T(-z)] X(z)^{-1}, through X^{-1}'s factors.
+
+    X^{-1} = [[L, R(-z)], [L(-z), R]] with L = b(-z) M_k D^{-1} and R = M_k M_g, and k is odd,
+    so with y = c M_k:  s_j = 2^j even(b(-z) y_j)  and  d_j = -even(sum_{i>=j} C(i, j) g_{i-j}(-z) y_i),
+    where y solves y M_h = c from j = p down:  y_j = z^{-1} (c_j - sum_{i>j} C(i, j) h_{i-j} y_i).
+    """
     width = filters.p + 1
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
     cores, den = _int_cores(frame.row)
-    # phase r holds the z^{2l+r} terms at w^l, w = z^2; k >> 1 is l for both parities, k < 0 too
-    phases = [{k >> 1: n for k, n in core.items() if k & 1 == r} for r in (0, 1) for core in cores]
-    out, level = _row_times(phases, den, filters.analysis_cores), frame.level - 1
-    return _frame(level, out[:width]), _frame(level, out[width:])
+    columns = filters.lifting_cores
+    us: list[dict[int, int]] = []  # u_j = z y_j over den r_j (``lifting_cores``), from j = p down
+    for core, (lift, *_) in zip(cores[::-1], columns[::-1]):
+        us.insert(0, _dot([core, *us], lift))
+    # only the even powers of the products are formed, from the halves of u and of the short factors
+    halves = [half for u in us for half in _halves(u)]
+    level = frame.level - 1
+    return (_frame(level, (_from_int(_dot(halves[2 * j : 2 * j + 2], coarse), den * s_den)
+                           for j, (_, coarse, _, s_den, _) in enumerate(columns))),
+            _frame(level, (_from_int(_dot(halves[2 * j :], detail), den * d_den)
+                           for j, (_, _, detail, _, d_den) in enumerate(columns))))
 
 
 # -- orthogonalized Haar quarklets ---------------------------------------------------

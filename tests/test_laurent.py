@@ -479,13 +479,14 @@ class TestAgainstFractionDicts:
     """Every operation of the integer-numerator form against the Fraction-dict oracle."""
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(fraction_dicts, fraction_dicts, wide_rationals)
-    def test_operations_equal_the_oracle(self, a, b, c):
+    @given(fraction_dicts, fraction_dicts, wide_rationals, st.integers(-10**20, 10**20) | st.integers(-3, 3))
+    def test_operations_equal_the_oracle(self, a, b, c, n):
         p, q = LaurentPoly(a), LaurentPoly(b)
         a, b = ({k: v for k, v in d.items() if v} for d in (a, b))
         cases = [
             (p, a), (p + q, fpoly_add(a, b)), (p - q, fpoly_add(a, fpoly_neg(b))), (-p, fpoly_neg(a)),
             (p * q, fpoly_mul(a, b)), (p * c, fpoly_scale(a, c)), (c * p, fpoly_scale(a, c)),
+            (p * n, fpoly_scale(a, Fraction(n))), (n * p, fpoly_scale(a, Fraction(n))),
             (p + c, fpoly_add(a, {0: c} if c else {})), (c - p, fpoly_add({0: c} if c else {}, fpoly_neg(a))),
             (p.substitute_neg(), fpoly_substitute_neg(a)), (p.conj_on_circle(), fpoly_conj(a)),
             (p.derivative(), fpoly_derivative(a)),

@@ -374,11 +374,31 @@ class TestSubSymbolsAndPolyphase:
         assert pf.factorization_holds
         assert pf.invertible
 
+    # P = X E is checked by rows: y = x(-z) for each row [x, y] of X, P's halves 2 even(x) and 2 z^-1 odd(x)
+    @pytest.mark.parametrize("name,c", [("synthesis_matrix", 1), ("synthesis_matrix", 4),
+                                        ("modulation", 1), ("modulation", 4)])
+    def test_perturbed_half_fails_the_factorization(self, name, c):
+        # an even power in P's left (c < n) or right half, or in X's x (c < n) or y half
+        b = build_modulation(2, 2, 2)
+        rows = [list(row) for row in getattr(b, name).entries]
+        rows[4][c] += LaurentPoly.monomial(Fraction(1, 7), 2)
+        bad = with_views(b, **{name: LaurentMatrix(rows)})
+        assert b.factorization_holds and not bad.factorization_holds
+        assert bad.synthesis_matrix != bad.modulation @ parity_exchange_matrix(b.size)
+
+    def test_detail_perturbation_fails_the_factorization(self):
+        # W nudged in X, at z and -z alike, while P keeps the filters' b
+        b = build_modulation(2, 2, 2)
+        for bad in (perturb_detail_block(b), perturb_detail_block(b, 2, 1)):
+            assert not polyphase(bad).factorization_holds
+            assert bad.synthesis_matrix != bad.modulation @ parity_exchange_matrix(b.size)
+
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (1, 1, 2), (2, 2, 2), (3, 3, 1), (2, 4, 2), (3, 5, 2)])
     def test_transform_matrices_are_certified(self, m, mt, p):
-        # decompose applies the filters' polyphase_inv, reconstruct the bundle's synthesis_matrix:
-        # the invertibility certificate of polyphase() covers exactly these two
+        # reconstruct applies the bundle's synthesis_matrix, decompose the factors of X^{-1} through
+        # g, h and b, which the certificate behind polyphase().invertible (pr_certified) proves;
+        # the filters' polyphase_inv, which the masks are read off, is the bundle's P^{-1}
         b = build_modulation(m, mt, p)
         pf = polyphase(b)
         assert pf.invertible

@@ -23,7 +23,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quarklets import laurent, serialize
+from quarklets import laurent, modulation, serialize
 from quarklets.cdf import quarklets
 from quarklets.laurent import LaurentPoly
 from quarklets.modulation import build_modulation, decomposition_filters
@@ -155,17 +155,23 @@ class TestPolyphaseTransform:
             assert reconstruct(s, d, bundle) == reference_reconstruct(s, d, bundle)
 
     def test_polyphase_column_cores_are_derived_once(self, monkeypatch):
-        # fresh copies, so no earlier product has filled their caches
+        # a fresh copy, so no earlier call has filled its caches: reconstruct takes the column cores
+        # of P, decompose the lifting cores read off g, h and b, each derived once
         bundle = replace(build_modulation(3, 5, 2))
-        filters = replace(cached_filters(3, 5, 2), polyphase_inv=bundle.polyphase_inv)
-        columns = [*zip(*bundle.synthesis_matrix.entries), *zip(*filters.polyphase_inv.entries)]
+        filters = decomposition_filters(bundle)
+        columns = list(zip(*bundle.synthesis_matrix.entries))
         int_cores, seen = laurent._int_cores, []
         monkeypatch.setattr(laurent, "_int_cores", lambda polys: seen.append(tuple(polys)) or int_cores(polys))
+        scaling_sequence, read = modulation._scaling_sequence, []
+        monkeypatch.setattr(modulation, "_scaling_sequence", lambda s: read.append(s) or scaling_sequence(s))
         rng = random.Random(5)
         frames = [[random_frame(rng, 3, level=1, taps=6) for _ in range(3)] for _ in range(3)]
         out = [(decompose(c, filters), reconstruct(s, d, bundle)) for c, s, d in frames]
         monkeypatch.undo()
         assert [seen.count(col) for col in columns] == [1] * len(columns)
+        assert read == [bundle.scaling_symbol]
+        # decompose applies the factors of X^{-1}: neither X^{-1} nor P^{-1} is read off
+        assert not {"modulation_inv", "polyphase_inv"} & vars(bundle).keys()
         assert out == [(reference_decompose(c, filters), reference_reconstruct(s, d, bundle)) for c, s, d in frames]
 
     def test_zero_frames(self):
@@ -500,3 +506,16 @@ class TestIntegerFrames:
             coeffs = {rng.randint(-20, 20): tuple(Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 2**70))
                                                   for _ in range(p + 1)) for _ in range(7)}
             cascade_as_fraction_path(CoefficientFrame(3, p + 1, coeffs), m, mt, 3)
+
+    # every (m, mt) pair of the design box m <= 5, m <= mt <= 7, m + mt even, at every p <= 8
+    @pytest.mark.parametrize("m,mt,p", [(m, mt, p) for m in range(1, 6) for mt in range(m, 8) if (m + mt) % 2 == 0
+                                        for p in range(9)])
+    def test_three_level_cascades_equal_the_inverse_product(self, m, mt, p):
+        # each level's decompose against the P^{-1} product of the Fraction path, translates from -8 to 8
+        bundle, filters = build_modulation(m, mt, p), cached_filters(m, mt, p)
+        frame = random_frame(random.Random(100 * m + 10 * mt + p), p + 1, level=3, taps=6)
+        for _ in range(3):
+            coarse, detail = decompose(frame, filters)
+            assert (coarse, detail) == fraction_decompose(frame, filters)
+            assert reconstruct(coarse, detail, bundle) == frame
+            frame = coarse
