@@ -43,7 +43,7 @@ from .transform import (
     orthogonalize_haar,
     reconstruct,
 )
-from .trig import is_positive_on_circle, shift_gram_symbol
+from .trig import is_positive_on_circle
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "reconstruct",
     "refinement_masks",
     "scalar_pr_defect",
-    "shift_gram_symbol",
     "stability_table",
     "verify_perfect_reconstruction",
     "with_halves",

@@ -93,7 +93,8 @@ def cascade(taps, scale: float, xi: np.ndarray, levels: int, start: np.ndarray) 
     out[:] = start
     block = max(1, _CASCADE_ENTRIES // (levels * (n_taps + n * n)))
     for s in range(0, len(xi), block):
-        mats = (np.exp(np.multiply.outer(xi[s : s + block], halvings)) @ flat).reshape(-1, levels, n, n)
+        waves = np.exp(np.multiply.outer(xi[s : s + block], halvings)).reshape(-1, n_taps)
+        mats = (waves @ flat).reshape(-1, levels, n, n)  # one matrix product per block, not one per point
         v = out[s : s + block, :, None]
         for j in range(levels - 1, -1, -1):
             v = mats[:, j] @ v
@@ -159,16 +160,23 @@ def quark_ft(m: int, q: int, xi):
 # A minimum of |F| counts as a zero below this fraction of 1 + max |F| on the grid.
 _ZERO_RTOL = 1e-7
 
+# Offsets, in units of the current width, of the candidates of one zoom round.
+_ZOOM = np.arange(-3, 4) / 4
+_ZOOM.flags.writeable = False
+
 
 def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
     """Approximate real zeros of |F phi_q| on [lo, hi] (float diagnostic).
 
-    Brackets local minima of |F|^2 on a uniform grid of ``samples >= 3``
-    points, sharpens each bracket by ternary search, and reports minima whose
-    value is a numerical zero relative to the overall scale of |F| on the
-    interval.  Placement degrades with zero multiplicity: for quark(m, 0) on
-    [-20, 20] at 4000 samples the error at +-2 pi k grows from 0 (m = 1) to
-    1.5e-2 (m = 6), and m >= 7 gives spurious zeros.
+    Zooms in on the local minima of |F|^2 on a uniform grid of ``samples >= 3``
+    points: each round moves every centre x to the argmin of |F|^2 over
+    x + w {-3/4, -1/2, ..., 3/4}, all in one call, and divides w (first the
+    grid step) by 4, until no candidate differs from its centre or for 60
+    rounds (a minimum at 0).  Reports the minima whose value is a numerical
+    zero relative to the overall scale of |F| on the interval.  Placement
+    degrades with zero multiplicity: for quark(m, 0) on [-20, 20] at 4000
+    samples the error at +-2 pi k grows from 0 (m = 1) to 1.4e-2 (m = 6),
+    and m >= 7 gives spurious zeros.
     """
     if not (hi > lo) or not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("need a finite interval with lo < hi")
@@ -179,17 +187,14 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
     scale = math.sqrt(float(vals.max()))
     tol = _ZERO_RTOL * (1.0 + scale)
     inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
-    a, b = xs[inner - 1], xs[inner + 1]
-    for _ in range(100):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        h = np.abs(quark_ft(m, q, np.concatenate([m1, m2]))) ** 2
-        left = h[: inner.size] <= h[inner.size :]
-        a_next, b_next = np.where(left, a, m1), np.where(left, m2, b)
-        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
-            break  # a fixed point: the same brackets would map to themselves again
-        a, b = a_next, b_next
-    x = (a + b) / 2
+    x, w = xs[inner], (hi - lo) / (samples - 1)
+    for _ in range(60):
+        cand = x[:, None] + w * _ZOOM
+        if np.all(cand == x[:, None]):
+            break  # a fixed point: every centre would stay where it is from now on
+        h = np.abs(quark_ft(m, q, cand)) ** 2
+        x = cand[np.arange(x.size), np.argmin(h, axis=1)]
+        w /= 4
     zeros = x[np.abs(quark_ft(m, q, x)) < tol].tolist()
     deduped: list[float] = []
     step = (hi - lo) / samples

@@ -24,19 +24,6 @@ from .laurent import LaurentPoly, _dot, _from_int
 from .piecewise import PiecewisePoly, taylor_shift
 
 
-def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
-    """Laurent polynomial with n-th coefficient <f, g(. - n)>, exact.
-
-    Only finitely many translates of g meet the support of f, so the result
-    is a genuine trigonometric polynomial.  Each piece is rewritten once in
-    t = x - (left breakpoint).  A piece of f at a and one of g(. - n) at
-    a + e overlap on [a + lo, a + lo + w), lo = max(e, 0), where their local
-    pieces, Taylor-shifted by lo and lo - e (both 0 on aligned breakpoints,
-    as for quarks), are multiplied and integrated over [0, w).
-    """
-    return _gram_from_pieces(_local_pieces(f), _local_pieces(g))
-
-
 def gram_matrix(functions: Sequence[PiecewisePoly]) -> list[list[LaurentPoly]]:
     """Matrix of the shift Gram symbols G[i][j] of a nonempty family (Hermitian in t).
 
@@ -55,7 +42,14 @@ def gram_matrix(functions: Sequence[PiecewisePoly]) -> list[list[LaurentPoly]]:
 
 
 def _gram_from_pieces(f_local: list[tuple], g_local: list[tuple]) -> LaurentPoly:
-    """:func:`shift_gram_symbol` of two functions given by their :func:`_local_pieces`."""
+    """Exact shift Gram symbol sum_n <f, g(. - n)> z^n of f, g, from their :func:`_local_pieces`.
+
+    Only finitely many translates of g meet the support of f, so the result
+    is a genuine trigonometric polynomial.  A piece of f at a and one of
+    g(. - n) at a + e overlap on [a + lo, a + lo + w), lo = max(e, 0), where
+    their local pieces, Taylor-shifted by lo and lo - e (both 0 on aligned
+    breakpoints, as for quarks), are multiplied and integrated over [0, w).
+    """
     out: dict[int, Fraction] = {}
     for a, wa, p in f_local:
         for b, wb, q in g_local:

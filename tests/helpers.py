@@ -40,10 +40,10 @@ counts, the two-scale refinement of a quark vector, the dual modulation matrix a
 exact evaluation of a Laurent matrix (the bundle read-off of St(1), reference
 for ``dual_symbol_at_one``), Horner's rule in a*x + b on whole Laurent
 products (reference for the Taylor shift of ``compose_linear``), the shift
-Gram symbol by translating g and integrating f * g(. - n) for every n
-(reference for the local-coordinate ``shift_gram_symbol``), the cofactor
+Gram symbol of two functions on their local pieces (``shift_gram_symbol``) and
+by translating g and integrating f * g(. - n) for every n (its reference), the cofactor
 expansion of a determinant (reference for the Bareiss ``trig_determinant``),
-the Fourier zero scan with all 100 ternary steps (reference for the
+the Fourier zero scan with all 60 zoom rounds (reference for the
 early stop of ``ft_zero_scan``), the symbol of a mask built tap by tap and
 P assembled from the masks' even/odd sub-symbols (references for the
 ``entries`` view of ``MaskSequence`` and the parity read-off of
@@ -80,7 +80,7 @@ from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import quark, refinement_masks
 from quarklets.stability import dual_eigenvector
 from quarklets.transform import CoefficientFrame, OrthoQuarklets
-from quarklets.trig import CirclePositivity, _float_minimum, _require_even
+from quarklets.trig import CirclePositivity, _float_minimum, _gram_from_pieces, _local_pieces, _require_even
 
 Vec = tuple[Fraction, ...]
 
@@ -976,6 +976,11 @@ def compose_linear_horner(f: PiecewisePoly, a, b) -> PiecewisePoly:
     return PiecewisePoly([(bp - b) / a for bp in f.breakpoints], pieces)
 
 
+def shift_gram_symbol(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
+    """Laurent polynomial with n-th coefficient <f, g(. - n)>, exact, on the local pieces of f and g."""
+    return _gram_from_pieces(_local_pieces(f), _local_pieces(g))
+
+
 def shift_gram_symbol_by_translates(f: PiecewisePoly, g: PiecewisePoly) -> LaurentPoly:
     """sum_n <f, g(. - n)> z^n, one translate of g and one product integral per n."""
     if f.is_zero() or g.is_zero():
@@ -1002,20 +1007,18 @@ def cofactor_determinant(mat) -> LaurentPoly:
     return total
 
 
-def ft_zero_scan_fixed_steps(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
-    """``ft_zero_scan`` with every one of its 100 ternary steps run."""
+def ft_zero_scan_full_zoom(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
+    """``ft_zero_scan`` with every one of its 60 zoom rounds run."""
     xs = np.linspace(lo, hi, samples)
     vals = np.abs(quark_ft(m, q, xs)) ** 2
     tol = _ZERO_RTOL * (1.0 + math.sqrt(float(vals.max())))
     inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
-    a, b = xs[inner - 1], xs[inner + 1]
-    for _ in range(100):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        h = np.abs(quark_ft(m, q, np.concatenate([m1, m2]))) ** 2
-        left = h[: inner.size] <= h[inner.size :]
-        a, b = np.where(left, a, m1), np.where(left, m2, b)
-    x = (a + b) / 2
+    x, w = xs[inner], (hi - lo) / (samples - 1)
+    for _ in range(60):
+        cand = x[:, None] + w * np.arange(-3, 4) / 4
+        h = np.abs(quark_ft(m, q, cand)) ** 2
+        x = cand[np.arange(x.size), np.argmin(h, axis=1)]
+        w /= 4
     deduped: list[float] = []
     for z in sorted(x[np.abs(quark_ft(m, q, x)) < tol].tolist()):
         if not deduped or z - deduped[-1] > (hi - lo) / samples:

@@ -13,9 +13,10 @@ from helpers import (
     coefficient_matrix,
     condition_e_reference,
     eval_rational,
-    ft_zero_scan_fixed_steps,
+    ft_zero_scan_full_zoom,
     invert_lower_triangular,
     quark_ft_fixed_depth,
+    shift_gram_symbol,
     shift_gram_symbol_by_translates,
 )
 
@@ -23,7 +24,7 @@ from quarklets import duals, stability
 from quarklets.cdf import quarklets
 from quarklets.laurent import LaurentMatrix, LaurentPoly
 from quarklets.splines import quark, refinement_symbol
-from quarklets.trig import is_positive_on_circle, shift_gram_symbol
+from quarklets.trig import is_positive_on_circle
 from quarklets.stability import (
     condition_e,
     dual_symbol_at_one,
@@ -254,8 +255,9 @@ class TestFtZeroScan:
         for z, e in zip(zeros, expected):
             assert abs(z - e) < 1e-3
 
-    # placement error at the zeros +-2 pi k (multiplicity m) of quark(m, 0) on [-20, 20],
-    # about twice the measured 0, 4.2e-8, 1.6e-5, 6.5e-4, 1.6e-3, 1.5e-2
+    # placement error at the zeros +-2 pi k (multiplicity m) of quark(m, 0) on [-20, 20]:
+    # about twice the 0, 4.2e-8, 1.6e-5, 6.5e-4, 1.6e-3, 1.5e-2 of a ternary search, against
+    # the zoom's measured 0, 4.2e-8, 6.6e-8, 3.0e-4, 1.4e-3, 1.4e-2
     @pytest.mark.parametrize(
         "m,bound", [(1, 1e-12), (2, 1e-7), (3, 3.2e-5), (4, 1.3e-3), (5, 3.2e-3), (6, 3e-2)]
     )
@@ -265,7 +267,7 @@ class TestFtZeroScan:
         assert len(zeros) == 6
         assert max(abs(z - e) for z, e in zip(zeros, expected)) <= bound
 
-    def test_early_stop_equals_the_full_ternary_loop(self):
+    def test_early_stop_equals_the_full_zoom(self):
         rng = random.Random(3)
         cases = [(2, 2, -12, 12, 4000), (7, 0, -20, 20, 4000), (1, 1, -10, 10, 1000)] + [
             (rng.randint(1, 8), rng.randint(0, 6), -rng.uniform(1, 25), rng.uniform(1, 25),
@@ -273,14 +275,14 @@ class TestFtZeroScan:
             for _ in range(20)
         ]
         for m, q, lo, hi, samples in cases:
-            assert ft_zero_scan(m, q, lo, hi, samples) == ft_zero_scan_fixed_steps(m, q, lo, hi, samples)
+            assert ft_zero_scan(m, q, lo, hi, samples) == ft_zero_scan_full_zoom(m, q, lo, hi, samples)
 
     def test_fixed_depth_transform_gives_the_same_zeros(self, monkeypatch):
         # measured: equal on every fixed input but (4, 2, -11, 11), whose zero near 10.036
-        # moves by 4e-15; at most 1.3e-11 apart on the random ones
+        # moves by 1.8e-15; at most 2.6e-14 apart on the random ones
         fixed = [(2, 2, -12, 12), (2, 3, -2 * math.pi, 2 * math.pi), (1, 1, -10, 10), (1, 2, -7, 7),
                  (4, 2, -11, 11), (7, 0, -20, 20), (1, 1, -10, 10, 1000)] + [(m, 0, -20, 20) for m in range(1, 7)]
-        rng = random.Random(3)  # the random cases of test_early_stop_equals_the_full_ternary_loop
+        rng = random.Random(3)  # the random cases of test_early_stop_equals_the_full_zoom
         randomized = [
             (rng.randint(1, 8), rng.randint(0, 6), -rng.uniform(1, 25), rng.uniform(1, 25),
              rng.choice([50, 300, 1000]))
@@ -301,6 +303,18 @@ class TestFtZeroScan:
                             levels.append(depth) or cascade(taps, scale, xi, depth, start))
         ft_zero_scan(3, 2, -10.5, 10.5, 1000)
         assert levels and max(levels) <= 6
+
+    @pytest.mark.parametrize("case,calls", [
+        ((3, 2, -10.5, 10.5, 1000), 25), ((2, 2, -12, 12), 25),
+        ((2, 3, -2 * math.pi, 2 * math.pi), 62),  # a minimum at 0 runs all 60 rounds
+        ((1, 1, -10, 10), 2),  # no minimum on the grid: the grid pass and the empty zero test
+    ])
+    def test_zoom_calls_the_transform_once_per_round(self, monkeypatch, case, calls):
+        count = []
+        quark_ft = duals.quark_ft
+        monkeypatch.setattr(duals, "quark_ft", lambda *args: count.append(1) or quark_ft(*args))
+        ft_zero_scan(*case)
+        assert len(count) == calls
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

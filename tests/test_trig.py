@@ -15,6 +15,7 @@ from helpers import (
     is_positive_on_circle_by_sturm,
     isolate_roots_by_sturm,
     poly_value,
+    shift_gram_symbol,
     shift_gram_symbol_by_translates,
     trim,
 )
@@ -27,7 +28,7 @@ from quarklets.laurent import LaurentPoly
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import bspline, quark
 from quarklets.stability import gram_symbol_matrix, trig_determinant
-from quarklets.trig import gram_matrix, is_positive_on_circle, shift_gram_symbol, to_cosine_polynomial
+from quarklets.trig import gram_matrix, is_positive_on_circle, to_cosine_polynomial
 
 
 class TestShiftGramSymbol:
