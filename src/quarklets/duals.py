@@ -118,12 +118,18 @@ def _ft_cascade_data(m: int, q: int) -> tuple[tuple[int, np.ndarray], np.ndarray
     """
     taps = float_taps(refinement_symbol(m, q))
     c = (m + 1) // 2
-    base = [quark(m, 0).moment(k) for k in range(_FT_TAIL_TERMS + q)]
+    base = [_quark_moment(m, k) for k in range(_FT_TAIL_TERMS + q)]
     moments = np.array([[float(base[t + l] / c**l) for l in range(q + 1)] for t in range(_FT_TAIL_TERMS)])
     factors = [(-1j) ** t / math.factorial(t) / math.sqrt(2 * math.pi) for t in range(_FT_TAIL_TERMS)]
     tail = np.array(factors)[:, None] * moments
     tail.flags.writeable = False
     return taps, tail
+
+
+@lru_cache(maxsize=None)
+def _quark_moment(m: int, k: int) -> Fraction:
+    """The exact k-th moment of the degree-0 quark, shared by the tails of every degree q."""
+    return quark(m, 0).moment(k)
 
 
 def quark_ft(m: int, q: int, xi):
@@ -143,18 +149,26 @@ def quark_ft(m: int, q: int, xi):
     Raises ValueError for an infinite or NaN xi and for |xi| above
     ``MAX_FT_FREQUENCY`` (2^16), which keeps every call at m <= 16 within 20 levels.
     """
-    taps, tail = _ft_cascade_data(m, q)
     xi = np.asarray(xi, dtype=float)
-    flat = xi.reshape(-1)
-    top = float(np.max(np.abs(flat), initial=0.0))
+    values = _quark_jets(m, q, xi.reshape(-1), 0)[:, 0].reshape(xi.shape)
+    return complex(values) if xi.ndim == 0 else values
+
+
+def _quark_jets(m: int, q: int, xi: np.ndarray, extra: int) -> np.ndarray:
+    """F phi_q, ..., F phi_{q + extra} at the points of the 1-d array xi, one row per point.
+
+    :func:`quark_ft`'s cascade and depth rule on the quarks of degree 0..q + extra.
+    As x phi_l = c phi_{l + 1}, row entry j is (i / c)^j times the j-th derivative of F phi_q.
+    """
+    taps, tail = _ft_cascade_data(m, q + extra)
+    top = float(np.max(np.abs(xi), initial=0.0))
     if not top <= MAX_FT_FREQUENCY:  # also an inf or NaN point
         raise ValueError(f"quark_ft needs finite frequencies with |xi| at most {MAX_FT_FREQUENCY} (2^16)")
     reach = 2 * ((m + 1) // 2) * top
     frac, exp = math.frexp(reach)  # reach = frac 2^exp with 1/2 <= frac < 1, or 0
     levels = max(1, exp - (frac == 0.5))
-    powers = np.vander(np.ldexp(flat, -levels), _FT_TAIL_TERMS, increasing=True)
-    values = cascade(taps, 1.0, flat, levels, powers @ tail)[:, q].reshape(xi.shape)
-    return complex(values) if xi.ndim == 0 else values
+    powers = np.vander(np.ldexp(xi, -levels), _FT_TAIL_TERMS, increasing=True)
+    return cascade(taps, 1.0, xi, levels, powers @ tail)[:, q:]
 
 
 # A minimum of |F| counts as a zero below this fraction of 1 + max |F| on the grid.
@@ -164,19 +178,27 @@ _ZERO_RTOL = 1e-7
 _ZOOM = np.arange(-3, 4) / 4
 _ZOOM.flags.writeable = False
 
+# A Newton step this many float spacings of its centre or shorter marks a fixed point.
+_FIXED_ULPS = 4
+
+# Rounds of either refinement at most (the zoom runs them all on a minimum at 0).
+_ROUNDS = 60
+
 
 def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
     """Approximate real zeros of |F phi_q| on [lo, hi] (float diagnostic).
 
-    Zooms in on the local minima of |F|^2 on a uniform grid of ``samples >= 3``
-    points: each round moves every centre x to the argmin of |F|^2 over
-    x + w {-3/4, -1/2, ..., 3/4}, all in one call, and divides w (first the
-    grid step) by 4, until no candidate differs from its centre or for 60
-    rounds (a minimum at 0).  Reports the minima whose value is a numerical
-    zero relative to the overall scale of |F| on the interval.  Placement
-    degrades with zero multiplicity: for quark(m, 0) on [-20, 20] at 4000
-    samples the error at +-2 pi k grows from 0 (m = 1) to 1.4e-2 (m = 6),
-    and m >= 7 gives spurious zeros.
+    Refines the local minima of |F|^2 on a uniform grid of ``samples >= 3``
+    points by safeguarded Newton steps (:func:`_newton`), and a minimum at the
+    float floor of a multiple zero by a zoom (:func:`_zoom`); then reports the
+    minima whose value is a numerical zero relative to the overall scale of
+    |F| on the interval.  A scan makes one transform call for the grid, one
+    per round of :func:`_newton` (3-4 for minima of order 1 on a grid step of
+    order 1e-2), one per zoom round if any minimum needs it (about 23), and
+    one for the zero test.  Placement degrades with zero multiplicity: for
+    quark(m, 0) on [-20, 20] at 4000 samples the error at +-2 pi k is 2.7e-15,
+    2.8e-8, 6.6e-8, 2.7e-4, 1.4e-3 and 1.4e-2 for m = 1..6, and m >= 7 gives
+    spurious zeros (12 for m = 7, 26 for m = 8, against 6 true ones).
     """
     if not (hi > lo) or not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("need a finite interval with lo < hi")
@@ -187,14 +209,7 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
     scale = math.sqrt(float(vals.max()))
     tol = _ZERO_RTOL * (1.0 + scale)
     inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
-    x, w = xs[inner], (hi - lo) / (samples - 1)
-    for _ in range(60):
-        cand = x[:, None] + w * _ZOOM
-        if np.all(cand == x[:, None]):
-            break  # a fixed point: every centre would stay where it is from now on
-        h = np.abs(quark_ft(m, q, cand)) ** 2
-        x = cand[np.arange(x.size), np.argmin(h, axis=1)]
-        w /= 4
+    x = _newton(m, q, xs[inner], (hi - lo) / (samples - 1), tol)
     zeros = x[np.abs(quark_ft(m, q, x)) < tol].tolist()
     deduped: list[float] = []
     step = (hi - lo) / samples
@@ -202,6 +217,86 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
         if not deduped or z - deduped[-1] > step:
             deduped.append(z)
     return deduped
+
+
+def _newton(m: int, q: int, x: np.ndarray, width: float, tol: float) -> np.ndarray:
+    """Move each grid minimum x of |F|^2 (grid step ``width``) to the minimum it brackets.
+
+    One :func:`_quark_jets` call per round gives F, F' = -i c F phi_{q+1} and
+    F'' = -c^2 F phi_{q+2} at every moving centre.  Round one is the zoom's
+    first, so a centre reaches a deeper minimum within the grid step as the
+    zoom does.  Later rounds try Newton's step for the minimum of |F|^2 and
+    Schroeder's for a zero of any multiplicity (Math. Ann. 2, 1870), both
+    clipped to a trust radius (a quarter grid step, then the last accepted
+    step), and take the one with the smaller |F| if it lowers |F|.  A centre
+    stops where |F| = 0, where the shorter step is a few float spacings, or
+    where no step lowers an |F| >= ``tol`` (no zero, flat to rounding).  One
+    whose steps stall below ``tol`` or stop halving is at the float floor of
+    a multiple zero: it restarts from its grid point in :func:`_zoom`.
+    """
+    if not x.size:
+        return x
+    c = (m + 1) // 2
+    orders = np.array([1, -1j * c, -c * c])  # F phi_{q+j} times this is the j-th derivative of F phi_q
+    best, jets = _lowest(m, q, x[:, None] + width * _ZOOM, orders)
+    out = x + width * _ZOOM[best]
+    # a scan has few minima, so the steps are Python scalars; only the transform calls are batched
+    moving = [(i, *row, width / 4) for i, row in enumerate(jets.tolist())]  # (position, F, F', F'', radius)
+    zoom = []
+    for k in range(_ROUNDS):
+        tries = []
+        for i, f, df, ddf, radius in moving:
+            steps = _steps(f, df, ddf)
+            if f != 0 and min(map(abs, steps)) > _FIXED_ULPS * math.ulp(out[i]):
+                tries.append((i, f, radius, [max(-radius, min(radius, h)) for h in steps]))
+        if not tries:
+            break
+        cand = np.array([[out[i] + h for h in steps] for i, _, _, steps in tries])
+        best, jets = _lowest(m, q, cand, orders)
+        moving = []
+        for (i, f, radius, steps), b, row in zip(tries, best.tolist(), jets.tolist()):
+            taken = steps[b]
+            if abs(row[0]) >= abs(f):
+                if abs(f) < tol:  # the float floor; above tol, a minimum flat to rounding stops here
+                    zoom.append(i)
+            elif k and abs(taken) > radius / 2:
+                zoom.append(i)
+            else:
+                out[i] += taken
+                moving.append((i, *row, abs(taken)))
+    else:
+        zoom += [i for i, *_ in moving]  # still moving after the last round
+    out[zoom] = _zoom(m, q, x[zoom], width)
+    return out
+
+
+def _steps(f: complex, df: complex, ddf: complex) -> tuple[float, float]:
+    """Newton's step for the minimum of |F|^2 and Schroeder's for a zero of F, inf where undefined."""
+    curvature = abs(df) ** 2 + (f.conjugate() * ddf).real
+    deflated = df * df - f * ddf
+    return (-(f.conjugate() * df).real / curvature if curvature else math.inf,
+            -(f * df / deflated).real if deflated else math.inf)
+
+
+def _lowest(m: int, q: int, cand: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``cand``, the column of the smallest |F| and F, F', F'' there, in one call."""
+    jets = (_quark_jets(m, q, cand.reshape(-1), 2) * orders).reshape(*cand.shape, 3)
+    best = np.argmin(abs(jets[:, :, 0]), axis=1)
+    return best, jets[np.arange(len(cand)), best]
+
+
+def _zoom(m: int, q: int, x: np.ndarray, width: float) -> np.ndarray:
+    """Move each centre x to the argmin of |F|^2 over x + w {-3/4, -1/2, ..., 3/4}, all in one
+    call per round, and divide w (first ``width``) by 4, until no candidate differs from its centre
+    or for 60 rounds."""
+    for _ in range(_ROUNDS):
+        cand = x[:, None] + width * _ZOOM
+        if np.all(cand == x[:, None]):
+            break  # a fixed point: every centre would stay where it is from now on
+        h = np.abs(quark_ft(m, q, cand)) ** 2
+        x = cand[np.arange(x.size), np.argmin(h, axis=1)]
+        width /= 4
+    return x
 
 
 # -- generalized duals -----------------------------------------------------------------
@@ -262,25 +357,39 @@ def dual_quark_ft(
     """
     if levels < 1:
         raise ValueError("need at least one product level")
-    v = dual_eigenvector(m, mt, p)
-    symbol = build_modulation(m, mt, p).dual_scaling_symbol
+    v, v_float, w, taps = _dual_cascade_data(m, mt, p)
     pts = tuple(Fraction(t) for t in grid)
     xi = _xi(pts)
-    w = np.array([float(x) for x in dual_tail_slope(m, mt, p)])
-    start = np.array([float(x) for x in v], dtype=complex) - 1j * np.multiply.outer(xi / 2**levels, w)
-    product = cascade(float_taps(symbol), 2.0**-p, xi, levels, start)
+    start = v_float - 1j * np.multiply.outer(xi / 2**levels, w)
+    product = cascade(taps, 2.0**-p, xi, levels, start)
     values = (1j ** p * xi**p)[:, None] * product
     return DualApproximation(m, mt, p, levels, pts, dict(zip(pts, values)), v)
+
+
+@lru_cache(maxsize=None)
+def _dual_cascade_data(m: int, mt: int, p: int) -> tuple[tuple[Fraction, ...], np.ndarray, np.ndarray, tuple]:
+    """The exact eigenvector v, v and the tail slope w in floats, and the float taps of St (read-only)."""
+    v = dual_eigenvector(m, mt, p)
+    v_float = np.array([float(x) for x in v], dtype=complex)
+    w = np.array([float(x) for x in dual_tail_slope(m, mt, p)])
+    v_float.flags.writeable = w.flags.writeable = False
+    return v, v_float, w, float_taps(build_modulation(m, mt, p).dual_scaling_symbol)
+
+
+@lru_cache(maxsize=None)
+def _dual_detail_taps(m: int, mt: int, p: int) -> tuple[int, np.ndarray]:
+    """The float taps of Wt (read-only), apart from St's so that a dual product never builds Wt."""
+    return float_taps(build_modulation(m, mt, p).dual_detail_symbol)
 
 
 def _xi(points: Sequence[Fraction]) -> np.ndarray:
     return 2 * math.pi * np.array([float(t) for t in points])
 
 
-def _one_level(symbol: LaurentMatrix, approx: DualApproximation, points: Sequence[Fraction]) -> np.ndarray:
-    """symbol(exp(-i xi / 2)) applied to the stored values at xi / 2, one row per point."""
+def _one_level(taps, approx: DualApproximation, points: Sequence[Fraction]) -> np.ndarray:
+    """The symbol with float ``taps`` at exp(-i xi / 2) applied to the stored values at xi / 2, one row per point."""
     halves = np.array([approx.values[t / 2] for t in points]).reshape(-1, approx.p + 1)
-    return cascade(float_taps(symbol), 1.0, _xi(points), 1, halves)
+    return cascade(taps, 1.0, _xi(points), 1, halves)
 
 
 def dual_quarklet_ft(approx: DualApproximation, points: Sequence[Fraction]) -> dict[Fraction, np.ndarray]:
@@ -294,8 +403,7 @@ def dual_quarklet_ft(approx: DualApproximation, points: Sequence[Fraction]) -> d
     for t in pts:
         if t / 2 not in approx.values:
             raise ValueError(f"grid point {t} has no half point {t / 2}; use with_halves()")
-    symbol = build_modulation(approx.m, approx.mt, approx.p).dual_detail_symbol
-    return dict(zip(pts, _one_level(symbol, approx, pts)))
+    return dict(zip(pts, _one_level(_dual_detail_taps(approx.m, approx.mt, approx.p), approx, pts)))
 
 
 def with_halves(grid: Sequence[Fraction]) -> list[Fraction]:
@@ -349,9 +457,9 @@ def refinement_defect(approx: DualApproximation) -> float:
     of the order of the truncation error itself, O(4^{-J}).
     """
     pts = [t for t in approx.grid if t / 2 in approx.values]
-    symbol = build_modulation(approx.m, approx.mt, approx.p).dual_scaling_symbol
+    taps = _dual_cascade_data(approx.m, approx.mt, approx.p)[3]
     stored = np.array([approx.values[t] for t in pts]).reshape(-1, approx.p + 1)
-    return float(np.max(np.abs(_one_level(symbol, approx, pts) - stored), initial=0.0))
+    return float(np.max(np.abs(_one_level(taps, approx, pts) - stored), initial=0.0))
 
 
 def eigen_residual(m: int, mt: int, p: int) -> tuple[Fraction, ...]:

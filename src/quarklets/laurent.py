@@ -268,6 +268,8 @@ def _dot(row: Sequence[dict[int, int]], col: Sequence[dict[int, int]]) -> dict[i
     get = acc.get
     for na, nb in zip(row, col):
         if na and nb:
+            if len(na) > len(nb):  # the shorter core in the outer loop: fewer inner loops to start
+                na, nb = nb, na
             terms = nb.items()
             for ka, ca in na.items():
                 for kb, cb in terms:

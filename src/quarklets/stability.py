@@ -34,9 +34,9 @@ from .trig import gram_matrix, is_positive_on_circle
 # Largest |xi| of ``duals.quark_ft`` and so of ``ft_zero_scan``.  Its cascade runs
 # the smallest depth L with 2 ceil(m/2) max|xi| <= 2^L, so at m <= 16 every
 # accepted call runs at most 20 levels.  At the CLI's corner ``ft-zeros --m 16
-# --q 14 --lo -30 --hi 30 --samples 131073`` (9 levels) took 2.7-3.3 s on a
-# shared 2-core x86_64 host, against 8.2-13.0 s with a fixed 20-level cascade
-# and a ternary search in place of the zoom.
+# --q 14 --lo -30 --hi 30 --samples 131073`` (9 levels) took 2.1-2.4 s with the
+# Newton refinement, 2.2-2.4 s with the zoom alone, on a shared 2-core x86_64
+# host, against 8.2-13.0 s with a fixed 20-level cascade and a ternary search.
 MAX_FT_FREQUENCY = 2**16
 
 

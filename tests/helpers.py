@@ -24,9 +24,9 @@ characteristic polynomial and Schur-Cohn test (reference for the diagonal
 read-off of ``condition_e``), the truncated dual product point by point
 (reference for the refinement cascade; its raw form, without the first-order
 tail, is the only raw product left and backs the truncation-floor tests), the
-quark Fourier transform by mpmath quadrature and by the fixed-depth cascade
-of 20 levels onto a degree-3 Taylor tail (references for ``quark_ft`` and its
-adaptive depth),
+quark Fourier transform and its derivatives by mpmath quadrature and by the fixed-depth cascade
+of 20 levels onto a degree-3 Taylor tail (references for ``quark_ft``, its
+adaptive depth and the derivatives that ``duals._quark_jets`` reads off the next quarks),
 the Hann-windowed FFT profile of sampled transform values and its L2 mass
 outside an interval (the oracle for the support of the generalized duals),
 the Sturm-chain root isolation on the same dyadic bisection and the
@@ -43,8 +43,8 @@ products (reference for the Taylor shift of ``compose_linear``), the shift
 Gram symbol of two functions on their local pieces (``shift_gram_symbol``) and
 by translating g and integrating f * g(. - n) for every n (its reference), the cofactor
 expansion of a determinant (reference for the Bareiss ``trig_determinant``),
-the Fourier zero scan with all 60 zoom rounds (reference for the
-early stop of ``ft_zero_scan``), the symbol of a mask built tap by tap and
+the Fourier zero scan that zooms on every grid minimum for all 60 rounds
+(reference for the zeros of the Newton refinement in ``ft_zero_scan``), the symbol of a mask built tap by tap and
 P assembled from the masks' even/odd sub-symbols (references for the
 ``entries`` view of ``MaskSequence`` and the parity read-off of
 ``synthesis_matrix``), the Laurent identity and zero matrices, and the
@@ -896,8 +896,11 @@ def dual_quark_ft_loop(m: int, mt: int, p: int, levels: int, grid, tail: str = "
     return out
 
 
-def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
-    """(2 pi)^{-1/2} integral f(x) exp(-i x xi) dx by mpmath quadrature on each piece."""
+def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30, derivative: int = 0) -> complex:
+    """(2 pi)^{-1/2} integral f(x) (-i x)^j exp(-i x xi) dx by mpmath quadrature on each piece.
+
+    With j = ``derivative`` this is the j-th derivative in xi of the transform of f.
+    """
     with mp.workdps(dps):
         x = mp.mpf(xi)
         total = mp.mpc(0)
@@ -905,7 +908,8 @@ def quark_ft_mpmath(f: PiecewisePoly, xi: float, dps: int = 30) -> complex:
             a, b = (mp.mpf(e.numerator) / e.denominator for e in f.breakpoints[i : i + 2])
             coeffs = [mp.mpf(piece[k].numerator) / piece[k].denominator
                       for k in range(max(piece.coeffs, default=-1), -1, -1)]
-            total += mp.quad(lambda s: mp.polyval(coeffs, s) * mp.expj(-s * x), [a, b])
+            total += mp.quad(lambda s: mp.polyval(coeffs, s) * (-1j * s) ** derivative * mp.expj(-s * x),
+                             [a, b])
         return complex(total / mp.sqrt(2 * mp.pi))
 
 
@@ -1008,7 +1012,7 @@ def cofactor_determinant(mat) -> LaurentPoly:
 
 
 def ft_zero_scan_full_zoom(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> list[float]:
-    """``ft_zero_scan`` with every one of its 60 zoom rounds run."""
+    """The zero scan with every grid minimum zoomed for all 60 rounds, none refined by Newton."""
     xs = np.linspace(lo, hi, samples)
     vals = np.abs(quark_ft(m, q, xs)) ** 2
     tol = _ZERO_RTOL * (1.0 + math.sqrt(float(vals.max())))

@@ -482,6 +482,8 @@ class TestViews:
     def test_dual_and_frame_paths_build_no_dense_determinant(self, monkeypatch):
         bundle = replace(build_modulation(3, 5, 4))
         monkeypatch.setattr(duals, "build_modulation", lambda m, mt, p: bundle)
+        duals._dual_cascade_data.cache_clear()  # what a cold call builds
+        duals._dual_detail_taps.cache_clear()
         stored = {f.name for f in fields(bundle)}
 
         def built():

@@ -16,7 +16,7 @@ from helpers import (
     refinement_masks_by_formula,
 )
 
-from quarklets.duals import quark_ft
+from quarklets.duals import _quark_jets, quark_ft
 from quarklets.piecewise import PiecewisePoly
 from quarklets.stability import MAX_FT_FREQUENCY
 from quarklets.splines import (
@@ -185,6 +185,20 @@ class TestQuarkFt:
         f = quark(m, q)
         for xi in (0, 0.51, 0.6, 5, 25, -30):
             assert abs(quark_ft(m, q, xi) - quark_ft_mpmath(f, xi)) <= 1e-13 * sup
+
+    # F' = -i c F phi_{q+1} and F'' = -c^2 F phi_{q+2}, up to degree 16 for the CLI's q <= 14,
+    # within the same bound on the next quarks' sup
+    @pytest.mark.parametrize("m,q", [(16, 14), (7, 14), (4, 3), (1, 5), (3, 0)])
+    def test_jets_are_derivatives_against_mpmath(self, m, q):
+        c = (m + 1) // 2
+        sup = np.max(np.abs(_quark_jets(m, q, np.linspace(-30, 30, 6001), 2)), axis=0)
+        xi = np.array([0, 0.51, 0.6, 5, 25, -30])
+        jets = _quark_jets(m, q, xi, 2)
+        f = quark(m, q)
+        for k, x in enumerate(xi):
+            for j in (1, 2):
+                ref = quark_ft_mpmath(f, x, derivative=j)
+                assert abs((-1j * c) ** j * jets[k, j] - ref) <= 1e-13 * c**j * sup[j]
 
     # the largest measured gap on this grid, over every m <= 16 and q <= 14, is 9.6e-16 sup
     @pytest.mark.parametrize("m", range(1, 17))

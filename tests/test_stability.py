@@ -257,7 +257,7 @@ class TestFtZeroScan:
 
     # placement error at the zeros +-2 pi k (multiplicity m) of quark(m, 0) on [-20, 20]:
     # about twice the 0, 4.2e-8, 1.6e-5, 6.5e-4, 1.6e-3, 1.5e-2 of a ternary search, against
-    # the zoom's measured 0, 4.2e-8, 6.6e-8, 3.0e-4, 1.4e-3, 1.4e-2
+    # the measured 2.7e-15, 2.8e-8, 6.6e-8, 2.7e-4, 1.4e-3, 1.4e-2 of Newton with the zoom fallback
     @pytest.mark.parametrize(
         "m,bound", [(1, 1e-12), (2, 1e-7), (3, 3.2e-5), (4, 1.3e-3), (5, 3.2e-3), (6, 3e-2)]
     )
@@ -268,14 +268,27 @@ class TestFtZeroScan:
         assert max(abs(z - e) for z, e in zip(zeros, expected)) <= bound
 
     def test_early_stop_equals_the_full_zoom(self):
+        # Newton finds the zoom's zeros: the same count everywhere, and on the listed cases the
+        # same places to 1e-6 (measured: at most 5.2e-8, at the multiple zeros of (7, 5)).
+        # (5, 7, ...) has three minima with |F| about 1e-8, zeros below the relative tolerance;
+        # in (5, 4, ...) a grid step of 0.6 brackets a nonzero minimum next to the zero -2 pi,
+        # which the zoom reaches from the same grid point
         rng = random.Random(3)
         cases = [(2, 2, -12, 12, 4000), (7, 0, -20, 20, 4000), (1, 1, -10, 10, 1000)] + [
             (rng.randint(1, 8), rng.randint(0, 6), -rng.uniform(1, 25), rng.uniform(1, 25),
              rng.choice([50, 300, 1000]))
             for _ in range(20)
-        ]
-        for m, q, lo, hi, samples in cases:
-            assert ft_zero_scan(m, q, lo, hi, samples) == ft_zero_scan_full_zoom(m, q, lo, hi, samples)
+        ] + [(5, 7, -27.672984367787095, 7.330541144796195, 50), (5, 4, -13.466962408071709, 16.34203001357865, 50)]
+        for case in cases:
+            zeros, oracle = ft_zero_scan(*case), ft_zero_scan_full_zoom(*case)
+            assert len(zeros) == len(oracle)
+            assert all(abs(a - b) <= 1e-6 for a, b in zip(zeros, oracle))
+        assert len(zeros) == 4
+        rng = random.Random(5)
+        for _ in range(20):  # wider orders; multiple zeros at the float floor may sit elsewhere
+            case = (rng.randint(1, 12), rng.randint(0, 10), -rng.uniform(1, 25), rng.uniform(1, 25),
+                    rng.choice([50, 300, 1000]))
+            assert len(ft_zero_scan(*case)) == len(ft_zero_scan_full_zoom(*case))
 
     def test_fixed_depth_transform_gives_the_same_zeros(self, monkeypatch):
         # measured: equal on every fixed input but (4, 2, -11, 11), whose zero near 10.036
@@ -304,15 +317,17 @@ class TestFtZeroScan:
         ft_zero_scan(3, 2, -10.5, 10.5, 1000)
         assert levels and max(levels) <= 6
 
+    # the grid pass, one call per round and the zero test
     @pytest.mark.parametrize("case,calls", [
-        ((3, 2, -10.5, 10.5, 1000), 25), ((2, 2, -12, 12), 25),
-        ((2, 3, -2 * math.pi, 2 * math.pi), 62),  # a minimum at 0 runs all 60 rounds
+        ((3, 2, -10.5, 10.5, 1000), 6), ((2, 2, -12, 12), 5),
+        ((2, 3, -2 * math.pi, 2 * math.pi), 5),  # the minimum at 0 stops where F = 0
+        ((3, 0, -10, 10, 1000), 30),  # the triple zeros +-2 pi stall at the float floor and are zoomed
         ((1, 1, -10, 10), 2),  # no minimum on the grid: the grid pass and the empty zero test
     ])
     def test_zoom_calls_the_transform_once_per_round(self, monkeypatch, case, calls):
         count = []
-        quark_ft = duals.quark_ft
-        monkeypatch.setattr(duals, "quark_ft", lambda *args: count.append(1) or quark_ft(*args))
+        jets = duals._quark_jets  # quark_ft calls it too
+        monkeypatch.setattr(duals, "_quark_jets", lambda *args: count.append(1) or jets(*args))
         ft_zero_scan(*case)
         assert len(count) == calls
 
