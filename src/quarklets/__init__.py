@@ -17,7 +17,6 @@ from .cdf import CdfPair, cdf_masks, quarklet, quarklets, scalar_pr_defect
 from .laurent import LaurentMatrix, LaurentPoly
 from .masks import MaskSequence
 from .modulation import (
-    DecompositionFilters,
     ModulationBundle,
     build_modulation,
     decomposition_filters,
@@ -63,7 +62,6 @@ def __getattr__(name: str):
 __all__ = [
     "CdfPair",
     "CoefficientFrame",
-    "DecompositionFilters",
     "DualApproximation",
     "LaurentMatrix",
     "LaurentPoly",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import serialize, stability, transform
 from .cdf import cdf_masks, quarklet, scalar_pr_defect, validate_orders
-from .modulation import build_modulation, decomposition_filters, verify_perfect_reconstruction
+from .modulation import build_modulation, verify_perfect_reconstruction
 from .splines import bspline, quark
 from .stability import MAX_FT_FREQUENCY
 from .transform import orthogonalize_haar
@@ -228,8 +228,7 @@ def cmd_decompose(args) -> int:
     validate_orders(args.m, args.mt)
     frame = _read_frame(args.input)
     bundle = build_modulation(args.m, args.mt, frame.width - 1)
-    filters = decomposition_filters(bundle)
-    s, d = transform.decompose(frame, filters)
+    s, d = transform.decompose(frame, bundle)
     _write(_json_dump(serialize.frame_json(s)), args.out_scaling)
     _write(_json_dump(serialize.frame_json(d)), args.out_detail)
     return 0

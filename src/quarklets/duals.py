@@ -181,7 +181,7 @@ _ZOOM.flags.writeable = False
 # A Newton step this many float spacings of its centre or shorter marks a fixed point.
 _FIXED_ULPS = 4
 
-# Rounds of either refinement at most (the zoom runs them all on a minimum at 0).
+# Rounds of either refinement at most.
 _ROUNDS = 60
 
 
@@ -209,7 +209,7 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
     scale = math.sqrt(float(vals.max()))
     tol = _ZERO_RTOL * (1.0 + scale)
     inner = np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
-    x = _newton(m, q, xs[inner], (hi - lo) / (samples - 1), tol)
+    x = _newton(m, q, xs[inner], (hi - lo) / (samples - 1), tol, math.ulp(max(-lo, hi)))
     zeros = x[np.abs(quark_ft(m, q, x)) < tol].tolist()
     deduped: list[float] = []
     step = (hi - lo) / samples
@@ -219,7 +219,7 @@ def ft_zero_scan(m: int, q: int, lo: float, hi: float, samples: int = 4000) -> l
     return deduped
 
 
-def _newton(m: int, q: int, x: np.ndarray, width: float, tol: float) -> np.ndarray:
+def _newton(m: int, q: int, x: np.ndarray, width: float, tol: float, floor: float) -> np.ndarray:
     """Move each grid minimum x of |F|^2 (grid step ``width``) to the minimum it brackets.
 
     One :func:`_quark_jets` call per round gives F, F' = -i c F phi_{q+1} and
@@ -266,7 +266,7 @@ def _newton(m: int, q: int, x: np.ndarray, width: float, tol: float) -> np.ndarr
                 moving.append((i, *row, abs(taken)))
     else:
         zoom += [i for i, *_ in moving]  # still moving after the last round
-    out[zoom] = _zoom(m, q, x[zoom], width)
+    out[zoom] = _zoom(m, q, x[zoom], width, floor)
     return out
 
 
@@ -285,16 +285,17 @@ def _lowest(m: int, q: int, cand: np.ndarray, orders: np.ndarray) -> tuple[np.nd
     return best, jets[np.arange(len(cand)), best]
 
 
-def _zoom(m: int, q: int, x: np.ndarray, width: float) -> np.ndarray:
+def _zoom(m: int, q: int, x: np.ndarray, width: float, floor: float) -> np.ndarray:
     """Move each centre x to the argmin of |F|^2 over x + w {-3/4, -1/2, ..., 3/4}, all in one
-    call per round, and divide w (first ``width``) by 4, until no candidate differs from its centre
-    or for 60 rounds."""
+    call per round, and divide w (first ``width``) by 4, until no candidate differs from its centre or
+    for 60 rounds; a centre at 0, which no such fixed point ends, stops once all lie within ``floor`` of 0."""
     for _ in range(_ROUNDS):
-        cand = x[:, None] + width * _ZOOM
-        if np.all(cand == x[:, None]):
+        live = np.abs(x) + width * _ZOOM[-1] >= floor
+        cand = x[live, None] + width * _ZOOM
+        if np.all(cand == x[live, None]):
             break  # a fixed point: every centre would stay where it is from now on
         h = np.abs(quark_ft(m, q, cand)) ** 2
-        x = cand[np.arange(x.size), np.argmin(h, axis=1)]
+        x[live] = cand[np.arange(len(cand)), np.argmin(h, axis=1)]
         width /= 4
     return x
 

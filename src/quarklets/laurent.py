@@ -184,10 +184,6 @@ class LaurentPoly:
 
     # -- structural operations ------------------------------------------------
 
-    def shift(self, d: int) -> "LaurentPoly":
-        """z^d times this polynomial."""
-        return _raw({k + d: n for k, n in self.nums.items()}, self.den)
-
     def derivative(self) -> "LaurentPoly":
         """d/dz, term by term."""
         return _from_int({k - 1: k * n for k, n in self.nums.items() if k}, self.den)

@@ -19,8 +19,10 @@ and its inverse T(z)^{-1}.  The rest is read off them on first use:
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by the same parity split, with no product,
 *  the masks A_k, B_k, At_k and Bt_k, read off their symbols, and the
-   splitting filters C_n, D_n, read off P^{-1}; each keeps its symbol's
-   integer numerators (:class:`quarklets.masks.MaskSequence`).
+   splitting filters C_n, D_n (``coarse``, ``detail``), read off P^{-1}; each
+   keeps its symbol's integer numerators (:class:`quarklets.masks.MaskSequence`),
+*  the read-only integer cores of ``transform.reconstruct(s, d, bundle)``, from P,
+   and of ``transform.decompose(frame, bundle)``, from g, h and b.
 
 With D = diag(2^{-q}) and the Pascal-type M_g = [C(i, j) g_{i-j}] of :mod:`quarklets.laurent`,
 S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z) b(-z), so
@@ -33,7 +35,6 @@ polynomials, for views read off S, b and k (``ModulationBundle.pr_certified``). 
 failing any condition (a perturbed copy) multiplies out X X^{-1} and P P^{-1}.  The exchange
 matrix E = [[Id, z^{-1} Id], [Id, -z^{-1} Id]] is never formed: P = X E is checked row by row,
 y = x(-z) for each row [x, y] of X and P's halves twice the even and odd parts of x.
-``transform.decompose`` applies X^{-1} through g, h and b; P^{-1} is read for C_n, D_n only.
 
 Everything is exact rational arithmetic; verification routines return the
 residual entries instead of asserting.
@@ -45,7 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
 from .laurent import (LaurentMatrix, LaurentPoly, _from_int, _interleave, column_cores, pascal_inverse,
@@ -130,10 +132,55 @@ class ModulationBundle:
         return LaurentMatrix([_parity_part(row, r, r) for r in (0, 1) for row in top])
 
     @cached_property
-    def synthesis_cores(self) -> list:
-        """The column cores of P(z^{1/2}) (P holds even powers only), kept for every ``transform.reconstruct``."""
-        return [([{k >> 1: n for k, n in core.items()} for core in cores], den)
-                for cores, den in column_cores(self.synthesis_matrix)]
+    def synthesis_cores(self) -> tuple[tuple[tuple, int], ...]:
+        """Read-only column cores of P(z^{1/2}) (P holds even powers only), kept for every ``transform.reconstruct``."""
+        return tuple((_frozen({k >> 1: n for k, n in core.items()} for core in cores), den)
+                     for cores, den in column_cores(self.synthesis_matrix))
+
+    @cached_property
+    def coarse(self) -> MaskSequence:
+        """C_n, n in Z, read off block column 0 of P^{-1} on first use: the splitting filters,
+        Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k) for r in {0, 1}."""
+        return self._block_masks(0)
+
+    @cached_property
+    def detail(self) -> MaskSequence:
+        """D_n, n in Z, read off block column 1 of P^{-1} on first use."""
+        return self._block_masks(self.size)
+
+    def _block_masks(self, c: int) -> MaskSequence:
+        # P^{-1} holds even powers of z only, so block row 0 plus z times block row 1 has
+        # C_n (or D_n) as its z^n coefficient, with no two terms on one exponent
+        n, rows = self.size, self.polyphase_inv.entries
+        blocks = [zip(rows[i][c : c + n], rows[n + i][c : c + n]) for i in range(n)]
+        return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b, 1) for a, b in row] for row in blocks]), 1)
+
+    @cached_property
+    def lifting_cores(self) -> tuple[tuple[tuple, tuple, tuple, int, int], ...]:
+        """Per output j, the read-only integer cores that ``transform.decompose`` applies, from g, h and b on first use.
+
+        decompose keeps u_j = z y_j over the frame's denominator times r_j, with r_p = 1 and r_j the
+        lcm of den(h_{i-j}) r_i over i > j, so every factor below is an integer.  For each j: the back
+        substitution's column [r_j, -C(i, j) r_j / (den(h_{i-j}) r_i) z^{-1} h_{i-j} (i > j)] for
+        [c_j, u_{j+1}, ..., u_p]; the halves of 2^j b(-z) (coarse) and of -C(i, j) q_j / (den(g_{i-j}) r_i)
+        g_{i-j}(-z), i >= j (detail), q_j the lcm of those den(g_{i-j}) r_i, odd half first, which takes
+        z^{-1} off u_j; and the denominators r_j den(b) of s_j and q_j of d_j over the frame's.
+        """
+        n, h, b = self.size, self.h, self.filters.wavelet_symbol.substitute_neg()
+        g = [e.substitute_neg() for e in _scaling_sequence(self.scaling_symbol)]
+        r = [1] * n
+        for j in reversed(range(n - 1)):
+            r[j] = lcm(*(h[i - j].den * r[i] for i in range(j + 1, n)))
+        columns = []
+        for j in range(n):
+            lift = [{0: r[j]}] + [_scaled(h[i - j].nums, -comb(i, j) * r[j] // (h[i - j].den * r[i]), -1)
+                                  for i in range(j + 1, n)]
+            q = lcm(*(g[i - j].den * r[i] for i in range(j, n)))
+            detail = [half for i in range(j, n)
+                      for half in _halves(_scaled(g[i - j].nums, -comb(i, j) * q // (g[i - j].den * r[i])))[::-1]]
+            columns.append((_frozen(lift), _frozen(_halves(_scaled(b.nums, 2**j))[::-1]), _frozen(detail),
+                            r[j] * b.den, q))
+        return tuple(columns)
 
     @cached_property
     def factorization_holds(self) -> bool:
@@ -255,70 +302,6 @@ def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
                                   bundle.factorization_holds, not bundle.polyphase_residuals)
 
 
-@dataclass(frozen=True)
-class DecompositionFilters:
-    """Exact two-scale splitting filters: Phi(2x - r) expanded over coarse quarks/quarklets.
-
-    For r in {0, 1}:  Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k).
-    Block row r of P(z)^{-1} is [C_r(z), D_r(z)] with C_r(z) = sum_k C_{2k+r} z^{2k},
-    so the z^e coefficient of block row r is [C_{e+r}, D_{e+r}]; the masks are
-    read off block row 0 plus z times block row 1 on first use.  ``transform.decompose``
-    never reads P^{-1}: it applies the factored inverse through g, h and b (``lifting_cores``).
-    """
-
-    bundle: ModulationBundle
-
-    m = property(lambda self: self.bundle.m)
-    mt = property(lambda self: self.bundle.mt)
-    p = property(lambda self: self.bundle.p)
-    polyphase_inv = property(lambda self: self.bundle.polyphase_inv, doc="P(z)^{-1} = [[C_0, D_0], [C_1, D_1]].")
-
-    @cached_property
-    def coarse(self) -> MaskSequence:
-        """C_n, n in Z, read off block column 0 of P^{-1} on first use."""
-        return self._block_masks(0)
-
-    @cached_property
-    def detail(self) -> MaskSequence:
-        """D_n, n in Z, read off block column 1 of P^{-1} on first use."""
-        return self._block_masks(self.p + 1)
-
-    @cached_property
-    def lifting_cores(self) -> list[tuple[list, list, list, int, int]]:
-        """Per output j, the integer cores that ``transform.decompose`` applies, from g, h and b on first use.
-
-        decompose keeps u_j = z y_j over the frame's denominator times r_j, with r_p = 1 and r_j the
-        lcm of den(h_{i-j}) r_i over i > j, so every factor below is an integer.  For each j: the back
-        substitution's column [r_j, -C(i, j) r_j / (den(h_{i-j}) r_i) z^{-1} h_{i-j} (i > j)] for
-        [c_j, u_{j+1}, ..., u_p]; the halves of 2^j b(-z) (coarse) and of -C(i, j) q_j / (den(g_{i-j}) r_i)
-        g_{i-j}(-z), i >= j (detail), q_j the lcm of those den(g_{i-j}) r_i, odd half first, which takes
-        z^{-1} off u_j; and the denominators r_j den(b) of s_j and q_j of d_j over the frame's.
-        """
-        bundle, n = self.bundle, self.bundle.size
-        h, b = bundle.h, bundle.filters.wavelet_symbol.substitute_neg()
-        g = [e.substitute_neg() for e in _scaling_sequence(bundle.scaling_symbol)]
-        r = [1] * n
-        for j in reversed(range(n - 1)):
-            r[j] = lcm(*(h[i - j].den * r[i] for i in range(j + 1, n)))
-        columns = []
-        for j in range(n):
-            lift = [{0: r[j]}] + [_scaled(h[i - j].nums, -comb(i, j) * r[j] // (h[i - j].den * r[i]), -1)
-                                  for i in range(j + 1, n)]
-            q = lcm(*(g[i - j].den * r[i] for i in range(j, n)))
-            detail = [half for i in range(j, n)
-                      for half in _halves(_scaled(g[i - j].nums, -comb(i, j) * q // (g[i - j].den * r[i])))[::-1]]
-            columns.append((lift, _halves(_scaled(b.nums, 2**j))[::-1], detail, r[j] * b.den, q))
-        return columns
-
-    def _block_masks(self, c: int) -> MaskSequence:
-        # P^{-1} holds even powers of z only, so block row 0 plus z times block row 1 has
-        # C_n (or D_n) as its z^n coefficient, with no two terms on one exponent
-        n = self.p + 1
-        rows = self.polyphase_inv.entries
-        blocks = [zip(rows[i][c : c + n], rows[n + i][c : c + n]) for i in range(n)]
-        return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b, 1) for a, b in row] for row in blocks]), 1)
-
-
 def _halves(core: dict[int, int]) -> list[dict[int, int]]:
     """The even and the odd terms of an integer core, z^{2l} and z^{2l+1} both keyed by l."""
     return [{k >> 1: n for k, n in core.items() if not k & 1}, {k >> 1: n for k, n in core.items() if k & 1}]
@@ -329,13 +312,18 @@ def _scaled(core: Mapping[int, int], c: int, shift: int = 0) -> dict[int, int]:
     return {k + shift: c * n for k, n in core.items()}
 
 
-def decomposition_filters(bundle: ModulationBundle) -> DecompositionFilters:
-    """The splitting filters of ``bundle``; P(z)^{-1} and the lifting cores are read off on first use."""
-    return DecompositionFilters(bundle)
+def _frozen(cores: Iterable[dict[int, int]]) -> tuple[Mapping[int, int], ...]:
+    """Read-only views of integer cores, for the caches that every transform on a bundle shares."""
+    return tuple(map(MappingProxyType, cores))
+
+
+def decomposition_filters(bundle: ModulationBundle) -> ModulationBundle:
+    """The bundle itself, which holds its splitting filters (``coarse``, ``detail``) and lifting cores."""
+    return bundle
 
 
 def splitting_identity_defect(
-    bundle: ModulationBundle, filters: DecompositionFilters, parity: int
+    bundle: ModulationBundle, filters: ModulationBundle, parity: int
 ) -> tuple[PiecewisePoly, ...]:
     """Phi(2x - parity) minus its reconstruction from coarse quarks and quarklets.
 

@@ -14,12 +14,13 @@ masks (``ModulationBundle.synthesis_matrix``):
 
     reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z).
 
-P holds even powers only, so the bundle keeps the column cores of P(w^{1/2}),
-w = z^2, for the kernel of ``LaurentMatrix.__matmul__``.  Analysis never forms
-P(z)^{-1}: ``decompose`` applies the factors of X(z)^{-1} (:mod:`quarklets.modulation`)
-by back substitution on the p + 1 short polynomials h, then keeps the even powers
-of the products with b(-z) and g(-z), on integer cores: lifting (Daubechies &
-Sweldens, J. Fourier Anal. Appl. 4, 1998) in the Pascal ring.
+Both steps take the bundle, which caches the read-only integer cores they apply.
+P holds even powers only, so ``reconstruct(s, d, bundle)`` runs the kernel of
+``LaurentMatrix.__matmul__`` on the column cores of P(w^{1/2}), w = z^2.  Analysis
+never forms P(z)^{-1}: ``decompose(frame, bundle)`` applies the factors of X(z)^{-1}
+(:mod:`quarklets.modulation`) by back substitution on the p + 1 short polynomials h,
+then keeps the even powers of the products with b(-z) and g(-z), on integer cores:
+lifting (Daubechies & Sweldens, J. Fourier Anal. Appl. 4, 1998) in the Pascal ring.
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt.
@@ -37,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 from .cdf import quarklets
 from .laurent import LaurentPoly, _dot, _from_int, _int_cores, _interleave, _row_times, as_rational
 from .masks import Mat
-from .modulation import DecompositionFilters, ModulationBundle, _halves
+from .modulation import ModulationBundle, _halves
 from .piecewise import PiecewisePoly, inner_product
 
 Vector = tuple[Fraction, ...]
@@ -134,21 +135,18 @@ def reconstruct(
     return _frame(scaling.level + 1, (_interleave(c0, c1, 2) for c0, c1 in zip(out[:width], out[width:])))
 
 
-def decompose(
-    frame: CoefficientFrame, filters: DecompositionFilters
-) -> tuple[CoefficientFrame, CoefficientFrame]:
+def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[CoefficientFrame, CoefficientFrame]:
     """One analysis step, [s^T, d^T](z^2) = (1/2) [c^T(z), c^T(-z)] X(z)^{-1}, through X^{-1}'s factors.
 
     X^{-1} = [[L, R(-z)], [L(-z), R]] with L = b(-z) M_k D^{-1} and R = M_k M_g, and k is odd,
     so with y = c M_k:  s_j = 2^j even(b(-z) y_j)  and  d_j = -even(sum_{i>=j} C(i, j) g_{i-j}(-z) y_i),
     where y solves y M_h = c from j = p down:  y_j = z^{-1} (c_j - sum_{i>j} C(i, j) h_{i-j} y_i).
     """
-    width = filters.p + 1
-    if frame.width != width:
-        raise ValueError("frame width does not match the filter degree")
+    if frame.width != bundle.size:
+        raise ValueError("frame width does not match the bundle degree")
     cores, den = _int_cores(frame.row)
-    columns = filters.lifting_cores
-    us: list[dict[int, int]] = []  # u_j = z y_j over den r_j (``lifting_cores``), from j = p down
+    columns = bundle.lifting_cores
+    us: list[dict[int, int]] = []  # u_j = z y_j over den r_j (``bundle.lifting_cores``), from j = p down
     for core, (lift, *_) in zip(cores[::-1], columns[::-1]):
         us.insert(0, _dot([core, *us], lift))
     # only the even powers of the products are formed, from the halves of u and of the short factors

@@ -10,8 +10,8 @@ broken modulation bundle (negative control), X^{-1} multiplied out block by
 block and P^{-1} = E^{-1} X^{-1} as a matrix product with the exact
 parity-exchange inverse, next to E itself (references for the z -> -z
 read-offs of ``build_modulation`` and ``polyphase_inv``), the exponent
-scan that read the splitting filters off E^{-1} X^{-1} (reference for
-``decomposition_filters``), the per-translate transform loops (reference
+scan that read the splitting filters off E^{-1} X^{-1} (reference for the
+bundle's ``coarse`` and ``detail``), the per-translate transform loops (reference
 for the polyphase transform), the Fraction path of the frame transforms
 and of the frame JSON reader and writer, one Fraction per coefficient
 (references for the integer frames of ``transform`` and ``serialize``), the
@@ -71,11 +71,7 @@ from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import _ZERO_RTOL, cascade, dual_tail_slope, float_taps, quark_ft
 from quarklets.laurent import LaurentMatrix, LaurentPoly, _dot, column_cores, pascal_matrix
 from quarklets.masks import MaskSequence, Mat
-from quarklets.modulation import (
-    DecompositionFilters,
-    ModulationBundle,
-    build_modulation,
-)
+from quarklets.modulation import ModulationBundle, build_modulation
 from quarklets.piecewise import PiecewisePoly, inner_product
 from quarklets.splines import quark, refinement_masks
 from quarklets.stability import dual_eigenvector
@@ -398,7 +394,7 @@ def reference_reconstruct(
 
 
 def reference_decompose(
-    frame: CoefficientFrame, filters: DecompositionFilters
+    frame: CoefficientFrame, filters: ModulationBundle
 ) -> tuple[CoefficientFrame, CoefficientFrame]:
     """One analysis step, the exact inverse of :func:`reference_reconstruct`."""
     width = filters.p + 1
@@ -466,7 +462,7 @@ def fraction_reconstruct(
 
 
 def fraction_decompose(
-    frame: CoefficientFrame, filters: DecompositionFilters
+    frame: CoefficientFrame, filters: ModulationBundle
 ) -> tuple[CoefficientFrame, CoefficientFrame]:
     """[c_0^T, c_1^T](z^2) P(z)^{-1} on Fraction taps (reference for the integer-frame ``decompose``)."""
     width = filters.p + 1

@@ -555,6 +555,21 @@ class TestReadOnlyCaches:
         with pytest.raises(AttributeError):
             bundle.dual_scaling_masks = masks
 
+    @pytest.mark.parametrize("name", ["synthesis_cores", "lifting_cores"])
+    def test_transform_cores_reject_assignment(self, name):
+        # every reconstruct and decompose on the cached bundle applies these cores
+        bundle = build_modulation(2, 2, 2)
+        frame = CoefficientFrame(1, 3, {0: (1, 2, 3), 5: (-1, 0, Fraction(1, 7))})
+        cores = getattr(bundle, name)
+        with pytest.raises(TypeError):
+            cores[0][0][0][99] = 7
+        with pytest.raises(TypeError):
+            cores[0][0][0] = {99: 7}
+        with pytest.raises(TypeError):
+            cores[0] = cores[1]
+        assert getattr(build_modulation(2, 2, 2), name) is cores
+        assert reconstruct(*decompose(frame, bundle), bundle) == frame
+
     def test_stored_integer_form_and_entries_view_reject_mutation(self):
         bundle = build_modulation(2, 2, 1)
         filters = decomposition_filters(bundle)
@@ -610,6 +625,11 @@ class TestReadOnlyCaches:
 
 
 class TestDecompositionFilters:
+    def test_the_bundle_holds_the_filters(self):
+        # one filter-bank object: decompose takes the bundle, as reconstruct does
+        b = build_modulation(2, 2, 1)
+        assert decomposition_filters(b) is b
+
     def test_haar_split(self):
         filt = decomposition_filters(build_modulation(1, 1, 0))
         assert filt.coarse.scalars() == {0: Fraction(1, 2), 1: Fraction(1, 2)}

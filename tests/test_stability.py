@@ -323,6 +323,8 @@ class TestFtZeroScan:
         ((2, 3, -2 * math.pi, 2 * math.pi), 5),  # the minimum at 0 stops where F = 0
         ((3, 0, -10, 10, 1000), 30),  # the triple zeros +-2 pi stall at the float floor and are zoomed
         ((1, 1, -10, 10), 2),  # no minimum on the grid: the grid pass and the empty zero test
+        # a minimum at 0 at the float floor: 25 zoom rounds bring it within ulp(24.43) of 0, and it stops
+        ((10, 9, -10.520331391618724, 24.43012253423008, 50), 33),
     ])
     def test_zoom_calls_the_transform_once_per_round(self, monkeypatch, case, calls):
         count = []
@@ -330,6 +332,11 @@ class TestFtZeroScan:
         monkeypatch.setattr(duals, "_quark_jets", lambda *args: count.append(1) or jets(*args))
         ft_zero_scan(*case)
         assert len(count) == calls
+
+    def test_zoomed_minimum_at_0_stops_at_the_interval_spacing(self):
+        hi = 24.43012253423008
+        zeros = ft_zero_scan(10, 9, -10.520331391618724, hi, 50)
+        assert len(zeros) == 9 and sum(abs(z) < math.ulp(hi) for z in zeros) == 1
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

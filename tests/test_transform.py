@@ -170,9 +170,14 @@ class TestPolyphaseTransform:
         monkeypatch.undo()
         assert [seen.count(col) for col in columns] == [1] * len(columns)
         assert read == [bundle.scaling_symbol]
-        # decompose applies the factors of X^{-1}: neither X^{-1} nor P^{-1} is read off
+        # decompose applies the factors of X^{-1}: the bundle holds their cores, but neither X^{-1} nor P^{-1}
+        assert "lifting_cores" in vars(bundle)
         assert not {"modulation_inv", "polyphase_inv"} & vars(bundle).keys()
         assert out == [(reference_decompose(c, filters), reference_reconstruct(s, d, bundle)) for c, s, d in frames]
+        # and the reverse: the splitting filters C_n, D_n are read off P^{-1} and build no lifting cores
+        fresh = replace(bundle)
+        assert fresh.coarse.length() > 0 and fresh.detail.length() > 0
+        assert "polyphase_inv" in vars(fresh) and "lifting_cores" not in vars(fresh)
 
     def test_zero_frames(self):
         bundle = build_modulation(2, 2, 1)
