@@ -15,14 +15,20 @@ scalar multiples, z -> -z, z -> 1/z and the derivative act on the numerators, an
 scalar a/b needs only gcd(den, a) and gcd(b, *nums) for it.
 A matrix product scales each row of the left factor and each column of the
 right one to one common denominator (``_int_cores``), accumulates every
-output entry in ``int`` (``_dot``) and reduces it once (``_from_int``), row
-by row (``_row_times``, which also takes column cores kept from earlier).  A
+output entry in ``int`` (``_dot``) and reduces it once (``_from_int``).  A
 polynomial product is its 1x1 case.  The Pascal-type matrices
 M_g = [C(i, j) g_{i-j}] multiply as M_g M_h = M_{g * h},
 (g * h)_n = sum_s C(n, s) g_{n-s} h_s (Call & Velleman, Amer. Math. Monthly
 100, 1993), so :func:`pascal_product` and :func:`pascal_inverse` run on the
 p + 1 polynomials g_n, on the same kernel, and :func:`pascal_matrix` expands
 them.
+The frame transforms take a second route to the same integers (Kronecker
+substitution; Harvey, J. Symbolic Comput. 44, 2009): a packed row evaluates a
+polynomial at z = 2^W as one int (``_pack``, one bytes join and a bias), a
+product with a filter of small integer taps is a sum of shifted multiples of it
+(``_shift_add``), and the slots are read back once, with one gcd (``_unpack``).
+Packing both factors of every ``_dot`` would cost more than it saves, so
+``_dot`` stays the kernel of every other product.
 The module imports no numpy: the float taps of a Laurent matrix and every
 Fourier-domain value are taken in :mod:`quarklets.duals`.
 """
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
@@ -286,12 +293,67 @@ def _from_int(nums: Mapping[int, int], den: int) -> LaurentPoly:
     return _raw(nums, den)
 
 
-def _interleave(a: LaurentPoly, b: LaurentPoly, step: int) -> LaurentPoly:
-    """a(z^step) + z b(z^step) over the lcm of the denominators, for step 2 or even a, b; in lowest
-    terms, as a prime power q^e exactly dividing the lcm exactly divides a.den, say, and q divides
-    not every numerator of a."""
+# A packed row (n, lo, hi) is the polynomial sum_{k=lo..hi} c_k z^k evaluated at z = X = 2^(8 nb) after
+# z^-lo: n = sum_k c_k X^(k - lo).  Evaluation at X is a ring map, so sums and products of packed rows are
+# those of the polynomials; a slot c_k is read back as long as every slot of the row lies in [-X/2, X/2).
+
+
+def _pack(nums: Mapping[int, int], lo: int, hi: int, nb: int) -> int:
+    """n = sum_{k=lo..hi} nums[k] X^(k - lo) with X = 2^(8 nb), for |nums[k]| < X / 2: one bytes join and a bias."""
+    half, get = 1 << 8 * nb - 1, nums.get
+    raw = b"".join([(get(k, 0) + half).to_bytes(nb, "little") for k in range(lo, hi + 1)])
+    return int.from_bytes(raw, "little") - _bias(hi - lo + 1, nb)
+
+
+def _bias(slots: int, nb: int) -> int:
+    """sum_{k<slots} X^k X / 2, X = 2^(8 nb): the offset that makes every slot of a packed row nonnegative."""
+    return int.from_bytes((1 << 8 * nb - 1).to_bytes(nb, "little") * slots, "little")
+
+
+def _shift_add(vals: Sequence[tuple[int, int, int]], column: Sequence[tuple[int, tuple]], nb: int) -> tuple:
+    """The packed sum_i vals[i](z) core(z) over (i, core) in ``column``, each core a nonempty tuple of integer
+    taps c 2^e on z^k, (k, c, e) sorted by k, applied tap by tap as (n * c) << 8 nb (lo_i + k - lo) + e;
+    (0, 0, 0) is zero."""
+    w = 8 * nb
+    terms = [(v, core) for i, core in column if (v := vals[i])[0]]
+    if not terms:
+        return 0, 0, 0
+    lo = min(v_lo + core[0][0] for (_, v_lo, _), core in terms)
+    hi = max(v_hi + core[-1][0] for (_, _, v_hi), core in terms)
+    acc = 0
+    for (n, v_lo, _), core in terms:
+        for k, c, e in core:
+            acc += (n * c) << w * (v_lo + k - lo) + e
+    return acc, lo, hi
+
+
+def _unpack(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, den: int) -> LaurentPoly:
+    """sum_k (c_k / den) z^k over the slots c_k of the packed rows ``parts``, whose exponents must not overlap,
+    or with ``odd`` set sum_l (c_{2l+1} / den) z^l; den > 0.  One gcd over the slots read reduces them, and
+    the zero ones are dropped as they are divided."""
+    w, half, from_bytes = 8 * nb, 1 << 8 * nb - 1, int.from_bytes
+    g, runs = den, []
+    for n, lo, hi in parts:
+        if not n:
+            continue
+        # the zero slots at either end are read off the lowest and the highest bit of n, not unpacked
+        low = ((n & -n).bit_length() - 1) // w
+        n >>= w * low
+        lo += low
+        slots = min(hi - lo + 1, (abs(n).bit_length() + 1) // w + 1)
+        start = odd & ~lo
+        raw = (n + _bias(slots, nb)).to_bytes(slots * nb, "little")
+        vals = [from_bytes(raw[a : a + nb], "little") - half for a in range(start * nb, slots * nb, (1 + odd) * nb)]
+        g = gcd(g, *vals)
+        runs.append(((lo + start) >> odd, vals))
+    return _raw({k: v // g for first, vals in runs for k, v in zip(count(first), vals) if v}, den // g)
+
+
+def _interleave(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a + z b over the lcm of the denominators, for even a and b; in lowest terms, as a prime power
+    q^e exactly dividing the lcm exactly divides a.den, say, and q divides not every numerator of a."""
     (na, nb), den = _int_cores((a, b))
-    return _raw({**{step * k: n for k, n in na.items()}, **{step * k + 1: n for k, n in nb.items()}}, den)
+    return _raw({**na, **{k + 1: n for k, n in nb.items()}}, den)
 
 
 _set_nums, _set_den = LaurentPoly.nums.__set__, LaurentPoly.den.__set__
@@ -303,18 +365,6 @@ def _raw(nums: Mapping[int, int], den: int) -> LaurentPoly:
     _set_nums(res, MappingProxyType(nums))
     _set_den(res, den)
     return res
-
-
-def _row_times(row: Sequence[dict[int, int]], den: int,
-               columns: Sequence[tuple[list[dict[int, int]], int]]) -> list[LaurentPoly]:
-    """The row with integer cores ``row`` over ``den`` times the matrix with these column cores,
-    one integer accumulation and one gcd per output entry."""
-    return [_from_int(_dot(row, col), den * col_den) for col, col_den in columns]
-
-
-def column_cores(matrix: "LaurentMatrix") -> list[tuple[list[dict[int, int]], int]]:
-    """The integer cores of every column of ``matrix``, for ``_row_times``."""
-    return [_int_cores(col) for col in zip(*matrix.entries)]
 
 
 class LaurentMatrix:
@@ -403,8 +453,9 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = column_cores(other)
-        return LaurentMatrix([_row_times(*_int_cores(row), cols) for row in self.entries])
+        cols = [_int_cores(col) for col in zip(*other.entries)]
+        return LaurentMatrix([[_from_int(_dot(row, col), den * col_den) for col, col_den in cols]
+                              for row, den in map(_int_cores, self.entries)])
 
     def __mul__(self, other) -> "LaurentMatrix":
         if isinstance(other, (int, Fraction, LaurentPoly)):

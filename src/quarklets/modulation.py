@@ -21,8 +21,9 @@ and its inverse T(z)^{-1}.  The rest is read off them on first use:
 *  the masks A_k, B_k, At_k and Bt_k, read off their symbols, and the
    splitting filters C_n, D_n (``coarse``, ``detail``), read off P^{-1}; each
    keeps its symbol's integer numerators (:class:`quarklets.masks.MaskSequence`),
-*  the read-only integer cores of ``transform.reconstruct(s, d, bundle)``, from P,
-   and of ``transform.decompose(frame, bundle)``, from g, h and b.
+*  the read-only integer cores of ``transform.reconstruct(s, d, bundle)``, from S and b,
+   and of ``transform.decompose(frame, bundle)``, from g, h and b, each with the gain
+   that fixes the transform's slot width and the reach that splits a frame into runs.
 
 With D = diag(2^{-q}) and the Pascal-type M_g = [C(i, j) g_{i-j}] of :mod:`quarklets.laurent`,
 S = D M_g for g_j = 2^j S_{j0} and T = D M_h for h_j twice the odd part of g_j(z) b(-z), so
@@ -46,12 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
-from .laurent import (LaurentMatrix, LaurentPoly, _from_int, _interleave, column_cores, pascal_inverse,
-                      pascal_matrix, pascal_product)
+from .laurent import LaurentMatrix, LaurentPoly, _from_int, _interleave, pascal_inverse, pascal_matrix, pascal_product
 from .masks import MaskSequence, mask_view
 from .piecewise import PiecewisePoly
 from .splines import quark_family, refinement_symbol
@@ -132,12 +131,6 @@ class ModulationBundle:
         return LaurentMatrix([_parity_part(row, r, r) for r in (0, 1) for row in top])
 
     @cached_property
-    def synthesis_cores(self) -> tuple[tuple[tuple, int], ...]:
-        """Read-only column cores of P(z^{1/2}) (P holds even powers only), kept for every ``transform.reconstruct``."""
-        return tuple((_frozen({k >> 1: n for k, n in core.items()} for core in cores), den)
-                     for cores, den in column_cores(self.synthesis_matrix))
-
-    @cached_property
     def coarse(self) -> MaskSequence:
         """C_n, n in Z, read off block column 0 of P^{-1} on first use: the splitting filters,
         Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k) for r in {0, 1}."""
@@ -153,18 +146,20 @@ class ModulationBundle:
         # C_n (or D_n) as its z^n coefficient, with no two terms on one exponent
         n, rows = self.size, self.polyphase_inv.entries
         blocks = [zip(rows[i][c : c + n], rows[n + i][c : c + n]) for i in range(n)]
-        return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b, 1) for a, b in row] for row in blocks]), 1)
+        return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b) for a, b in row] for row in blocks]), 1)
 
     @cached_property
-    def lifting_cores(self) -> tuple[tuple[tuple, tuple, tuple, int, int], ...]:
-        """Per output j, the read-only integer cores that ``transform.decompose`` applies, from g, h and b on first use.
+    def lifting_cores(self) -> tuple[tuple, int, int]:
+        """The read-only integer cores that ``transform.decompose`` applies, read off g, h and b on first use,
+        with their slot gain and exponent reach (``_extent``).
 
-        decompose keeps u_j = z y_j over the frame's denominator times r_j, with r_p = 1 and r_j the
-        lcm of den(h_{i-j}) r_i over i > j, so every factor below is an integer.  For each j: the back
-        substitution's column [r_j, -C(i, j) r_j / (den(h_{i-j}) r_i) z^{-1} h_{i-j} (i > j)] for
-        [c_j, u_{j+1}, ..., u_p]; the halves of 2^j b(-z) (coarse) and of -C(i, j) q_j / (den(g_{i-j}) r_i)
-        g_{i-j}(-z), i >= j (detail), q_j the lcm of those den(g_{i-j}) r_i, odd half first, which takes
-        z^{-1} off u_j; and the denominators r_j den(b) of s_j and q_j of d_j over the frame's.
+        decompose packs c_0, ..., c_p over their common denominator as values 0 .. p and appends u_p, ..., u_0,
+        u_j (value 2p + 1 - j) being z y_j over that denominator times r_j, with r_p = 1 and r_j the lcm of
+        den(h_{i-j}) r_i over i > j, so every core is integral.  Per j: the back substitution's column
+        [r_j, -C(i, j) r_j / (den(h_{i-j}) r_i) z^{-1} h_{i-j} (i > j)] on [c_j, u_{j+1}, ..., u_p]; 2^j b(-z)
+        on u_j (coarse) and -C(i, j) q_j / (den(g_{i-j}) r_i) g_{i-j}(-z) on u_i, i >= j (detail), q_j the lcm
+        of those den(g_{i-j}) r_i, whose odd slots are s_j and d_j; and their denominators r_j den(b) and q_j
+        over the frame's.  Columns list (value, core) pairs, each core the taps of a nonzero polynomial (``_taps``).
         """
         n, h, b = self.size, self.h, self.filters.wavelet_symbol.substitute_neg()
         g = [e.substitute_neg() for e in _scaling_sequence(self.scaling_symbol)]
@@ -173,14 +168,37 @@ class ModulationBundle:
             r[j] = lcm(*(h[i - j].den * r[i] for i in range(j + 1, n)))
         columns = []
         for j in range(n):
-            lift = [{0: r[j]}] + [_scaled(h[i - j].nums, -comb(i, j) * r[j] // (h[i - j].den * r[i]), -1)
-                                  for i in range(j + 1, n)]
+            lift = ((j, _taps({0: r[j]}, 1)),) + tuple(
+                (2 * n - 1 - i, _taps(h[i - j].nums, -comb(i, j) * r[j] // (h[i - j].den * r[i]), -1))
+                for i in range(j + 1, n) if h[i - j])
             q = lcm(*(g[i - j].den * r[i] for i in range(j, n)))
-            detail = [half for i in range(j, n)
-                      for half in _halves(_scaled(g[i - j].nums, -comb(i, j) * q // (g[i - j].den * r[i])))[::-1]]
-            columns.append((_frozen(lift), _frozen(_halves(_scaled(b.nums, 2**j))[::-1]), _frozen(detail),
-                            r[j] * b.den, q))
-        return tuple(columns)
+            detail = tuple((2 * n - 1 - i, _taps(g[i - j].nums, -comb(i, j) * q // (g[i - j].den * r[i])))
+                           for i in range(j, n) if g[i - j])
+            columns.append((lift, ((2 * n - 1 - j, _taps(b.nums, 2**j)),), detail, r[j] * b.den, q))
+        extents = [(1, 0, 0)] * n
+        for lift, *_ in reversed(columns):
+            extents.append(_extent(extents, lift))
+        outputs = [_extent(extents, column) for _, coarse, detail, *_ in columns for column in (coarse, detail)]
+        return tuple(columns), max(gain for gain, _, _ in outputs), max(hi - lo for _, lo, hi in outputs)
+
+    @cached_property
+    def synthesis_cores(self) -> tuple[tuple, int, int]:
+        """The read-only integer cores that ``transform.reconstruct`` applies, read off S and b on first use,
+        with their slot gain and exponent reach (``_extent``).
+
+        c_j = 2 sum_i s_i(z^2) S_ij(z) + 2 d_j(z^2) b(z), and reconstruct packs s_0, ..., s_p, d_0, ..., d_p over
+        their common denominator as values 0 .. 2p + 1, evaluated at z^2.  Per j: the column
+        [2 e_j S_ij (i = 0 .. p), 2 e_j b (on d_j)], e_j the lcm of their denominators, and e_j.  The reach is
+        in translates of s and d, half that of the exponents of c.
+        """
+        n, b, rows = self.size, self.filters.wavelet_symbol, self.scaling_symbol.entries
+        columns = []
+        for j in range(n):
+            den = lcm(b.den, *(row[j].den for row in rows))
+            column = tuple((i, _taps(row[j].nums, 2 * den // row[j].den)) for i, row in enumerate(rows) if row[j])
+            columns.append((column + ((n + j, _taps(b.nums, 2 * den // b.den)),), den))
+        outputs = [_extent([(1, 0, 0)] * 2 * n, column) for column, _ in columns]
+        return tuple(columns), max(gain for gain, _, _ in outputs), max((hi - lo) // 2 for _, lo, hi in outputs)
 
     @cached_property
     def factorization_holds(self) -> bool:
@@ -302,19 +320,23 @@ def polyphase(bundle: ModulationBundle) -> PolyphaseFactorization:
                                   bundle.factorization_holds, not bundle.polyphase_residuals)
 
 
-def _halves(core: dict[int, int]) -> list[dict[int, int]]:
-    """The even and the odd terms of an integer core, z^{2l} and z^{2l+1} both keyed by l."""
-    return [{k >> 1: n for k, n in core.items() if not k & 1}, {k >> 1: n for k, n in core.items() if k & 1}]
+def _taps(core: Mapping[int, int], c: int, shift: int = 0) -> tuple[tuple[int, int, int], ...]:
+    """The taps of c z^shift times an integer core by exponent, each tap t 2^e at z^k as (k, t, e) with t odd:
+    a read-only core of ``laurent._shift_add``, which takes 2^e into its shift."""
+    taps = [(k + shift, n * c) for k, n in sorted(core.items())]
+    return tuple((k, t >> e, e) for k, t in taps for e in [(t & -t).bit_length() - 1])
 
 
-def _scaled(core: Mapping[int, int], c: int, shift: int = 0) -> dict[int, int]:
-    """c z^shift times an integer core."""
-    return {k + shift: c * n for k, n in core.items()}
+def _extent(extents: Sequence[tuple[int, int, int]], column: Sequence[tuple[int, tuple]]) -> tuple[int, int, int]:
+    """(gain, lo, hi) of sum_i v_i(z) core(z) over (i, core) in ``column``, given those of every v_i.
 
-
-def _frozen(cores: Iterable[dict[int, int]]) -> tuple[Mapping[int, int], ...]:
-    """Read-only views of integer cores, for the caches that every transform on a bundle shares."""
-    return tuple(map(MappingProxyType, cores))
+    For inputs (1, 0, 0) this is the slot bound of ``laurent._shift_add`` that every slot of the sum keeps,
+    even or odd: |coefficients| <= gain times the inputs' largest, from l1 norms, N = sum_i ||core||_1 N_i;
+    and its exponents, which lie in [lo, hi] off the inputs' translates.
+    """
+    return (sum(sum(abs(t) << e for _, t, e in core) * extents[i][0] for i, core in column),
+            min(extents[i][1] + core[0][0] for i, core in column),
+            max(extents[i][2] + core[-1][0] for i, core in column))
 
 
 def decomposition_filters(bundle: ModulationBundle) -> ModulationBundle:

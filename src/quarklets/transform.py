@@ -7,20 +7,21 @@ sum_k d_k^T Psi(2^j x - k) (quarklets), as its row c(z) = sum_k c_k z^k of
 Laurent polynomials (the row-vector polyphase form of Strang & Nguyen,
 *Wavelets and Filter Banks*, 1996).
 
-Synthesis is one exact row-times-matrix product on the phases
-c_r(z^2) = sum_l c_{2l+r} z^{2l} (r = 0, 1) of the fine frame and s(z^2),
-d(z^2) of the coarse ones, with P(z) the polyphase matrix of the two-scale
-masks (``ModulationBundle.synthesis_matrix``):
+Synthesis and analysis take the bundle, which caches the read-only integer cores they
+apply, and work on packed rows (:func:`quarklets.laurent._pack`): each component is evaluated at
+z = X = 2^W once, as one int, so every product with a filter runs in CPython's big-int
+arithmetic, one tap at a time, and only the slots an output keeps are read back.
+Synthesis, with S the scaling symbol and b the wavelet symbol, is
 
-    reconstruct:  [c_0^T, c_1^T](z^2) = [s^T, d^T](z^2) P(z).
+    reconstruct:  c_j(z) = 2 sum_i s_i(z^2) S_ij(z) + 2 d_j(z^2) b(z),
 
-Both steps take the bundle, which caches the read-only integer cores they apply.
-P holds even powers only, so ``reconstruct(s, d, bundle)`` runs the kernel of
-``LaurentMatrix.__matmul__`` on the column cores of P(w^{1/2}), w = z^2.  Analysis
+the coarse rows packed with slots twice as wide, which evaluates them at X^2.  Analysis
 never forms P(z)^{-1}: ``decompose(frame, bundle)`` applies the factors of X(z)^{-1}
 (:mod:`quarklets.modulation`) by back substitution on the p + 1 short polynomials h,
-then keeps the even powers of the products with b(-z) and g(-z), on integer cores:
-lifting (Daubechies & Sweldens, J. Fourier Anal. Appl. 4, 1998) in the Pascal ring.
+then takes the products with b(-z) and g(-z) and reads off their odd slots: lifting
+(Daubechies & Sweldens, J. Fourier Anal. Appl. 4, 1998) in the Pascal ring.  The slot
+width W covers every slot of every output product (``_packed``), and a frame whose
+translates lie far apart is packed by runs, so its cost follows its nonzero entries.
 
 For order m = 1 the quarklets supported on one period can be orthogonalized
 degree by degree with plain rational Gram-Schmidt.
@@ -29,16 +30,18 @@ degree by degree with plain rational Gram-Schmidt.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import LaurentPoly, _dot, _from_int, _int_cores, _interleave, _row_times, as_rational
+from .laurent import LaurentPoly, _pack, _shift_add, _unpack, as_rational
 from .masks import Mat
-from .modulation import ModulationBundle, _halves
+from .modulation import ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
 
 Vector = tuple[Fraction, ...]
@@ -124,15 +127,19 @@ def _frame(level: int, row: Iterable[LaurentPoly]) -> CoefficientFrame:
 def reconstruct(
     scaling: CoefficientFrame, detail: CoefficientFrame, bundle: ModulationBundle
 ) -> CoefficientFrame:
-    """One synthesis step, the exact product [s^T, d^T](z^2) P(z)."""
+    """One synthesis step, c_j(z) = 2 sum_i s_i(z^2) S_ij(z) + 2 d_j(z^2) b(z), on packed rows."""
     if scaling.level != detail.level:
         raise ValueError("frames must live on the same level")
     width = bundle.size
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
-    out = _row_times(*_int_cores(scaling.row + detail.row), bundle.synthesis_cores)
-    # c(z) = c_0(z^2) + z c_1(z^2), the phases in w = z^2 being the two column blocks
-    return _frame(scaling.level + 1, (_interleave(c0, c1, 2) for c0, c1 in zip(out[:width], out[width:])))
+    columns, gain, reach = bundle.synthesis_cores
+    den, nb, runs = _packed(scaling.row + detail.row, gain, reach, 2)
+    parts: list[list] = [[] for _ in columns]
+    for vals in runs:
+        for (column, _), out in zip(columns, parts):
+            out.append(_shift_add(vals, column, nb))
+    return _frame(scaling.level + 1, (_unpack(out, nb, 0, den * c_den) for out, (_, c_den) in zip(parts, columns)))
 
 
 def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[CoefficientFrame, CoefficientFrame]:
@@ -144,18 +151,50 @@ def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[Coeffi
     """
     if frame.width != bundle.size:
         raise ValueError("frame width does not match the bundle degree")
-    cores, den = _int_cores(frame.row)
-    columns = bundle.lifting_cores
-    us: list[dict[int, int]] = []  # u_j = z y_j over den r_j (``bundle.lifting_cores``), from j = p down
-    for core, (lift, *_) in zip(cores[::-1], columns[::-1]):
-        us.insert(0, _dot([core, *us], lift))
-    # only the even powers of the products are formed, from the halves of u and of the short factors
-    halves = [half for u in us for half in _halves(u)]
+    columns, gain, reach = bundle.lifting_cores
+    den, nb, runs = _packed(frame.row, gain, reach, 1)
+    coarse: list[list] = [[] for _ in columns]
+    detail: list[list] = [[] for _ in columns]
+    for vals in runs:
+        for lift, *_ in reversed(columns):  # u_p, ..., u_0
+            vals.append(_shift_add(vals, lift, nb))
+        for (_, s_col, d_col, _, _), s, d in zip(columns, coarse, detail):
+            s.append(_shift_add(vals, s_col, nb))
+            d.append(_shift_add(vals, d_col, nb))
+    # u_j = z y_j, so the even powers of y_j's products are the odd slots of u_j's
     level = frame.level - 1
-    return (_frame(level, (_from_int(_dot(halves[2 * j : 2 * j + 2], coarse), den * s_den)
-                           for j, (_, coarse, _, s_den, _) in enumerate(columns))),
-            _frame(level, (_from_int(_dot(halves[2 * j :], detail), den * d_den)
-                           for j, (_, _, detail, _, d_den) in enumerate(columns))))
+    return (_frame(level, (_unpack(s, nb, 1, den * s_den) for s, (*_, s_den, _) in zip(coarse, columns))),
+            _frame(level, (_unpack(d, nb, 1, den * d_den) for d, (*_, d_den) in zip(detail, columns))))
+
+
+def _packed(row: Sequence[LaurentPoly], gain: int, reach: int, step: int) -> tuple[int, int, list[list[tuple]]]:
+    """The row over its common denominator as packed rows, with that denominator and the slot bytes nb that
+    hold gain times its largest numerator, sign included.
+
+    The translates of the union support are split into runs where two lie more than ``reach`` apart, so the
+    runs' outputs share no exponent and each is transformed on its own.  Per run, every component is packed
+    on its own span there, in slots of step nb bytes: its translate k on z^{step k}; (0, 0, 0) where it vanishes.
+    """
+    den = lcm(*(c.den for c in row))
+    scales = [den // c.den for c in row]
+    top = max(max(map(abs, c.nums.values()), default=0) * scale for c, scale in zip(row, scales))
+    nb = ((gain * top).bit_length() + 8) // 8
+    keys = [sorted(c.nums) for c in row]
+    spans: list[list[int]] = []
+    for k in sorted(set().union(*keys)):
+        if spans and k - spans[-1][1] <= reach:
+            spans[-1][1] = k
+        else:
+            spans.append([k, k])
+    runs = []
+    for lo, hi in spans:
+        vals = []
+        for c, ks, scale in zip(row, keys, scales):
+            a, b = bisect_left(ks, lo), bisect_right(ks, hi)
+            vals.append((_pack(c.nums, ks[a], ks[b - 1], step * nb) * scale, step * ks[a], step * ks[b - 1])
+                        if a < b else (0, 0, 0))
+        runs.append(vals)
+    return den, nb, runs
 
 
 # -- orthogonalized Haar quarklets ---------------------------------------------------

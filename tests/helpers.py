@@ -69,7 +69,7 @@ from mpmath import mp
 from quarklets import realroots, serialize
 from quarklets.cdf import CdfPair, scalar_pr_defect
 from quarklets.duals import _ZERO_RTOL, cascade, dual_tail_slope, float_taps, quark_ft
-from quarklets.laurent import LaurentMatrix, LaurentPoly, _dot, column_cores, pascal_matrix
+from quarklets.laurent import LaurentMatrix, LaurentPoly, _dot, _int_cores, pascal_matrix
 from quarklets.masks import MaskSequence, Mat
 from quarklets.modulation import ModulationBundle, build_modulation
 from quarklets.piecewise import PiecewisePoly, inner_product
@@ -423,9 +423,10 @@ def reference_decompose(
     )
 
 
-def fraction_row_taps_product(taps: Mapping[int, Sequence[Fraction]], columns) -> dict[int, list[Fraction]]:
-    """The taps of r @ M, r = sum_k taps[k] z^k a one-row matrix of Fractions and M given by its
-    column cores, one Fraction per nonzero output coefficient (the Fraction path of the transforms)."""
+def fraction_row_taps_product(taps: Mapping[int, Sequence[Fraction]], matrix: LaurentMatrix) -> dict:
+    """The taps of r @ M, r = sum_k taps[k] z^k a one-row matrix of Fractions, on the integer cores of
+    M's columns, one Fraction per nonzero output coefficient (the Fraction path of the transforms)."""
+    columns = [_int_cores(col) for col in zip(*matrix.entries)]
     den = math.lcm(*(c.denominator for tap in taps.values() for c in tap))
     row: list[dict[int, int]] = [{} for _ in columns[0][0]]
     for k, tap in taps.items():
@@ -456,7 +457,7 @@ def fraction_reconstruct(
         raise ValueError("frame width does not match the bundle degree")
     translates = sorted(scaling.coefficients.keys() | detail.coefficients.keys())
     pairs = {2 * l: scaling[l] + detail[l] for l in translates}
-    out = fraction_row_taps_product(pairs, column_cores(bundle.synthesis_matrix))
+    out = fraction_row_taps_product(pairs, bundle.synthesis_matrix)
     coeffs = {e + r: tap[r * width : (r + 1) * width] for e, tap in out.items() for r in (0, 1)}
     return CoefficientFrame(scaling.level + 1, width, coeffs)
 
@@ -469,7 +470,7 @@ def fraction_decompose(
     if frame.width != width:
         raise ValueError("frame width does not match the filter degree")
     pairs = {e: frame[e] + frame[e + 1] for e in sorted({n - n % 2 for n in frame.coefficients})}
-    out = fraction_row_taps_product(pairs, column_cores(filters.polyphase_inv))
+    out = fraction_row_taps_product(pairs, filters.polyphase_inv)
     level = frame.level - 1
     return tuple(
         CoefficientFrame(level, width, {e // 2: tap[c : c + width] for e, tap in out.items()})

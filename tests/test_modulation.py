@@ -557,16 +557,24 @@ class TestReadOnlyCaches:
 
     @pytest.mark.parametrize("name", ["synthesis_cores", "lifting_cores"])
     def test_transform_cores_reject_assignment(self, name):
-        # every reconstruct and decompose on the cached bundle applies these cores
+        # every reconstruct and decompose on the cached bundle applies these cores: tuples of ints all the way down
         bundle = build_modulation(2, 2, 2)
         frame = CoefficientFrame(1, 3, {0: (1, 2, 3), 5: (-1, 0, Fraction(1, 7))})
         cores = getattr(bundle, name)
+        columns, gain, reach = cores
+        tap = columns[0][0][0][1][0]  # the first tap of the first column's first core
+        assert isinstance(tap, tuple) and all(isinstance(n, int) for n in tap) and gain > 0 and reach >= 0
         with pytest.raises(TypeError):
-            cores[0][0][0][99] = 7
+            tap[1] = 7
         with pytest.raises(TypeError):
-            cores[0][0][0] = {99: 7}
+            columns[0][0][0] = (0, ((99, 7),))
         with pytest.raises(TypeError):
-            cores[0] = cores[1]
+            columns[0] = columns[1]
+        nodes = [cores]
+        while nodes:
+            node = nodes.pop()
+            assert isinstance(node, (tuple, int)), type(node)
+            nodes.extend(node if isinstance(node, tuple) else ())
         assert getattr(build_modulation(2, 2, 2), name) is cores
         assert reconstruct(*decompose(frame, bundle), bundle) == frame
 

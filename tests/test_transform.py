@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quarklets import laurent, modulation, serialize
+from quarklets import modulation, serialize
 from quarklets.cdf import quarklets
 from quarklets.laurent import LaurentPoly
 from quarklets.modulation import build_modulation, decomposition_filters
@@ -155,24 +156,28 @@ class TestPolyphaseTransform:
             assert reconstruct(s, d, bundle) == reference_reconstruct(s, d, bundle)
 
     def test_polyphase_column_cores_are_derived_once(self, monkeypatch):
-        # a fresh copy, so no earlier call has filled its caches: reconstruct takes the column cores
-        # of P, decompose the lifting cores read off g, h and b, each derived once
+        # a fresh copy, so no earlier call has filled its caches: reconstruct takes the cores read off S and b,
+        # decompose those read off g, h and b, each derived once
         bundle = replace(build_modulation(3, 5, 2))
         filters = decomposition_filters(bundle)
-        columns = list(zip(*bundle.synthesis_matrix.entries))
-        int_cores, seen = laurent._int_cores, []
-        monkeypatch.setattr(laurent, "_int_cores", lambda polys: seen.append(tuple(polys)) or int_cores(polys))
+        taps, built = modulation._taps, []
+        monkeypatch.setattr(modulation, "_taps", lambda *args: built.append(args) or taps(*args))
         scaling_sequence, read = modulation._scaling_sequence, []
         monkeypatch.setattr(modulation, "_scaling_sequence", lambda s: read.append(s) or scaling_sequence(s))
         rng = random.Random(5)
         frames = [[random_frame(rng, 3, level=1, taps=6) for _ in range(3)] for _ in range(3)]
         out = [(decompose(c, filters), reconstruct(s, d, bundle)) for c, s, d in frames]
-        monkeypatch.undo()
-        assert [seen.count(col) for col in columns] == [1] * len(columns)
         assert read == [bundle.scaling_symbol]
-        # decompose applies the factors of X^{-1}: the bundle holds their cores, but neither X^{-1} nor P^{-1}
-        assert "lifting_cores" in vars(bundle)
-        assert not {"modulation_inv", "polyphase_inv"} & vars(bundle).keys()
+        # three rounds built the cores that one derivation on another fresh copy builds, no more
+        rounds, built[:] = built[:], []
+        fresh = replace(bundle)
+        assert fresh.lifting_cores == bundle.lifting_cores and fresh.synthesis_cores == bundle.synthesis_cores
+        monkeypatch.undo()
+        assert rounds == built and len(built) > 2 * bundle.size
+        # decompose applies the factors of X^{-1} and reconstruct S and b: the bundle holds their cores,
+        # but neither X^{-1}, P^{-1} nor P
+        assert {"lifting_cores", "synthesis_cores"} <= vars(bundle).keys()
+        assert not {"modulation_inv", "polyphase_inv", "synthesis_matrix"} & vars(bundle).keys()
         assert out == [(reference_decompose(c, filters), reference_reconstruct(s, d, bundle)) for c, s, d in frames]
         # and the reverse: the splitting filters C_n, D_n are read off P^{-1} and build no lifting cores
         fresh = replace(bundle)
@@ -524,3 +529,93 @@ class TestIntegerFrames:
             assert (coarse, detail) == fraction_decompose(frame, filters)
             assert reconstruct(coarse, detail, bundle) == frame
             frame = coarse
+
+
+# -- packed rows: translates apart, zero components, large entries, the slot bound ------------
+
+
+PACKED_ORDERS = [(1, 1), (2, 2), (2, 4), (3, 5), (5, 7)]
+huge_ints = st.integers(-(2**256), 2**256)
+
+
+@st.composite
+def packed_cases(draw):
+    """(m, mt, p, fine, coarse, detail): p <= 8, clusters of translates whose gaps reach past the bundle's reach
+    on either side (10^6 too), negative translates, components that vanish, numerators up to 2^256."""
+    m, mt = draw(st.sampled_from(PACKED_ORDERS))
+    p = draw(st.integers(0, 8))
+    bundle = build_modulation(m, mt, p)
+    gaps = sorted({1, 2, 10**6} | {r + d for r in (bundle.lifting_cores[2], bundle.synthesis_cores[2])
+                                  for d in (-1, 0, 1, 2) if r + d > 0})
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, huge_ints),
+                      st.builds(Fraction, huge_ints, st.integers(1, 2**64)))
+
+    def frame(level):
+        vanish = draw(st.sets(st.integers(0, p)))  # components zero at every translate
+        k, coeffs = draw(st.integers(-30, 5)), {}
+        for _ in range(draw(st.integers(0, 5))):
+            vec = draw(st.tuples(*[entry] * (p + 1)))
+            coeffs[k] = tuple(0 if j in vanish else c for j, c in enumerate(vec))
+            k += draw(st.sampled_from(gaps))
+        return CoefficientFrame(level, p + 1, coeffs)
+
+    return m, mt, p, frame(1), frame(0), frame(0)
+
+
+class TestPackedRows:
+    """decompose and reconstruct on packed rows == the Fraction path of ``helpers``."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(packed_cases())
+    def test_packed_transforms_equal_the_fraction_path(self, case):
+        m, mt, p, fine, coarse, detail = case
+        bundle = build_modulation(m, mt, p)
+        got = decompose(fine, bundle)
+        for frame, expected in zip(got, fraction_decompose(fine, bundle)):
+            assert_as_fraction_path(frame, expected)
+        assert reconstruct(*got, bundle) == fine
+        assert_as_fraction_path(reconstruct(coarse, detail, bundle), fraction_reconstruct(coarse, detail, bundle))
+
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (2, 2, 2), (3, 5, 5), (5, 7, 8)])
+    @pytest.mark.parametrize("k", [-(10**9), -3, 0, 7])
+    def test_one_nonzero_entry(self, m, mt, p, k):
+        bundle = build_modulation(m, mt, p)
+        for component, value in ((0, Fraction(-(2**256) + 1, 3)), (p, Fraction(2**255))):
+            vec = [0] * (p + 1)
+            vec[component] = value
+            frame = CoefficientFrame(1, p + 1, {k: vec})
+            coarse, detail = decompose(frame, bundle)
+            assert (coarse, detail) == fraction_decompose(frame, bundle) == reference_decompose(frame, bundle)
+            assert reconstruct(coarse, detail, bundle) == frame
+            assert reconstruct(frame, frame, bundle) == fraction_reconstruct(frame, frame, bundle)
+
+    def test_translates_apart_are_packed_by_runs(self):
+        # dense packing of the span would take 10^9 slots: the time and the memory follow the nonzeros
+        bundle = build_modulation(2, 2, 2)
+        frame = CoefficientFrame(1, 3, {0: (1, Fraction(-2, 3), 5), 10**9: (Fraction(7, 2), 0, -1)})
+        s, d = CoefficientFrame(0, 3, {0: (1, 2, 3)}), CoefficientFrame(0, 3, {10**9: (Fraction(1, 5), 0, 4)})
+        bundle.lifting_cores, bundle.synthesis_cores  # noqa: B018 -- the cached cores, outside the timing
+        start = time.perf_counter()
+        got = decompose(frame, bundle), reconstruct(s, d, bundle)
+        elapsed = time.perf_counter() - start
+        assert got == (reference_decompose(frame, bundle), reference_reconstruct(s, d, bundle))
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("m,mt", PACKED_ORDERS)
+    def test_worst_case_frame_reaches_the_slot_bound(self, m, mt):
+        # at p = 0, u_0 = c_0 and the output with the largest l1 norm has one product slot equal to
+        # gain ||c||_inf when the signs of c follow its taps; ||c||_inf is chosen so that this slot takes
+        # a whole number of bytes, the sign bit then needing one more
+        bundle = build_modulation(m, mt, 0)
+        columns, gain, _ = bundle.lifting_cores
+        (_, coarse, detail, _, _), = columns
+        taps = max((core for (_, core), in (coarse, detail)), key=lambda core: sum(abs(t) << e for _, t, e in core))
+        assert sum(abs(t) << e for _, t, e in taps) == gain
+        top = (2 ** (8 * (gain.bit_length() // 8 + 2)) - 1) // gain
+        assert (gain * top).bit_length() % 8 == 0
+        frame = CoefficientFrame(1, 1, {-k: ((top if t > 0 else -top),) for k, t, _ in taps})
+        # the slot at z^0 of c times the taps: every product on it has the sign +
+        assert sum(frame[-k][0] * (t << e) for k, t, e in taps) == gain * top
+        coarse, detail = decompose(frame, bundle)
+        assert (coarse, detail) == fraction_decompose(frame, bundle)
+        assert reconstruct(coarse, detail, bundle) == frame
