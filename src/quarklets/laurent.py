@@ -24,9 +24,13 @@ p + 1 polynomials g_n, on the same kernel, and :func:`pascal_matrix` expands
 them.
 The frame transforms take a second route to the same integers (Kronecker
 substitution; Harvey, J. Symbolic Comput. 44, 2009): a packed row evaluates a
-polynomial at z = 2^W as one int (``_pack``, one bytes join and a bias), a
+polynomial at z = 2^W as one int (``_pack``, one bytes join and a bias), and a
 product with a filter of small integer taps is a sum of shifted multiples of it
-(``_shift_add``), and the slots are read back once, with one gcd (``_unpack``).
+(``_shift_add``).  Between two transforms the slots stay bytes: the kept ones are
+sliced out of one big-endian ``to_bytes`` of the biased product (``_slice_out``)
+and laid out at the next slot width by one zero-padded join (``_lay_out``), with
+no int per slot; they are read back as a polynomial, with one gcd, only when a
+frame's row is read (``_unpack``).
 Packing both factors of every ``_dot`` would cost more than it saves, so
 ``_dot`` stays the kernel of every other product.
 The module imports no numpy: the float taps of a Laurent matrix and every
@@ -318,8 +322,8 @@ def _shift_add(vals: Sequence[tuple[int, int, int]], column: Sequence[tuple[int,
     terms = [(v, core) for i, core in column if (v := vals[i])[0]]
     if not terms:
         return 0, 0, 0
-    lo = min(v_lo + core[0][0] for (_, v_lo, _), core in terms)
-    hi = max(v_hi + core[-1][0] for (_, _, v_hi), core in terms)
+    lo = min([v[1] + core[0][0] for v, core in terms])
+    hi = max([v[2] + core[-1][0] for v, core in terms])
     acc = 0
     for (n, v_lo, _), core in terms:
         for k, c, e in core:
@@ -331,29 +335,71 @@ def _unpack(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, den: int) 
     """sum_k (c_k / den) z^k over the slots c_k of the packed rows ``parts``, whose exponents must not overlap,
     or with ``odd`` set sum_l (c_{2l+1} / den) z^l; den > 0.  One gcd over the slots read reduces them, and
     the zero ones are dropped as they are divided."""
-    w, half, from_bytes = 8 * nb, 1 << 8 * nb - 1, int.from_bytes
-    g, runs = den, []
-    for n, lo, hi in parts:
-        if not n:
-            continue
-        # the zero slots at either end are read off the lowest and the highest bit of n, not unpacked
-        low = ((n & -n).bit_length() - 1) // w
-        n >>= w * low
-        lo += low
-        slots = min(hi - lo + 1, (abs(n).bit_length() + 1) // w + 1)
-        start = odd & ~lo
-        raw = (n + _bias(slots, nb)).to_bytes(slots * nb, "little")
-        vals = [from_bytes(raw[a : a + nb], "little") - half for a in range(start * nb, slots * nb, (1 + odd) * nb)]
-        g = gcd(g, *vals)
-        runs.append(((lo + start) >> odd, vals))
+    half, from_bytes = 1 << 8 * nb - 1, int.from_bytes
+    runs = [(first, [from_bytes(c, "big") - half for c in reversed(chunks)])
+            for first, _, chunks in _slice_out(parts, nb, odd, 0)[0]]
+    g = gcd(den, *(v for _, vals in runs for v in vals))
     return _raw({k: v // g for first, vals in runs for k, v in zip(count(first), vals) if v}, den // g)
 
 
-def _interleave(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a + z b over the lcm of the denominators, for even a and b; in lowest terms, as a prime power
-    q^e exactly dividing the lcm exactly divides a.den, say, and q divides not every numerator of a."""
-    (na, nb), den = _int_cores((a, b))
-    return _raw({**na, **{k + 1: n for k, n in nb.items()}}, den)
+# the trailing zero bits of each byte value, 8 for the zero byte
+_ZEROS = bytes([8] + [(b & -b).bit_length() - 1 for b in range(1, 256)])
+
+
+def _slice_out(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, cap: int) -> tuple[list[tuple], int, int]:
+    """The slots of the packed rows ``parts`` (exponents not overlapping) that a transform keeps, all of them or
+    with ``odd`` set those on z^{2l+1}, read on z^l, left as bytes: by run, (first, last, chunks) with first ..
+    last the exponents read and chunks their slots from the highest down, each the big-endian nb bytes of the
+    slot plus X / 2, runs whose slots are all zero dropped; with the largest |slot| and the largest power of
+    two dividing every slot, at most 2^cap and below the top byte.
+
+    Biased chunks of one width compare as their values, so the largest |slot| is read off the largest and the
+    smallest chunk; below the top byte a chunk's bytes are those of its slot's two's complement, so the power
+    of two is read off the lowest byte columns."""
+    w = 8 * nb
+    half, from_bytes, stride = 1 << w - 1, int.from_bytes, (1 + odd) * nb
+    runs, top, shift = [], 0, min(cap, w - 8)
+    for n, lo, hi in parts:
+        if not n:
+            continue
+        # the zero slots at either end, which cancellation leaves, are read off the lowest and the highest bit
+        low = ((n & -n).bit_length() - 1) // w
+        if low:
+            n >>= w * low
+            lo += low
+        slots = min(hi - lo + 1, (abs(n).bit_length() + 1) // w + 1)
+        start = odd & ~lo
+        end = slots - 1 - (odd & ~(lo + slots - 1))  # the highest slot read
+        # slot i is raw[(slots - 1 - i) nb:][:nb]; the slots read lie from first to stop
+        raw = (n + _bias(slots, nb)).to_bytes(slots * nb, "big")
+        first, stop = (slots - 1 - end) * nb, (slots - start) * nb
+        chunks = [raw[a : a + nb] for a in range(first, stop, stride)]
+        size = max(from_bytes(max(chunks), "big") - half, half - from_bytes(min(chunks), "big")) if chunks else 0
+        if not size:
+            continue
+        if size > top:
+            top = size
+        runs.append(((lo + start) >> odd, (lo + end) >> odd, chunks))
+        col = 0
+        while 8 * col < shift:
+            column = raw[first + nb - 1 - col : stop : stride]
+            if column.count(0) < len(column):
+                shift = min(shift, 8 * col + min(column.translate(_ZEROS)))
+                break
+            col += 1
+    return runs, top, shift
+
+
+def _lay_out(runs: Sequence[tuple], nb: int, width: int, shift: int) -> tuple[int, int, int]:
+    """The packed row (n, lo, hi) of the slots of ``runs`` (``_slice_out``'s, nb bytes each, in order, every
+    slot divisible by 2^shift) divided by 2^shift, in slots of width >= nb bytes, the slots between runs
+    zero: one join of the chunks padded with zero bytes, one ``from_bytes`` and one bias."""
+    zero, pad = (1 << 8 * nb - 1).to_bytes(nb, "big"), bytes(width - nb)
+    chunks = runs[-1][2]
+    for (_, last, run), (first, _, _) in zip(runs[-2::-1], runs[:0:-1]):
+        chunks = chunks + [zero] * (first - last - 1) + run
+    n = int.from_bytes(pad + pad.join(chunks), "big") - int.from_bytes((pad + zero) * len(chunks), "big")
+    return n >> shift, runs[0][0], runs[-1][1]
 
 
 _set_nums, _set_den = LaurentPoly.nums.__set__, LaurentPoly.den.__set__

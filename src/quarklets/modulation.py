@@ -19,7 +19,7 @@ and its inverse T(z)^{-1}.  The rest is read off them on first use:
 *  the polyphase inverse P(z)^{-1} = E(z)^{-1} X(z)^{-1}, read off the top
    block row [L, R(-z)] by the same parity split, with no product,
 *  the masks A_k, B_k, At_k and Bt_k, read off their symbols, and the
-   splitting filters C_n, D_n (``coarse``, ``detail``), read off P^{-1}; each
+   splitting filters C_n, D_n (``coarse``, ``detail``), read off L and R as P^{-1} holds them; each
    keeps its symbol's integer numerators (:class:`quarklets.masks.MaskSequence`),
 *  the read-only integer cores of ``transform.reconstruct(s, d, bundle)``, from S and b,
    and of ``transform.decompose(frame, bundle)``, from g, h and b, each with the gain
@@ -50,7 +50,7 @@ from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .cdf import CdfPair, cdf_masks, quarklets
-from .laurent import LaurentMatrix, LaurentPoly, _from_int, _interleave, pascal_inverse, pascal_matrix, pascal_product
+from .laurent import LaurentMatrix, LaurentPoly, _from_int, _raw, pascal_inverse, pascal_matrix, pascal_product
 from .masks import MaskSequence, mask_view
 from .piecewise import PiecewisePoly
 from .splines import quark_family, refinement_symbol
@@ -132,21 +132,14 @@ class ModulationBundle:
 
     @cached_property
     def coarse(self) -> MaskSequence:
-        """C_n, n in Z, read off block column 0 of P^{-1} on first use: the splitting filters,
+        """C_n, n in Z, read off L on first use: the splitting filters,
         Phi(2x - r) = sum_k C_{r+2k} Phi(x - k) + sum_k D_{r+2k} Psi(x - k) for r in {0, 1}."""
-        return self._block_masks(0)
+        return _block_masks(self._left, 1)
 
     @cached_property
     def detail(self) -> MaskSequence:
-        """D_n, n in Z, read off block column 1 of P^{-1} on first use."""
-        return self._block_masks(self.size)
-
-    def _block_masks(self, c: int) -> MaskSequence:
-        # P^{-1} holds even powers of z only, so block row 0 plus z times block row 1 has
-        # C_n (or D_n) as its z^n coefficient, with no two terms on one exponent
-        n, rows = self.size, self.polyphase_inv.entries
-        blocks = [zip(rows[i][c : c + n], rows[n + i][c : c + n]) for i in range(n)]
-        return MaskSequence.from_symbol(LaurentMatrix([[_interleave(a, b) for a, b in row] for row in blocks]), 1)
+        """D_n, n in Z, read off R on first use."""
+        return _block_masks(self._right, -1)
 
     @cached_property
     def lifting_cores(self) -> tuple[tuple, int, int]:
@@ -244,6 +237,16 @@ class ModulationBundle:
     def polyphase_residuals(self) -> tuple[tuple[int, int, LaurentPoly], ...]:
         """Nonzero entries of P P^{-1} - Id, on first use: none if ``pr_certified``, else by the product."""
         return () if self.pr_certified else check_product_is_identity(self.synthesis_matrix, self.polyphase_inv)
+
+
+def _block_masks(block: LaurentMatrix, sign: int) -> MaskSequence:
+    """The splitting filters of block column 0 (L, sign 1) or 1 (R, sign -1) of P^{-1}: its block row 0 plus z
+    times its block row 1, which ``polyphase_inv`` reads off [L, R(-z)] as the even powers and z times the odd
+    ones, is even(L) + z^2 odd(L) and even(R) - z^2 odd(R): each odd power moves up by two, no two terms on one
+    exponent, so the numerators and the denominator stay in lowest terms."""
+    moved = [[_raw({k + 2 * (k & 1): sign * n if k & 1 else n for k, n in e.nums.items()}, e.den) for e in row]
+             for row in block.entries]
+    return MaskSequence.from_symbol(LaurentMatrix(moved), 1)
 
 
 def _scaling_sequence(scaling_symbol: LaurentMatrix) -> list[LaurentPoly]:

@@ -7,7 +7,7 @@ frame's row (:func:`frame_json`, a 1 x width matrix) are rendered as dense tap
 matrices straight off the integer numerators, one gcd per nonzero entry, with
 no ``Fraction``; a mask pads with one shared immutable zero pair and zero row,
 a frame with ``[0, 1]`` lists.  The one reader, :func:`frame_from_json`, is
-strict and builds the row directly.
+strict, checks a valid frame in one pass and builds the row directly.
 """
 
 from __future__ import annotations
@@ -110,13 +110,21 @@ def frame_from_json(obj) -> CoefficientFrame:
     if not isinstance(obj, dict):
         raise ValueError("malformed input: a frame is a JSON object")
     level, width = _int(obj["level"]), _checked_width(_int(obj["width"]))
-    pairs = {k: [_pair(c) for c in vec] for k, vec in _entries(obj["coefficients"])}
-    for k, vec in pairs.items():
-        _checked_length(k, vec, width)
-    return _frame(level, (_poly_from_pairs({k: vec[j] for k, vec in pairs.items()}) for j in range(width)))
+    entries = obj["coefficients"]
+    # every vector checked by one generator; only an input that fails takes the check entry by entry and pair
+    # by pair, which raises the first of its errors
+    if not (isinstance(entries, list)
+            and all(isinstance(e, list) and len(e) == 2 and type(e[0]) is int and isinstance(e[1], list)
+                    and len(e[1]) == width and all(isinstance(c, list) and len(c) == 2 and type(c[0]) is int
+                                                   and type(c[1]) is int and c[1] for c in e[1]) for e in entries)
+            and len({k for k, _ in entries}) == len(entries)):
+        for k, vec in [(k, [_pair(c) for c in vec]) for k, vec in _entries(entries)]:
+            _checked_length(k, vec, width)
+    keys, vecs = [k for k, _ in entries], [vec for _, vec in entries]
+    return _frame(level, (_poly_from_pairs(keys, [vec[j] for vec in vecs]) for j in range(width)))
 
 
-def _poly_from_pairs(pairs: dict[int, list[int]]) -> LaurentPoly:
+def _poly_from_pairs(keys: Sequence[int], pairs: Sequence[list[int]]) -> LaurentPoly:
     # over a common multiple of the denominators, reduced once
-    den = lcm(*(abs(d) for _, d in pairs.values()))
-    return _from_int({k: n * (den // d) for k, (n, d) in pairs.items()}, den)
+    den = lcm(*[abs(d) for _, d in pairs])
+    return _from_int({k: n * (den // d) for k, (n, d) in zip(keys, pairs)}, den)

@@ -10,7 +10,11 @@ Laurent polynomials (the row-vector polyphase form of Strang & Nguyen,
 Synthesis and analysis take the bundle, which caches the read-only integer cores they
 apply, and work on packed rows (:func:`quarklets.laurent._pack`): each component is evaluated at
 z = X = 2^W once, as one int, so every product with a filter runs in CPython's big-int
-arithmetic, one tap at a time, and only the slots an output keeps are read back.
+arithmetic, one tap at a time.  Frames stay packed between calls: a transform returns frames
+that hold its products, and the next call reads the slots they keep straight from their bytes
+(``_slice_out``, ``_lay_out``), taking out only the power of two that divides every slot and
+the denominator.  A frame reads its row on demand, the first time a view, ``==``, ``hash``,
+pickling or JSON needs it (``_unpack``), and one gcd per component then reduces the rest.
 Synthesis, with S the scaling symbol and b the wavelet symbol, is
 
     reconstruct:  c_j(z) = 2 sum_i s_i(z^2) S_ij(z) + 2 d_j(z^2) b(z),
@@ -39,7 +43,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import LaurentPoly, _pack, _shift_add, _unpack, as_rational
+from .laurent import LaurentPoly, _lay_out, _pack, _shift_add, _slice_out, _unpack, as_rational
 from .masks import Mat
 from .modulation import ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
@@ -51,13 +55,14 @@ Vector = tuple[Fraction, ...]
 class CoefficientFrame:
     """Finitely supported map translate -> rational coefficient vector (read-only).
 
-    Stored as ``row``, the ``width`` Laurent polynomials c(z) = sum_k c_k z^k of its
-    components, which ``==`` and ``hash`` compare; ``coefficients`` is the read-only
-    ``Fraction`` view, built on first read.
+    Its value is ``row``, the ``width`` Laurent polynomials c(z) = sum_k c_k z^k of its
+    components, which ``==``, ``hash`` and pickling read.  A frame that a transform returns
+    holds the packed slots it computed instead and reads ``row`` off them on first use;
+    ``coefficients`` is the read-only ``Fraction`` view, built on first read.
     """
 
     level: int
-    row: tuple[LaurentPoly, ...]
+    width: int
 
     def __init__(self, level: int, width: int, coefficients: Mapping[int, Sequence]):
         _checked_width(width)
@@ -67,10 +72,21 @@ class CoefficientFrame:
             if any(vec):
                 vecs[operator.index(k)] = vec
         row = (LaurentPoly({k: vec[j] for k, vec in vecs.items()}) for j in range(width))
-        self.__dict__.update(level=level, row=tuple(row))
+        self.__dict__.update(level=level, width=width, row=tuple(row))
 
     def __reduce__(self):
         return _frame, (self.level, self.row)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.row == other.row
+
+    def __hash__(self):
+        return hash((self.level, self.row))
+
+    def __repr__(self):
+        return f"CoefficientFrame(level={self.level!r}, row={self.row!r})"
 
     @staticmethod
     def zero(level: int, width: int) -> "CoefficientFrame":
@@ -84,9 +100,10 @@ class CoefficientFrame:
         vec[component] = 1
         return CoefficientFrame(level, width, {k: vec})
 
-    @property
-    def width(self) -> int:
-        return len(self.row)
+    @cached_property
+    def row(self) -> tuple[LaurentPoly, ...]:
+        """The components, read off the packed slots with one gcd each (``laurent._unpack``) on first use."""
+        return tuple(_unpack(*slots) for slots in self._slots)
 
     @cached_property
     def coefficients(self) -> Mapping[int, Vector]:
@@ -117,10 +134,13 @@ def _checked_length(k: int, vec: Sequence, width: int) -> Sequence:
     return vec
 
 
-def _frame(level: int, row: Iterable[LaurentPoly]) -> CoefficientFrame:
-    """The frame with this row, unchecked; the class is frozen, so fields go in its dict."""
+def _frame(level: int, row: Iterable[LaurentPoly] = (), slots: Iterable[tuple] = ()) -> CoefficientFrame:
+    """The frame with this row, unchecked, or with the packed slots that a transform computed, per component
+    the arguments of ``_unpack``, off which the row is read on first use; the class is frozen, so fields
+    go in its dict."""
+    row, slots = tuple(row), tuple(slots)
     frame = CoefficientFrame.__new__(CoefficientFrame)
-    frame.__dict__.update(level=level, row=tuple(row))
+    frame.__dict__.update({"row": row} if row else {"_slots": slots}, level=level, width=len(row or slots))
     return frame
 
 
@@ -134,12 +154,12 @@ def reconstruct(
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
     columns, gain, reach = bundle.synthesis_cores
-    den, nb, runs = _packed(scaling.row + detail.row, gain, reach, 2)
+    den, nb, runs = _packed(_components(scaling) + _components(detail), gain, reach, 2)
     parts: list[list] = [[] for _ in columns]
     for vals in runs:
         for (column, _), out in zip(columns, parts):
             out.append(_shift_add(vals, column, nb))
-    return _frame(scaling.level + 1, (_unpack(out, nb, 0, den * c_den) for out, (_, c_den) in zip(parts, columns)))
+    return _frame(scaling.level + 1, slots=[(out, nb, 0, den * c_den) for out, (_, c_den) in zip(parts, columns)])
 
 
 def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[CoefficientFrame, CoefficientFrame]:
@@ -152,47 +172,79 @@ def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[Coeffi
     if frame.width != bundle.size:
         raise ValueError("frame width does not match the bundle degree")
     columns, gain, reach = bundle.lifting_cores
-    den, nb, runs = _packed(frame.row, gain, reach, 1)
+    den, nb, runs = _packed(_components(frame), gain, reach, 1)
     coarse: list[list] = [[] for _ in columns]
     detail: list[list] = [[] for _ in columns]
     for vals in runs:
-        for lift, *_ in reversed(columns):  # u_p, ..., u_0
-            vals.append(_shift_add(vals, lift, nb))
+        for column in reversed(columns):  # u_p, ..., u_0
+            vals.append(_shift_add(vals, column[0], nb))
         for (_, s_col, d_col, _, _), s, d in zip(columns, coarse, detail):
             s.append(_shift_add(vals, s_col, nb))
             d.append(_shift_add(vals, d_col, nb))
     # u_j = z y_j, so the even powers of y_j's products are the odd slots of u_j's
     level = frame.level - 1
-    return (_frame(level, (_unpack(s, nb, 1, den * s_den) for s, (*_, s_den, _) in zip(coarse, columns))),
-            _frame(level, (_unpack(d, nb, 1, den * d_den) for d, (*_, d_den) in zip(detail, columns))))
+    return (_frame(level, slots=[(s, nb, 1, den * column[3]) for s, column in zip(coarse, columns)]),
+            _frame(level, slots=[(d, nb, 1, den * column[4]) for d, column in zip(detail, columns)]))
 
 
-def _packed(row: Sequence[LaurentPoly], gain: int, reach: int, step: int) -> tuple[int, int, list[list[tuple]]]:
+def _components(frame: CoefficientFrame) -> tuple:
+    """The row of the frame if it holds one, else its packed slots."""
+    return vars(frame).get("row") or frame._slots
+
+
+def _packed(row: Sequence, gain: int, reach: int, step: int) -> tuple[int, int, list[list[tuple]]]:
     """The row over its common denominator as packed rows, with that denominator and the slot bytes nb that
     hold gain times its largest numerator, sign included.
 
-    The translates of the union support are split into runs where two lie more than ``reach`` apart, so the
-    runs' outputs share no exponent and each is transformed on its own.  Per run, every component is packed
-    on its own span there, in slots of step nb bytes: its translate k on z^{step k}; (0, 0, 0) where it vanishes.
+    A component is a polynomial or the packed slots of an earlier transform (``_frame``), which are read as
+    bytes (``laurent._slice_out``) and divided, with their denominator, by the power of two that divides them
+    all; the rest of their gcd stays until the row is read.  The translates of the union support are split
+    into runs where two lie more than ``reach`` apart, so the runs' outputs share no exponent and each is
+    transformed on its own.  Per run, every component is packed on its own span there, in slots of step nb
+    bytes: its translate k on z^{step k}, a polynomial by ``_pack`` and slots by one ``_lay_out``, which
+    fills the gaps between the runs of the earlier transform there with zeros; (0, 0, 0) where it vanishes.
     """
-    den = lcm(*(c.den for c in row))
-    scales = [den // c.den for c in row]
-    top = max(max(map(abs, c.nums.values()), default=0) * scale for c, scale in zip(row, scales))
-    nb = ((gain * top).bit_length() + 8) // 8
-    keys = [sorted(c.nums) for c in row]
+    reads, points, firsts, lasts, least = [], set(), [], [], 1
+    for c in row:
+        if isinstance(c, LaurentPoly):
+            keys = sorted(c.nums)
+            points.update(keys)
+            reads.append((c.den, max(map(abs, c.nums.values()), default=0), keys, c))
+            continue
+        parts, nb_in, odd, den = c
+        slots, top, shift = _slice_out(parts, nb_in, odd, (den & -den).bit_length() - 1)
+        starts = [run[0] for run in slots]
+        firsts += starts
+        lasts += [run[1] for run in slots]
+        reads.append((den >> shift if slots else 1, top >> shift, starts, (slots, nb_in, shift)))
+        least = max(least, -(-nb_in // step))  # slots are laid out in step nb bytes, no fewer than they have
+    den = lcm(*[read[0] for read in reads])
+    scales = [den // read[0] for read in reads]
+    nb = max(((gain * max([read[1] * scale for read, scale in zip(reads, scales)])).bit_length() + 8) // 8, least)
+    # runs join the intervals [first, last] whose gaps are at most reach; with starts and ends sorted apart,
+    # a run ends at the i-th end exactly when the next start lies more than reach past it, as the i smallest
+    # ends are then those of the i smallest starts; a translate k of a polynomial is one interval [k, k],
+    # however many components hold it
     spans: list[list[int]] = []
-    for k in sorted(set().union(*keys)):
-        if spans and k - spans[-1][1] <= reach:
-            spans[-1][1] = k
+    for first, last in zip(sorted([*points, *firsts]), sorted([*points, *lasts])):
+        if spans and first - spans[-1][1] <= reach:
+            spans[-1][1] = last
         else:
-            spans.append([k, k])
+            spans.append([first, last])
     runs = []
     for lo, hi in spans:
         vals = []
-        for c, ks, scale in zip(row, keys, scales):
-            a, b = bisect_left(ks, lo), bisect_right(ks, hi)
-            vals.append((_pack(c.nums, ks[a], ks[b - 1], step * nb) * scale, step * ks[a], step * ks[b - 1])
-                        if a < b else (0, 0, 0))
+        for (_, _, starts, source), scale in zip(reads, scales):
+            a, b = bisect_left(starts, lo), bisect_right(starts, hi)
+            if a == b:
+                vals.append((0, 0, 0))
+                continue
+            if isinstance(source, LaurentPoly):
+                n, first, last = _pack(source.nums, starts[a], starts[b - 1], step * nb), starts[a], starts[b - 1]
+            else:
+                slots, nb_in, shift = source
+                n, first, last = _lay_out(slots[a:b], nb_in, step * nb, shift)
+            vals.append((n * scale, step * first, step * last))
         runs.append(vals)
     return den, nb, runs
 

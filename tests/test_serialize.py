@@ -153,11 +153,16 @@ class TestFrameReader:
             frame_obj([[0, [[1, 1]]]], width=-1),
             {"level": 0, "coefficients": []},
             [0, 1, []],
+            frame_obj([[[0], [[1, 2]]]]),
+            frame_obj({"0": [[1, 2]]}),
+            frame_obj([[0, [[1, 2], [1, 0]]], [0, [[1, 2]]]]),
+            frame_obj([[0, [[1, 2]]], [1, [[1, 2], [3, 4]]], [2, [1, 2]]]),
         ],
         ids=["unreduced", "negative denominators", "bool numerator", "bool denominator", "zero denominator",
              "zero over zero", "repeated index", "long vector", "empty vector", "all-zero vector",
              "all-zero beside nonzero", "all-zero vector too long", "bad pair after a long vector",
-             "all-zero vector too short", "no coefficients", "negative width", "no width", "not an object"],
+             "all-zero vector too short", "no coefficients", "negative width", "no width", "not an object",
+             "list index", "object of vectors", "repeated index after a bad pair", "bare pair after a long vector"],
     )
     def test_same_frame_or_error_as_the_fraction_path(self, obj):
         read_as_fraction_path(obj)

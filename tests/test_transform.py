@@ -179,10 +179,11 @@ class TestPolyphaseTransform:
         assert {"lifting_cores", "synthesis_cores"} <= vars(bundle).keys()
         assert not {"modulation_inv", "polyphase_inv", "synthesis_matrix"} & vars(bundle).keys()
         assert out == [(reference_decompose(c, filters), reference_reconstruct(s, d, bundle)) for c, s, d in frames]
-        # and the reverse: the splitting filters C_n, D_n are read off P^{-1} and build no lifting cores
+        # and the reverse: the splitting filters C_n, D_n are read off L and R, as P^{-1} holds them, and build
+        # neither P^{-1} nor the lifting cores
         fresh = replace(bundle)
         assert fresh.coarse.length() > 0 and fresh.detail.length() > 0
-        assert "polyphase_inv" in vars(fresh) and "lifting_cores" not in vars(fresh)
+        assert {"_left", "_right"} <= vars(fresh).keys() and not {"polyphase_inv", "lifting_cores"} & vars(fresh).keys()
 
     def test_zero_frames(self):
         bundle = build_modulation(2, 2, 1)
@@ -619,3 +620,116 @@ class TestPackedRows:
         coarse, detail = decompose(frame, bundle)
         assert (coarse, detail) == fraction_decompose(frame, bundle)
         assert reconstruct(coarse, detail, bundle) == frame
+
+
+# -- frames that stay packed between transform calls ------------------------------------------
+
+
+def packed_chain(frame: CoefficientFrame, bundle, levels: int = 3):
+    """``levels`` decompositions, then as many reconstructions, each call taking the outputs of the calls
+    before it unread: (down, details, up), down[0] the input and up[-1] the round trip."""
+    down, details = [frame], []
+    for _ in range(levels):
+        coarse, detail = decompose(down[-1], bundle)
+        down.append(coarse)
+        details.append(detail)
+    up = [down[-1]]
+    for detail in reversed(details):
+        up.append(reconstruct(up[-1], detail, bundle))
+    return down, details, up
+
+
+def assert_packed_chain_as_fraction_path(frame: CoefficientFrame, bundle, levels: int = 3):
+    """A chain through packed frames: no output is read before the chain ends, and then every level is the
+    Fraction path's on the same input, in canonical form and JSON byte for byte."""
+    down, details, up = packed_chain(frame, bundle, levels)
+    assert not any("row" in vars(f) for f in down[1:] + details + up[1:])
+    for i, detail in enumerate(details):
+        for got, expected in zip((down[i + 1], detail), fraction_decompose(down[i], bundle)):
+            assert_as_fraction_path(got, expected)
+    for i, detail in enumerate(reversed(details)):
+        assert_as_fraction_path(up[i + 1], fraction_reconstruct(up[i], detail, bundle))
+    assert up[-1] == frame
+
+
+CHAIN_ORDERS = [(1, 1), (2, 2), (2, 4), (3, 5), (5, 5), (5, 7), (9, 9)]
+
+
+@st.composite
+def chain_cases(draw):
+    """(m, mt, p, frame): p <= 8, odd-c orders m = 5 and 9 too, clusters of translates whose gaps lie about the
+    bundle's reach or its double, so that runs stay apart or merge after one or two halvings, 10^9 too, negative
+    translates, components that vanish, numerators up to 2^256 over denominators up to 2^64."""
+    m, mt = draw(st.sampled_from(CHAIN_ORDERS))
+    p = draw(st.integers(0, 8))
+    reach = build_modulation(m, mt, p).lifting_cores[2]
+    gaps = sorted({1, 2, 10**9} | {f * reach + d for f in (1, 2, 4) for d in (-1, 0, 1, 2) if f * reach + d > 0})
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, huge_ints),
+                      st.builds(Fraction, huge_ints, st.integers(1, 2**64)))
+    vanish = draw(st.sets(st.integers(0, p)))
+    k, coeffs = draw(st.integers(-30, 5)), {}
+    for _ in range(draw(st.integers(0, 4))):
+        vec = draw(st.tuples(*[entry] * (p + 1)))
+        coeffs[k] = tuple(0 if j in vanish else c for j, c in enumerate(vec))
+        k += draw(st.sampled_from(gaps))
+    return m, mt, p, CoefficientFrame(3, p + 1, coeffs)
+
+
+class TestPackedFrames:
+    """decompose and reconstruct hand their packed slots to the next call; each frame reads its row on demand."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(chain_cases())
+    def test_three_level_chains_equal_the_fraction_path(self, case):
+        m, mt, p, frame = case
+        assert_packed_chain_as_fraction_path(frame, build_modulation(m, mt, p))
+
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (2, 2, 2), (3, 5, 5), (5, 7, 8), (9, 9, 8)])
+    def test_runs_that_merge_or_stay_apart(self, m, mt, p):
+        # translates reach + 1 apart are two runs at the first call and one after a halving; 10^9 apart stay two
+        bundle = build_modulation(m, mt, p)
+        reach = bundle.lifting_cores[2]
+        vec = tuple(Fraction(3 * j - 2**255, 2 * j + 7) for j in range(p + 1))
+        for gap in (reach + 1, 10**9):
+            assert_packed_chain_as_fraction_path(CoefficientFrame(3, p + 1, {-1: vec, gap - 1: vec[::-1]}), bundle)
+
+    def test_runs_apart_stay_apart(self):
+        # merged, the runs of 0 and 10^9 would take 10^9 slots: the chain's time follows the nonzeros
+        bundle = build_modulation(2, 2, 2)
+        frame = CoefficientFrame(3, 3, {0: (1, Fraction(-2, 3), 5), 10**9: (Fraction(7, 2), 0, -1)})
+        bundle.lifting_cores, bundle.synthesis_cores  # noqa: B018 -- the cached cores, outside the timing
+        start = time.perf_counter()
+        *_, up = packed_chain(frame, bundle)
+        elapsed = time.perf_counter() - start
+        assert up[-1] == frame and elapsed < 0.5
+
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (2, 2, 2), (5, 7, 8)])
+    def test_transform_output_and_its_eager_twin(self, m, mt, p):
+        bundle = build_modulation(m, mt, p)
+        fine = random_frame(random.Random(10 * m + p), p + 1, level=1, taps=6)
+        coarse, detail = random_frame(random.Random(p), p + 1), random_frame(random.Random(m), p + 1)
+        outputs = [
+            (lambda: decompose(fine, bundle)[0], fraction_decompose(fine, bundle)[0]),
+            (lambda: decompose(fine, bundle)[1], fraction_decompose(fine, bundle)[1]),
+            (lambda: reconstruct(coarse, detail, bundle), fraction_reconstruct(coarse, detail, bundle)),
+            # a zero output: the Haar wavelet has no coarse part
+            (lambda: decompose(CoefficientFrame(1, 1, {0: (1,), 1: (-1,)}), build_modulation(1, 1, 0))[0],
+             CoefficientFrame.zero(0, 1)),
+        ]
+        views = [lambda f: f.row, lambda f: f.coefficients, lambda f: [f[k] for k in range(-30, 30)],
+                 lambda f: f.items(), lambda f: f.is_zero(), lambda f: (f.level, f.width), hash, repr,
+                 lambda f: serialize.frame_json(f), lambda f: pickle.loads(pickle.dumps(f))]
+        for packed, twin in outputs:
+            assert "row" not in vars(packed()) and "row" in vars(twin)
+            for view in views:  # each on a frame not read before
+                assert view(packed()) == view(twin)
+            assert packed() == twin and twin == packed() and len({packed(), twin}) == 1
+            back = pickle.loads(pickle.dumps(packed()))
+            assert back == twin and hash(back) == hash(twin) and "row" in vars(back)
+            frame = packed()
+            for name, value in (("level", 1), ("width", 3), ("row", ()), ("coefficients", {}), ("_slots", ())):
+                with pytest.raises(AttributeError):
+                    setattr(frame, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(frame, name)
+            assert frame == twin and frame.row is frame.row
