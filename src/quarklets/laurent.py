@@ -23,14 +23,13 @@ M_g = [C(i, j) g_{i-j}] multiply as M_g M_h = M_{g * h},
 p + 1 polynomials g_n, on the same kernel, and :func:`pascal_matrix` expands
 them.
 The frame transforms take a second route to the same integers (Kronecker
-substitution; Harvey, J. Symbolic Comput. 44, 2009): a packed row evaluates a
-polynomial at z = 2^W as one int (``_pack``, one bytes join and a bias), and a
-product with a filter of small integer taps is a sum of shifted multiples of it
-(``_shift_add``).  Between two transforms the slots stay bytes: the kept ones are
-sliced out of one big-endian ``to_bytes`` of the biased product (``_slice_out``)
-and laid out at the next slot width by one zero-padded join (``_lay_out``), with
-no int per slot; they are read back as a polynomial, with one gcd, only when a
-frame's row is read (``_unpack``).
+substitution; Harvey, J. Symbolic Comput. 44, 2009) on one packed form: a
+polynomial's slots as big-endian biased bytes by run, built from a polynomial
+(``_chunked``) or sliced out of one ``to_bytes`` of a product (``_slice_out``).
+One zero-padded join lays them out as a packed row, the polynomial evaluated at
+z = 2^W as one int (``_lay_out``), with no int per slot; a product with a filter
+of small integer taps is a sum of shifted multiples of it (``_shift_add``); and
+a form is read back as a polynomial with one gcd (``_unpack``).
 Packing both factors of every ``_dot`` would cost more than it saves, so
 ``_dot`` stays the kernel of every other product.
 The module imports no numpy: the float taps of a Laurent matrix and every
@@ -300,18 +299,23 @@ def _from_int(nums: Mapping[int, int], den: int) -> LaurentPoly:
 # A packed row (n, lo, hi) is the polynomial sum_{k=lo..hi} c_k z^k evaluated at z = X = 2^(8 nb) after
 # z^-lo: n = sum_k c_k X^(k - lo).  Evaluation at X is a ring map, so sums and products of packed rows are
 # those of the polynomials; a slot c_k is read back as long as every slot of the row lies in [-X/2, X/2).
+# Between transforms a polynomial is held in packed form, the tuple (runs, nb, shift, den, top): by run,
+# (first, last, chunks) with first .. last its exponents and chunks their slots from the highest down, each
+# the big-endian nb bytes of the slot plus X / 2, no run starting or ending on a zero slot; the polynomial is
+# sum_k (c_k / 2^shift) / den z^k, and top is the largest |c_k| / 2^shift.
 
 
-def _pack(nums: Mapping[int, int], lo: int, hi: int, nb: int) -> int:
-    """n = sum_{k=lo..hi} nums[k] X^(k - lo) with X = 2^(8 nb), for |nums[k]| < X / 2: one bytes join and a bias."""
-    half, get = 1 << 8 * nb - 1, nums.get
-    raw = b"".join([(get(k, 0) + half).to_bytes(nb, "little") for k in range(lo, hi + 1)])
-    return int.from_bytes(raw, "little") - _bias(hi - lo + 1, nb)
-
-
-def _bias(slots: int, nb: int) -> int:
-    """sum_{k<slots} X^k X / 2, X = 2^(8 nb): the offset that makes every slot of a packed row nonnegative."""
-    return int.from_bytes((1 << 8 * nb - 1).to_bytes(nb, "little") * slots, "little")
+def _chunked(poly: LaurentPoly) -> tuple:
+    """The packed form of ``poly`` in the fewest bytes that hold its numerators: one run per stretch of
+    consecutive exponents, so exponents far apart take no slot between them."""
+    nums, keys = poly.nums, sorted(poly.nums, reverse=True)
+    top = max(map(abs, nums.values()), default=0)
+    nb = (top.bit_length() + 8) // 8
+    half = 1 << 8 * nb - 1
+    chunks = [(nums[k] + half).to_bytes(nb, "big") for k in keys]
+    cuts = [i for i in range(1, len(keys)) if keys[i - 1] - keys[i] > 1]  # where a run ends, going down
+    runs = [(keys[b - 1], keys[a], chunks[a:b]) for a, b in zip([0, *cuts], [*cuts, len(keys)]) if a < b]
+    return runs[::-1], nb, 0, poly.den, top
 
 
 def _shift_add(vals: Sequence[tuple[int, int, int]], column: Sequence[tuple[int, tuple]], nb: int) -> tuple:
@@ -331,13 +335,12 @@ def _shift_add(vals: Sequence[tuple[int, int, int]], column: Sequence[tuple[int,
     return acc, lo, hi
 
 
-def _unpack(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, den: int) -> LaurentPoly:
-    """sum_k (c_k / den) z^k over the slots c_k of the packed rows ``parts``, whose exponents must not overlap,
-    or with ``odd`` set sum_l (c_{2l+1} / den) z^l; den > 0.  One gcd over the slots read reduces them, and
-    the zero ones are dropped as they are divided."""
+def _unpack(form: tuple) -> LaurentPoly:
+    """The polynomial of a packed form; one gcd over its slots reduces them, and the zero ones are dropped as
+    they are divided."""
+    runs, nb, shift, den, _ = form
     half, from_bytes = 1 << 8 * nb - 1, int.from_bytes
-    runs = [(first, [from_bytes(c, "big") - half for c in reversed(chunks)])
-            for first, _, chunks in _slice_out(parts, nb, odd, 0)[0]]
+    runs = [(first, [from_bytes(c, "big") - half >> shift for c in reversed(chunks)]) for first, _, chunks in runs]
     g = gcd(den, *(v for _, vals in runs for v in vals))
     return _raw({k: v // g for first, vals in runs for k, v in zip(count(first), vals) if v}, den // g)
 
@@ -346,19 +349,18 @@ def _unpack(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, den: int) 
 _ZEROS = bytes([8] + [(b & -b).bit_length() - 1 for b in range(1, 256)])
 
 
-def _slice_out(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, cap: int) -> tuple[list[tuple], int, int]:
-    """The slots of the packed rows ``parts`` (exponents not overlapping) that a transform keeps, all of them or
-    with ``odd`` set those on z^{2l+1}, read on z^l, left as bytes: by run, (first, last, chunks) with first ..
-    last the exponents read and chunks their slots from the highest down, each the big-endian nb bytes of the
-    slot plus X / 2, runs whose slots are all zero dropped; with the largest |slot| and the largest power of
-    two dividing every slot, at most 2^cap and below the top byte.
+def _slice_out(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, den: int) -> tuple:
+    """The packed form of sum_k (c_k / den) z^k over the slots c_k of the packed rows ``parts`` (exponents not
+    overlapping), or with ``odd`` set of sum_l (c_{2l+1} / den) z^l, in slots of nb bytes; den > 0.  Its
+    shift is the largest power of two that divides every slot and den, below the top byte.
 
     Biased chunks of one width compare as their values, so the largest |slot| is read off the largest and the
     smallest chunk; below the top byte a chunk's bytes are those of its slot's two's complement, so the power
     of two is read off the lowest byte columns."""
     w = 8 * nb
     half, from_bytes, stride = 1 << w - 1, int.from_bytes, (1 + odd) * nb
-    runs, top, shift = [], 0, min(cap, w - 8)
+    zero = half.to_bytes(nb, "big")
+    runs, top, shift = [], 0, min((den & -den).bit_length() - 1, w - 8)
     for n, lo, hi in parts:
         if not n:
             continue
@@ -370,16 +372,18 @@ def _slice_out(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, cap: in
         slots = min(hi - lo + 1, (abs(n).bit_length() + 1) // w + 1)
         start = odd & ~lo
         end = slots - 1 - (odd & ~(lo + slots - 1))  # the highest slot read
-        # slot i is raw[(slots - 1 - i) nb:][:nb]; the slots read lie from first to stop
-        raw = (n + _bias(slots, nb)).to_bytes(slots * nb, "big")
+        # slot i plus X / 2 is raw[(slots - 1 - i) nb:][:nb]; the slots read, zero ends off, lie from first to stop
+        raw = (n + from_bytes(zero * slots, "big")).to_bytes(slots * nb, "big")
         first, stop = (slots - 1 - end) * nb, (slots - start) * nb
-        chunks = [raw[a : a + nb] for a in range(first, stop, stride)]
-        size = max(from_bytes(max(chunks), "big") - half, half - from_bytes(min(chunks), "big")) if chunks else 0
-        if not size:
+        while first < stop and raw[first : first + nb] == zero:
+            first += stride
+        while first < stop and raw[stop - nb : stop] == zero:
+            stop -= stride
+        if first >= stop:
             continue
-        if size > top:
-            top = size
-        runs.append(((lo + start) >> odd, (lo + end) >> odd, chunks))
+        chunks = [raw[a : a + nb] for a in range(first, stop, stride)]
+        top = max(top, from_bytes(max(chunks), "big") - half, half - from_bytes(min(chunks), "big"))
+        runs.append(((lo + slots - stop // nb) >> odd, (lo + slots - 1 - first // nb) >> odd, chunks))
         col = 0
         while 8 * col < shift:
             column = raw[first + nb - 1 - col : stop : stride]
@@ -387,17 +391,19 @@ def _slice_out(parts: Sequence[tuple[int, int, int]], nb: int, odd: int, cap: in
                 shift = min(shift, 8 * col + min(column.translate(_ZEROS)))
                 break
             col += 1
-    return runs, top, shift
+    return runs, nb, shift, den >> shift if runs else 1, top >> shift
 
 
 def _lay_out(runs: Sequence[tuple], nb: int, width: int, shift: int) -> tuple[int, int, int]:
-    """The packed row (n, lo, hi) of the slots of ``runs`` (``_slice_out``'s, nb bytes each, in order, every
+    """The packed row (n, lo, hi) of the slots of ``runs`` (a packed form's, nb bytes each, in order, every
     slot divisible by 2^shift) divided by 2^shift, in slots of width >= nb bytes, the slots between runs
     zero: one join of the chunks padded with zero bytes, one ``from_bytes`` and one bias."""
     zero, pad = (1 << 8 * nb - 1).to_bytes(nb, "big"), bytes(width - nb)
-    chunks = runs[-1][2]
-    for (_, last, run), (first, _, _) in zip(runs[-2::-1], runs[:0:-1]):
-        chunks = chunks + [zero] * (first - last - 1) + run
+    chunks, above = [], runs[-1][1] + 1
+    for first, last, run in reversed(runs):
+        chunks += [zero] * (above - last - 1)
+        chunks += run
+        above = first
     n = int.from_bytes(pad + pad.join(chunks), "big") - int.from_bytes((pad + zero) * len(chunks), "big")
     return n >> shift, runs[0][0], runs[-1][1]
 

@@ -347,9 +347,7 @@ def decomposition_filters(bundle: ModulationBundle) -> ModulationBundle:
     return bundle
 
 
-def splitting_identity_defect(
-    bundle: ModulationBundle, filters: ModulationBundle, parity: int
-) -> tuple[PiecewisePoly, ...]:
+def splitting_identity_defect(bundle: ModulationBundle, parity: int) -> tuple[PiecewisePoly, ...]:
     """Phi(2x - parity) minus its reconstruction from coarse quarks and quarklets.
 
     Returns the exact componentwise difference (all zero iff the identity holds).
@@ -358,7 +356,7 @@ def splitting_identity_defect(
     wavelets = quarklets(bundle.m, bundle.mt, bundle.p)
     translated = [
         (mat, [f.translate((idx - parity) // 2) for f in family])
-        for masks, family in ((filters.coarse, quarks), (filters.detail, wavelets))
+        for masks, family in ((bundle.coarse, quarks), (bundle.detail, wavelets))
         for idx, mat in masks.items() if (idx - parity) % 2 == 0
     ]
     return tuple(

@@ -8,13 +8,13 @@ Laurent polynomials (the row-vector polyphase form of Strang & Nguyen,
 *Wavelets and Filter Banks*, 1996).
 
 Synthesis and analysis take the bundle, which caches the read-only integer cores they
-apply, and work on packed rows (:func:`quarklets.laurent._pack`): each component is evaluated at
-z = X = 2^W once, as one int, so every product with a filter runs in CPython's big-int
-arithmetic, one tap at a time.  Frames stay packed between calls: a transform returns frames
-that hold its products, and the next call reads the slots they keep straight from their bytes
-(``_slice_out``, ``_lay_out``), taking out only the power of two that divides every slot and
-the denominator.  A frame reads its row on demand, the first time a view, ``==``, ``hash``,
-pickling or JSON needs it (``_unpack``), and one gcd per component then reduces the rest.
+apply, and read each component in one packed form (:mod:`quarklets.laurent`): its slots as
+big-endian bytes by run, laid out at the call's slot width (``_lay_out``) and evaluated at
+z = X = 2^W as one int, so every product with a filter runs in CPython's big-int arithmetic,
+one tap at a time.  A transform puts its products back into that form as it returns
+(``_slice_out``), trimmed and divided by the power of two that divides every slot and the
+denominator; a frame built from a row gets it on first use (``_chunked``), and a frame that a
+transform returns reads its row on demand (``_unpack``, one gcd per component).
 Synthesis, with S the scaling symbol and b the wavelet symbol, is
 
     reconstruct:  c_j(z) = 2 sum_i s_i(z^2) S_ij(z) + 2 d_j(z^2) b(z),
@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .cdf import quarklets
-from .laurent import LaurentPoly, _lay_out, _pack, _shift_add, _slice_out, _unpack, as_rational
+from .laurent import LaurentPoly, _chunked, _lay_out, _shift_add, _slice_out, _unpack, as_rational
 from .masks import Mat
 from .modulation import ModulationBundle
 from .piecewise import PiecewisePoly, inner_product
@@ -56,9 +56,9 @@ class CoefficientFrame:
     """Finitely supported map translate -> rational coefficient vector (read-only).
 
     Its value is ``row``, the ``width`` Laurent polynomials c(z) = sum_k c_k z^k of its
-    components, which ``==``, ``hash`` and pickling read.  A frame that a transform returns
-    holds the packed slots it computed instead and reads ``row`` off them on first use;
-    ``coefficients`` is the read-only ``Fraction`` view, built on first read.
+    components, which ``==``, ``hash`` and pickling read; the transforms read ``_forms``, their
+    packed forms (:mod:`quarklets.laurent`).  A frame holds one and derives the other on first
+    use; ``coefficients`` is the read-only ``Fraction`` view, built on first read.
     """
 
     level: int
@@ -102,8 +102,13 @@ class CoefficientFrame:
 
     @cached_property
     def row(self) -> tuple[LaurentPoly, ...]:
-        """The components, read off the packed slots with one gcd each (``laurent._unpack``) on first use."""
-        return tuple(_unpack(*slots) for slots in self._slots)
+        """The components, read off their packed forms with one gcd each (``laurent._unpack``) on first use."""
+        return tuple(map(_unpack, self._forms))
+
+    @cached_property
+    def _forms(self) -> tuple[tuple, ...]:
+        """The packed forms of the components (``laurent._chunked``), built on first use."""
+        return tuple(map(_chunked, self.row))
 
     @cached_property
     def coefficients(self) -> Mapping[int, Vector]:
@@ -134,13 +139,12 @@ def _checked_length(k: int, vec: Sequence, width: int) -> Sequence:
     return vec
 
 
-def _frame(level: int, row: Iterable[LaurentPoly] = (), slots: Iterable[tuple] = ()) -> CoefficientFrame:
-    """The frame with this row, unchecked, or with the packed slots that a transform computed, per component
-    the arguments of ``_unpack``, off which the row is read on first use; the class is frozen, so fields
-    go in its dict."""
-    row, slots = tuple(row), tuple(slots)
+def _frame(level: int, row: Iterable[LaurentPoly] = (), forms: Iterable[tuple] = ()) -> CoefficientFrame:
+    """The frame with this row, unchecked, or with these packed forms; the class is frozen, so fields go in
+    its dict."""
+    row, forms = tuple(row), tuple(forms)
     frame = CoefficientFrame.__new__(CoefficientFrame)
-    frame.__dict__.update({"row": row} if row else {"_slots": slots}, level=level, width=len(row or slots))
+    frame.__dict__.update({"row": row} if row else {"_forms": forms}, level=level, width=len(row or forms))
     return frame
 
 
@@ -154,12 +158,12 @@ def reconstruct(
     if scaling.width != width or detail.width != width:
         raise ValueError("frame width does not match the bundle degree")
     columns, gain, reach = bundle.synthesis_cores
-    den, nb, runs = _packed(_components(scaling) + _components(detail), gain, reach, 2)
+    den, nb, runs = _packed(scaling._forms + detail._forms, gain, reach, 2)
     parts: list[list] = [[] for _ in columns]
     for vals in runs:
         for (column, _), out in zip(columns, parts):
             out.append(_shift_add(vals, column, nb))
-    return _frame(scaling.level + 1, slots=[(out, nb, 0, den * c_den) for out, (_, c_den) in zip(parts, columns)])
+    return _frame(scaling.level + 1, forms=[_slice_out(out, nb, 0, den * d) for out, (_, d) in zip(parts, columns)])
 
 
 def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[CoefficientFrame, CoefficientFrame]:
@@ -172,7 +176,7 @@ def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[Coeffi
     if frame.width != bundle.size:
         raise ValueError("frame width does not match the bundle degree")
     columns, gain, reach = bundle.lifting_cores
-    den, nb, runs = _packed(_components(frame), gain, reach, 1)
+    den, nb, runs = _packed(frame._forms, gain, reach, 1)
     coarse: list[list] = [[] for _ in columns]
     detail: list[list] = [[] for _ in columns]
     for vals in runs:
@@ -183,50 +187,29 @@ def decompose(frame: CoefficientFrame, bundle: ModulationBundle) -> tuple[Coeffi
             d.append(_shift_add(vals, d_col, nb))
     # u_j = z y_j, so the even powers of y_j's products are the odd slots of u_j's
     level = frame.level - 1
-    return (_frame(level, slots=[(s, nb, 1, den * column[3]) for s, column in zip(coarse, columns)]),
-            _frame(level, slots=[(d, nb, 1, den * column[4]) for d, column in zip(detail, columns)]))
+    return (_frame(level, forms=[_slice_out(s, nb, 1, den * column[3]) for s, column in zip(coarse, columns)]),
+            _frame(level, forms=[_slice_out(d, nb, 1, den * column[4]) for d, column in zip(detail, columns)]))
 
 
-def _components(frame: CoefficientFrame) -> tuple:
-    """The row of the frame if it holds one, else its packed slots."""
-    return vars(frame).get("row") or frame._slots
+def _packed(forms: Sequence[tuple], gain: int, reach: int, step: int) -> tuple[int, int, list[list[tuple]]]:
+    """The components of their packed forms (``laurent``) over their common denominator as packed rows, with
+    that denominator and the slot bytes nb that hold gain times its largest numerator, sign included.
 
-
-def _packed(row: Sequence, gain: int, reach: int, step: int) -> tuple[int, int, list[list[tuple]]]:
-    """The row over its common denominator as packed rows, with that denominator and the slot bytes nb that
-    hold gain times its largest numerator, sign included.
-
-    A component is a polynomial or the packed slots of an earlier transform (``_frame``), which are read as
-    bytes (``laurent._slice_out``) and divided, with their denominator, by the power of two that divides them
-    all; the rest of their gcd stays until the row is read.  The translates of the union support are split
-    into runs where two lie more than ``reach`` apart, so the runs' outputs share no exponent and each is
-    transformed on its own.  Per run, every component is packed on its own span there, in slots of step nb
-    bytes: its translate k on z^{step k}, a polynomial by ``_pack`` and slots by one ``_lay_out``, which
-    fills the gaps between the runs of the earlier transform there with zeros; (0, 0, 0) where it vanishes.
+    The runs of every form are joined into spans where two lie at most ``reach`` apart, so the spans' outputs
+    share no exponent and each is transformed on its own.  Per span, every component is laid out on its own
+    runs there by one ``_lay_out``, its translate k on z^{step k} in slots of step nb bytes, no fewer than the
+    form has; (0, 0, 0) where it has none.
     """
-    reads, points, firsts, lasts, least = [], set(), [], [], 1
-    for c in row:
-        if isinstance(c, LaurentPoly):
-            keys = sorted(c.nums)
-            points.update(keys)
-            reads.append((c.den, max(map(abs, c.nums.values()), default=0), keys, c))
-            continue
-        parts, nb_in, odd, den = c
-        slots, top, shift = _slice_out(parts, nb_in, odd, (den & -den).bit_length() - 1)
-        starts = [run[0] for run in slots]
-        firsts += starts
-        lasts += [run[1] for run in slots]
-        reads.append((den >> shift if slots else 1, top >> shift, starts, (slots, nb_in, shift)))
-        least = max(least, -(-nb_in // step))  # slots are laid out in step nb bytes, no fewer than they have
-    den = lcm(*[read[0] for read in reads])
-    scales = [den // read[0] for read in reads]
-    nb = max(((gain * max([read[1] * scale for read, scale in zip(reads, scales)])).bit_length() + 8) // 8, least)
-    # runs join the intervals [first, last] whose gaps are at most reach; with starts and ends sorted apart,
-    # a run ends at the i-th end exactly when the next start lies more than reach past it, as the i smallest
-    # ends are then those of the i smallest starts; a translate k of a polynomial is one interval [k, k],
-    # however many components hold it
+    den = lcm(*[form[3] for form in forms])
+    scales = [den // form[3] for form in forms]
+    top = max([form[4] * scale for form, scale in zip(forms, scales)])
+    nb = max(((gain * top).bit_length() + 8) // 8, *[-(-form[1] // step) for form in forms])
+    starts = [[run[0] for run in form[0]] for form in forms]
+    # with starts and ends sorted apart, a span ends at the i-th end exactly when the next start lies more than
+    # reach past it, as the i smallest ends are then those of the i smallest starts
     spans: list[list[int]] = []
-    for first, last in zip(sorted([*points, *firsts]), sorted([*points, *lasts])):
+    for first, last in zip(sorted([k for keys in starts for k in keys]),
+                           sorted([run[1] for form in forms for run in form[0]])):
         if spans and first - spans[-1][1] <= reach:
             spans[-1][1] = last
         else:
@@ -234,16 +217,12 @@ def _packed(row: Sequence, gain: int, reach: int, step: int) -> tuple[int, int, 
     runs = []
     for lo, hi in spans:
         vals = []
-        for (_, _, starts, source), scale in zip(reads, scales):
-            a, b = bisect_left(starts, lo), bisect_right(starts, hi)
+        for (parts, nb_in, shift, _, _), keys, scale in zip(forms, starts, scales):
+            a, b = bisect_left(keys, lo), bisect_right(keys, hi)
             if a == b:
                 vals.append((0, 0, 0))
                 continue
-            if isinstance(source, LaurentPoly):
-                n, first, last = _pack(source.nums, starts[a], starts[b - 1], step * nb), starts[a], starts[b - 1]
-            else:
-                slots, nb_in, shift = source
-                n, first, last = _lay_out(slots[a:b], nb_in, step * nb, shift)
+            n, first, last = _lay_out(parts[a:b], nb_in, step * nb, shift)
             vals.append((n * scale, step * first, step * last))
         runs.append(vals)
     return den, nb, runs

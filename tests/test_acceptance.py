@@ -159,9 +159,8 @@ def test_criterion_07_decomposition_identity_and_growth():
     ok = True
     for m, mt, p in SPLIT_SETS:
         bundle = build_modulation(m, mt, p)
-        filters = decomposition_filters(bundle)
         for parity in (0, 1):
-            defects = splitting_identity_defect(bundle, filters, parity)
+            defects = splitting_identity_defect(bundle, parity)
             ok &= all(d.is_zero() for d in defects)
     # support lengths for p <= 6 grow at most linearly: frozen exact patterns
     expected_lengths = {

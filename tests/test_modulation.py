@@ -646,9 +646,7 @@ class TestDecompositionFilters:
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 2, 1), (3, 3, 1)])
     @pytest.mark.parametrize("parity", [0, 1])
     def test_splitting_identity_exact(self, m, mt, p, parity):
-        bundle = build_modulation(m, mt, p)
-        filt = decomposition_filters(bundle)
-        defects = splitting_identity_defect(bundle, filt, parity)
+        defects = splitting_identity_defect(build_modulation(m, mt, p), parity)
         assert all(d.is_zero() for d in defects)
 
     @pytest.mark.parametrize("m,mt", PAIRS)

@@ -573,9 +573,12 @@ class TestPackedRows:
         bundle = build_modulation(m, mt, p)
         got = decompose(fine, bundle)
         for frame, expected in zip(got, fraction_decompose(fine, bundle)):
+            assert_trimmed(frame)
             assert_as_fraction_path(frame, expected)
         assert reconstruct(*got, bundle) == fine
-        assert_as_fraction_path(reconstruct(coarse, detail, bundle), fraction_reconstruct(coarse, detail, bundle))
+        c = reconstruct(coarse, detail, bundle)
+        assert_trimmed(c)
+        assert_as_fraction_path(c, fraction_reconstruct(coarse, detail, bundle))
 
     @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (2, 2, 2), (3, 5, 5), (5, 7, 8)])
     @pytest.mark.parametrize("k", [-(10**9), -3, 0, 7])
@@ -639,11 +642,22 @@ def packed_chain(frame: CoefficientFrame, bundle, levels: int = 3):
     return down, details, up
 
 
+def assert_trimmed(frame: CoefficientFrame):
+    """Every run of the frame's packed forms holds one slot per exponent and starts and ends on a nonzero one,
+    so no run is all zero."""
+    for runs, nb, *_ in frame._forms:
+        zero = (1 << 8 * nb - 1).to_bytes(nb, "big")
+        for first, last, chunks in runs:
+            assert len(chunks) == last - first + 1 and chunks[0] != zero and chunks[-1] != zero
+
+
 def assert_packed_chain_as_fraction_path(frame: CoefficientFrame, bundle, levels: int = 3):
-    """A chain through packed frames: no output is read before the chain ends, and then every level is the
-    Fraction path's on the same input, in canonical form and JSON byte for byte."""
+    """A chain through packed frames: no output is read before the chain ends, each holds trimmed runs, and
+    then every level is the Fraction path's on the same input, in canonical form and JSON byte for byte."""
     down, details, up = packed_chain(frame, bundle, levels)
     assert not any("row" in vars(f) for f in down[1:] + details + up[1:])
+    for f in down[1:] + details + up[1:]:
+        assert_trimmed(f)
     for i, detail in enumerate(details):
         for got, expected in zip((down[i + 1], detail), fraction_decompose(down[i], bundle)):
             assert_as_fraction_path(got, expected)
@@ -693,6 +707,34 @@ class TestPackedFrames:
         for gap in (reach + 1, 10**9):
             assert_packed_chain_as_fraction_path(CoefficientFrame(3, p + 1, {-1: vec, gap - 1: vec[::-1]}), bundle)
 
+    @pytest.mark.parametrize("m,mt,p", [(1, 1, 0), (2, 2, 2)])
+    def test_isolated_translates_of_a_row(self, m, mt, p):
+        # a row packs one run per translate, with nothing between them; the transforms join the runs whose
+        # gaps lie within the bundle's reach
+        vec = tuple(Fraction(3 * j - 2**255, 2 * j + 7) for j in range(p + 1))
+        frame = CoefficientFrame(3, p + 1, {2 * i: vec[:: (-1) ** i] for i in range(2000)})
+        assert all(len(runs) == 2000 for runs, *_ in frame._forms)
+        assert_trimmed(frame)
+        assert_packed_chain_as_fraction_path(frame, build_modulation(m, mt, p))
+
+    def test_chain_time_follows_the_runs(self):
+        # clusters reach + 1 apart are runs of the packed coarse frame, which the next call joins in one pass:
+        # 4 times the clusters take about 4 times as long, not 16
+        bundle = build_modulation(2, 2, 2)
+        reach = bundle.lifting_cores[2]
+
+        def seconds(clusters):
+            frame = CoefficientFrame(3, 3, {(reach + 1) * i: (1, Fraction(-2, 3), 5 + i % 7) for i in range(clusters)})
+            coarse, _ = decompose(frame, bundle)
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                decompose(coarse, bundle)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(8000) < 8 * seconds(2000)
+
     def test_runs_apart_stay_apart(self):
         # merged, the runs of 0 and 10^9 would take 10^9 slots: the chain's time follows the nonzeros
         bundle = build_modulation(2, 2, 2)
@@ -727,7 +769,7 @@ class TestPackedFrames:
             back = pickle.loads(pickle.dumps(packed()))
             assert back == twin and hash(back) == hash(twin) and "row" in vars(back)
             frame = packed()
-            for name, value in (("level", 1), ("width", 3), ("row", ()), ("coefficients", {}), ("_slots", ())):
+            for name, value in (("level", 1), ("width", 3), ("row", ()), ("coefficients", {}), ("_forms", ())):
                 with pytest.raises(AttributeError):
                     setattr(frame, name, value)
                 with pytest.raises(AttributeError):
